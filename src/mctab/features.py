@@ -10,11 +10,11 @@ and colliding tokens sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
+from . import terms
 from .calculus import ExtAction, ProverState, RedAction, RewAction
 from .problems import Matrix
-from .terms import Literal, Term, Var, fnv1a64, literal_hash, literals_hash, term_stats
+from .terms import Literal, Term, Var, fnv1a64, term_stats
 
 
 @dataclass
@@ -64,6 +64,20 @@ def _count_symbols(lit: Literal, counts: dict):
             stack.extend(t.args)
 
 
+def _action_walks(m: Matrix, path: tuple, action, out: dict):
+    """The `a:` region: walks that depend on the action alone, never on goals."""
+    if isinstance(action, ExtAction):
+        for lit in m.clause(action.clause_id).literals:
+            _literal_walks(lit, "a:ext:", out)
+    elif isinstance(action, RedAction):
+        _literal_walks(path[action.path_index], "a:red:", out)
+    elif isinstance(action, RewAction):
+        eq = m.clause(action.clause_id).literals[action.lit_index]
+        _literal_walks(eq, f"a:rew:{action.direction}:", out)
+    else:
+        raise TypeError(f"unknown action {action!r}")
+
+
 def raw_features(m: Matrix, goals: tuple, path: tuple, action=None) -> dict:
     """Token multiset for a state and optionally one action."""
     out: dict = {}
@@ -72,16 +86,7 @@ def raw_features(m: Matrix, goals: tuple, path: tuple, action=None) -> dict:
     for lit in path:
         _literal_walks(lit, "p:", out)
     if action is not None:
-        if isinstance(action, ExtAction):
-            for lit in m.clause(action.clause_id).literals:
-                _literal_walks(lit, "a:ext:", out)
-        elif isinstance(action, RedAction):
-            _literal_walks(path[action.path_index], "a:red:", out)
-        elif isinstance(action, RewAction):
-            eq = m.clause(action.clause_id).literals[action.lit_index]
-            _literal_walks(eq, f"a:rew:{action.direction}:", out)
-        else:
-            raise TypeError(f"unknown action {action!r}")
+        _action_walks(m, path, action, out)
     total, max_size, max_depth, symbols = term_stats(goals)
     out["n:goals"] = float(len(goals))
     out["n:symbols"] = float(symbols)
@@ -111,44 +116,62 @@ def compress(raw: dict, dim: int) -> FeatureVector:
 
 
 class FeatureExtractor:
-    """Per-worker extractor with a cache keyed by depth-3 structural hashes.
+    """Per-problem extractor equal to `compress(raw_features(...))`.
 
-    Hash collisions can alias cache entries; that is acceptable for feature
-    caching and mirrors how depth-bounded term hashing is used upstream.
+    A state's vector is computed once; an action's vector is that vector plus
+    an action-only delta.  This is exact: the regions are disjoint (`g:`,
+    `p:`, `n:` and `top:` belong to the state, `a:` to the action), compress
+    is additive, and every value is an integer-valued float, so the sums do
+    not round.  Deltas are memoised by what they depend on: the clause for
+    ext (the walk covers the whole clause), clause, literal and direction for
+    rew, the path literal for red.  Token buckets are memoised too.
     """
 
-    CACHE_DEPTH = 3
-
     def __init__(self, m: Matrix, dim: int):
+        if dim <= 0:
+            raise ValueError("feature dimension must be positive")
         self.matrix = m
         self.dim = dim
-        self._state_cache: dict = {}
-        self._action_cache: dict = {}
+        self._buckets: dict = {}  # token -> bucket
+        self._deltas: dict = {}  # action key -> entries of the a: region
+        # the search scores a state's value and then its actions' priors
+        self._last: tuple = (None, None)  # (state, its vector)
 
-    def _state_key(self, s: ProverState) -> tuple:
-        d = self.CACHE_DEPTH
-        return (literals_hash(s.goals, d), literals_hash(s.path, d))
+    def _compress(self, raw: dict) -> dict:
+        buckets = self._buckets
+        entries: dict = {}
+        for token, value in raw.items():
+            if value == 0.0:
+                continue
+            idx = buckets.get(token)
+            if idx is None:
+                idx = buckets[token] = terms.fnv1a64(token) % self.dim
+            entries[idx] = entries.get(idx, 0.0) + value
+        return entries
 
     def state_features(self, s: ProverState) -> FeatureVector:
-        key = self._state_key(s)
-        hit = self._state_cache.get(key)
-        if hit is None:
-            hit = compress(raw_features(self.matrix, s.goals, s.path), self.dim)
-            self._state_cache[key] = hit
-        return hit
+        state, fv = self._last
+        if state is not s:
+            raw = raw_features(self.matrix, s.goals, s.path)
+            fv = FeatureVector(self._compress(raw), self.dim)
+            self._last = (s, fv)
+        return fv
 
     def action_features(self, s: ProverState, action) -> FeatureVector:
         if isinstance(action, ExtAction):
-            akey = ("e", action.clause_id, action.lit_index)
+            key = ("ext", action.clause_id)
         elif isinstance(action, RedAction):
-            akey = ("r", literal_hash(s.path[action.path_index], self.CACHE_DEPTH))
+            key = ("red", s.path[action.path_index])
         elif isinstance(action, RewAction):
-            akey = ("w", action.clause_id, action.lit_index, action.direction)
+            key = ("rew", action.clause_id, action.lit_index, action.direction)
         else:
             raise TypeError(f"unknown action {action!r}")
-        key = self._state_key(s) + (akey,)
-        hit = self._action_cache.get(key)
-        if hit is None:
-            hit = compress(raw_features(self.matrix, s.goals, s.path, action), self.dim)
-            self._action_cache[key] = hit
-        return hit
+        delta = self._deltas.get(key)
+        if delta is None:
+            raw: dict = {}
+            _action_walks(self.matrix, s.path, action, raw)
+            delta = self._deltas[key] = self._compress(raw)
+        entries = dict(self.state_features(s).entries)
+        for idx, value in delta.items():
+            entries[idx] = entries.get(idx, 0.0) + value
+        return FeatureVector(entries, self.dim)

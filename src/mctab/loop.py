@@ -62,9 +62,9 @@ def list_problems(problem_dir: str) -> list:
 
 
 def _guidance_for(m, cfg: Config, value_model, policy_model):
-    if value_model is None and policy_model is None:
-        return DefaultGuidance(), FeatureExtractor(m, cfg.feature_dim), cfg.cp_initial
     extractor = FeatureExtractor(m, cfg.feature_dim)
+    if value_model is None and policy_model is None:
+        return DefaultGuidance(), extractor, cfg.cp_initial
     gcfg = GuidanceConfig(temperature=cfg.temperature, discount=cfg.discount)
     return ModelGuidance(value_model, policy_model, extractor, gcfg), extractor, cfg.cp_later
 

@@ -283,7 +283,7 @@ def literal_replace(lit: Literal, pos: tuple, u: Term) -> Literal:
 
 
 # ---------------------------------------------------------------------------
-# depth-bounded structural hashing (for feature caching; collisions permitted)
+# FNV-1a, the token hash behind every feature bucket
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -294,43 +294,4 @@ def fnv1a64(data: str) -> int:
     h = _FNV_OFFSET
     for b in data.encode("utf-8"):
         h = ((h ^ b) * _FNV_PRIME) & _MASK
-    return h
-
-
-def _mix(h: int, x: int) -> int:
-    return ((h ^ x) * _FNV_PRIME) & _MASK
-
-
-_VAR_HASH = fnv1a64("var")
-
-
-def term_hash(t: Term, depth: int) -> int:
-    """Structural hash ignoring everything below `depth`.
-
-    Variables hash to one shared token at every depth so alpha-variant terms
-    hash equally; at depth 0 only the root symbol is seen.
-    """
-    if isinstance(t, Var):
-        return _VAR_HASH
-    h = fnv1a64(t.symbol)
-    if depth <= 0 or not t.args:
-        return h
-    for a in t.args:
-        h = _mix(h, term_hash(a, depth - 1))
-    return h
-
-
-def literal_hash(lit: Literal, depth: int) -> int:
-    h = fnv1a64(("" if lit.positive else "~") + lit.predicate)
-    if depth <= 0:
-        return h
-    for a in lit.args:
-        h = _mix(h, term_hash(a, depth - 1))
-    return h
-
-
-def literals_hash(lits: Iterable[Literal], depth: int) -> int:
-    h = _FNV_OFFSET
-    for lit in lits:
-        h = _mix(h, literal_hash(lit, depth))
     return h

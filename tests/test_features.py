@@ -1,8 +1,16 @@
-from mctab.calculus import ExtAction, ProverState, RedAction, initial_states
+import os
+import random
+
+from mctab.calculus import ExtAction, ProverState, RedAction, RewAction, initial_states
+from mctab.cli import corpus_dir
 from mctab.config import Config
 from mctab.features import FeatureExtractor, compress, raw_features
+from mctab.guidance import DefaultGuidance
+from mctab.mcts import search_problem
 from mctab.problems import parse_problem
 from mctab.terms import App, Literal, Var
+
+from helpers import random_matrix
 
 
 def mk_state(goals=(), path=(), todos=()):
@@ -21,6 +29,10 @@ def mk_state(goals=(), path=(), todos=()):
 
 
 M = parse_problem("-p(X).\np(Y) | -q(a).\nq(a).\n")
+
+
+def oracle(m, s, action=None, dim=10000):
+    return compress(raw_features(m, s.goals, s.path, action), dim)
 
 
 def test_walk_tokens_for_nested_literal():
@@ -102,10 +114,72 @@ def test_action_features_distinguish_ext_and_red():
 def test_cache_hit_equals_fresh_computation():
     ex = FeatureExtractor(M, 101)
     s = mk_state(goals=(Literal(True, "q", (App("a"),)),))
-    first = ex.state_features(s)
-    fresh = compress(raw_features(M, s.goals, s.path), 101)
-    assert ex.state_features(s) is first
-    assert first.entries == fresh.entries
+    a = ExtAction(1, 1)
+    for _ in range(2):  # the second round reuses the state vector and the delta
+        assert ex.state_features(s).entries == oracle(M, s, dim=101).entries
+        assert ex.action_features(s, a).entries == oracle(M, s, a, dim=101).entries
+
+
+def test_states_differing_below_depth_three_get_their_own_vectors():
+    ex = FeatureExtractor(M, 10000)
+    for leaf in ("a", "b"):
+        t = App(leaf)
+        for _ in range(3):
+            t = App("f", (t,))
+        s = mk_state(goals=(Literal(True, "p", (t,)),))
+        assert ex.state_features(s).entries == oracle(M, s).entries
+        a = ExtAction(0, 0)
+        assert ex.action_features(s, a).entries == oracle(M, s, a).entries
+
+
+def _assert_tree_matches_oracle(m, tree, dim):
+    ex = FeatureExtractor(m, dim)
+    checked = 0
+    for node in tree.nodes:
+        s = node.state
+        if s is None:
+            continue
+        # alternate the call order so both the fresh and the reused state
+        # vector are compared
+        if node.id % 2:
+            assert ex.state_features(s).entries == oracle(m, s, dim=dim).entries
+        for a in s.actions:
+            assert ex.action_features(s, a).entries == oracle(m, s, a, dim=dim).entries
+            checked += 1
+        assert ex.state_features(s).entries == oracle(m, s, dim=dim).entries
+    return checked
+
+
+def test_extractor_equals_oracle_on_corpus_trees():
+    cfg = Config(inference_limit=150, bigstep_freq=20, path_limit=60)
+    kinds = set()
+    for name in ("eq_chain_4.p", "eq_fun.p", "ground_red.p", "twopath_03.p", "hard_branch.p"):
+        with open(os.path.join(corpus_dir(), name), "r", encoding="utf-8") as fh:
+            m = parse_problem(fh.read())
+        tree = search_problem(m, DefaultGuidance(), cfg).tree
+        assert _assert_tree_matches_oracle(m, tree, 10000) > 0
+        kinds.update(type(a) for n in tree.nodes if n.state for a in n.state.actions)
+    assert kinds == {ExtAction, RewAction}
+    # a red action needs a non-ground path literal and guided reduction
+    m = parse_problem(
+        "q(X) | q(f(X)).\n-q(Y) | r(Y).\n-r(Z) | -q(a).\n-r(b) | -q(f(b)).\n-q(c).\n"
+    )
+    cfg = Config(inference_limit=100, bigstep_freq=10, path_limit=20, guided_reduction=True)
+    tree = search_problem(m, DefaultGuidance(), cfg).tree
+    _assert_tree_matches_oracle(m, tree, 10000)
+    assert any(isinstance(a, RedAction) for n in tree.nodes if n.state for a in n.state.actions)
+
+
+def test_extractor_equals_oracle_on_random_matrices():
+    rng = random.Random(7)
+    for i in range(20):
+        cfg = Config(
+            rewrite=True, inference_limit=60, bigstep_freq=7, path_limit=20,
+            guided_reduction=bool(i % 2),
+        )
+        m = random_matrix(rng)
+        tree = search_problem(m, DefaultGuidance(), cfg).tree
+        _assert_tree_matches_oracle(m, tree, 97)  # small dimension: many collisions
 
 
 def test_determinism_same_state_twice():
@@ -119,8 +193,6 @@ def test_determinism_same_state_twice():
 
 
 def test_rewrite_action_features_distinguish_directions():
-    from mctab.calculus import RewAction
-
     m2 = parse_problem("p(g(a)).\ng(Z)!=h(Z) | -q(Z).\n-p(h(a)).\nq(a).\n")
     ex = FeatureExtractor(m2, 1009)
     s = mk_state(goals=(Literal(True, "p", (App("g", (App("a"),)),)),))

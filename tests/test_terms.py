@@ -8,6 +8,7 @@ from mctab.terms import (
     Var,
     apply_literal,
     apply_term,
+    fnv1a64,
     literal_positions,
     literal_replace,
     literal_subterm,
@@ -16,7 +17,6 @@ from mctab.terms import (
     positions,
     replace_at,
     subterm_at,
-    term_hash,
     term_stats,
     unify_literals,
     unify_terms,
@@ -158,23 +158,6 @@ def test_literal_positions_exclude_predicate_root():
     assert literal_replace(lit, (1,), App("b")) == Literal(True, "p", (App("b"),))
 
 
-def test_term_hash_depth_bounds():
-    assert term_hash(App("f", (a(),)), 0) != term_hash(App("g", (App("b"),)), 0)
-    assert term_hash(App("f", (App("g", (a(),)),)), 1) == term_hash(
-        App("f", (App("g", (App("b"),)),)), 1
-    )
-    assert term_hash(App("f", (App("g", (a(),)),)), 2) != term_hash(
-        App("f", (App("g", (App("b"),)),)), 2
-    )
-
-
-def test_term_hash_variables_share_token():
-    assert term_hash(Var(3), 5) == term_hash(Var(9), 5)
-    assert term_hash(App("f", (Var(1),)), 3) == term_hash(App("f", (Var(2),)), 3)
-
-
-def test_term_hash_deterministic():
-    t = App("f", (App("g", (Var(0), a())),))
-    assert term_hash(t, 3) == term_hash(t, 3)
-    # frozen value, stable across runs and platforms
-    assert term_hash(App("a"), 0) == 0xAF63DC4C8601EC8C ^ 0  # fnv1a64("a")
+def test_fnv1a64_pinned_value():
+    # every saved dataset's and model's feature indices depend on this value
+    assert fnv1a64("a") == 0xAF63DC4C8601EC8C
