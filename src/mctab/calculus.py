@@ -303,7 +303,7 @@ def _apply_on_work(m: Matrix, w: _Work, action) -> None:
 
 def _det_on_work(m: Matrix, w: _Work, cfg: Config) -> ProverState:
     """Deterministic simplification to fixpoint; returns the settled state."""
-    eager = cfg.eager
+    eager = not cfg.guided_reduction
     for _ in range(_DET_GUARD):
         if not w.goals:
             if not w.todos:

@@ -154,7 +154,7 @@ def _parse_theta(text: str, shared: _SharedVars) -> dict:
 
 
 def parse_trace(text: str):
-    """Parse a proof trace; returns (steps, shared variable table)."""
+    """Parse a proof trace into its list of steps."""
     shared = _SharedVars()
     steps = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -196,7 +196,7 @@ def parse_trace(text: str):
             raise TraceError(f"line {lineno}: {exc}") from None
     if not steps:
         raise TraceError("empty proof trace")
-    return steps, shared
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +500,7 @@ def check_proof_texts(proof_text: str, problem_text: str) -> CheckResult:
     except ParseError as exc:
         return CheckResult(False, f"problem parse error: {exc}")
     try:
-        steps, _shared = parse_trace(proof_text)
+        steps = parse_trace(proof_text)
     except TraceError as exc:
         return CheckResult(False, f"trace parse error: {exc}")
     return check_proof(steps, matrix)

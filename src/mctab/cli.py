@@ -117,14 +117,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_train(args, cfg: Config) -> int:
     data = gbt.load_dataset(args.dataset, cfg.feature_dim)
-    params = gbt.GbtParams(
-        eta=cfg.eta,
-        max_depth=cfg.max_depth,
-        reg_lambda=cfg.reg_lambda,
-        rounds=cfg.rounds,
-        patience=cfg.patience,
-    )
-    model = gbt.train(data, params)
+    model = gbt.train(data, cfg)
     gbt.save(model, args.model_out)
     h = model.history
     print(f"trained {len(model.trees)} trees (best round {h.best_round}, "
@@ -190,7 +183,7 @@ def main(argv=None) -> int:
             gbt.DatasetError, gbt.ModelFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if not isinstance(exc, ProofRejected) else 1
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,6 +5,10 @@ time limit, bigsteps every 2000 playouts, exploration constant 3.0 for the
 unguided iteration and 2.0 once models are loaded, 10000-dimensional
 features, path limit 1000, discount 0.99, softmax temperature 2. Learner
 defaults: eta 0.3, depth 9, lambda 1.5, 400 rounds, patience 50.
+
+`guided_reduction` is the paper's "guidance extended to reduction steps":
+when on, reductions that need unification become search actions; when off,
+the deterministic steps perform the first one that unifies.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ class Config:
     temperature: float = 2.0
     rewrite: bool = True
     guided_reduction: bool = False
-    eager_reduction: Optional[bool] = None  # None = derived from guided_reduction
     single_action_optim: bool = True
     limited_policy: bool = True
     all_proofsteps: bool = True
@@ -39,51 +42,33 @@ class Config:
     reg_lambda: float = 1.5
     rounds: int = 400
     patience: int = 50
-    seed: int = 0
     workers: int = 1
 
-    @property
-    def eager(self) -> bool:
-        """Effective eager-reduction flag.
 
-        Guided reduction turns unification-requiring reductions into search
-        actions, so eager reduction is forced off with it; otherwise it
-        defaults on.
-        """
-        if self.guided_reduction:
-            return False
-        if self.eager_reduction is None:
-            return True
-        return self.eager_reduction
+_FIELD_KIND = {f.name: type(f.default) for f in fields(Config)}
 
 
-def _parse_value(name: str, kind, raw: str):
+def _set(cfg: Config, key: str, raw: str, where: str = ""):
+    """Parse `raw` as the type of option `key` and store it on `cfg`."""
+    key = key.strip()
+    kind = _FIELD_KIND.get(key)
+    if kind is None:
+        raise ConfigError(f"{where}unknown option {key!r}")
     raw = raw.strip()
-    if kind is bool or name == "eager_reduction":
+    if kind is bool:
         low = raw.lower()
         if low in ("on", "true", "1", "yes"):
-            return True
-        if low in ("off", "false", "0", "no"):
-            return False
-        if name == "eager_reduction" and low == "auto":
-            return None
-        raise ConfigError(f"bad boolean for {name}: {raw!r}")
-    try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-    except ValueError:
-        raise ConfigError(f"bad value for {name}: {raw!r}") from None
-    raise ConfigError(f"unsupported option type for {name}")
-
-
-_FIELD_KIND = {}
-for f in fields(Config):
-    if f.name == "eager_reduction":
-        _FIELD_KIND[f.name] = bool
+            value = True
+        elif low in ("off", "false", "0", "no"):
+            value = False
+        else:
+            raise ConfigError(f"bad boolean for {key}: {raw!r}")
     else:
-        _FIELD_KIND[f.name] = type(f.default)
+        try:
+            value = kind(raw)
+        except ValueError:
+            raise ConfigError(f"bad value for {key}: {raw!r}") from None
+    setattr(cfg, key, value)
 
 
 def from_ini(text: str, base: Optional[Config] = None) -> Config:
@@ -97,23 +82,18 @@ def from_ini(text: str, base: Optional[Config] = None) -> Config:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in _FIELD_KIND:
-            raise ConfigError(f"line {lineno}: unknown option {key!r}")
-        setattr(cfg, key, _parse_value(key, _FIELD_KIND[key], raw))
+        _set(cfg, key, raw, f"line {lineno}: ")
     return cfg
 
 
-def _format_value(name: str, value) -> str:
-    if name == "eager_reduction" and value is None:
-        return "auto"
+def _format_value(value) -> str:
     if isinstance(value, bool):
         return "on" if value else "off"
     return repr(value)
 
 
 def to_ini(cfg: Config) -> str:
-    lines = [f"{f.name} = {_format_value(f.name, getattr(cfg, f.name))}" for f in fields(Config)]
+    lines = [f"{f.name} = {_format_value(getattr(cfg, f.name))}" for f in fields(Config)]
     return "\n".join(lines) + "\n"
 
 
@@ -123,10 +103,7 @@ def apply_overrides(cfg: Config, pairs) -> Config:
         if "=" not in pair:
             raise ConfigError(f"override must look like key=value: {pair!r}")
         key, _, raw = pair.partition("=")
-        key = key.strip()
-        if key not in _FIELD_KIND:
-            raise ConfigError(f"unknown option {key!r}")
-        setattr(cfg, key, _parse_value(key, _FIELD_KIND[key], raw))
+        _set(cfg, key, raw)
     return cfg
 
 

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from .config import Config
 from .features import FeatureVector
 
 
@@ -26,17 +27,8 @@ class ModelFormatError(Exception):
 
 
 @dataclass
-class GbtParams:
-    eta: float = 0.3
-    max_depth: int = 9
-    reg_lambda: float = 1.5
-    rounds: int = 400
-    patience: int = 50
-
-
-@dataclass
 class Dataset:
-    rows: list  # (FeatureVector, target, weight)
+    rows: list  # (FeatureVector, target)
     dim: int
 
 
@@ -146,13 +138,13 @@ def _best_split(row_ids, grad, hess, entries_of, lam: float):
     return best
 
 
-def _build_tree(row_ids, grad, hess, entries_of, params: GbtParams, depth: int) -> _Node:
+def _build_tree(row_ids, grad, hess, entries_of, cfg: Config, depth: int) -> _Node:
     g_total = sum(grad[i] for i in row_ids)
     h_total = sum(hess[i] for i in row_ids)
-    leaf = _Node(weight=-g_total / (h_total + params.reg_lambda))
-    if depth >= params.max_depth or len(row_ids) < 2:
+    leaf = _Node(weight=-g_total / (h_total + cfg.reg_lambda))
+    if depth >= cfg.max_depth or len(row_ids) < 2:
         return leaf
-    found = _best_split(row_ids, grad, hess, entries_of, params.reg_lambda)
+    found = _best_split(row_ids, grad, hess, entries_of, cfg.reg_lambda)
     if found is None:
         return leaf
     _, feature, threshold, default_left = found
@@ -166,8 +158,8 @@ def _build_tree(row_ids, grad, hess, entries_of, params: GbtParams, depth: int) 
         else:
             right_ids.append(i)
     node = _Node(feature=feature, threshold=threshold, default_left=default_left)
-    node.left = _build_tree(left_ids, grad, hess, entries_of, params, depth + 1)
-    node.right = _build_tree(right_ids, grad, hess, entries_of, params, depth + 1)
+    node.left = _build_tree(left_ids, grad, hess, entries_of, cfg, depth + 1)
+    node.right = _build_tree(right_ids, grad, hess, entries_of, cfg, depth + 1)
     return node
 
 
@@ -181,25 +173,23 @@ def _rmse(ids, pred, target, weight) -> float:
     return math.sqrt(num / den) if den > 0 else 0.0
 
 
-def train(data: Dataset, params: Optional[GbtParams] = None) -> GbtModel:
+def train(data: Dataset, cfg: Config) -> GbtModel:
+    """Boost with the learner settings of `cfg` (eta, max_depth, reg_lambda,
+    rounds, patience)."""
     if not data.rows:
         raise DatasetError("cannot train on an empty dataset")
-    params = params or GbtParams()
     n = len(data.rows)
-    entries_of = [fv.entries for fv, _, _ in data.rows]
-    target = [t for _, t, _ in data.rows]
-    weight = [w for _, _, w in data.rows]
+    entries_of = [fv.entries for fv, _ in data.rows]
+    target = [t for _, t in data.rows]
 
     # sign balancing: up-weight the minority sign class
+    weight = [1.0] * n
     pos = sum(1 for t in target if t > 0)
     neg = n - pos
     if pos and neg and pos != neg:
         factor = max(pos, neg) / min(pos, neg)
         minority_positive = pos < neg
-        weight = [
-            w * factor if ((t > 0) == minority_positive) else w
-            for t, w in zip(target, weight)
-        ]
+        weight = [factor if ((t > 0) == minority_positive) else 1.0 for t in target]
 
     holdout = [i for i in range(n) if i % 10 == 9]
     train_ids = [i for i in range(n) if i % 10 != 9]
@@ -216,24 +206,24 @@ def train(data: Dataset, params: Optional[GbtParams] = None) -> GbtModel:
     trees: List[_Node] = []
     best = _rmse(watch, pred, target, weight)
     best_round = -1
-    for rnd in range(params.rounds):
+    for rnd in range(cfg.rounds):
         for i in train_ids:
             grad[i] = weight[i] * (pred[i] - target[i])
             hess[i] = weight[i]
-        tree = _build_tree(train_ids, grad, hess, entries_of, params, 0)
+        tree = _build_tree(train_ids, grad, hess, entries_of, cfg, 0)
         trees.append(tree)
         for i in range(n):
-            pred[i] += params.eta * tree.evaluate(entries_of[i])
+            pred[i] += cfg.eta * tree.evaluate(entries_of[i])
         history.train_rmse.append(_rmse(train_ids, pred, target, weight))
         score = _rmse(watch, pred, target, weight)
         history.holdout_rmse.append(score)
         if score < best - 1e-12:
             best = score
             best_round = rnd
-        if rnd - best_round >= params.patience:
+        if rnd - best_round >= cfg.patience:
             break
     history.best_round = best_round
-    model = GbtModel(dim=data.dim, eta=params.eta, base=base, trees=trees[: best_round + 1])
+    model = GbtModel(dim=data.dim, eta=cfg.eta, base=base, trees=trees[: best_round + 1])
     model.history = history
     return model
 
@@ -328,7 +318,7 @@ def load(path: str) -> GbtModel:
 
 def format_dataset(data: Dataset) -> str:
     lines = []
-    for fv, target, _ in data.rows:
+    for fv, target in data.rows:
         parts = [repr(target)]
         parts.extend(f"{i}:{v!r}" for i, v in sorted(fv.entries.items()))
         lines.append(" ".join(parts))
@@ -362,7 +352,7 @@ def parse_dataset(text: str, dim: int) -> Dataset:
                 entries[idx] = float(val_s)
         except ValueError as exc:
             raise DatasetError(f"line {lineno}: {exc}") from None
-        rows.append((FeatureVector(entries, dim), target, 1.0))
+        rows.append((FeatureVector(entries, dim), target))
     return Dataset(rows, dim)
 
 

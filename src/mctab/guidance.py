@@ -7,20 +7,13 @@ deals in raw regression values only.  Natural logarithms throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .calculus import ProverState
 from .terms import term_stats
 
-
-@dataclass
-class GuidanceConfig:
-    cp: float = 3.0
-    temperature: float = 2.0
-    discount: float = 0.99
-    value_clip: float = 3.0
-    policy_clip: float = -6.0
+VALUE_CLIP = 3.0  # value targets lie in [-VALUE_CLIP, VALUE_CLIP]
+POLICY_CLIP = -6.0  # policy targets lie at or above POLICY_CLIP
 
 
 def _sigmoid(x: float) -> float:
@@ -41,17 +34,16 @@ def default_policy(n: int) -> list:
     return [1.0 / n] * n
 
 
-def value_target(k: Optional[int], gcfg: GuidanceConfig = GuidanceConfig()) -> float:
+def value_target(k: Optional[int], discount: float) -> float:
     """Clipped logit of the discounted reward; k=None marks a failure node."""
-    clip = gcfg.value_clip
     if k is None:
-        return -clip
-    reward = gcfg.discount**k
+        return -VALUE_CLIP
+    reward = discount**k
     if reward >= 1.0:
-        return clip
+        return VALUE_CLIP
     if reward <= 0.0:  # underflow for very distant proofs
-        return -clip
-    return min(clip, max(-clip, math.log(reward / (1.0 - reward))))
+        return -VALUE_CLIP
+    return min(VALUE_CLIP, max(-VALUE_CLIP, math.log(reward / (1.0 - reward))))
 
 
 def value_from_prediction(v_raw: float, open_goals: int) -> float:
@@ -60,17 +52,15 @@ def value_from_prediction(v_raw: float, open_goals: int) -> float:
     return squashed ** (open_goals / 2.0)
 
 
-def policy_target(
-    parent_visits: int, child_visits: int, n_actions: int, gcfg: GuidanceConfig = GuidanceConfig()
-) -> float:
+def policy_target(parent_visits: int, child_visits: int, n_actions: int) -> float:
     """Clipped log of the child's visit frequency relative to uniform."""
     ratio = (child_visits / parent_visits) * n_actions
     if ratio <= 0.0:
-        return gcfg.policy_clip
-    return max(gcfg.policy_clip, math.log(ratio))
+        return POLICY_CLIP
+    return max(POLICY_CLIP, math.log(ratio))
 
 
-def priors_from_predictions(scores: Sequence[float], temperature: float = 2.0) -> list:
+def priors_from_predictions(scores: Sequence[float], temperature: float) -> list:
     if not scores:
         raise ValueError("empty score list")
     top = max(scores)
@@ -96,11 +86,11 @@ class DefaultGuidance:
 class ModelGuidance:
     """Learned guidance; either model may be absent, falling back to defaults."""
 
-    def __init__(self, value_model, policy_model, extractor, gcfg: GuidanceConfig):
+    def __init__(self, value_model, policy_model, extractor, temperature: float):
         self.value_model = value_model
         self.policy_model = policy_model
         self.extractor = extractor
-        self.gcfg = gcfg
+        self.temperature = temperature
         self._default = DefaultGuidance()
 
     def value(self, s: ProverState) -> float:
@@ -117,4 +107,4 @@ class ModelGuidance:
         scores = [
             self.policy_model.predict(self.extractor.action_features(s, a)) for a in s.actions
         ]
-        return priors_from_predictions(scores, self.gcfg.temperature)
+        return priors_from_predictions(scores, self.temperature)

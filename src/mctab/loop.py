@@ -7,9 +7,9 @@ rows to the cumulative datasets, and retrains the value and policy models on
 everything collected so far.
 
 Problems are processed in sorted filename order and can be distributed over
-a worker pool; results are merged back in name order so runs with the same
-seed are bit-for-bit reproducible.  Wall-clock time is reported on stdout
-but kept out of report.tsv for the same reason.
+a worker pool; results are merged back in name order so repeated runs are
+bit-for-bit reproducible.  Wall-clock time is reported on stdout but kept
+out of report.tsv for the same reason.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .checker import check_proof_texts
 from .calculus import format_proof
 from .config import Config
 from .features import FeatureExtractor
-from .guidance import DefaultGuidance, GuidanceConfig, ModelGuidance
+from .guidance import DefaultGuidance, ModelGuidance
 from .mcts import extract_training_data, search_problem, _dedup
 from .problems import parse_problem
 
@@ -65,8 +65,8 @@ def _guidance_for(m, cfg: Config, value_model, policy_model):
     extractor = FeatureExtractor(m, cfg.feature_dim)
     if value_model is None and policy_model is None:
         return DefaultGuidance(), extractor, cfg.cp_initial
-    gcfg = GuidanceConfig(temperature=cfg.temperature, discount=cfg.discount)
-    return ModelGuidance(value_model, policy_model, extractor, gcfg), extractor, cfg.cp_later
+    guidance = ModelGuidance(value_model, policy_model, extractor, cfg.temperature)
+    return guidance, extractor, cfg.cp_later
 
 
 def solve_one(name: str, text: str, cfg: Config, value_model=None, policy_model=None):
@@ -148,21 +148,14 @@ def run_iteration(
         gbt.Dataset(policy_data, cfg.feature_dim), os.path.join(out_dir, "policy.data")
     )
 
-    params = gbt.GbtParams(
-        eta=cfg.eta,
-        max_depth=cfg.max_depth,
-        reg_lambda=cfg.reg_lambda,
-        rounds=cfg.rounds,
-        patience=cfg.patience,
-    )
     value_path = os.path.join(out_dir, "value.model")
-    new_value = gbt.train(gbt.Dataset(value_data, cfg.feature_dim), params)
+    new_value = gbt.train(gbt.Dataset(value_data, cfg.feature_dim), cfg)
     gbt.save(new_value, value_path)
     policy_path = ""
     new_policy = None
     if policy_data:
         policy_path = os.path.join(out_dir, "policy.model")
-        new_policy = gbt.train(gbt.Dataset(policy_data, cfg.feature_dim), params)
+        new_policy = gbt.train(gbt.Dataset(policy_data, cfg.feature_dim), cfg)
         gbt.save(new_policy, policy_path)
 
     with open(os.path.join(out_dir, "report.tsv"), "w", encoding="utf-8") as fh:

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .calculus import OPEN, PROVED, ProverState, apply_action, initial_states
 from .config import Config
-from .guidance import GuidanceConfig, policy_target, value_target
+from .guidance import policy_target, value_target
 from .problems import Matrix
 
 
@@ -36,7 +36,6 @@ class SearchNode:
     child_priors: list
     children: dict = field(default_factory=dict)  # action index -> node id
     dead: bool = False
-    init_value: float = 0.5
 
     def action_count(self) -> int:
         if self.state is None:
@@ -121,7 +120,6 @@ class SearchTree:
             visits=1,
             reward=value,
             child_priors=priors,
-            init_value=value,
         )
         self.nodes.append(node)
         if parent_id is not None:
@@ -315,13 +313,13 @@ def _dedup(rows: list) -> list:
     """Drop rows with identical feature vectors, keeping the maximum target."""
     best: dict = {}
     order: list = []
-    for fv, target, w in rows:
+    for fv, target in rows:
         key = tuple(sorted(fv.entries.items()))
         if key not in best:
-            best[key] = (fv, target, w)
+            best[key] = (fv, target)
             order.append(key)
         elif target > best[key][1]:
-            best[key] = (fv, target, w)
+            best[key] = (fv, target)
     return [best[k] for k in order]
 
 
@@ -344,7 +342,6 @@ def extract_training_data(tree: SearchTree, outcome: str, cfg: Config, extractor
     proved searches unless limited_policy is off.  Rows with identical
     feature vectors are filtered keeping the maximum target.
     """
-    gcfg = GuidanceConfig(discount=cfg.discount, temperature=cfg.temperature)
     proved = outcome == "proved" and tree.proved_node is not None
     path = _proof_path(tree) if proved else []
     on_path = set(path)
@@ -362,10 +359,10 @@ def extract_training_data(tree: SearchTree, outcome: str, cfg: Config, extractor
             continue
         if proved and nid in on_path:
             k = proof_len - len(node.state.proof)
-            target = value_target(k, gcfg)
+            target = value_target(k, cfg.discount)
         else:
-            target = value_target(None, gcfg)
-        value_rows.append((extractor.state_features(node.state), target, 1.0))
+            target = value_target(None, cfg.discount)
+        value_rows.append((extractor.state_features(node.state), target))
 
     policy_rows = []
     if proved or not cfg.limited_policy:
@@ -377,8 +374,8 @@ def extract_training_data(tree: SearchTree, outcome: str, cfg: Config, extractor
             n_actions = len(node.state.actions)
             for ai in sorted(node.children):
                 child = tree.node(node.children[ai])
-                target = policy_target(node.visits, child.visits, n_actions, gcfg)
+                target = policy_target(node.visits, child.visits, n_actions)
                 policy_rows.append(
-                    (extractor.action_features(node.state, node.state.actions[ai]), target, 1.0)
+                    (extractor.action_features(node.state, node.state.actions[ai]), target)
                 )
     return _dedup(value_rows), _dedup(policy_rows)

@@ -34,10 +34,6 @@ class Literal:
     predicate: str
     args: tuple = ()
 
-    @property
-    def arity(self) -> int:
-        return len(self.args)
-
 
 def negate(lit: Literal) -> Literal:
     return Literal(not lit.positive, lit.predicate, lit.args)
@@ -81,27 +77,6 @@ def compose(s: Subst, delta: Subst) -> Subst:
 
 # ---------------------------------------------------------------------------
 # unification
-
-def term_vars(t: Term, acc: Optional[list] = None) -> list:
-    """Variable ids in first-occurrence order."""
-    if acc is None:
-        acc = []
-    if isinstance(t, Var):
-        if t.id not in acc:
-            acc.append(t.id)
-    else:
-        for a in t.args:
-            term_vars(a, acc)
-    return acc
-
-
-def literal_vars(lit: Literal, acc: Optional[list] = None) -> list:
-    if acc is None:
-        acc = []
-    for a in lit.args:
-        term_vars(a, acc)
-    return acc
-
 
 def occurs(v: int, t: Term) -> bool:
     if isinstance(t, Var):

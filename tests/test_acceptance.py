@@ -126,9 +126,9 @@ def test_closed_form_transforms():
     assert abs(default_value(0) - sigmoid(1.2)) < 1e-9
     assert abs(default_value(0) - 0.768525) < 1e-6
     assert abs(default_value(10**9) - sigmoid(-2.5)) < 1e-9
-    assert value_target(0) == 3.0
-    assert abs(value_target(69)) < 1e-3
-    assert value_target(None) == -3.0
+    assert value_target(0, 0.99) == 3.0
+    assert abs(value_target(69, 0.99)) < 1e-3
+    assert value_target(None, 0.99) == -3.0
     assert value_from_prediction(7.3, 0) == 1.0
     assert abs(value_from_prediction(0.0, 2) - 0.5) < 1e-9
     assert abs(policy_target(8, 2, 4)) < 1e-9
@@ -208,7 +208,7 @@ def test_training_data_contracts():
     assert res.outcome == "exhausted"
     value_rows, policy_rows = extract_training_data(res.tree, res.outcome, starved, extractor)
     assert policy_rows == []
-    assert value_rows and all(t == -3.0 for _, t, _ in value_rows)
+    assert value_rows and all(t == -3.0 for _, t in value_rows)
 
     cfg = Config(rewrite=False)
     res = search_problem(m, DefaultGuidance(), cfg)
@@ -217,22 +217,22 @@ def test_training_data_contracts():
     # the proved node was never a bigstep node but is on the proof path
     bigstep_ids = set(res.tree.bigstep_nodes)
     assert res.tree.proved_node not in bigstep_ids
-    assert any(t == 3.0 for _, t, _ in value_rows)
+    assert any(t == 3.0 for _, t in value_rows)
     assert len(policy_rows) == 2
 
     fv = FeatureVector({3: 1.0}, 10)
-    out = _dedup([(fv, -3.0, 1.0), (fv, 1.5, 1.0), (FeatureVector({4: 1.0}, 10), 0.0, 1.0)])
+    out = _dedup([(fv, -3.0), (fv, 1.5), (FeatureVector({4: 1.0}, 10), 0.0)])
     assert len(out) == 2 and out[0][1] == 1.5
 
 
 @criterion("learner contracts (constant fit, step fn, brute-force splits)")
 def test_learner_contracts():
-    data = make_dataset([({0: 1.0}, 2.5, 1.0) for _ in range(12)])
-    model = gbt.train(data, gbt.GbtParams(rounds=1))
+    data = make_dataset([({0: 1.0}, 2.5) for _ in range(12)])
+    model = gbt.train(data, Config(rounds=1))
     assert abs(model.predict(FeatureVector({0: 1.0}, 100)) - 2.5) < 1e-6
 
-    rows = [({5: float(i % 10 + 1)}, 1.0 if i % 10 + 1 > 5 else 0.0, 1.0) for i in range(40)]
-    model = gbt.train(make_dataset(rows), gbt.GbtParams(rounds=20, patience=50))
+    rows = [({5: float(i % 10 + 1)}, 1.0 if i % 10 + 1 > 5 else 0.0) for i in range(40)]
+    model = gbt.train(make_dataset(rows), Config(rounds=20, patience=50))
     assert len(model.history.train_rmse) <= 20
     assert model.history.train_rmse[-1] < 0.01
     assert all(
@@ -257,12 +257,12 @@ def test_learner_contracts():
 
     rng = random.Random(4)
     rows = [
-        ({rng.randrange(10): rng.uniform(0.5, 3.0)}, rng.uniform(-2, 2), 1.0)
+        ({rng.randrange(10): rng.uniform(0.5, 3.0)}, rng.uniform(-2, 2))
         for _ in range(60)
     ]
-    model = gbt.train(make_dataset(rows), gbt.GbtParams(rounds=12, patience=50))
+    model = gbt.train(make_dataset(rows), Config(rounds=12, patience=50))
     clone = gbt.parse_model(gbt.format_model(model))
-    for fvec, _, _ in make_dataset(rows).rows:
+    for fvec, _ in make_dataset(rows).rows:
         assert model.predict(fvec) == clone.predict(fvec)
 
 

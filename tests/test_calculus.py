@@ -130,17 +130,9 @@ def test_valid_actions_include_unifying_reduction():
 def test_eager_reduction_fires_in_det_steps():
     m = parse_problem("p(c).\n-p(c) | -p(X).\n")
     cfg = Config(single_action_optim=False, rewrite=False, guided_reduction=False)
-    assert cfg.eager
     s = initial_states(m, cfg)[0]
     s = apply_action(m, s, 0, cfg)
     assert s.result == PROVED  # -p(X) reduced eagerly against p(c), X bound to c
-
-
-def test_guided_reduction_disables_eager():
-    cfg = Config(guided_reduction=True)
-    assert not cfg.eager
-    cfg2 = Config(guided_reduction=False, eager_reduction=False)
-    assert not cfg2.eager
 
 
 def test_lemma_step():

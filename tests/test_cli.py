@@ -1,9 +1,14 @@
 import os
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import mctab
 from mctab.cli import corpus_dir, main
 from mctab.config import Config, ConfigError, from_ini, to_ini
+
+INI_DIR = Path(mctab.__file__).parent / "ini"
 
 APP_A = "-p(X).\np(Y) | -q(a).\nq(a).\n"
 
@@ -95,8 +100,43 @@ def test_usage_errors_exit_two(tmp_path):
     assert main(["prove", str(bad), "-s", "no_such_key=1"]) == 2
 
 
+def test_directory_and_non_utf8_inputs_exit_two(problem, tmp_path, capsys):
+    binary = tmp_path / "latin1.p"
+    binary.write_bytes(b"p(caf\xe9).\n")
+    proof = tmp_path / "x.proof"
+    proof.write_text("start 0 {}\n")
+    cases = [
+        ["prove", str(tmp_path)],
+        ["prove", str(binary)],
+        ["check", str(binary), problem],
+        ["check", str(proof), str(binary)],
+    ]
+    for argv in cases:
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+
+
+def test_default_ini_is_the_default_config():
+    assert (INI_DIR / "default.ini").read_bytes() == to_ini(Config()).encode("utf-8")
+
+
+def test_desk_ini_sets_every_option_once():
+    text = (INI_DIR / "desk.ini").read_text(encoding="utf-8")
+    keys = [line.partition("=")[0].strip() for line in text.splitlines() if "=" in line]
+    assert sorted(keys) == sorted(f.name for f in fields(Config))
+
+
+def test_removed_options_are_refused():
+    with pytest.raises(ConfigError):
+        from_ini("seed = 0\n")
+    with pytest.raises(ConfigError):
+        from_ini("eager_reduction = auto\n")
+    assert main(["config", "-s", "seed=0"]) == 2
+
+
 def test_config_roundtrip_and_unknown_keys():
-    cfg = Config(inference_limit=123, rewrite=False, eager_reduction=True)
+    cfg = Config(inference_limit=123, rewrite=False, guided_reduction=True)
     text = to_ini(cfg)
     back = from_ini(text)
     assert back == cfg

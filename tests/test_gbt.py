@@ -3,11 +3,11 @@ import random
 
 import pytest
 
+from mctab.config import Config
 from mctab.features import FeatureVector
 from mctab.gbt import (
     Dataset,
     DatasetError,
-    GbtParams,
     ModelFormatError,
     _best_split,
     format_dataset,
@@ -23,12 +23,12 @@ def fv(entries, dim=100):
 
 
 def make_dataset(rows, dim=100):
-    return Dataset([(fv(e, dim), t, w) for e, t, w in rows], dim)
+    return Dataset([(fv(e, dim), t) for e, t in rows], dim)
 
 
 def test_constant_target_fits_exactly():
-    data = make_dataset([({0: 1.0}, 3.7, 1.0) for _ in range(12)])
-    model = train(data, GbtParams(rounds=1))
+    data = make_dataset([({0: 1.0}, 3.7) for _ in range(12)])
+    model = train(data, Config(rounds=1))
     assert abs(model.predict(fv({0: 1.0})) - 3.7) < 1e-6
 
 
@@ -36,9 +36,9 @@ def test_step_function_learned_quickly():
     rows = []
     for i in range(40):
         v = float(i % 10 + 1)
-        rows.append(({5: v}, 1.0 if v > 5 else 0.0, 1.0))
+        rows.append(({5: v}, 1.0 if v > 5 else 0.0))
     data = make_dataset(rows)
-    model = train(data, GbtParams(rounds=20, patience=50))
+    model = train(data, Config(rounds=20, patience=50))
     assert model.history.train_rmse[-1] < 0.01
     assert len(model.history.train_rmse) <= 20
 
@@ -48,36 +48,36 @@ def test_training_rmse_non_increasing():
     rows = []
     for _ in range(60):
         entries = {rng.randrange(20): rng.uniform(0.5, 3.0) for _ in range(rng.randint(1, 6))}
-        rows.append((entries, rng.uniform(-2, 2), 1.0))
+        rows.append((entries, rng.uniform(-2, 2)))
     data = make_dataset(rows)
-    model = train(data, GbtParams(rounds=30, patience=100))
+    model = train(data, Config(rounds=30, patience=100))
     rmse = model.history.train_rmse
     assert all(a >= b - 1e-12 for a, b in zip(rmse, rmse[1:]))
 
 
 def test_huge_lambda_collapses_to_base():
     rng = random.Random(3)
-    rows = [({rng.randrange(5): 1.0}, rng.uniform(-1, 1), 1.0) for _ in range(30)]
+    rows = [({rng.randrange(5): 1.0}, rng.uniform(-1, 1)) for _ in range(30)]
     data = make_dataset(rows)
-    model = train(data, GbtParams(rounds=10, reg_lambda=1e12))
-    for fvec, _, _ in data.rows:
+    model = train(data, Config(rounds=10, reg_lambda=1e12))
+    for fvec, _ in data.rows:
         assert abs(model.predict(fvec) - model.base) < 1e-6
 
 
 def test_empty_dataset_is_error():
     with pytest.raises(DatasetError):
-        train(Dataset([], 10))
+        train(Dataset([], 10), Config())
 
 
 def test_missing_values_follow_default_direction():
     rows = []
     for i in range(40):
         if i % 2 == 0:
-            rows.append(({0: 1.0}, 0.0, 1.0))
+            rows.append(({0: 1.0}, 0.0))
         else:
-            rows.append(({1: 1.0}, 1.0, 1.0))  # feature 0 absent
+            rows.append(({1: 1.0}, 1.0))  # feature 0 absent
     data = make_dataset(rows)
-    model = train(data, GbtParams(rounds=15, patience=50))
+    model = train(data, Config(rounds=15, patience=50))
     assert model.predict(fv({0: 1.0})) < 0.1
     assert model.predict(fv({1: 1.0})) > 0.9
 
@@ -85,11 +85,11 @@ def test_missing_values_follow_default_direction():
 def test_sign_balancing_upweights_minority():
     # 18 negative-target rows vs 2 positive: balanced training should pull the
     # positive rows' prediction up close to their target
-    rows = [({0: 1.0}, -1.0, 1.0) for _ in range(20)]
-    rows[0] = ({1: 1.0}, 1.0, 1.0)
-    rows[10] = ({1: 1.0}, 1.0, 1.0)
+    rows = [({0: 1.0}, -1.0) for _ in range(20)]
+    rows[0] = ({1: 1.0}, 1.0)
+    rows[10] = ({1: 1.0}, 1.0)
     data = make_dataset(rows)
-    model = train(data, GbtParams(rounds=20, patience=50))
+    model = train(data, Config(rounds=20, patience=50))
     assert model.predict(fv({1: 1.0})) > 0.5
 
 
@@ -182,13 +182,13 @@ def brute_second_gain(row_ids, grad, hess, entries, lam, exclude):
 
 def test_early_stopping_contract():
     rng = random.Random(11)
-    rows = [({rng.randrange(3): 1.0}, rng.uniform(-1, 1), 1.0) for _ in range(50)]
+    rows = [({rng.randrange(3): 1.0}, rng.uniform(-1, 1)) for _ in range(50)]
     data = make_dataset(rows)
-    params = GbtParams(rounds=200, patience=5)
-    model = train(data, params)
+    cfg = Config(rounds=200, patience=5)
+    model = train(data, cfg)
     h = model.history
     ran = len(h.holdout_rmse)
-    assert ran == params.rounds or (ran - 1) - h.best_round >= params.patience
+    assert ran == cfg.rounds or (ran - 1) - h.best_round >= cfg.patience
     assert len(model.trees) == h.best_round + 1
     if h.best_round >= 0:
         floor = h.holdout_rmse[h.best_round]
@@ -200,12 +200,12 @@ def test_model_roundtrip_identical_predictions():
     rows = []
     for _ in range(80):
         entries = {rng.randrange(15): rng.uniform(0.5, 4.0) for _ in range(rng.randint(1, 6))}
-        rows.append((entries, rng.uniform(-3, 3), 1.0))
+        rows.append((entries, rng.uniform(-3, 3)))
     data = make_dataset(rows)
-    model = train(data, GbtParams(rounds=10, patience=50))
+    model = train(data, Config(rounds=10, patience=50))
     text = format_model(model)
     clone = parse_model(text)
-    for fvec, _, _ in data.rows:
+    for fvec, _ in data.rows:
         assert model.predict(fvec) == clone.predict(fvec)
 
 
@@ -231,7 +231,7 @@ def test_truncated_model_file_errors():
 
 
 def test_dataset_file_roundtrip():
-    rows = [({3: 1.5, 7: 2.0}, 0.5, 1.0), ({}, -3.0, 1.0)]
+    rows = [({3: 1.5, 7: 2.0}, 0.5), ({}, -3.0)]
     data = make_dataset(rows, dim=10)
     text = format_dataset(data)
     back = parse_dataset("# comment\n" + text, 10)

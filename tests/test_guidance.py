@@ -4,7 +4,6 @@ import random
 import pytest
 
 from mctab.guidance import (
-    GuidanceConfig,
     default_policy,
     default_value,
     policy_target,
@@ -43,16 +42,15 @@ def test_default_policy_uniform():
 
 
 def test_value_target_examples():
-    assert value_target(0) == 3.0
-    assert abs(value_target(69)) < 1e-3  # 0.99^69 is almost exactly one half
-    assert value_target(None) == -3.0
-    assert value_target(10**6) == -3.0  # reward underflows, clipped
+    assert value_target(0, 0.99) == 3.0
+    assert abs(value_target(69, 0.99)) < 1e-3  # 0.99^69 is almost exactly one half
+    assert value_target(None, 0.99) == -3.0
+    assert value_target(10**6, 0.99) == -3.0  # reward underflows, clipped
 
 
 def test_value_target_roundtrip_in_unclipped_region():
-    g = GuidanceConfig()
     for k in range(1, 300):
-        t = value_target(k, g)
+        t = value_target(k, 0.99)
         if abs(t) < 3.0:
             assert abs(sigmoid(t) - 0.99**k) < 1e-9
 
@@ -73,7 +71,7 @@ def test_policy_target_examples():
 
 
 def test_priors_from_predictions():
-    assert priors_from_predictions([0.0, 0.0]) == [0.5, 0.5]
+    assert priors_from_predictions([0.0, 0.0], 2.0) == [0.5, 0.5]
     p = priors_from_predictions([2.0, 0.0], 2.0)
     e = math.e
     assert abs(p[0] - e / (e + 1)) < 1e-9
@@ -97,7 +95,7 @@ def test_targets_respect_clips():
     rng = random.Random(1)
     for _ in range(500):
         k = rng.randint(0, 2000)
-        assert -3.0 <= value_target(k) <= 3.0
+        assert -3.0 <= value_target(k, 0.99) <= 3.0
         N = rng.randint(1, 1000)
         Nj = rng.randint(1, N)
         n = rng.randint(1, 50)

@@ -196,7 +196,7 @@ def test_extraction_failed_search_has_value_rows_no_policy():
     value_rows, policy_rows = extract_training_data(res.tree, res.outcome, cfg, ex)
     assert policy_rows == []
     assert len(value_rows) >= 1
-    assert all(t == -3.0 for _, t, _ in value_rows)
+    assert all(t == -3.0 for _, t in value_rows)
 
 
 def test_extraction_proved_includes_proof_path_nodes():
@@ -207,8 +207,8 @@ def test_extraction_proved_includes_proof_path_nodes():
     ex = FeatureExtractor(m, 1000)
     value_rows, policy_rows = extract_training_data(res.tree, res.outcome, cfg, ex)
     # the proved node was never a bigstep node yet contributes a +3 row
-    assert any(t == 3.0 for _, t, _ in value_rows)
-    assert all(t > 0 for _, t, _ in value_rows)  # every extracted node leads to the proof
+    assert any(t == 3.0 for _, t in value_rows)
+    assert all(t > 0 for _, t in value_rows)  # every extracted node leads to the proof
     assert len(policy_rows) == 2  # both root actions were expanded
     # with limited policy off, even the failed search contributes policy rows
     cfg2 = Config(rewrite=False, inference_limit=1, limited_policy=False)
@@ -233,7 +233,7 @@ def test_dedup_keeps_maximum_target():
     fv1 = FeatureVector({1: 1.0}, 10)
     fv1b = FeatureVector({1: 1.0}, 10)
     fv2 = FeatureVector({2: 2.0}, 10)
-    rows = [(fv1, -3.0, 1.0), (fv2, 1.0, 1.0), (fv1b, 2.5, 1.0), (fv1, 0.0, 1.0)]
+    rows = [(fv1, -3.0), (fv2, 1.0), (fv1b, 2.5), (fv1, 0.0)]
     out = _dedup(rows)
     assert len(out) == 2
     assert out[0][1] == 2.5
