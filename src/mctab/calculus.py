@@ -30,6 +30,7 @@ from .terms import (
     literal_subterm,
     match_term,
     negate,
+    shift_literal,
     unify_literals,
 )
 
@@ -113,7 +114,9 @@ class ProverState:
     goals: tuple
     path: tuple
     lemmas: tuple
-    todos: tuple  # of (goals, path, lemmas)
+    # saved sibling frames (goals, path, lemmas), each as it stood when saved;
+    # bindings made since are only in subst, applied when the frame resumes
+    todos: tuple
     actions: tuple
     proof: tuple
     result: int
@@ -133,14 +136,18 @@ def valid_actions(m: Matrix, goals: tuple, path: tuple, cfg: Config, next_var: i
     occurs check).  Rewrite actions use a negative equational clause literal
     as an oriented rule whose left side matches a goal subterm; matching only
     instantiates the clause's variables.
+
+    State variables are below `next_var`, so the head shifted by -next_var
+    has only negative ids and shares none with a clause's 0..k-1: clause
+    literals are tested as they are, without a renamed copy.
     """
     if not goals:
         return ()
     head = goals[0]
     neg_head = negate(head)
+    shifted = shift_literal(neg_head, -next_var)
     out = []
     for clause in m.clauses:
-        renamed = None
         for j, lit in enumerate(clause.literals):
             if (
                 lit.predicate != head.predicate
@@ -148,9 +155,7 @@ def valid_actions(m: Matrix, goals: tuple, path: tuple, cfg: Config, next_var: i
                 or len(lit.args) != len(head.args)
             ):
                 continue
-            if renamed is None:
-                renamed = clause.rename(next_var)
-            if unify_literals(neg_head, renamed[j]) is not None:
+            if unify_literals(shifted, lit) is not None:
                 out.append(ExtAction(clause.id, j))
     for k, plit in enumerate(path):
         if plit.predicate != head.predicate or plit.positive == head.positive:
@@ -158,23 +163,21 @@ def valid_actions(m: Matrix, goals: tuple, path: tuple, cfg: Config, next_var: i
         if unify_literals(neg_head, plit) is not None:
             out.append(RedAction(k))
     if cfg.rewrite:
-        out.extend(_rewrite_actions(m, head, next_var))
+        out.extend(_rewrite_actions(m, shifted))
     return tuple(out)
 
 
-def _rewrite_actions(m: Matrix, head: Literal, next_var: int) -> list:
+def _rewrite_actions(m: Matrix, head: Literal) -> list:
+    """Rewrites of `head`, whose variables must not occur in any clause."""
     out = []
     goal_positions = literal_positions(head)
     if not goal_positions:
         return out
     for clause in m.clauses:
-        renamed = None
         for j, lit in enumerate(clause.literals):
             if lit.positive or lit.predicate != EQ or len(lit.args) != 2:
                 continue
-            if renamed is None:
-                renamed = clause.rename(next_var)
-            left, right = renamed[j].args
+            left, right = lit.args
             for direction, src, dst in (("LR", left, right), ("RL", right, left)):
                 for pos in goal_positions:
                     sub = literal_subterm(head, pos)
@@ -204,16 +207,12 @@ class _Work:
         self.inferences = state.inference_count
 
     def bind(self, delta: Subst):
-        """Apply new bindings across the whole state and fold them into subst."""
+        """Apply new bindings to the active branch and fold them into subst."""
         if not delta:
             return
         self.goals = [apply_literal(delta, l) for l in self.goals]
         self.path = apply_literals(delta, self.path)
         self.lemmas = apply_literals(delta, self.lemmas)
-        self.todos = [
-            (apply_literals(delta, g), apply_literals(delta, p), apply_literals(delta, le))
-            for g, p, le in self.todos
-        ]
         self.subst = compose(self.subst, delta)
 
     def finish(self, result: int, actions: tuple) -> ProverState:
@@ -308,10 +307,12 @@ def _det_on_work(m: Matrix, w: _Work, cfg: Config) -> ProverState:
         if not w.goals:
             if not w.todos:
                 return w.finish(PROVED, ())
+            # a frame held no bound variable when saved, so applying the
+            # normalized subst once brings it up to date
             goals2, path2, lemmas2 = w.todos.pop(0)
-            w.goals = list(goals2)
-            w.path = path2
-            w.lemmas = lemmas2
+            w.goals = list(apply_literals(w.subst, goals2))
+            w.path = apply_literals(w.subst, path2)
+            w.lemmas = apply_literals(w.subst, lemmas2)
             continue
         head = w.goals[0]
         if head in w.path:  # loop elimination, identity only
@@ -342,7 +343,7 @@ def _det_on_work(m: Matrix, w: _Work, cfg: Config) -> ProverState:
                     RedStep(apply_literal(delta, head), apply_literal(delta, plit))
                 )
                 continue
-        actions = valid_actions(m, tuple(w.goals), w.path, cfg, w.next_var)
+        actions = valid_actions(m, w.goals, w.path, cfg, w.next_var)
         if cfg.single_action_optim and len(actions) == 1:
             if len(w.path) > cfg.path_limit:
                 # forced chains must respect the depth bound even on ground
@@ -387,8 +388,7 @@ def initial_states(m: Matrix, cfg: Config) -> list:
     out = []
     for sid in m.start_ids:
         clause = m.clause(sid)
-        renamed = clause.rename(0)
-        goals = [l for l in renamed if l.predicate != START_MARK]
+        goals = [l for l in clause.literals if l.predicate != START_MARK]
         varmap = tuple((n, i) for i, n in enumerate(clause.var_names))
         state = ProverState(
             goals=tuple(goals),

@@ -40,6 +40,8 @@ from .terms import (
     literal_positions,
     literal_replace,
     literal_subterm,
+    replace_at,
+    subterm_at,
 )
 
 
@@ -358,8 +360,8 @@ def expand_rewrite(step: Rew, b_lits) -> list:
     s_cur, t_cur = src, dst
     for k in range(len(arg_path) - 1, -1, -1):
         prefix = arg_path[:k]
-        c_before = _subterm(arg_before, prefix)
-        c_after = _replace_child(c_before, arg_path[k], t_cur)
+        c_before = subterm_at(arg_before, prefix)
+        c_after = replace_at(c_before, (arg_path[k],), t_cur)
         out.append([Literal(True, EQ, (s_cur, t_cur)), Literal(False, EQ, (c_before, c_after))])
         s_cur, t_cur = c_before, c_after
     if before.positive:
@@ -379,18 +381,6 @@ def expand_rewrite(step: Rew, b_lits) -> list:
             ]
         )
     return out
-
-
-def _subterm(t: Term, pos: tuple) -> Term:
-    for i in pos:
-        t = t.args[i - 1]
-    return t
-
-
-def _replace_child(t: Term, index: int, u: Term) -> Term:
-    args = list(t.args)
-    args[index - 1] = u
-    return App(t.symbol, tuple(args))
 
 
 # ---------------------------------------------------------------------------

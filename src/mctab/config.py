@@ -13,6 +13,7 @@ the deterministic steps perform the first one that unifies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -42,10 +43,11 @@ class Config:
     reg_lambda: float = 1.5
     rounds: int = 400
     patience: int = 50
-    workers: int = 1
 
 
 _FIELD_KIND = {f.name: type(f.default) for f in fields(Config)}
+# every number must be finite and >= 0; these must also be > 0
+_POSITIVE = {"feature_dim", "time_limit_s", "temperature"}
 
 
 def _set(cfg: Config, key: str, raw: str, where: str = ""):
@@ -68,6 +70,8 @@ def _set(cfg: Config, key: str, raw: str, where: str = ""):
             value = kind(raw)
         except ValueError:
             raise ConfigError(f"bad value for {key}: {raw!r}") from None
+        if not math.isfinite(value) or value < 0 or (key in _POSITIVE and value == 0):
+            raise ConfigError(f"out-of-range value for {key}: {raw!r}")
     setattr(cfg, key, value)
 
 

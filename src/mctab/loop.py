@@ -6,8 +6,7 @@ run: the search may never grade its own homework), appends the extracted
 rows to the cumulative datasets, and retrains the value and policy models on
 everything collected so far.
 
-Problems are processed in sorted filename order and can be distributed over
-a worker pool; results are merged back in name order so repeated runs are
+Problems are processed in sorted filename order so repeated runs are
 bit-for-bit reproducible.  Wall-clock time is reported on stdout but kept
 out of report.tsv for the same reason.
 """
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -81,13 +79,6 @@ def solve_one(name: str, text: str, cfg: Config, value_model=None, policy_model=
     return result.stats, trace, value_rows, policy_rows
 
 
-def _worker(args):
-    name, text, cfg, value_text, policy_text = args
-    value_model = gbt.parse_model(value_text) if value_text else None
-    policy_model = gbt.parse_model(policy_text) if policy_text else None
-    return solve_one(name, text, cfg, value_model, policy_model)
-
-
 def run_iteration(
     problem_dir: str,
     out_dir: str,
@@ -107,14 +98,7 @@ def run_iteration(
         with open(os.path.join(problem_dir, name), "r", encoding="utf-8") as fh:
             texts[name] = fh.read()
 
-    if cfg.workers > 1:
-        value_text = gbt.format_model(value_model) if value_model else None
-        policy_text = gbt.format_model(policy_model) if policy_model else None
-        jobs = [(n, texts[n], cfg, value_text, policy_text) for n in names]
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_worker, jobs, chunksize=1))
-    else:
-        results = [solve_one(n, texts[n], cfg, value_model, policy_model) for n in names]
+    results = [solve_one(n, texts[n], cfg, value_model, policy_model) for n in names]
 
     proofs_dir = os.path.join(out_dir, "proofs")
     os.makedirs(proofs_dir, exist_ok=True)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .terms import App, Literal, Term, Var
+from .terms import App, Literal, Term, Var, shift_literal
 
 EQ = "="
 START_MARK = "#"
@@ -41,22 +41,7 @@ class Clause:
 
     def rename(self, offset: int) -> tuple:
         """Copy with variable ids shifted by `offset`."""
-        mapping = {i: Var(offset + i) for i in range(len(self.var_names))}
-        return tuple(_map_literal(l, mapping) for l in self.literals)
-
-
-def _map_term(t: Term, mapping: dict) -> Term:
-    if isinstance(t, Var):
-        return mapping[t.id]
-    if not t.args:
-        return t
-    return App(t.symbol, tuple(_map_term(a, mapping) for a in t.args))
-
-
-def _map_literal(lit: Literal, mapping: dict) -> Literal:
-    if not lit.args:
-        return lit
-    return Literal(lit.positive, lit.predicate, tuple(_map_term(a, mapping) for a in lit.args))
+        return tuple(shift_literal(l, offset) for l in self.literals)
 
 
 @dataclass

@@ -66,6 +66,21 @@ def apply_literals(s: Subst, lits: Iterable[Literal]) -> tuple:
     return tuple(apply_literal(s, l) for l in lits)
 
 
+def shift_term(t: Term, k: int) -> Term:
+    """`t` with `k` added to every variable id."""
+    if isinstance(t, Var):
+        return Var(t.id + k)
+    if not t.args:
+        return t
+    return App(t.symbol, tuple(shift_term(a, k) for a in t.args))
+
+
+def shift_literal(lit: Literal, k: int) -> Literal:
+    if not lit.args:
+        return lit
+    return Literal(lit.positive, lit.predicate, tuple(shift_term(a, k) for a in lit.args))
+
+
 def compose(s: Subst, delta: Subst) -> Subst:
     """Normalized composition: (compose(s, d))(t) == d(s(t)) for all t."""
     out = {v: apply_term(delta, t) for v, t in s.items()}

@@ -10,7 +10,20 @@ from __future__ import annotations
 
 import random
 
-from mctab.terms import App, Literal, Term, Var
+from mctab.calculus import ExtAction, RedAction, RewAction
+from mctab.problems import EQ
+from mctab.terms import (
+    App,
+    Literal,
+    Term,
+    Var,
+    apply_term,
+    literal_positions,
+    literal_subterm,
+    match_term,
+    negate,
+    unify_literals,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -203,3 +216,43 @@ class RewardReplay:
         for node in tree.nodes:
             expected = self.init_reward[node.id] + self.backprop[node.id]
             assert abs(node.reward - expected) < 1e-9, (node.id, node.reward, expected)
+
+
+# ---------------------------------------------------------------------------
+# reference action enumerator
+
+def reference_valid_actions(m, goals, path, cfg, next_var) -> tuple:
+    """Action enumeration by testing against clause copies renamed to fresh
+    variables from `next_var` on, the way the calculus used to do it."""
+    def renamed(clause):
+        fresh = {i: Var(next_var + i) for i in range(len(clause.var_names))}
+        return [
+            Literal(l.positive, l.predicate, tuple(oracle_apply(fresh, a) for a in l.args))
+            for l in clause.literals
+        ]
+
+    if not goals:
+        return ()
+    head = goals[0]
+    neg_head = negate(head)
+    out = []
+    for clause in m.clauses:
+        for j, lit in enumerate(renamed(clause)):
+            if lit.positive != head.positive and unify_literals(neg_head, lit) is not None:
+                out.append(ExtAction(clause.id, j))
+    for k, plit in enumerate(path):
+        if plit.positive != head.positive and unify_literals(neg_head, plit) is not None:
+            out.append(RedAction(k))
+    if cfg.rewrite:
+        for clause in m.clauses:
+            for j, lit in enumerate(renamed(clause)):
+                if lit.positive or lit.predicate != EQ or len(lit.args) != 2:
+                    continue
+                left, right = lit.args
+                for direction, src, dst in (("LR", left, right), ("RL", right, left)):
+                    for pos in literal_positions(head):
+                        sub = literal_subterm(head, pos)
+                        sigma = match_term(src, sub)
+                        if sigma is not None and apply_term(sigma, dst) != sub:
+                            out.append(RewAction(clause.id, j, direction, pos))
+    return tuple(out)

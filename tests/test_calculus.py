@@ -1,3 +1,6 @@
+import os
+import random
+
 import pytest
 
 from mctab.calculus import (
@@ -18,9 +21,14 @@ from mctab.calculus import (
     initial_states,
     valid_actions,
 )
+from mctab.cli import corpus_dir
 from mctab.config import Config
+from mctab.guidance import DefaultGuidance
+from mctab.mcts import search_problem
 from mctab.problems import parse_problem
-from mctab.terms import App, Literal, Var
+from mctab.terms import App, Literal, Var, apply_literals
+
+from helpers import random_matrix, reference_valid_actions
 
 APP_A = "-p(X).\np(Y) | -q(a).\nq(a).\n"
 
@@ -256,3 +264,67 @@ def test_apply_action_index_out_of_range():
         apply_action(m, s, 99, cfg)
     with pytest.raises(IndexError):
         apply_action(m, s, -1, cfg)
+
+
+def _search_trees():
+    """(matrix, cfg, tree) for every corpus problem, one matrix with red
+    actions and 20 random matrices, rewrite on."""
+    names = sorted(f for f in os.listdir(corpus_dir()) if f.endswith(".p"))
+    for i, name in enumerate(names):
+        with open(os.path.join(corpus_dir(), name), "r", encoding="utf-8") as fh:
+            m = parse_problem(fh.read())
+        cfg = Config(
+            inference_limit=150, bigstep_freq=20, path_limit=60, guided_reduction=bool(i % 2)
+        )
+        yield m, cfg, search_problem(m, DefaultGuidance(), cfg).tree
+    # a red action needs a non-ground path literal and guided reduction
+    m = parse_problem(
+        "q(X) | q(f(X)).\n-q(Y) | r(Y).\n-r(Z) | -q(a).\n-r(b) | -q(f(b)).\n-q(c).\n"
+    )
+    cfg = Config(inference_limit=100, bigstep_freq=10, path_limit=20, guided_reduction=True)
+    yield m, cfg, search_problem(m, DefaultGuidance(), cfg).tree
+    rng = random.Random(11)
+    for i in range(20):
+        m = random_matrix(rng)
+        cfg = Config(
+            inference_limit=60, bigstep_freq=7, path_limit=20, guided_reduction=bool(i % 2)
+        )
+        yield m, cfg, search_problem(m, DefaultGuidance(), cfg).tree
+
+
+def _settled_states(tree):
+    return [n.state for n in tree.nodes if n.state is not None]
+
+
+def test_valid_actions_equal_the_renaming_reference():
+    kinds = set()
+    frames = 0
+    for m, cfg, tree in _search_trees():
+        for s in _settled_states(tree):
+            expected = reference_valid_actions(m, s.goals, s.path, cfg, s.next_var)
+            assert valid_actions(m, s.goals, s.path, cfg, s.next_var) == expected
+            if s.result == OPEN:
+                assert s.actions == expected
+            kinds.update(type(a) for a in expected)
+            # resumed frames are heads the search reaches later
+            for goals, path, _ in s.todos:
+                goals, path = apply_literals(s.subst, goals), apply_literals(s.subst, path)
+                expected = reference_valid_actions(m, goals, path, cfg, s.next_var)
+                assert valid_actions(m, goals, path, cfg, s.next_var) == expected
+                frames += 1
+    assert kinds == {ExtAction, RedAction, RewAction}
+    assert frames > 0
+
+
+def test_saved_frames_are_brought_up_to_date_by_one_application():
+    frames = 0
+    for _, _, tree in _search_trees():
+        for s in _settled_states(tree):
+            for part in (s.goals, s.path, s.lemmas):
+                assert apply_literals(s.subst, part) == part
+            for frame in s.todos:
+                for part in frame:
+                    once = apply_literals(s.subst, part)
+                    assert apply_literals(s.subst, once) == once
+                frames += 1
+    assert frames > 0

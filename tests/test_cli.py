@@ -6,7 +6,7 @@ import pytest
 
 import mctab
 from mctab.cli import corpus_dir, main
-from mctab.config import Config, ConfigError, from_ini, to_ini
+from mctab.config import Config, ConfigError, apply_overrides, from_ini, to_ini
 
 INI_DIR = Path(mctab.__file__).parent / "ini"
 
@@ -133,6 +133,22 @@ def test_removed_options_are_refused():
     with pytest.raises(ConfigError):
         from_ini("eager_reduction = auto\n")
     assert main(["config", "-s", "seed=0"]) == 2
+
+
+def test_out_of_range_values_are_refused(problem, capsys):
+    bad = [
+        "feature_dim=0", "feature_dim=-3", "path_limit=-5", "rounds=-1",
+        "time_limit_s=nan", "time_limit_s=inf", "eta=-inf", "discount=nan",
+        "time_limit_s=0", "temperature=0", "temperature=-2.0",
+    ]
+    for pair in bad:
+        with pytest.raises(ConfigError):
+            apply_overrides(Config(), [pair])
+        capsys.readouterr()
+        assert main(["prove", problem, "-s", pair]) == 2, pair
+        assert capsys.readouterr().err.startswith("error: "), pair
+    cfg = apply_overrides(Config(), ["inference_limit=0", "bigstep_freq=0", "discount=0"])
+    assert (cfg.inference_limit, cfg.bigstep_freq, cfg.discount) == (0, 0, 0.0)
 
 
 def test_config_roundtrip_and_unknown_keys():

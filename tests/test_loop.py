@@ -76,18 +76,6 @@ def test_loop_deterministic(problem_dir, tmp_path):
             assert a == b, (k, name)
 
 
-def test_worker_pool_matches_serial(problem_dir, tmp_path):
-    serial = Config(**FAST)
-    pooled = Config(**FAST)
-    pooled.workers = 2
-    run_loop(problem_dir, 1, str(tmp_path / "serial"), serial)
-    run_loop(problem_dir, 1, str(tmp_path / "pooled"), pooled)
-    for name in ("report.tsv", "value.data", "policy.data", "value.model"):
-        a = (tmp_path / "serial" / "iter0" / name).read_bytes()
-        b = (tmp_path / "pooled" / "iter0" / name).read_bytes()
-        assert a == b, name
-
-
 def test_solve_one_roundtrip():
     stats, trace, value_rows, policy_rows = solve_one(
         "x.p", PROBLEMS["a_chain.p"], Config(**FAST)
