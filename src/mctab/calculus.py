@@ -12,7 +12,6 @@ path limit).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .config import Config
 from .problems import EQ, START_MARK, Matrix, format_literal, format_term

@@ -1,18 +1,26 @@
 """Independent proof verification.
 
-A proof trace is accepted when two assertions hold: every clause instance it
-reports is subsumed by the referenced input clause under the reported
-substitution (searching for a variable renaming when the domain names do not
-line up), and the set of reported instances, with polarities swapped into
-refutation view, is propositionally unsatisfiable.  Rewrite steps are first
-expanded into ground instances of the equality axioms (symmetry for
-right-to-left rewrites, one function congruence per nesting level, and a
-predicate congruence linking the goals before and after).
+A proof trace is accepted when the ground clause instances it reports, with
+polarities swapped into refutation view, are propositionally unsatisfiable.
+Each `start`, `ext` and `rew` step names an input clause and a substitution;
+the checker builds the instance itself by applying that substitution to the
+clause.  A substitution may leave clause variables out, which then get fresh
+constants, but may not bind a name the clause does not have.  Rewrite steps
+are also expanded into ground instances of the equality axioms (symmetry
+for right-to-left rewrites, one function congruence per nesting level, and
+a predicate congruence linking the goals before and after).
 
-Residual proof variables are frozen to fresh `_sk<n>` constants, numbered in
-order of first occurrence.  This module deliberately shares only the term
-data model and parser with the prover; subsumption, matching and the SAT
-core are implemented independently.
+Soundness rests on one fact: every clause handed to the DPLL core is an
+input clause under a ground substitution, or an equality-axiom instance from
+`expand_rewrite`.  Each is a consequence of the problem with equality, so
+an unsatisfiable set of them refutes the problem.  The checks on `ext`,
+`red` and `lem` steps only reject traces that do not describe a tableau.
+
+Trace variables are frozen to `_sk<n>` constants while the trace is parsed,
+numbered in order of first occurrence in the text; the fresh constants for
+left-out clause variables continue the same count.  This module deliberately
+shares only the term data model and parser with the prover; instantiation
+and the SAT core are implemented independently.
 """
 
 from __future__ import annotations
@@ -36,7 +44,6 @@ from .terms import (
     Term,
     Var,
     apply_literal,
-    is_ground_literal,
     literal_positions,
     literal_replace,
     literal_subterm,
@@ -50,12 +57,12 @@ class TraceError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# trace parsing
+# trace parsing: every field is frozen to ground terms as it is read
 
 @dataclass
 class Start:
     clause_id: int
-    theta: dict  # source var name -> Term
+    theta: dict  # clause variable name -> ground Term
 
 
 @dataclass
@@ -87,38 +94,44 @@ class Rew:
     sides: list
 
 
-class _SharedVars:
-    """Maps variable names to one id space across all trace fields."""
+class _Skolems:
+    """Sends each trace variable name to a `_sk<n>` constant, numbered in
+    order of first occurrence; `fresh` continues the same count."""
 
     def __init__(self):
-        self.ids: dict = {}
+        self.constants: dict = {}  # variable name -> constant
+        self.count = 0
 
-    def remap(self, node, names):
+    def fresh(self) -> Term:
+        self.count += 1
+        return App(f"_sk{self.count - 1}")
+
+    def freeze(self, node: Term, names) -> Term:
         if isinstance(node, Var):
             name = names[node.id]
-            if name not in self.ids:
-                self.ids[name] = len(self.ids)
-            return Var(self.ids[name])
-        return App(node.symbol, tuple(self.remap(a, names) for a in node.args))
+            if name not in self.constants:
+                self.constants[name] = self.fresh()
+            return self.constants[name]
+        if not node.args:
+            return node
+        return App(node.symbol, tuple(self.freeze(a, names) for a in node.args))
 
-    def remap_literal(self, lit: Literal, names) -> Literal:
-        return Literal(lit.positive, lit.predicate, tuple(self.remap(a, names) for a in lit.args))
 
-
-def _parse_field_literal(text: str, shared: _SharedVars) -> Literal:
+def _parse_field_literal(text: str, skolems: _Skolems) -> Literal:
     parser = _Parser(text)
     lit = parser.parse_literal()
     if parser.peek()[0] != "eof":
         raise TraceError(f"trailing input in literal {text!r}")
-    return shared.remap_literal(lit, parser.var_names)
+    args = tuple(skolems.freeze(a, parser.var_names) for a in lit.args)
+    return Literal(lit.positive, lit.predicate, args)
 
 
-def _parse_field_term(text: str, shared: _SharedVars) -> Term:
+def _parse_field_term(text: str, skolems: _Skolems) -> Term:
     parser = _Parser(text)
     term = parser.parse_term()
     if parser.peek()[0] != "eof":
         raise TraceError(f"trailing input in term {text!r}")
-    return shared.remap(term, parser.var_names)
+    return skolems.freeze(term, parser.var_names)
 
 
 def _split_theta(body: str) -> list:
@@ -140,7 +153,7 @@ def _split_theta(body: str) -> list:
     return parts
 
 
-def _parse_theta(text: str, shared: _SharedVars) -> dict:
+def _parse_theta(text: str, skolems: _Skolems) -> dict:
     if not (text.startswith("{") and text.endswith("}")):
         raise TraceError(f"malformed substitution {text!r}")
     body = text[1:-1].strip()
@@ -149,15 +162,19 @@ def _parse_theta(text: str, shared: _SharedVars) -> dict:
         return theta
     for part in _split_theta(body):
         name, sep, value = part.partition("=")
+        name = name.strip()
         if not sep or not name:
             raise TraceError(f"malformed binding {part!r}")
-        theta[name.strip()] = _parse_field_term(value.strip(), shared)
+        if name in theta:
+            raise TraceError(f"{name} is bound twice")
+        theta[name] = _parse_field_term(value.strip(), skolems)
     return theta
 
 
 def parse_trace(text: str):
-    """Parse a proof trace into its list of steps."""
-    shared = _SharedVars()
+    """Parse a proof trace into its list of ground steps.  Also returns a
+    `fresh()` that makes constants occurring nowhere in the steps."""
+    skolems = _Skolems()
     steps = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -167,29 +184,29 @@ def parse_trace(text: str):
         try:
             kind = fields[0]
             if kind == "start" and len(fields) == 3:
-                steps.append(Start(int(fields[1]), _parse_theta(fields[2], shared)))
+                steps.append(Start(int(fields[1]), _parse_theta(fields[2], skolems)))
             elif kind == "ext" and len(fields) == 4:
                 steps.append(
-                    Ext(int(fields[1]), _parse_theta(fields[2], shared),
-                        _parse_field_literal(fields[3], shared))
+                    Ext(int(fields[1]), _parse_theta(fields[2], skolems),
+                        _parse_field_literal(fields[3], skolems))
                 )
             elif kind == "red" and len(fields) == 3:
                 steps.append(
-                    Red(_parse_field_literal(fields[1], shared),
-                        _parse_field_literal(fields[2], shared))
+                    Red(_parse_field_literal(fields[1], skolems),
+                        _parse_field_literal(fields[2], skolems))
                 )
             elif kind == "lem" and len(fields) == 2:
-                steps.append(Lem(_parse_field_literal(fields[1], shared)))
+                steps.append(Lem(_parse_field_literal(fields[1], skolems)))
             elif kind == "rew" and len(fields) >= 7:
                 steps.append(
                     Rew(
                         int(fields[1]),
-                        _parse_theta(fields[2], shared),
-                        _parse_field_literal(fields[3], shared),
+                        _parse_theta(fields[2], skolems),
+                        _parse_field_literal(fields[3], skolems),
                         fields[4],
-                        _parse_field_literal(fields[5], shared),
-                        _parse_field_literal(fields[6], shared),
-                        [_parse_field_literal(f, shared) for f in fields[7:]],
+                        _parse_field_literal(fields[5], skolems),
+                        _parse_field_literal(fields[6], skolems),
+                        [_parse_field_literal(f, skolems) for f in fields[7:]],
                     )
                 )
             else:
@@ -198,121 +215,17 @@ def parse_trace(text: str):
             raise TraceError(f"line {lineno}: {exc}") from None
     if not steps:
         raise TraceError("empty proof trace")
-    return steps
+    return steps, skolems.fresh
 
 
-# ---------------------------------------------------------------------------
-# variable freezing
-
-class _Freezer:
-    def __init__(self):
-        self.mapping: dict = {}
-
-    def freeze_term(self, t: Term) -> Term:
-        if isinstance(t, Var):
-            if t.id not in self.mapping:
-                self.mapping[t.id] = App(f"_sk{len(self.mapping)}")
-            return self.mapping[t.id]
-        if not t.args:
-            return t
-        return App(t.symbol, tuple(self.freeze_term(a) for a in t.args))
-
-    def freeze_literal(self, lit: Literal) -> Literal:
-        return Literal(lit.positive, lit.predicate, tuple(self.freeze_term(a) for a in lit.args))
-
-    def fresh(self) -> Term:
-        key = ("fresh", len(self.mapping))
-        self.mapping[key] = App(f"_sk{len(self.mapping)}")
-        return self.mapping[key]
-
-
-# ---------------------------------------------------------------------------
-# assertion 1: instances subsumed by their input clauses
-
-def check_instance(b_lits, theta: dict, clause: Clause) -> bool:
-    """Does theta (over the clause's variables, possibly renamed) turn the
-    clause into a propositional subsumer of B?"""
-    names = clause.var_names
-    if all(name in names for name in theta):
-        subst = {i: theta[name] for i, name in enumerate(names) if name in theta}
-        inst = [apply_literal(subst, l) for l in clause.literals]
-        if all(is_ground_literal(l) and l in b_lits for l in inst):
-            return True
-    return _renaming_search(list(b_lits), theta, clause)
-
-
-def _is_frozen_constant(t: Term) -> bool:
-    return isinstance(t, App) and not t.args and t.symbol.startswith("_sk")
-
-
-def _renaming_search(b_lits, theta: dict, clause: Clause) -> bool:
-    """Backtracking search for a renaming rho with theta(rho(C)) subsuming B.
-
-    Clause variables map injectively to substitution domain names; variables
-    the substitution never touched may instead match a frozen constant of B
-    directly (they denote fresh constants).
-    """
-    lits = clause.literals
-
-    def match_args(pairs, assign, used):
-        if not pairs:
-            yield assign, used
-            return
-        (c, b), rest = pairs[0], pairs[1:]
-        if isinstance(c, Var):
-            cur = assign.get(c.id)
-            if cur is not None:
-                value = theta[cur[1]] if cur[0] == "name" else cur[1]
-                if value == b:
-                    yield from match_args(rest, assign, used)
-                return
-            for name, value in theta.items():
-                if name not in used and value == b:
-                    a2 = dict(assign)
-                    a2[c.id] = ("name", name)
-                    yield from match_args(rest, a2, used | {name})
-            if _is_frozen_constant(b):
-                a2 = dict(assign)
-                a2[c.id] = ("term", b)
-                yield from match_args(rest, a2, used)
-        else:
-            if isinstance(b, Var) or c.symbol != b.symbol or len(c.args) != len(b.args):
-                return
-            yield from match_args(list(zip(c.args, b.args)) + rest, assign, used)
-
-    def solve(i, assign, used):
-        if i == len(lits):
-            return True
-        cl = lits[i]
-        for b in b_lits:
-            if (
-                b.predicate != cl.predicate
-                or b.positive != cl.positive
-                or len(b.args) != len(cl.args)
-            ):
-                continue
-            for assign2, used2 in match_args(list(zip(cl.args, b.args)), dict(assign), set(used)):
-                if solve(i + 1, assign2, used2):
-                    return True
-        return False
-
-    return solve(0, {}, set())
-
-
-def _instantiate(clause: Clause, theta: dict, freezer: _Freezer):
-    """Ground instance of the clause under theta, completing unbound
-    variables with fresh frozen constants.  Returns (literals, full theta)."""
-    full = dict(theta)
-    subst = {}
-    for i, name in enumerate(clause.var_names):
-        if name in theta:
-            subst[i] = theta[name]
-        else:
-            value = freezer.fresh()
-            subst[i] = value
-            full[name] = value
-    inst = [apply_literal(subst, l) for l in clause.literals]
-    return inst, full
+def _instantiate(clause: Clause, theta: dict, fresh) -> list:
+    """Ground instance of the clause under theta; the clause variables theta
+    leaves out become fresh constants."""
+    subst = {
+        i: theta[name] if name in theta else fresh()
+        for i, name in enumerate(clause.var_names)
+    }
+    return [apply_literal(subst, l) for l in clause.literals]
 
 
 # ---------------------------------------------------------------------------
@@ -384,20 +297,20 @@ def expand_rewrite(step: Rew, b_lits) -> list:
 
 
 # ---------------------------------------------------------------------------
-# assertion 2: propositional unsatisfiability (DPLL)
+# propositional unsatisfiability (DPLL)
 
 @dataclass
 class GroundClauseSet:
     clauses: list = field(default_factory=list)  # lists of signed ints
     atoms: dict = field(default_factory=dict)  # atom string -> variable id
 
-    def add_clause(self, lits, swap_polarity=True):
+    def add_clause(self, lits):
         """Add a prover-polarity ground clause, swapping into refutation view."""
         encoded = []
         for lit in lits:
             atom = format_literal(Literal(True, lit.predicate, lit.args))
             vid = self.atoms.setdefault(atom, len(self.atoms) + 1)
-            encoded.append(-vid if (lit.positive == swap_polarity) else vid)
+            encoded.append(-vid if lit.positive else vid)
         self.clauses.append(encoded)
 
 
@@ -490,68 +403,55 @@ def check_proof_texts(proof_text: str, problem_text: str) -> CheckResult:
     except ParseError as exc:
         return CheckResult(False, f"problem parse error: {exc}")
     try:
-        steps = parse_trace(proof_text)
+        steps, fresh = parse_trace(proof_text)
     except TraceError as exc:
         return CheckResult(False, f"trace parse error: {exc}")
-    return check_proof(steps, matrix)
+    return check_proof(steps, matrix, fresh)
 
 
-def check_proof(steps, matrix: Matrix) -> CheckResult:
-    freezer = _Freezer()
+def check_proof(steps, matrix: Matrix, fresh) -> CheckResult:
+    """Check parsed steps against the matrix; `fresh()` must return a
+    constant that occurs nowhere in the steps."""
     ground = GroundClauseSet()
     ext_goals: list = []
     saw_start_mark = False
-
-    def frozen(lit: Literal) -> Literal:
-        return freezer.freeze_literal(lit)
 
     for idx, step in enumerate(steps):
         if isinstance(step, (Start, Ext, Rew)):
             if step.clause_id < 0 or step.clause_id >= len(matrix.clauses):
                 return CheckResult(False, "clause reference out of range", idx)
             clause = matrix.clause(step.clause_id)
-            theta = {name: freezer.freeze_term(t) for name, t in step.theta.items()}
-            b_lits, theta_full = _instantiate(clause, theta, freezer)
-            if not check_instance(b_lits, theta_full, clause):
+            foreign = [name for name in step.theta if name not in clause.var_names]
+            if foreign:
                 return CheckResult(
-                    False, "instance not subsumed by its input clause", idx
+                    False, f"substitution binds {foreign[0]}, which the clause does not have", idx
                 )
+            b_lits = _instantiate(clause, step.theta, fresh)
             if any(l.predicate == START_MARK for l in b_lits):
                 saw_start_mark = True
             if isinstance(step, Ext):
-                goal = frozen(step.goal)
+                goal = step.goal
                 if Literal(not goal.positive, goal.predicate, goal.args) not in b_lits:
                     return CheckResult(
                         False, "extension goal is not connected to the clause instance", idx
                     )
                 ext_goals.append(goal)
             if isinstance(step, Rew):
-                rew = Rew(
-                    step.clause_id,
-                    theta,
-                    frozen(step.eq_lit),
-                    step.direction,
-                    frozen(step.before),
-                    frozen(step.after),
-                    [frozen(s) for s in step.sides],
-                )
                 try:
-                    extra = expand_rewrite(rew, b_lits)
+                    extra = expand_rewrite(step, b_lits)
                 except TraceError as exc:
                     return CheckResult(False, f"malformed rewrite step: {exc}", idx)
                 for lits in extra:
                     ground.add_clause(lits)
             ground.add_clause(b_lits)
         elif isinstance(step, Red):
-            goal = frozen(step.goal)
-            path_lit = frozen(step.path_lit)
-            if Literal(not goal.positive, goal.predicate, goal.args) != path_lit:
+            goal = step.goal
+            if Literal(not goal.positive, goal.predicate, goal.args) != step.path_lit:
                 return CheckResult(
                     False, "reduction literals are not complementary", idx
                 )
         elif isinstance(step, Lem):
-            lit = frozen(step.lit)
-            if lit not in ext_goals:
+            if step.lit not in ext_goals:
                 return CheckResult(False, "lemma literal was never solved before", idx)
         else:
             return CheckResult(False, f"unknown step {step!r}", idx)

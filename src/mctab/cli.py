@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import gbt
-from .calculus import NoStartClauseError, format_proof
+from .calculus import NoStartClauseError
 from .checker import check_proof_files
 from .config import Config, ConfigError, load_config, to_ini
 from .loop import LoopError, ProofRejected, list_problems, run_loop, solve_one

@@ -254,24 +254,26 @@ def save(model: GbtModel, path: str):
         fh.write(format_model(model))
 
 
-def _parse_tree(tokens: list, pos: int) -> Tuple[_Node, int]:
+def _parse_tree(tokens: list, pos: int, dim: int) -> Tuple[_Node, int]:
     if pos >= len(tokens):
-        raise ModelFormatError("truncated tree line")
+        raise ValueError("truncated tree line")
     tok = tokens[pos]
     if tok == "L":
         if pos + 1 >= len(tokens):
-            raise ModelFormatError("truncated leaf")
+            raise ValueError("truncated leaf")
         return _Node(weight=float(tokens[pos + 1])), pos + 2
     if tok == "N":
         if pos + 3 >= len(tokens):
-            raise ModelFormatError("truncated split node")
+            raise ValueError("truncated split node")
         feature = int(tokens[pos + 1])
+        if not 0 <= feature < dim:
+            raise ValueError(f"feature index {feature} outside dimension {dim}")
         threshold = float(tokens[pos + 2])
         default = tokens[pos + 3]
         if default not in ("L", "R"):
-            raise ModelFormatError(f"bad default direction {default!r}")
-        left, pos2 = _parse_tree(tokens, pos + 4)
-        right, pos3 = _parse_tree(tokens, pos2)
+            raise ValueError(f"bad default direction {default!r}")
+        left, pos2 = _parse_tree(tokens, pos + 4, dim)
+        right, pos3 = _parse_tree(tokens, pos2, dim)
         return (
             _Node(
                 feature=feature,
@@ -282,28 +284,34 @@ def _parse_tree(tokens: list, pos: int) -> Tuple[_Node, int]:
             ),
             pos3,
         )
-    raise ModelFormatError(f"unexpected token {tok!r}")
+    raise ValueError(f"unexpected token {tok!r}")
 
 
 def parse_model(text: str) -> GbtModel:
-    lines = [l for l in text.splitlines() if l.strip()]
+    lines = [(n, l) for n, l in enumerate(text.splitlines(), start=1) if l.strip()]
     if not lines:
         raise ModelFormatError("empty model file")
-    header = lines[0].split()
-    if header[:2] != ["GBT", "v1"] or len(header) != 5:
-        raise ModelFormatError(f"bad model header: {lines[0]!r}")
+    lineno, first = lines[0]
+    header = first.split()
     try:
+        if header[:2] != ["GBT", "v1"] or len(header) != 5:
+            raise ValueError
         dim = int(header[2].removeprefix("dim="))
         eta = float(header[3].removeprefix("eta="))
         base = float(header[4].removeprefix("base="))
-    except ValueError as exc:
-        raise ModelFormatError(f"bad model header: {lines[0]!r}") from exc
+        if dim <= 0:
+            raise ValueError
+    except ValueError:
+        raise ModelFormatError(f"line {lineno}: bad model header: {first!r}") from None
     trees = []
-    for line in lines[1:]:
+    for lineno, line in lines[1:]:
         tokens = line.split()
-        tree, end = _parse_tree(tokens, 0)
-        if end != len(tokens):
-            raise ModelFormatError("trailing tokens after tree")
+        try:
+            tree, end = _parse_tree(tokens, 0, dim)
+            if end != len(tokens):
+                raise ValueError("trailing tokens after tree")
+        except ValueError as exc:
+            raise ModelFormatError(f"line {lineno}: {exc}") from None
         trees.append(tree)
     return GbtModel(dim=dim, eta=eta, base=base, trees=trees)
 

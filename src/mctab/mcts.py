@@ -366,8 +366,7 @@ def extract_training_data(tree: SearchTree, outcome: str, cfg: Config, extractor
 
     policy_rows = []
     if proved or not cfg.limited_policy:
-        policy_ids = value_ids if proved else list(tree.bigstep_nodes)
-        for nid in policy_ids:
+        for nid in value_ids:
             node = tree.node(nid)
             if node.state is None or not node.children:
                 continue

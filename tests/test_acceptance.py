@@ -7,7 +7,6 @@ ten-minute target on an ordinary laptop.
 """
 
 import functools
-import itertools
 import math
 import os
 import random

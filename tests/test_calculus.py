@@ -8,7 +8,6 @@ from mctab.calculus import (
     OPEN,
     PROVED,
     ExtAction,
-    ExtStep,
     LemStep,
     NoStartClauseError,
     RedAction,

@@ -4,7 +4,6 @@ import random
 from mctab.calculus import format_proof
 from mctab.checker import (
     GroundClauseSet,
-    check_instance,
     check_proof_texts,
     check_unsat,
     parse_trace,
@@ -12,8 +11,8 @@ from mctab.checker import (
 from mctab.config import Config
 from mctab.guidance import DefaultGuidance
 from mctab.mcts import search_problem
-from mctab.problems import Clause, parse_problem
-from mctab.terms import App, Literal, Var
+from mctab.problems import parse_problem
+from mctab.terms import Literal
 
 from helpers import random_matrix
 
@@ -102,78 +101,6 @@ def test_dpll_agrees_with_truth_table():
         if model is not None:
             for clause in clauses:
                 assert any(model.get(abs(l), l <= 0) == (l > 0) for l in clause)
-
-
-# ---------------------------------------------------------------------------
-# check_instance
-
-def test_check_instance_renamed_domain():
-    clause = Clause(0, (lit(True, "p", Var(0)), lit(True, "p", Var(1))), ("X", "Y"))
-    b = [lit(True, "p", App("c")), lit(True, "p", App("c"))]
-    theta = {"W": App("c"), "Z": App("c")}
-    assert check_instance(b, theta, clause)
-
-
-def test_check_instance_direct_domain():
-    clause = Clause(0, (lit(True, "p", Var(0)),), ("X",))
-    assert check_instance([lit(True, "p", App("a"))], {"X": App("a")}, clause)
-    assert not check_instance([lit(True, "p", App("b"))], {"X": App("a")}, clause)
-
-
-def test_check_instance_wrong_predicate_fails():
-    clause = Clause(0, (lit(True, "p", Var(0)),), ("X",))
-    assert not check_instance([lit(True, "q", App("c"))], {"X": App("c")}, clause)
-
-
-def test_check_instance_ground_identity():
-    clause = Clause(0, (lit(True, "p", App("c")),), ())
-    assert check_instance([lit(True, "p", App("c"))], {}, clause)
-
-
-def test_check_instance_frozen_leftovers():
-    clause = Clause(0, (lit(True, "p", Var(0), Var(1)),), ("X", "Y"))
-    b = [lit(True, "p", App("a"), App("_sk3"))]
-    assert check_instance(b, {"X": App("a")}, clause)
-    # a real constant cannot stand for an untouched clause variable
-    assert not check_instance([lit(True, "p", App("a"), App("b"))], {"X": App("a")}, clause)
-
-
-def brute_force_rho_exists(b, theta, clause):
-    names = list(theta.keys())
-    nvars = len(clause.var_names)
-    fresh_pool = [App(f"_sk{i}") for i in range(9)]
-    options = [("name", n) for n in names] + [("term", c) for c in fresh_pool]
-    for combo in itertools.product(options, repeat=nvars):
-        used = [o for o in combo if o[0] == "name"]
-        if len(set(used)) != len(used):
-            continue
-        subst = {
-            i: (theta[o[1]] if o[0] == "name" else o[1]) for i, o in enumerate(combo)
-        }
-        from mctab.terms import apply_literal
-
-        inst = [apply_literal(subst, l) for l in clause.literals]
-        if all(l in b for l in inst):
-            return True
-    return False
-
-
-def test_renaming_search_complete_on_small_clauses():
-    rng = random.Random(4)
-    consts = [App("a"), App("b"), App("_sk0"), App("_sk1")]
-    for _ in range(200):
-        nvars = rng.randint(1, 3)
-        lits = tuple(
-            lit(rng.random() < 0.5, rng.choice("pq"), Var(rng.randrange(nvars)))
-            for _ in range(rng.randint(1, 3))
-        )
-        clause = Clause(0, lits, tuple(f"V{i}" for i in range(nvars)))
-        theta = {f"W{i}": rng.choice(consts[:2]) for i in range(rng.randint(0, 2))}
-        b = [
-            lit(rng.random() < 0.5, rng.choice("pq"), rng.choice(consts))
-            for _ in range(rng.randint(1, 4))
-        ]
-        assert check_instance(b, theta, clause) == brute_force_rho_exists(b, theta, clause)
 
 
 # ---------------------------------------------------------------------------
@@ -312,3 +239,49 @@ def test_trace_parse_errors():
         parse_trace("bogus 1 {}\n")
     with pytest.raises(TraceError):
         parse_trace("ext 1 {X=} q(a)\n")
+
+
+# ---------------------------------------------------------------------------
+# trace contract: bindings and frozen constants
+
+def test_binding_a_name_the_clause_lacks_is_rejected():
+    trace = "start 2 {}\next 1 {Y=_1} q(a)\next 0 {Q=zzz,X=_1} p(_1)\n"
+    assert check_proof_texts(trace.replace("Q=zzz,", ""), APP_A).ok
+    res = check_proof_texts(trace, APP_A)
+    assert not res.ok
+    assert res.step == 2
+    assert "Q" in res.message
+
+
+def test_binding_a_name_twice_is_a_positioned_trace_error():
+    import pytest
+    from mctab.checker import TraceError
+
+    trace = "start 2 {}\next 1 {Y=_1} q(a)\next 0 {X=zzz,X=_1} p(_1)\n"
+    with pytest.raises(TraceError, match="line 3: X is bound twice"):
+        parse_trace(trace)
+    res = check_proof_texts(trace, APP_A)
+    assert not res.ok and "line 3" in res.message
+
+
+def test_witness_numbers_trace_variables_by_first_occurrence():
+    text = "-p(X) | q(Y).\np(Z).\n"
+    trace = "start 0 {X=_B,Y=_A}\next 1 {Z=_B} -p(_B)\n"
+    res = check_proof_texts(trace, text)
+    assert not res.ok
+    assert res.witness == {"p(_sk0)": False, "q(_sk1)": False}
+
+
+def test_left_out_clause_variable_gets_a_fresh_constant():
+    text = "-p(X) | q(Y).\np(Z).\n"
+    # Y is left out: its constant continues the count after _V's _sk0
+    trace = "start 0 {X=_V}\next 1 {Z=_V} -p(_V)\n"
+    res = check_proof_texts(trace, text)
+    assert res.message == "instance set is propositionally satisfiable"
+    assert res.witness == {"p(_sk0)": False, "q(_sk1)": False}
+    proof = "start 2 {}\next 1 {Y=_1} q(a)\next 0 {X=_1} p(_1)\n"
+    # a fresh constant is none of the trace's, so it cannot close a goal
+    res = check_proof_texts(proof.replace("{X=_1}", "{}"), APP_A)
+    assert (res.ok, res.step) == (False, 2)
+    # a step the refutation does not need may leave its variables out
+    assert check_proof_texts(proof + "start 0 {}\n", APP_A).ok

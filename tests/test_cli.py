@@ -151,6 +151,13 @@ def test_out_of_range_values_are_refused(problem, capsys):
     assert (cfg.inference_limit, cfg.bigstep_freq, cfg.discount) == (0, 0, 0.0)
 
 
+def test_malformed_model_file_exits_two(problem, tmp_path, capsys):
+    bad = tmp_path / "bad.model"
+    bad.write_text("GBT v1 dim=10 eta=0.3 base=0.0\nN x 0.5 L L 0.1 L 0.2\n")
+    assert main(["prove", problem, "--value-model", str(bad), *FAST]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: ")
+
+
 def test_config_roundtrip_and_unknown_keys():
     cfg = Config(inference_limit=123, rewrite=False, guided_reduction=True)
     text = to_ini(cfg)

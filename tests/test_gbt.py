@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -228,6 +227,19 @@ def test_truncated_model_file_errors():
         parse_model("GBT v2 dim=10 eta=0.3 base=0.0\n")
     with pytest.raises(ModelFormatError):
         parse_model("")
+
+
+def test_malformed_model_lines_are_positioned_errors():
+    header = "GBT v1 dim=10 eta=0.3 base=0.0\n"
+    for tree in ("N x 0.5 L L 0.1 L 0.2", "N -1 0.5 L L 0.1 L 0.2",
+                 "N 10 0.5 L L 0.1 L 0.2", "L zz"):
+        with pytest.raises(ModelFormatError, match="^line 3: "):
+            parse_model(header + "\n" + tree + "\n")
+    for bad in ("dim=0", "dim=-2", "dim=x"):
+        with pytest.raises(ModelFormatError, match="^line 1: "):
+            parse_model(header.replace("dim=10", bad))
+    good = header + "N 9 0.5 L L 0.1 L 0.2\n"
+    assert format_model(parse_model(good)) == good
 
 
 def test_dataset_file_roundtrip():
