@@ -48,7 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--value-model")
     p.add_argument("--policy-model")
     p.add_argument("--proof-out", help="proof trace path (default: <problem>.proof)")
-    p.add_argument("--no-check", action="store_true", help="skip proof verification")
     _add_common(p)
 
     p = sub.add_parser("check", help="verify a proof trace against its problem")
@@ -92,14 +91,8 @@ def _cmd_prove(args, cfg: Config) -> int:
     print(stats.line())
     if trace is None:
         return 1
-    out_path = args.proof_out or args.problem + ".proof"
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with open(args.proof_out or args.problem + ".proof", "w", encoding="utf-8") as fh:
         fh.write(trace)
-    if not args.no_check:
-        verdict = check_proof_files(out_path, args.problem)
-        if not verdict.ok:
-            print(f"proof verification failed: {verdict.message}", file=sys.stderr)
-            return 1
     return 0
 
 

@@ -81,17 +81,13 @@ class GbtModel:
 # ---------------------------------------------------------------------------
 # training
 
-def _best_split(row_ids, grad, hess, entries_of, lam: float):
-    """Exact greedy search over (feature, threshold, default direction).
+def _best_split(row_ids, grad, hess, entries_of, lam: float, g_total: float, h_total: float):
+    """Exact greedy search over (feature, threshold, default direction), given
+    the gradient and hessian totals over `row_ids`.
 
     Present values v go left when v <= threshold; missing rows follow the
     default.  Returns (gain, feature, threshold, default_left) or None.
     """
-    g_total = 0.0
-    h_total = 0.0
-    for i in row_ids:
-        g_total += grad[i]
-        h_total += hess[i]
     n = len(row_ids)
     cols: dict = {}
     for i in row_ids:
@@ -144,7 +140,7 @@ def _build_tree(row_ids, grad, hess, entries_of, cfg: Config, depth: int) -> _No
     leaf = _Node(weight=-g_total / (h_total + cfg.reg_lambda))
     if depth >= cfg.max_depth or len(row_ids) < 2:
         return leaf
-    found = _best_split(row_ids, grad, hess, entries_of, cfg.reg_lambda)
+    found = _best_split(row_ids, grad, hess, entries_of, cfg.reg_lambda, g_total, h_total)
     if found is None:
         return leaf
     _, feature, threshold, default_left = found
@@ -231,21 +227,25 @@ def train(data: Dataset, cfg: Config) -> GbtModel:
 # ---------------------------------------------------------------------------
 # model persistence: versioned header, then one preorder line per tree
 
-def _emit(node: _Node, out: list):
-    if node.feature < 0:
-        out.append(f"L {node.weight!r}")
-    else:
-        out.append(f"N {node.feature} {node.threshold!r} {'L' if node.default_left else 'R'}")
-        _emit(node.left, out)
-        _emit(node.right, out)
+def _emit(tree: _Node) -> str:
+    """One tree's preorder line."""
+    parts = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node.feature < 0:
+            parts.append(f"L {node.weight!r}")
+        else:
+            side = "L" if node.default_left else "R"
+            parts.append(f"N {node.feature} {node.threshold!r} {side}")
+            stack.append(node.right)
+            stack.append(node.left)
+    return " ".join(parts)
 
 
 def format_model(model: GbtModel) -> str:
     lines = [f"GBT v1 dim={model.dim} eta={model.eta!r} base={model.base!r}"]
-    for tree in model.trees:
-        parts: list = []
-        _emit(tree, parts)
-        lines.append(" ".join(parts))
+    lines.extend(_emit(tree) for tree in model.trees)
     return "\n".join(lines) + "\n"
 
 
@@ -254,37 +254,44 @@ def save(model: GbtModel, path: str):
         fh.write(format_model(model))
 
 
-def _parse_tree(tokens: list, pos: int, dim: int) -> Tuple[_Node, int]:
-    if pos >= len(tokens):
-        raise ValueError("truncated tree line")
-    tok = tokens[pos]
-    if tok == "L":
-        if pos + 1 >= len(tokens):
-            raise ValueError("truncated leaf")
-        return _Node(weight=float(tokens[pos + 1])), pos + 2
-    if tok == "N":
-        if pos + 3 >= len(tokens):
-            raise ValueError("truncated split node")
-        feature = int(tokens[pos + 1])
-        if not 0 <= feature < dim:
-            raise ValueError(f"feature index {feature} outside dimension {dim}")
-        threshold = float(tokens[pos + 2])
-        default = tokens[pos + 3]
-        if default not in ("L", "R"):
-            raise ValueError(f"bad default direction {default!r}")
-        left, pos2 = _parse_tree(tokens, pos + 4, dim)
-        right, pos3 = _parse_tree(tokens, pos2, dim)
-        return (
-            _Node(
-                feature=feature,
-                threshold=threshold,
-                default_left=default == "L",
-                left=left,
-                right=right,
-            ),
-            pos3,
-        )
-    raise ValueError(f"unexpected token {tok!r}")
+def _parse_tree(tokens: list, dim: int) -> Tuple[_Node, int]:
+    """The tree a preorder line starts with, and the number of tokens it took."""
+    root = None
+    open_splits: list = []  # split nodes still missing a child
+    pos = 0
+    while True:
+        if pos >= len(tokens):
+            raise ValueError("truncated tree line")
+        tok = tokens[pos]
+        if tok == "L":
+            if pos + 1 >= len(tokens):
+                raise ValueError("truncated leaf")
+            node = _Node(weight=float(tokens[pos + 1]))
+            pos += 2
+        elif tok == "N":
+            if pos + 3 >= len(tokens):
+                raise ValueError("truncated split node")
+            feature = int(tokens[pos + 1])
+            if not 0 <= feature < dim:
+                raise ValueError(f"feature index {feature} outside dimension {dim}")
+            threshold = float(tokens[pos + 2])
+            default = tokens[pos + 3]
+            if default not in ("L", "R"):
+                raise ValueError(f"bad default direction {default!r}")
+            node = _Node(feature=feature, threshold=threshold, default_left=default == "L")
+            pos += 4
+        else:
+            raise ValueError(f"unexpected token {tok!r}")
+        if root is None:
+            root = node
+        elif open_splits[-1].left is None:
+            open_splits[-1].left = node
+        else:
+            open_splits.pop().right = node
+        if node.feature >= 0:
+            open_splits.append(node)
+        if not open_splits:
+            return root, pos
 
 
 def parse_model(text: str) -> GbtModel:
@@ -307,7 +314,7 @@ def parse_model(text: str) -> GbtModel:
     for lineno, line in lines[1:]:
         tokens = line.split()
         try:
-            tree, end = _parse_tree(tokens, 0, dim)
+            tree, end = _parse_tree(tokens, dim)
             if end != len(tokens):
                 raise ValueError("trailing tokens after tree")
         except ValueError as exc:

@@ -1,10 +1,13 @@
-"""Iterated data collection and training (the expert-iteration loop).
+"""Searching one problem, and iterated data collection and training (the
+expert-iteration loop).
 
-Each iteration searches every problem under the current guidance, verifies
-every found proof with the independent checker (a rejected proof aborts the
-run: the search may never grade its own homework), appends the extracted
-rows to the cumulative datasets, and retrains the value and policy models on
-everything collected so far.
+`solve_one` is the one path from a problem text to a proof: every search,
+`mctab prove` and `mctab bench` as much as the loop, goes through it, and it
+hands each found proof to the independent checker against the text it parsed
+(a rejected proof raises `ProofRejected`: the search may never grade its own
+homework).  Each iteration of the loop searches every problem under the
+current guidance, appends the extracted rows to the cumulative datasets, and
+retrains the value and policy models on everything collected so far.
 
 Problems are processed in sorted filename order so repeated runs are
 bit-for-bit reproducible.  Wall-clock time is reported on stdout but kept
@@ -68,13 +71,22 @@ def _guidance_for(m, cfg: Config, value_model, policy_model):
 
 
 def solve_one(name: str, text: str, cfg: Config, value_model=None, policy_model=None):
-    """Search one problem; returns (stats, trace or None, value rows, policy rows)."""
+    """Search one problem and verify what it finds; returns (stats, trace or
+    None, value rows, policy rows).
+
+    A found proof is checked against `text`, not against the parsed matrix,
+    so the checker shares nothing with the search but the parser.  A
+    rejection raises `ProofRejected`.
+    """
     m = parse_problem(text)
     guidance, extractor, cp = _guidance_for(m, cfg, value_model, policy_model)
     result = search_problem(m, guidance, cfg, cp=cp, name=name)
     trace = None
     if result.outcome == "proved":
         trace = format_proof(result.proof, result.proof_subst)
+        verdict = check_proof_texts(trace, text)
+        if not verdict.ok:
+            raise ProofRejected(f"{name}: checker rejected an emitted proof: {verdict.message}")
     value_rows, policy_rows = extract_training_data(result.tree, result.outcome, cfg, extractor)
     return result.stats, trace, value_rows, policy_rows
 
@@ -110,11 +122,6 @@ def run_iteration(
     proved = 0
     for name, (stats, trace, value_rows, policy_rows) in zip(names, results):
         if trace is not None:
-            verdict = check_proof_texts(trace, texts[name])
-            if not verdict.ok:
-                raise ProofRejected(
-                    f"{name}: checker rejected an emitted proof: {verdict.message}"
-                )
             with open(os.path.join(proofs_dir, name + ".proof"), "w", encoding="utf-8") as fh:
                 fh.write(trace)
             proved += 1

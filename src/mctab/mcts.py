@@ -70,9 +70,8 @@ class SearchStats:
 
 
 class SearchTree:
-    def __init__(self, m: Matrix, cfg: Config, guidance, start_states):
+    def __init__(self, m: Matrix, guidance, start_states):
         self.matrix = m
-        self.cfg = cfg
         self.nodes: list = []
         self.start_states = list(start_states)
         self.playouts = 0
@@ -274,7 +273,7 @@ def search_problem(
     """Alternate playouts and bigsteps until proof, dead root, or budgets end."""
     cp = cfg.cp_initial if cp is None else cp
     starts = initial_states(m, cfg)
-    tree = SearchTree(m, cfg, guidance, starts)
+    tree = SearchTree(m, guidance, starts)
     deadline = time.monotonic() + cfg.time_limit_s
     if tree.proved_node is None and len(starts) > 1:
         for i, s in enumerate(starts):

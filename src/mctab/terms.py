@@ -177,50 +177,36 @@ def match_term(pattern: Term, subject: Term, under: Optional[Subst] = None) -> O
 # ---------------------------------------------------------------------------
 # statistics
 
-def term_size(t: Term) -> int:
-    if isinstance(t, Var):
-        return 1
-    return 1 + sum(term_size(a) for a in t.args)
-
-
-def term_depth(t: Term) -> int:
-    if isinstance(t, Var) or not t.args:
-        return 1
-    return 1 + max(term_depth(a) for a in t.args)
-
-
-def literal_size(lit: Literal) -> int:
-    return 1 + sum(term_size(a) for a in lit.args)
-
-
-def literal_depth(lit: Literal) -> int:
-    if not lit.args:
-        return 1
-    return 1 + max(term_depth(a) for a in lit.args)
-
-
-def _symbol_occurrences(t: Term) -> int:
-    if isinstance(t, Var):
-        return 0
-    return 1 + sum(_symbol_occurrences(a) for a in t.args)
-
-
 def term_stats(goals: Iterable[Literal]) -> tuple:
     """(total_size, max_size, max_depth, symbol_count) over a goal list.
 
     Size counts every symbol and variable occurrence; a constant or variable
-    has depth 1.  symbol_count excludes variable occurrences.
+    has depth 1.  symbol_count excludes variable occurrences.  Each literal
+    is walked once, one nesting level at a time.
     """
     total = 0
     max_size = 0
     max_depth = 0
     symbols = 0
     for lit in goals:
-        n = literal_size(lit)
-        total += n
-        max_size = max(max_size, n)
-        max_depth = max(max_depth, literal_depth(lit))
-        symbols += 1 + sum(_symbol_occurrences(a) for a in lit.args)
+        size = 1
+        depth = 1
+        symbols += 1
+        level = lit.args
+        while level:
+            depth += 1
+            size += len(level)
+            below = []
+            for t in level:
+                if not isinstance(t, Var):
+                    symbols += 1
+                    below.extend(t.args)
+            level = below
+        total += size
+        if size > max_size:
+            max_size = size
+        if depth > max_depth:
+            max_depth = depth
     return total, max_size, max_depth, symbols
 
 

@@ -256,3 +256,40 @@ def reference_valid_actions(m, goals, path, cfg, next_var) -> tuple:
                         if sigma is not None and apply_term(sigma, dst) != sub:
                             out.append(RewAction(clause.id, j, direction, pos))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# reference goal statistics
+
+def reference_term_stats(goals) -> tuple:
+    """`term_stats` as three recursive walks per literal, the way the library
+    used to compute it: size, depth and symbol count each walk on their own."""
+    def size(t):
+        return 1 if isinstance(t, Var) else 1 + sum(size(a) for a in t.args)
+
+    def depth(t):
+        return 1 if isinstance(t, Var) or not t.args else 1 + max(depth(a) for a in t.args)
+
+    def symbols(t):
+        return 0 if isinstance(t, Var) else 1 + sum(symbols(a) for a in t.args)
+
+    total = max_size = max_depth = n_symbols = 0
+    for lit in goals:
+        n = 1 + sum(size(a) for a in lit.args)
+        total += n
+        max_size = max(max_size, n)
+        max_depth = max(max_depth, 1 + max((depth(a) for a in lit.args), default=0))
+        n_symbols += 1 + sum(symbols(a) for a in lit.args)
+    return total, max_size, max_depth, n_symbols
+
+
+# ---------------------------------------------------------------------------
+# deep model files
+
+def deep_model_text(depth: int, dim: int) -> str:
+    """A model of two trees, each a chain of `depth` splits on feature 0: the
+    first nests on the left, the second on the right.  A vector without
+    feature 0 reaches the innermost leaf (0.25) of both."""
+    left_chain = "N 0 0.5 L " * depth + "L 0.25" + " L -1.0" * depth
+    right_chain = "N 0 0.5 R L -1.0 " * depth + "L 0.25"
+    return f"GBT v1 dim={dim} eta=0.5 base=0.0\n{left_chain}\n{right_chain}\n"

@@ -161,7 +161,7 @@ def test_mcts_structural_invariants():
             starts = initial_states(m, cfg)
         except Exception:
             continue
-        tree = SearchTree(m, cfg, guidance, starts)
+        tree = SearchTree(m, guidance, starts)
         replay = RewardReplay(tree)
         for _ in range(30):
             if tree.proved_node is not None or tree.node(tree.bigstep_root).dead:
@@ -248,7 +248,7 @@ def test_learner_contracts():
         ]
         grad = [rng.uniform(-2, 2) for _ in range(n)]
         hess = [rng.uniform(0.5, 2.0) for _ in range(n)]
-        mine = gbt._best_split(list(range(n)), grad, hess, entries, 1.5)
+        mine = gbt._best_split(list(range(n)), grad, hess, entries, 1.5, sum(grad), sum(hess))
         ref = brute_best(list(range(n)), grad, hess, entries, 1.5)
         assert (mine is None) == (ref is None)
         if mine is not None:

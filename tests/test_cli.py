@@ -5,8 +5,12 @@ from pathlib import Path
 import pytest
 
 import mctab
+from mctab import loop
+from mctab.checker import CheckResult
 from mctab.cli import corpus_dir, main
 from mctab.config import Config, ConfigError, apply_overrides, from_ini, to_ini
+
+from helpers import deep_model_text
 
 INI_DIR = Path(mctab.__file__).parent / "ini"
 
@@ -34,6 +38,35 @@ def test_prove_exit_one_when_no_proof(tmp_path, capsys):
     path = tmp_path / "bad.p"
     path.write_text("p(a).\n-p(b).\n")
     assert main(["prove", str(path), *FAST]) == 1
+
+
+def reject_every_proof(monkeypatch):
+    monkeypatch.setattr(
+        loop, "check_proof_texts", lambda proof, problem: CheckResult(False, "planted rejection")
+    )
+
+
+def test_prove_exits_one_and_writes_no_proof_when_the_checker_rejects(
+    problem, monkeypatch, capsys
+):
+    reject_every_proof(monkeypatch)
+    assert main(["prove", problem, *FAST]) == 1
+    assert not os.path.exists(problem + ".proof")
+    assert "planted rejection" in capsys.readouterr().err
+
+
+def test_bench_exits_one_when_the_checker_rejects(tmp_path, monkeypatch, capsys):
+    d = tmp_path / "probs"
+    d.mkdir()
+    (d / "one.p").write_text(APP_A)
+    reject_every_proof(monkeypatch)
+    assert main(["bench", str(d), *FAST]) == 1
+    assert "planted rejection" in capsys.readouterr().err
+
+
+def test_no_check_option_is_gone(problem):
+    assert main(["prove", problem, "--no-check", *FAST]) == 2
+    assert not os.path.exists(problem + ".proof")
 
 
 def test_check_accepts_and_rejects(problem, capsys):
@@ -156,6 +189,12 @@ def test_malformed_model_file_exits_two(problem, tmp_path, capsys):
     bad.write_text("GBT v1 dim=10 eta=0.3 base=0.0\nN x 0.5 L L 0.1 L 0.2\n")
     assert main(["prove", problem, "--value-model", str(bad), *FAST]) == 2
     assert capsys.readouterr().err.startswith("error: line 2: ")
+
+
+def test_prove_under_a_deeply_nested_model(problem, tmp_path):
+    deep = tmp_path / "deep.model"
+    deep.write_text(deep_model_text(30000, Config().feature_dim))
+    assert main(["prove", problem, "--value-model", str(deep), *FAST]) == 0
 
 
 def test_config_roundtrip_and_unknown_keys():

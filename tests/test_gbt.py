@@ -16,6 +16,8 @@ from mctab.gbt import (
     train,
 )
 
+from helpers import deep_model_text
+
 
 def fv(entries, dim=100):
     return FeatureVector(dict(entries), dim)
@@ -136,7 +138,7 @@ def test_split_choice_matches_brute_force():
         hess = [rng.uniform(0.5, 2.0) for _ in range(n)]
         lam = 1.5
         ids = list(range(n))
-        mine = _best_split(ids, grad, hess, entries, lam)
+        mine = _best_split(ids, grad, hess, entries, lam, sum(grad), sum(hess))
         ref = brute_best(ids, grad, hess, entries, lam)
         assert (mine is None) == (ref is None)
         if mine is None:
@@ -240,6 +242,14 @@ def test_malformed_model_lines_are_positioned_errors():
             parse_model(header.replace("dim=10", bad))
     good = header + "N 9 0.5 L L 0.1 L 0.2\n"
     assert format_model(parse_model(good)) == good
+
+
+def test_models_of_any_depth_parse_predict_and_round_trip():
+    text = deep_model_text(30000, 10)
+    model = parse_model(text)
+    assert model.predict(fv({}, dim=10)) == 0.5 * 0.25 + 0.5 * 0.25
+    assert model.predict(fv({0: 1.0}, dim=10)) == 0.5 * -1.0 + 0.5 * 0.25
+    assert format_model(model) == text
 
 
 def test_dataset_file_roundtrip():

@@ -1,15 +1,28 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted([*(ROOT / "src" / "mctab").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+REFERRERS = sorted([*MODULES, *(ROOT / "perfbench").glob("*.py")])
+
+
+def exported(tree: ast.Module) -> list:
+    """The names a module lists in `__all__`."""
+    return [
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    ]
 
 
 def unused_imports(source: str) -> list:
     """Names a module imports and never uses; `__all__` entries count as used."""
     tree = ast.parse(source)
     imported = {}
-    used = set()
+    used = set(exported(tree))
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
@@ -18,10 +31,6 @@ def unused_imports(source: str) -> list:
                 imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
@@ -40,3 +49,54 @@ def test_no_module_imports_a_name_it_does_not_use():
         if (unused := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def references(tree: ast.AST) -> Counter:
+    """How often each name is used: as a name, an attribute, or a string
+    constant (`getattr`-style lookups, such as the benchmark's wrap tables)."""
+    found: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found[node.value] += 1
+    return found
+
+
+def dead_definitions(sources: dict, defining: set) -> list:
+    """Top-level functions and classes of the `defining` modules that nothing
+    outside their own body refers to; `__all__` entries count as used."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    used: Counter = Counter()
+    for tree in trees.values():
+        used.update(references(tree))
+        used.update(exported(tree))
+    return [
+        (name, node.name)
+        for name in sorted(defining)
+        for node in trees[name].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and used[node.name] <= references(node)[node.name]
+    ]
+
+
+def test_dead_definitions_are_found():
+    sources = {
+        "lib": "def used(): pass\ndef recursive(): recursive()\nclass Unused: pass\n"
+        "def exported(): pass\n__all__ = ['exported']\n",
+        "user": "from lib import used\nused()\n",
+        "bench": "WRAPS = [('lib', 'Unused')]\n",
+    }
+    assert dead_definitions(sources, {"lib"}) == [("lib", "recursive")]
+    assert dead_definitions({**sources, "bench": ""}, {"lib"}) == [
+        ("lib", "recursive"),
+        ("lib", "Unused"),
+    ]
+
+
+def test_every_top_level_definition_is_referenced():
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in REFERRERS}
+    defining = {str(p.relative_to(ROOT)) for p in (ROOT / "src" / "mctab").glob("*.py")}
+    assert dead_definitions(sources, defining) == []

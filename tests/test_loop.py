@@ -2,8 +2,16 @@ import os
 
 import pytest
 
+from mctab import checker, loop
 from mctab.config import Config
-from mctab.loop import LoopError, list_problems, run_iteration, run_loop, solve_one
+from mctab.loop import (
+    LoopError,
+    ProofRejected,
+    list_problems,
+    run_iteration,
+    run_loop,
+    solve_one,
+)
 
 FAST = dict(
     inference_limit=500,
@@ -83,3 +91,25 @@ def test_solve_one_roundtrip():
     assert stats.outcome == "proved"
     assert trace.startswith("start ")
     assert value_rows and policy_rows is not None
+
+
+def test_solve_one_checks_the_proof_against_the_text_it_parsed(monkeypatch):
+    seen = []
+
+    def spy(proof_text, problem_text):
+        seen.append((proof_text, problem_text))
+        return checker.check_proof_texts(proof_text, problem_text)
+
+    monkeypatch.setattr(loop, "check_proof_texts", spy)
+    _, trace, _, _ = solve_one("x.p", PROBLEMS["a_chain.p"], Config(**FAST))
+    assert seen == [(trace, PROBLEMS["a_chain.p"])]
+    solve_one("x.p", PROBLEMS["c_dead.p"], Config(**FAST))
+    assert len(seen) == 1  # nothing to check without a proof
+
+
+def test_solve_one_raises_when_the_checker_rejects(monkeypatch):
+    monkeypatch.setattr(
+        loop, "check_proof_texts", lambda proof, problem: checker.CheckResult(False, "planted")
+    )
+    with pytest.raises(ProofRejected, match="^x.p: checker rejected an emitted proof: planted$"):
+        solve_one("x.p", PROBLEMS["a_chain.p"], Config(**FAST))

@@ -80,7 +80,7 @@ def test_first_playout_expands_highest_prior_root_action():
     m = parse_problem(TWO_CHOICE)
     cfg = Config(rewrite=False)
     g = DefaultGuidance()
-    tree = SearchTree(m, cfg, g, initial_states(m, cfg))
+    tree = SearchTree(m, g, initial_states(m, cfg))
     nid = playout(tree, g, cfg, cp=3.0)
     # uniform priors tie-break to the lowest action index
     assert tree.node(nid).action_index == 0
@@ -91,7 +91,7 @@ def test_proved_leaf_backpropagates_reward_one():
     m = parse_problem(TWO_CHOICE)
     cfg = Config(rewrite=False)
     g = DefaultGuidance()
-    tree = SearchTree(m, cfg, g, initial_states(m, cfg))
+    tree = SearchTree(m, g, initial_states(m, cfg))
     while tree.proved_node is None:
         playout(tree, g, cfg, cp=3.0)
     root = tree.node(tree.root_id)
@@ -106,7 +106,7 @@ def test_root_visits_count_playouts():
     m = parse_problem("q(a).\n-q(X) | q(f(X)).\n")
     cfg = Config(rewrite=False, single_action_optim=False)
     g = DefaultGuidance()
-    tree = SearchTree(m, cfg, g, initial_states(m, cfg))
+    tree = SearchTree(m, g, initial_states(m, cfg))
     for p in range(30):
         playout(tree, g, cfg, cp=3.0)
     assert tree.node(tree.root_id).visits == 31  # root starts at 1
@@ -122,7 +122,7 @@ def test_tree_invariants_on_random_problems():
             starts = initial_states(m, cfg)
         except Exception:
             continue
-        tree = SearchTree(m, cfg, g, starts)
+        tree = SearchTree(m, g, starts)
         replay = RewardReplay(tree)
         for _ in range(25):
             if tree.proved_node is not None or tree.node(tree.bigstep_root).dead:
@@ -139,7 +139,7 @@ def test_bigstep_moves_to_best_mean_child():
     m = parse_problem("q(a).\n-q(X) | q(f(X)).\n-q(X) | q(g(X)).\n")
     cfg = Config(rewrite=False, single_action_optim=False)
     g = DefaultGuidance()
-    tree = SearchTree(m, cfg, g, initial_states(m, cfg))
+    tree = SearchTree(m, g, initial_states(m, cfg))
     for _ in range(8):
         playout(tree, g, cfg, cp=3.0)
     root = tree.node(tree.root_id)
@@ -265,7 +265,7 @@ def test_multiple_start_clauses_become_root_children():
     m = parse_problem("p(a).\np(b).\n-p(X) | r.\n-r | -p(a).\n")
     cfg = Config(rewrite=False, single_action_optim=False)
     g = DefaultGuidance()
-    tree = SearchTree(m, cfg, g, initial_states(m, cfg))
+    tree = SearchTree(m, g, initial_states(m, cfg))
     root = tree.node(tree.root_id)
     assert root.state is None  # virtual root over the start choice
     assert root.action_count() == 2

@@ -22,7 +22,14 @@ from mctab.terms import (
     unify_terms,
 )
 
-from helpers import alpha_equal, oracle_apply, oracle_unify, random_term, random_term_pair
+from helpers import (
+    alpha_equal,
+    oracle_apply,
+    oracle_unify,
+    random_term,
+    random_term_pair,
+    reference_term_stats,
+)
 
 
 def a():
@@ -128,6 +135,20 @@ def test_term_stats_examples():
     assert max_size == 3
     assert max_depth == 3
     assert symbols == 4  # p, f, q, a; the variable is not a symbol
+
+
+def test_term_stats_equal_the_three_walk_reference():
+    rng = random.Random(17)
+    for _ in range(2000):
+        goals = [
+            Literal(
+                rng.random() < 0.5,
+                rng.choice("pqr"),
+                tuple(random_term(rng, rng.randint(1, 15)) for _ in range(rng.randint(0, 3))),
+            )
+            for _ in range(rng.randint(0, 4))
+        ]
+        assert term_stats(goals) == reference_term_stats(goals), goals
 
 
 def test_positions_enumeration_order():
