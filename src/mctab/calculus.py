@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import Config
-from .problems import EQ, START_MARK, Matrix, format_literal, format_term
+from .problems import START_MARK, Matrix, format_literal, format_term
 from .terms import (
     Literal,
     Subst,
@@ -22,13 +22,14 @@ from .terms import (
     apply_literal,
     apply_literals,
     apply_term,
-    compose,
     is_ground_literal,
-    literal_positions,
     literal_replace,
     literal_subterm,
+    literal_subterms,
     match_term,
     negate,
+    resolve_literal,
+    resolve_term,
     shift_literal,
     unify_literals,
 )
@@ -114,11 +115,13 @@ class ProverState:
     path: tuple
     lemmas: tuple
     # saved sibling frames (goals, path, lemmas), each as it stood when saved;
-    # bindings made since are only in subst, applied when the frame resumes
+    # bindings made since are only in subst, resolved when the frame resumes
     todos: tuple
     actions: tuple
     proof: tuple
     result: int
+    # triangular: each binding as made, never rebound; goals, path and lemmas
+    # are kept fully applied, everything else goes through resolve_term
     subst: Subst
     next_var: int
     inference_count: int
@@ -138,7 +141,9 @@ def valid_actions(m: Matrix, goals: tuple, path: tuple, cfg: Config, next_var: i
 
     State variables are below `next_var`, so the head shifted by -next_var
     has only negative ids and shares none with a clause's 0..k-1: clause
-    literals are tested as they are, without a renamed copy.
+    literals are tested as they are, without a renamed copy.  Candidates
+    come from the matrix's action index, in clause and literal order, so
+    the cost follows the literals that could connect, not the matrix size.
     """
     if not goals:
         return ()
@@ -146,16 +151,11 @@ def valid_actions(m: Matrix, goals: tuple, path: tuple, cfg: Config, next_var: i
     neg_head = negate(head)
     shifted = shift_literal(neg_head, -next_var)
     out = []
-    for clause in m.clauses:
-        for j, lit in enumerate(clause.literals):
-            if (
-                lit.predicate != head.predicate
-                or lit.positive == head.positive
-                or len(lit.args) != len(head.args)
-            ):
-                continue
-            if unify_literals(shifted, lit) is not None:
-                out.append(ExtAction(clause.id, j))
+    for lit, clause_id, j in m.literal_index.get(
+        (head.predicate, not head.positive, len(head.args)), ()
+    ):
+        if unify_literals(shifted, lit) is not None:
+            out.append(ExtAction(clause_id, j))
     for k, plit in enumerate(path):
         if plit.predicate != head.predicate or plit.positive == head.positive:
             continue
@@ -167,25 +167,27 @@ def valid_actions(m: Matrix, goals: tuple, path: tuple, cfg: Config, next_var: i
 
 
 def _rewrite_actions(m: Matrix, head: Literal) -> list:
-    """Rewrites of `head`, whose variables must not occur in any clause."""
+    """Rewrites of `head`, whose variables must not occur in any clause.  A
+    rule tries the subterms with its source's symbol and arity, or every
+    subterm when its source is a variable."""
     out = []
-    goal_positions = literal_positions(head)
-    if not goal_positions:
-        return out
-    for clause in m.clauses:
-        for j, lit in enumerate(clause.literals):
-            if lit.positive or lit.predicate != EQ or len(lit.args) != 2:
+    every = literal_subterms(head)
+    buckets: dict = {}
+    for pos, sub in every:
+        if not isinstance(sub, Var):
+            buckets.setdefault((sub.symbol, len(sub.args)), []).append((pos, sub))
+    for clause_id, j, direction, src, dst in m.rewrite_rules:
+        if isinstance(src, Var):
+            candidates = every
+        else:
+            candidates = buckets.get((src.symbol, len(src.args)), ())
+        for pos, sub in candidates:
+            sigma = match_term(src, sub)
+            if sigma is None:
                 continue
-            left, right = lit.args
-            for direction, src, dst in (("LR", left, right), ("RL", right, left)):
-                for pos in goal_positions:
-                    sub = literal_subterm(head, pos)
-                    sigma = match_term(src, sub)
-                    if sigma is None:
-                        continue
-                    if apply_term(sigma, dst) == sub:
-                        continue  # no-op rewrite
-                    out.append(RewAction(clause.id, j, direction, pos))
+            if apply_term(sigma, dst) == sub:
+                continue  # no-op rewrite
+            out.append(RewAction(clause_id, j, direction, pos))
     return out
 
 
@@ -206,13 +208,14 @@ class _Work:
         self.inferences = state.inference_count
 
     def bind(self, delta: Subst):
-        """Apply new bindings to the active branch and fold them into subst."""
+        """Apply new bindings to the active branch and add them to subst;
+        `delta` binds only free variables, as the branch is fully applied."""
         if not delta:
             return
         self.goals = [apply_literal(delta, l) for l in self.goals]
         self.path = apply_literals(delta, self.path)
         self.lemmas = apply_literals(delta, self.lemmas)
-        self.subst = compose(self.subst, delta)
+        self.subst = {**self.subst, **delta}
 
     def finish(self, result: int, actions: tuple) -> ProverState:
         return ProverState(
@@ -277,8 +280,8 @@ def _apply_on_work(m: Matrix, w: _Work, action) -> None:
         sides = apply_literals(
             sigma, renamed[: action.lit_index] + renamed[action.lit_index + 1 :]
         )
-        # sigma binds only fresh clause variables; fold it in for trace output
-        w.subst = compose(w.subst, sigma)
+        # sigma binds only fresh clause variables; record it for trace output
+        w.subst = {**w.subst, **sigma}
         if tail:
             w.todos = [(tuple(tail), w.path, w.lemmas)] + w.todos
         w.goals = [goal_after] + list(sides)
@@ -306,12 +309,12 @@ def _det_on_work(m: Matrix, w: _Work, cfg: Config) -> ProverState:
         if not w.goals:
             if not w.todos:
                 return w.finish(PROVED, ())
-            # a frame held no bound variable when saved, so applying the
-            # normalized subst once brings it up to date
-            goals2, path2, lemmas2 = w.todos.pop(0)
-            w.goals = list(apply_literals(w.subst, goals2))
-            w.path = apply_literals(w.subst, path2)
-            w.lemmas = apply_literals(w.subst, lemmas2)
+            # a frame held no bound variable when saved; resolving it through
+            # the bindings made since brings it up to date
+            goals2, w.path, w.lemmas = (
+                tuple(resolve_literal(w.subst, l) for l in part) for part in w.todos.pop(0)
+            )
+            w.goals = list(goals2)
             continue
         head = w.goals[0]
         if head in w.path:  # loop elimination, identity only
@@ -409,16 +412,16 @@ def initial_states(m: Matrix, cfg: Config) -> list:
 # proof trace serialization (the checker's input contract)
 
 def _fmt(subst: Subst, lit: Literal) -> str:
-    return format_literal(apply_literal(subst, lit))
+    return format_literal(resolve_literal(subst, lit))
 
 
 def _fmt_theta(subst: Subst, varmap: tuple) -> str:
-    parts = [f"{name}={format_term(apply_term(subst, Var(vid)))}" for name, vid in varmap]
+    parts = [f"{name}={format_term(resolve_term(subst, Var(vid)))}" for name, vid in varmap]
     return "{" + ",".join(parts) + "}"
 
 
 def format_proof(proof: tuple, subst: Subst) -> str:
-    """Render a proof trace, finalizing every recorded term through subst."""
+    """Render a proof trace, resolving every recorded term through subst."""
     lines = []
     for step in proof:
         if isinstance(step, StartStep):

@@ -20,10 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .terms import App, Literal, Term, Var, shift_literal
+from .terms import App, Literal, Term, Var, literal_subterms, shift_literal
 
 EQ = "="
 START_MARK = "#"
+
+# deepest nesting the parser accepts, a predicate counting as one level;
+# recursive walks over parsed terms then stay well inside the recursion
+# limit the package sets on import
+MAX_TERM_DEPTH = 2000
 
 
 class ParseError(Exception):
@@ -49,6 +54,11 @@ class Matrix:
     clauses: list = field(default_factory=list)
     start_ids: list = field(default_factory=list)
     symbol_table: dict = field(default_factory=dict)  # name -> (arity, kind)
+    # (predicate, positive, arity) -> [(literal, clause id, literal index)]
+    literal_index: dict = field(default_factory=dict)
+    # one (clause id, literal index, direction, source, target) per direction
+    # of every negative equation, in clause order
+    rewrite_rules: list = field(default_factory=list)
 
     def clause(self, cid: int) -> Clause:
         return self.clauses[cid]
@@ -188,7 +198,7 @@ class _Parser:
             self.error("'#' cannot appear inside an equation")
         return App(lit.predicate, lit.args)
 
-    def parse_term(self):
+    def parse_term(self, depth: int = 1):
         tok = self.expect("ident")
         name = tok[1]
         if _is_var_name(name):
@@ -198,48 +208,41 @@ class _Parser:
             return Var(self.vars[name])
         args = []
         if self.peek()[0] == "(":
+            if depth >= MAX_TERM_DEPTH:
+                raise ParseError(f"terms nest deeper than {MAX_TERM_DEPTH}", tok[2], tok[3])
             self.next()
-            args.append(self.parse_term())
+            args.append(self.parse_term(depth + 1))
             while self.peek()[0] == ",":
                 self.next()
-                args.append(self.parse_term())
+                args.append(self.parse_term(depth + 1))
             self.expect(")")
         return App(name, tuple(args))
 
 
-def _scan_symbols(m: Matrix):
-    """Fill the symbol table, enforcing arity consistency."""
-    table = m.symbol_table
-
-    def see(name: str, arity: int, kind: str):
-        prev = table.get(name)
-        if prev is None:
-            table[name] = (arity, kind)
-        elif prev != (arity, kind):
-            raise ParseError(
-                f"symbol {name!r} used as {kind}/{arity} but previously as {prev[1]}/{prev[0]}",
-                0,
-                0,
-            )
-
-    def scan_term(t: Term):
-        if isinstance(t, App):
-            see(t.symbol, len(t.args), "function")
-            for a in t.args:
-                scan_term(a)
-
+def _finish(m: Matrix) -> Matrix:
+    """Fill the symbol table, enforcing arity consistency, then the start
+    clauses and the action index, from the clauses as they are now."""
+    m.literal_index, m.rewrite_rules = {}, []
     for clause in m.clauses:
-        for lit in clause.literals:
-            see(lit.predicate, len(lit.args), "predicate")
-            for a in lit.args:
-                scan_term(a)
-
-
-def _select_starts(m: Matrix) -> list:
+        for j, lit in enumerate(clause.literals):
+            seen = [(lit.predicate, len(lit.args), "predicate")]
+            seen += [(t.symbol, len(t.args), "function")
+                     for _, t in literal_subterms(lit) if isinstance(t, App)]
+            for name, arity, kind in seen:
+                prev = m.symbol_table.setdefault(name, (arity, kind))
+                if prev != (arity, kind):
+                    used = f"used as {kind}/{arity} but previously as {prev[1]}/{prev[0]}"
+                    raise ParseError(f"symbol {name!r} {used}", 0, 0)
+            key = (lit.predicate, lit.positive, len(lit.args))
+            m.literal_index.setdefault(key, []).append((lit, clause.id, j))
+            if not lit.positive and lit.predicate == EQ and len(lit.args) == 2:
+                left, right = lit.args
+                m.rewrite_rules.append((clause.id, j, "LR", left, right))
+                m.rewrite_rules.append((clause.id, j, "RL", right, left))
     marked = [c.id for c in m.clauses if any(l.predicate == START_MARK for l in c.literals)]
-    if marked:
-        return marked
-    return [c.id for c in m.clauses if c.literals and all(l.positive for l in c.literals)]
+    positive = [c.id for c in m.clauses if c.literals and all(l.positive for l in c.literals)]
+    m.start_ids = marked or positive
+    return m
 
 
 def parse_problem(text: str) -> Matrix:
@@ -250,9 +253,7 @@ def parse_problem(text: str) -> Matrix:
     m = Matrix()
     for cid, (lits, names) in enumerate(raw):
         m.clauses.append(Clause(cid, lits, names))
-    _scan_symbols(m)
-    m.start_ids = _select_starts(m)
-    return m
+    return _finish(m)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +362,4 @@ def generate_equality_axioms(m: Matrix) -> Matrix:
             continue
         existing.add(key)
         m.clauses.append(Clause(len(m.clauses), lits, names))
-    _scan_symbols(m)
-    m.start_ids = _select_starts(m)
-    return m
+    return _finish(m)

@@ -2,8 +2,11 @@
 
 Terms are immutable values.  Variables are integers wrapped in Var; function
 symbols and constants are App nodes (a constant is an App with no arguments).
-Substitutions are plain dicts from variable id to Term, kept normalized
-(fully composed) so that applying one twice equals applying it once.
+Substitutions are plain dicts from variable id to Term.  A unifier is kept
+normalized: no binding mentions a variable it binds, so applying it once is
+enough.  A prover state's substitution is triangular instead: bindings are
+added as made, a later one may bind a variable an earlier one mentions, and
+`resolve_term` applies it until no bound variable is left.
 """
 
 from __future__ import annotations
@@ -81,13 +84,24 @@ def shift_literal(lit: Literal, k: int) -> Literal:
     return Literal(lit.positive, lit.predicate, tuple(shift_term(a, k) for a in lit.args))
 
 
-def compose(s: Subst, delta: Subst) -> Subst:
-    """Normalized composition: (compose(s, d))(t) == d(s(t)) for all t."""
-    out = {v: apply_term(delta, t) for v, t in s.items()}
-    for v, t in delta.items():
-        if v not in out:
-            out[v] = t
-    return out
+def resolve_term(s: Subst, t: Term) -> Term:
+    """`t` under the triangular `s`, applied to a fixpoint."""
+    if isinstance(t, Var):
+        bound = s.get(t.id)
+        return t if bound is None else resolve_term(s, bound)
+    if not t.args:
+        return t
+    args = tuple(resolve_term(s, a) for a in t.args)
+    if all(a is b for a, b in zip(args, t.args)):
+        return t
+    return App(t.symbol, args)
+
+
+def resolve_literal(s: Subst, lit: Literal) -> Literal:
+    args = tuple(resolve_term(s, a) for a in lit.args)
+    if all(a is b for a, b in zip(args, lit.args)):
+        return lit
+    return Literal(lit.positive, lit.predicate, args)
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +227,17 @@ def term_stats(goals: Iterable[Literal]) -> tuple:
 # ---------------------------------------------------------------------------
 # positions and replacement (leftmost-outermost, 1-based argument indices)
 
-def positions(t: Term) -> list:
-    out = [()]
+def subterms(t: Term, pos: tuple = ()) -> list:
+    """(position, subterm) pairs of `t` from one walk, `pos` prefixed."""
+    out = [(pos, t)]
     if isinstance(t, App):
         for i, a in enumerate(t.args, start=1):
-            out.extend((i,) + p for p in positions(a))
+            out.extend(subterms(a, pos + (i,)))
     return out
+
+
+def positions(t: Term) -> list:
+    return [p for p, _ in subterms(t)]
 
 
 def subterm_at(t: Term, pos: tuple) -> Term:
@@ -240,12 +259,13 @@ def replace_at(t: Term, pos: tuple, u: Term) -> Term:
     return App(t.symbol, tuple(args))
 
 
+def literal_subterms(lit: Literal) -> list:
+    """`subterms` of every argument, excluding the predicate itself."""
+    return [x for i, a in enumerate(lit.args, start=1) for x in subterms(a, (i,))]
+
+
 def literal_positions(lit: Literal) -> list:
-    """Argument subterm positions of a literal, excluding the predicate itself."""
-    out = []
-    for i, a in enumerate(lit.args, start=1):
-        out.extend((i,) + p for p in positions(a))
-    return out
+    return [p for p, _ in literal_subterms(lit)]
 
 
 def literal_subterm(lit: Literal, pos: tuple) -> Term:

@@ -140,6 +140,27 @@ def _mangle(rng: random.Random, t: Term) -> Term:
 
 
 # ---------------------------------------------------------------------------
+# eager substitution oracle
+
+def compose(s: dict, delta: dict) -> dict:
+    """Normalized composition: (compose(s, d))(t) == d(s(t)) for all t."""
+    out = {v: apply_term(delta, t) for v, t in s.items()}
+    for v, t in delta.items():
+        if v not in out:
+            out[v] = t
+    return out
+
+
+def eager_subst(triangular: dict) -> dict:
+    """A state's triangular substitution composed eagerly, one binding at a
+    time in the order made, the way the calculus used to keep it."""
+    out: dict = {}
+    for v, t in triangular.items():
+        out = compose(out, {v: t})
+    return out
+
+
+# ---------------------------------------------------------------------------
 # MCTS test support
 
 def random_matrix(rng: random.Random):
@@ -168,6 +189,35 @@ def random_matrix(rng: random.Random):
             m = parse_problem(text)
         except Exception:
             continue
+        if m.start_ids:
+            return m
+
+
+def random_eq_matrix(rng: random.Random):
+    """Small random matrix with negative equations for the rewrite half of
+    action enumeration: sources headed by a function symbol, by a constant
+    and by a bare variable (as in `f(X)!=X` read right to left), and goals
+    with variable subterms.  Has at least one all-positive start clause."""
+    from mctab.problems import parse_problem
+
+    def term(depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.3:
+            return rng.choice(["X", "Y", "a", "b"])
+        if roll < 0.8:
+            return f"{rng.choice('fg')}({term(depth - 1)})"
+        return f"h({term(depth - 1)},{term(depth - 1)})"
+
+    def literal():
+        if rng.random() < 0.4:
+            return f"{term(2)}!={term(1)}"
+        sign = "-" if rng.random() < 0.5 else ""
+        return f"{sign}{rng.choice('pq')}({term(2)})"
+
+    while True:
+        lines = [" | ".join(literal() for _ in range(rng.randint(1, 3))) + "."
+                 for _ in range(rng.randint(3, 7))]
+        m = parse_problem("\n".join(lines) + "\n")
         if m.start_ids:
             return m
 

@@ -25,9 +25,9 @@ from mctab.config import Config
 from mctab.guidance import DefaultGuidance
 from mctab.mcts import search_problem
 from mctab.problems import parse_problem
-from mctab.terms import App, Literal, Var, apply_literals
+from mctab.terms import App, Literal, Var, apply_literals, resolve_literal
 
-from helpers import random_matrix, reference_valid_actions
+from helpers import eager_subst, random_eq_matrix, random_matrix, reference_valid_actions
 
 APP_A = "-p(X).\np(Y) | -q(a).\nq(a).\n"
 
@@ -267,7 +267,8 @@ def test_apply_action_index_out_of_range():
 
 def _search_trees():
     """(matrix, cfg, tree) for every corpus problem, one matrix with red
-    actions and 20 random matrices, rewrite on."""
+    actions, one whose saved frame needs a chain of bindings, 20 random
+    matrices and 20 random equational ones, rewrite on."""
     names = sorted(f for f in os.listdir(corpus_dir()) if f.endswith(".p"))
     for i, name in enumerate(names):
         with open(os.path.join(corpus_dir(), name), "r", encoding="utf-8") as fh:
@@ -282,17 +283,29 @@ def _search_trees():
     )
     cfg = Config(inference_limit=100, bigstep_freq=10, path_limit=20, guided_reduction=True)
     yield m, cfg, search_problem(m, DefaultGuidance(), cfg).tree
+    # the frame q(X) is saved with X free; X := f(Z) and then Z := a are bound
+    # below it, and t(a) keeps the state open while the frame waits
+    m = parse_problem(
+        "p(X) | q(X).\n-p(Y) | r(Y).\n-r(f(Z)) | s(Z) | t(Z).\n-s(a).\n-s(b).\n"
+        "-t(a).\n-t(W).\n-q(f(a)).\n-q(f(b)).\n"
+    )
+    yield m, cfg, search_problem(m, DefaultGuidance(), cfg).tree
     rng = random.Random(11)
-    for i in range(20):
-        m = random_matrix(rng)
-        cfg = Config(
-            inference_limit=60, bigstep_freq=7, path_limit=20, guided_reduction=bool(i % 2)
-        )
-        yield m, cfg, search_problem(m, DefaultGuidance(), cfg).tree
+    for generate in (random_matrix, random_eq_matrix):
+        for i in range(20):
+            m = generate(rng)
+            cfg = Config(
+                inference_limit=60, bigstep_freq=7, path_limit=20, guided_reduction=bool(i % 2)
+            )
+            yield m, cfg, search_problem(m, DefaultGuidance(), cfg).tree
 
 
 def _settled_states(tree):
     return [n.state for n in tree.nodes if n.state is not None]
+
+
+def _resolved(subst, part):
+    return tuple(resolve_literal(subst, l) for l in part)
 
 
 def test_valid_actions_equal_the_renaming_reference():
@@ -307,7 +320,7 @@ def test_valid_actions_equal_the_renaming_reference():
             kinds.update(type(a) for a in expected)
             # resumed frames are heads the search reaches later
             for goals, path, _ in s.todos:
-                goals, path = apply_literals(s.subst, goals), apply_literals(s.subst, path)
+                goals, path = _resolved(s.subst, goals), _resolved(s.subst, path)
                 expected = reference_valid_actions(m, goals, path, cfg, s.next_var)
                 assert valid_actions(m, goals, path, cfg, s.next_var) == expected
                 frames += 1
@@ -316,14 +329,26 @@ def test_valid_actions_equal_the_renaming_reference():
 
 
 def test_saved_frames_are_brought_up_to_date_by_one_application():
-    frames = 0
+    """Resolving a frame once through the triangular subst equals applying
+    the eagerly composed one, and a second pass changes nothing."""
+    frames = chained = 0
     for _, _, tree in _search_trees():
         for s in _settled_states(tree):
+            eager = eager_subst(s.subst)
             for part in (s.goals, s.path, s.lemmas):
-                assert apply_literals(s.subst, part) == part
+                assert apply_literals(eager, part) == part
             for frame in s.todos:
                 for part in frame:
-                    once = apply_literals(s.subst, part)
-                    assert apply_literals(s.subst, once) == once
+                    once = _resolved(s.subst, part)
+                    assert once == apply_literals(eager, part)
+                    assert _resolved(s.subst, once) == once
+                    chained += once != apply_literals(s.subst, part)
                 frames += 1
     assert frames > 0
+    assert chained > 0  # some frame needs more than one plain application
+
+
+def test_format_proof_equals_the_eager_composition():
+    for _, _, tree in _search_trees():
+        for s in _settled_states(tree):
+            assert format_proof(s.proof, s.subst) == format_proof(s.proof, eager_subst(s.subst))

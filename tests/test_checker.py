@@ -244,6 +244,22 @@ def test_trace_parse_errors():
 # ---------------------------------------------------------------------------
 # trace contract: bindings and frozen constants
 
+def test_deep_problem_is_a_verdict():
+    trace = prove(APP_A)
+    deep = APP_A + "r(" + "f(" * 30000 + "a" + ")" * 30001 + ".\n"
+    res = check_proof_texts(trace, deep)
+    assert not res.ok
+    assert res.message.startswith("problem parse error: 4:") and "nest deeper" in res.message
+
+
+def test_deep_trace_binding_is_a_verdict():
+    deep = "f(" * 30000 + "a" + ")" * 30000
+    trace = "start 2 {}\next 1 {Y=_1} q(a)\next 0 {X=" + deep + "} p(_1)\n"
+    res = check_proof_texts(trace, APP_A)
+    assert not res.ok
+    assert res.message.startswith("trace parse error: line 3: 1:") and "nest deeper" in res.message
+
+
 def test_binding_a_name_the_clause_lacks_is_rejected():
     trace = "start 2 {}\next 1 {Y=_1} q(a)\next 0 {Q=zzz,X=_1} p(_1)\n"
     assert check_proof_texts(trace.replace("Q=zzz,", ""), APP_A).ok

@@ -133,6 +133,13 @@ def test_usage_errors_exit_two(tmp_path):
     assert main(["prove", str(bad), "-s", "no_such_key=1"]) == 2
 
 
+def test_deep_problem_exits_two(tmp_path, capsys):
+    deep = tmp_path / "deep.p"
+    deep.write_text("p(" + "f(" * 30000 + "a" + ")" * 30001 + ".\n-p(X).\n")
+    assert main(["prove", str(deep)]) == 2
+    assert "nest deeper" in capsys.readouterr().err
+
+
 def test_directory_and_non_utf8_inputs_exit_two(problem, tmp_path, capsys):
     binary = tmp_path / "latin1.p"
     binary.write_bytes(b"p(caf\xe9).\n")

@@ -1,6 +1,7 @@
 import pytest
 
 from mctab.problems import (
+    MAX_TERM_DEPTH,
     ParseError,
     format_clause,
     format_literal,
@@ -46,6 +47,20 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse_problem("p(a) |\n| q.\n")
     assert exc.value.line == 2
+
+
+def nested(depth: int) -> str:
+    return "f(" * depth + "a" + ")" * depth
+
+
+def test_deep_terms_are_a_positioned_parse_error():
+    # a predicate and MAX_TERM_DEPTH - 1 levels of terms parse; one more does not
+    parse_problem(f"p({nested(MAX_TERM_DEPTH - 2)}).\n")
+    with pytest.raises(ParseError) as exc:
+        parse_problem(f"q.\np({nested(MAX_TERM_DEPTH - 1)}).\n")
+    assert (exc.value.line, exc.value.col) == (2, 3 + 2 * (MAX_TERM_DEPTH - 2))
+    with pytest.raises(ParseError, match=f"deeper than {MAX_TERM_DEPTH}"):
+        parse_problem(f"p({nested(30000)}).\n")
 
 
 def test_equality_shorthand():
@@ -126,6 +141,18 @@ def test_equality_axioms_noop_without_equality():
     n = len(m.clauses)
     generate_equality_axioms(m)
     assert len(m.clauses) == n
+
+
+def test_action_index_after_axioms_equals_a_fresh_one():
+    text = "a=b.\nf(X)!=g(X) | p(X).\n-p(h(a,b)).\n"
+    m = parse_problem(text)
+    generate_equality_axioms(m)
+    fresh = parse_problem(format_matrix(m))
+    assert [c.literals for c in fresh.clauses] == [c.literals for c in m.clauses]
+    assert m.literal_index == fresh.literal_index
+    assert m.rewrite_rules == fresh.rewrite_rules
+    assert m.start_ids == fresh.start_ids
+    assert len(m.rewrite_rules) > len(parse_problem(text).rewrite_rules)
 
 
 def test_clause_ids_stable_after_axioms():
