@@ -207,14 +207,18 @@ class _Work:
         self.next_var = state.next_var
         self.inferences = state.inference_count
 
-    def bind(self, delta: Subst):
-        """Apply new bindings to the active branch and add them to subst;
-        `delta` binds only free variables, as the branch is fully applied."""
+    def bind(self, delta: Subst, bound: int):
+        """Add `delta` to subst and apply its bindings of variables below
+        `bound` to the active branch, which is fully applied, so `delta` binds
+        only free variables.  An extension renames its clause from `bound` on,
+        so no fresh clause variable occurs in the branch."""
         if not delta:
             return
-        self.goals = [apply_literal(delta, l) for l in self.goals]
-        self.path = apply_literals(delta, self.path)
-        self.lemmas = apply_literals(delta, self.lemmas)
+        branch = {v: t for v, t in delta.items() if v < bound}
+        if branch:
+            self.goals = [apply_literal(branch, l) for l in self.goals]
+            self.path = apply_literals(branch, self.path)
+            self.lemmas = apply_literals(branch, self.lemmas)
         self.subst = {**self.subst, **delta}
 
     def finish(self, result: int, actions: tuple) -> ProverState:
@@ -246,7 +250,7 @@ def _apply_on_work(m: Matrix, w: _Work, action) -> None:
         if delta is None:
             raise ValueError("extension action no longer applicable")
         w.goals = tail
-        w.bind(delta)
+        w.bind(delta, offset)
         head2 = apply_literal(delta, head)
         rest = apply_literals(
             delta, renamed[: action.lit_index] + renamed[action.lit_index + 1 :]
@@ -263,7 +267,7 @@ def _apply_on_work(m: Matrix, w: _Work, action) -> None:
         if delta is None:
             raise ValueError("reduction action no longer applicable")
         w.goals = tail
-        w.bind(delta)
+        w.bind(delta, w.next_var)
         w.proof.append(RedStep(apply_literal(delta, head), apply_literal(delta, plit)))
     elif isinstance(action, RewAction):
         clause = m.clause(action.clause_id)
@@ -340,7 +344,7 @@ def _det_on_work(m: Matrix, w: _Work, cfg: Config) -> ProverState:
             if hit is not None:
                 plit, delta = hit
                 w.goals = w.goals[1:]
-                w.bind(delta)
+                w.bind(delta, w.next_var)
                 w.proof.append(
                     RedStep(apply_literal(delta, head), apply_literal(delta, plit))
                 )

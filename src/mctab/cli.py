@@ -16,7 +16,7 @@ from .calculus import NoStartClauseError
 from .checker import check_proof_files
 from .config import Config, ConfigError, load_config, to_ini
 from .loop import LoopError, ProofRejected, list_problems, run_loop, solve_one
-from .problems import ParseError
+from .problems import ParseError, parse_problem
 
 
 def corpus_dir() -> str:
@@ -97,6 +97,8 @@ def _cmd_prove(args, cfg: Config) -> int:
 
 
 def _cmd_check(args) -> int:
+    # an unparsable problem is an input error (exit 2), not a rejected proof
+    parse_problem(Path(args.problem).read_text(encoding="utf-8"))
     verdict = check_proof_files(args.proof, args.problem)
     if verdict.ok:
         print("OK")

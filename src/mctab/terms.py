@@ -2,11 +2,11 @@
 
 Terms are immutable values.  Variables are integers wrapped in Var; function
 symbols and constants are App nodes (a constant is an App with no arguments).
-Substitutions are plain dicts from variable id to Term.  A unifier is kept
-normalized: no binding mentions a variable it binds, so applying it once is
-enough.  A prover state's substitution is triangular instead: bindings are
-added as made, a later one may bind a variable an earlier one mentions, and
-`resolve_term` applies it until no bound variable is left.
+Substitutions are plain dicts from variable id to Term.  A triangular one,
+such as a prover state's, holds bindings as made, a later one binding a
+variable an earlier one mentions; `resolve_term` applies it to a fixpoint.
+The unifier works triangularly and normalizes once, on success: no binding
+it returns mentions a variable it binds, so one application is enough.
 """
 
 from __future__ import annotations
@@ -107,12 +107,6 @@ def resolve_literal(s: Subst, lit: Literal) -> Literal:
 # ---------------------------------------------------------------------------
 # unification
 
-def occurs(v: int, t: Term) -> bool:
-    if isinstance(t, Var):
-        return t.id == v
-    return any(occurs(v, a) for a in t.args)
-
-
 def is_ground_term(t: Term) -> bool:
     if isinstance(t, Var):
         return False
@@ -123,53 +117,63 @@ def is_ground_literal(lit: Literal) -> bool:
     return all(is_ground_term(a) for a in lit.args)
 
 
-def unify_terms(a: Term, b: Term, under: Optional[Subst] = None) -> Optional[Subst]:
-    """Most general unifier extending `under`, or None.
-
-    Always performs the occurs check.  The result is normalized: no binding
-    contains a variable that is itself bound.
-    """
-    s: Subst = dict(under) if under else {}
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if isinstance(x, Var):
-            x = s.get(x.id, x)
-        if isinstance(y, Var):
-            y = s.get(y.id, y)
-        if x == y:
-            continue
-        if isinstance(x, Var) or isinstance(y, Var):
-            if not isinstance(x, Var):
-                x, y = y, x
-            t = apply_term(s, y)
-            if occurs(x.id, t):
-                return None
-            one = {x.id: t}
-            s = {v: apply_term(one, w) for v, w in s.items()}
-            s[x.id] = t
-        else:
-            if x.symbol != y.symbol or len(x.args) != len(y.args):
-                return None
-            stack.extend(zip(x.args, y.args))
-    return s
+def unify_terms(a: Term, b: Term) -> Optional[Subst]:
+    """Most general unifier of two terms, or None."""
+    return unify_literals(Literal(True, "", (a,)), Literal(True, "", (b,)))
 
 
-def unify_literals(a: Literal, b: Literal, under: Optional[Subst] = None) -> Optional[Subst]:
-    """Unify two literals' argument lists; polarity agreement is the caller's concern."""
+def unify_literals(a: Literal, b: Literal) -> Optional[Subst]:
+    """Most general unifier of two literals' argument lists, or None;
+    polarity agreement is the caller's concern.  One stack holds every pair,
+    the first argument on top and a term's last argument above its first.
+    Bindings stay triangular until success, so a clash costs only the walk
+    up to it; the result is then normalized, in binding order."""
     if a.predicate != b.predicate or len(a.args) != len(b.args):
         return None
-    s: Optional[Subst] = dict(under) if under else {}
-    for x, y in zip(a.args, b.args):
-        s = unify_terms(x, y, s)
-        if s is None:
+    stack = list(zip(reversed(a.args), reversed(b.args)))
+    s: Subst = {}
+    while stack:
+        x, y = stack.pop()
+        while isinstance(x, Var) and x.id in s:
+            x = s[x.id]
+        while isinstance(y, Var) and y.id in s:
+            y = s[y.id]
+        if x is y:
+            continue
+        if isinstance(y, Var) and not isinstance(x, Var):
+            x, y = y, x
+        if isinstance(x, Var):
+            if isinstance(y, App):
+                if _occurs(s, x.id, y):
+                    return None
+            elif x.id == y.id:
+                continue
+            s[x.id] = y
+        elif x.symbol != y.symbol or len(x.args) != len(y.args):
             return None
-    return s
+        else:
+            stack.extend(zip(x.args, y.args))
+    return {v: resolve_term(s, t) for v, t in s.items()}
 
 
-def match_term(pattern: Term, subject: Term, under: Optional[Subst] = None) -> Optional[Subst]:
+def _occurs(s: Subst, v: int, t: Term) -> bool:
+    """Whether variable `v` occurs in `t` under the triangular `s`."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Var):
+            if t.id == v:
+                return True
+            if t.id in s:
+                todo.append(s[t.id])
+        else:
+            todo.extend(t.args)
+    return False
+
+
+def match_term(pattern: Term, subject: Term) -> Optional[Subst]:
     """One-sided matching: binds only variables of `pattern`, never of `subject`."""
-    s: Subst = dict(under) if under else {}
+    s: Subst = {}
     stack = [(pattern, subject)]
     while stack:
         p, t = stack.pop()

@@ -22,7 +22,6 @@ from mctab.terms import (
     literal_subterm,
     match_term,
     negate,
-    unify_literals,
 )
 
 
@@ -66,6 +65,47 @@ def oracle_unify(a: Term, b: Term):
         subst = {v: oracle_apply(one, t) for v, t in subst.items()}
         subst[left.id] = right
     return subst
+
+
+def reference_unify(a, b, under=None):
+    """Most general unifier of two terms, or of two literals' argument lists
+    left to right, extending `under`; None if there is none.  The library's
+    unifier as it was: it keeps the result normalized by rewriting every
+    binding on each new one, so the one-pass unifier must return the same
+    dict, key order included."""
+    if isinstance(a, Literal):
+        if a.predicate != b.predicate or len(a.args) != len(b.args):
+            return None
+        s = dict(under) if under else {}
+        for x, y in zip(a.args, b.args):
+            s = reference_unify(x, y, s)
+            if s is None:
+                return None
+        return s
+    s = dict(under) if under else {}
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if isinstance(x, Var):
+            x = s.get(x.id, x)
+        if isinstance(y, Var):
+            y = s.get(y.id, y)
+        if x == y:
+            continue
+        if isinstance(x, Var) or isinstance(y, Var):
+            if not isinstance(x, Var):
+                x, y = y, x
+            t = oracle_apply(s, y)
+            if x.id in oracle_vars(t):
+                return None
+            one = {x.id: t}
+            s = {v: oracle_apply(one, w) for v, w in s.items()}
+            s[x.id] = t
+        else:
+            if x.symbol != y.symbol or len(x.args) != len(y.args):
+                return None
+            stack.extend(zip(x.args, y.args))
+    return s
 
 
 def alpha_equal(a: Term, b: Term, fwd=None, bwd=None) -> bool:
@@ -137,6 +177,19 @@ def _mangle(rng: random.Random, t: Term) -> Term:
         return t
     args = tuple(_mangle(rng, a) for a in t.args)
     return App(t.symbol, args)
+
+
+def random_literal_pair(rng: random.Random, max_size: int = 8):
+    """Two literals of one predicate with 2-4 arguments, pairwise biased
+    toward unifiable; one side's variables are sometimes shifted below zero,
+    the way action enumeration keeps a goal apart from a clause."""
+    pairs = [random_term_pair(rng, max_size) for _ in range(rng.randint(2, 4))]
+    left = tuple(x for x, _ in pairs)
+    right = tuple(y for _, y in pairs)
+    if rng.random() < 0.3:
+        below = {i: Var(i - 4) for i in range(4)}
+        left = tuple(oracle_apply(below, t) for t in left)
+    return Literal(True, "p", left), Literal(True, "p", right)
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +341,10 @@ def reference_valid_actions(m, goals, path, cfg, next_var) -> tuple:
     out = []
     for clause in m.clauses:
         for j, lit in enumerate(renamed(clause)):
-            if lit.positive != head.positive and unify_literals(neg_head, lit) is not None:
+            if lit.positive != head.positive and reference_unify(neg_head, lit) is not None:
                 out.append(ExtAction(clause.id, j))
     for k, plit in enumerate(path):
-        if plit.positive != head.positive and unify_literals(neg_head, plit) is not None:
+        if plit.positive != head.positive and reference_unify(neg_head, plit) is not None:
             out.append(RedAction(k))
     if cfg.rewrite:
         for clause in m.clauses:

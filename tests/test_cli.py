@@ -82,6 +82,17 @@ def test_check_accepts_and_rejects(problem, capsys):
     assert "REJECTED" in capsys.readouterr().out
 
 
+def test_check_exits_two_on_an_unparsable_problem(problem, tmp_path, capsys):
+    assert main(["prove", problem, *FAST]) == 0
+    bad = tmp_path / "bad.p"
+    bad.write_text("p(a) |\n")
+    capsys.readouterr()
+    assert main(["check", problem + ".proof", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: 2:1: ")
+    assert "REJECTED" not in captured.out
+
+
 def test_bench_prints_table(tmp_path, capsys):
     d = tmp_path / "probs"
     d.mkdir()

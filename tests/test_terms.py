@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from mctab.terms import (
     App,
@@ -23,12 +25,16 @@ from mctab.terms import (
 )
 
 from helpers import (
+    CONSTANTS,
+    FUNCTIONS,
     alpha_equal,
     oracle_apply,
     oracle_unify,
+    random_literal_pair,
     random_term,
     random_term_pair,
     reference_term_stats,
+    reference_unify,
 )
 
 
@@ -103,6 +109,53 @@ def test_unify_agrees_with_oracle():
             inst_mine = apply_term(mine, t1)
             inst_ref = oracle_apply(ref, t1)
             assert alpha_equal(inst_mine, inst_ref), (t1, t2, mine, ref)
+
+
+def test_unify_literals_equal_the_reference_key_order_included():
+    rng = random.Random(2024)
+    unified = 0
+    for _ in range(20_000):
+        a, b = random_literal_pair(rng)
+        mine = unify_literals(a, b)
+        ref = reference_unify(a, b)
+        assert (mine is None) == (ref is None), (a, b)
+        if mine is not None:
+            assert list(mine.items()) == list(ref.items()), (a, b)
+            unified += 1
+    assert unified > 2_000
+
+
+_terms = st.recursive(
+    st.one_of(
+        st.builds(Var, st.integers(-2, 3)),
+        st.sampled_from(CONSTANTS).map(App),
+    ),
+    lambda inner: st.one_of(
+        [st.tuples(*[inner] * n).map(lambda args, f=f: App(f, args)) for f, n in FUNCTIONS]
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(_terms, _terms)
+def _unify_terms_as_the_reference(a, b):
+    mine = unify_terms(a, b)
+    ref = reference_unify(a, b)
+    assert (mine is None) == (ref is None)
+    if mine is not None:
+        assert list(mine.items()) == list(ref.items())
+        assert apply_term(mine, a) == apply_term(mine, b)
+
+
+def test_unify_terms_property_against_the_reference(tmp_path):
+    # hypothesis caches the constants it finds in local source under its home
+    # directory; keep that out of the checkout
+    set_hypothesis_home_dir(tmp_path)
+    try:
+        _unify_terms_as_the_reference()
+    finally:
+        set_hypothesis_home_dir(None)
 
 
 def test_match_is_one_sided():
