@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 if sys.getrecursionlimit() < 20000:
     sys.setrecursionlimit(20000)
 
-from .checker import check_proof_files, check_proof_texts  # noqa: E402
+from .checker import check_proof_texts  # noqa: E402
 from .config import Config, load_config  # noqa: E402
 from .guidance import DefaultGuidance, ModelGuidance  # noqa: E402
 from .loop import run_iteration, run_loop, solve_one  # noqa: E402
@@ -20,7 +20,6 @@ __all__ = [
     "Config",
     "DefaultGuidance",
     "ModelGuidance",
-    "check_proof_files",
     "check_proof_texts",
     "extract_training_data",
     "generate_equality_axioms",

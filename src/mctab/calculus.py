@@ -19,9 +19,6 @@ from .terms import (
     Literal,
     Subst,
     Var,
-    apply_literal,
-    apply_literals,
-    apply_term,
     is_ground_literal,
     literal_replace,
     literal_subterm,
@@ -29,6 +26,7 @@ from .terms import (
     match_term,
     negate,
     resolve_literal,
+    resolve_literals,
     resolve_term,
     shift_literal,
     unify_literals,
@@ -185,7 +183,7 @@ def _rewrite_actions(m: Matrix, head: Literal) -> list:
             sigma = match_term(src, sub)
             if sigma is None:
                 continue
-            if apply_term(sigma, dst) == sub:
+            if resolve_term(sigma, dst) == sub:
                 continue  # no-op rewrite
             out.append(RewAction(clause_id, j, direction, pos))
     return out
@@ -208,17 +206,19 @@ class _Work:
         self.inferences = state.inference_count
 
     def bind(self, delta: Subst, bound: int):
-        """Add `delta` to subst and apply its bindings of variables below
-        `bound` to the active branch, which is fully applied, so `delta` binds
-        only free variables.  An extension renames its clause from `bound` on,
-        so no fresh clause variable occurs in the branch."""
+        """Add the triangular `delta` to subst and, when it binds a variable
+        below `bound`, resolve the active branch through all of `delta`.  The
+        branch is fully applied, so `delta` binds only free variables.  An
+        extension renames its clause from `bound` on, so no fresh clause
+        variable occurs in the branch, yet a branch variable may be bound to
+        one that `delta` binds in turn: -p(X,X) against p(Y,f(a)) gives
+        {X: Y, Y: f(a)}."""
         if not delta:
             return
-        branch = {v: t for v, t in delta.items() if v < bound}
-        if branch:
-            self.goals = [apply_literal(branch, l) for l in self.goals]
-            self.path = apply_literals(branch, self.path)
-            self.lemmas = apply_literals(branch, self.lemmas)
+        if min(delta) < bound:
+            self.goals = [resolve_literal(delta, l) for l in self.goals]
+            self.path = resolve_literals(delta, self.path)
+            self.lemmas = resolve_literals(delta, self.lemmas)
         self.subst = {**self.subst, **delta}
 
     def finish(self, result: int, actions: tuple) -> ProverState:
@@ -237,10 +237,10 @@ class _Work:
 
 
 def _apply_on_work(m: Matrix, w: _Work, action) -> None:
-    """One nondeterministic step on the scratch state (no det_steps here)."""
+    """One nondeterministic step on the scratch state; counts no inference
+    and runs no det_steps."""
     head = w.goals[0]
     tail = w.goals[1:]
-    w.inferences += 1
     if isinstance(action, ExtAction):
         clause = m.clause(action.clause_id)
         offset = w.next_var
@@ -251,8 +251,8 @@ def _apply_on_work(m: Matrix, w: _Work, action) -> None:
             raise ValueError("extension action no longer applicable")
         w.goals = tail
         w.bind(delta, offset)
-        head2 = apply_literal(delta, head)
-        rest = apply_literals(
+        head2 = resolve_literal(delta, head)
+        rest = resolve_literals(
             delta, renamed[: action.lit_index] + renamed[action.lit_index + 1 :]
         )
         if w.goals:
@@ -268,7 +268,7 @@ def _apply_on_work(m: Matrix, w: _Work, action) -> None:
             raise ValueError("reduction action no longer applicable")
         w.goals = tail
         w.bind(delta, w.next_var)
-        w.proof.append(RedStep(apply_literal(delta, head), apply_literal(delta, plit)))
+        w.proof.append(RedStep(resolve_literal(delta, head), resolve_literal(delta, plit)))
     elif isinstance(action, RewAction):
         clause = m.clause(action.clause_id)
         offset = w.next_var
@@ -280,8 +280,8 @@ def _apply_on_work(m: Matrix, w: _Work, action) -> None:
         sigma = match_term(src, literal_subterm(head, action.position))
         if sigma is None:
             raise ValueError("rewrite action no longer applicable")
-        goal_after = literal_replace(head, action.position, apply_term(sigma, dst))
-        sides = apply_literals(
+        goal_after = literal_replace(head, action.position, resolve_term(sigma, dst))
+        sides = resolve_literals(
             sigma, renamed[: action.lit_index] + renamed[action.lit_index + 1 :]
         )
         # sigma binds only fresh clause variables; record it for trace output
@@ -295,7 +295,7 @@ def _apply_on_work(m: Matrix, w: _Work, action) -> None:
             RewStep(
                 clause.id,
                 varmap,
-                apply_literal(sigma, eq_lit),
+                resolve_literal(sigma, eq_lit),
                 action.direction,
                 head,
                 goal_after,
@@ -315,9 +315,7 @@ def _det_on_work(m: Matrix, w: _Work, cfg: Config) -> ProverState:
                 return w.finish(PROVED, ())
             # a frame held no bound variable when saved; resolving it through
             # the bindings made since brings it up to date
-            goals2, w.path, w.lemmas = (
-                tuple(resolve_literal(w.subst, l) for l in part) for part in w.todos.pop(0)
-            )
+            goals2, w.path, w.lemmas = (resolve_literals(w.subst, part) for part in w.todos.pop(0))
             w.goals = list(goals2)
             continue
         head = w.goals[0]
@@ -332,29 +330,19 @@ def _det_on_work(m: Matrix, w: _Work, cfg: Config) -> ProverState:
             w.proof.append(RedStep(head, neg_head))
             w.goals = w.goals[1:]
             continue
-        if eager:
-            hit = None
-            for plit in w.path:
-                if plit.predicate != head.predicate or plit.positive == head.positive:
-                    continue
-                delta = unify_literals(neg_head, plit)
-                if delta is not None:
-                    hit = (plit, delta)
-                    break
-            if hit is not None:
-                plit, delta = hit
-                w.goals = w.goals[1:]
-                w.bind(delta, w.next_var)
-                w.proof.append(
-                    RedStep(apply_literal(delta, head), apply_literal(delta, plit))
-                )
-                continue
         actions = valid_actions(m, w.goals, w.path, cfg, w.next_var)
+        if eager:
+            # the first unifying path literal, in path order; not an inference
+            red = next((a for a in actions if isinstance(a, RedAction)), None)
+            if red is not None:
+                _apply_on_work(m, w, red)
+                continue
         if cfg.single_action_optim and len(actions) == 1:
             if len(w.path) > cfg.path_limit:
                 # forced chains must respect the depth bound even on ground
                 # goals, otherwise term-growing matrices chain forever
                 return w.finish(FAILED, ())
+            w.inferences += 1
             _apply_on_work(m, w, actions[0])
             continue
         if not actions:
@@ -379,6 +367,7 @@ def apply_action(m: Matrix, state: ProverState, index: int, cfg: Config) -> Prov
     if index < 0 or index >= len(state.actions):
         raise IndexError(f"action index {index} out of range")
     w = _Work(state)
+    w.inferences += 1
     _apply_on_work(m, w, state.actions[index])
     return _det_on_work(m, w, cfg)
 

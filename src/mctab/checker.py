@@ -18,9 +18,12 @@ an unsatisfiable set of them refutes the problem.  The checks on `ext`,
 
 Trace variables are frozen to `_sk<n>` constants while the trace is parsed,
 numbered in order of first occurrence in the text; the fresh constants for
-left-out clause variables continue the same count.  This module deliberately
-shares only the term data model and parser with the prover; instantiation
-and the SAT core are implemented independently.
+left-out clause variables continue the same count.  What this module shares
+with the prover is exactly: the problem parser and literal printer
+(`problems`), the term and clause data model, and the position helpers
+`literal_positions`, `literal_subterm`, `literal_replace`, `replace_at` and
+`subterm_at`.  Instantiation, the rewrite expansion and the SAT core are its
+own.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .terms import (
     Literal,
     Term,
     Var,
-    apply_literal,
     literal_positions,
     literal_replace,
     literal_subterm,
@@ -221,11 +223,15 @@ def parse_trace(text: str):
 def _instantiate(clause: Clause, theta: dict, fresh) -> list:
     """Ground instance of the clause under theta; the clause variables theta
     leaves out become fresh constants."""
-    subst = {
-        i: theta[name] if name in theta else fresh()
-        for i, name in enumerate(clause.var_names)
-    }
-    return [apply_literal(subst, l) for l in clause.literals]
+    values = [theta[name] if name in theta else fresh() for name in clause.var_names]
+
+    def ground(t: Term) -> Term:
+        if isinstance(t, Var):
+            return values[t.id]
+        return App(t.symbol, tuple(ground(a) for a in t.args))
+
+    return [Literal(l.positive, l.predicate, tuple(ground(a) for a in l.args))
+            for l in clause.literals]
 
 
 # ---------------------------------------------------------------------------
@@ -465,11 +471,3 @@ def check_proof(steps, matrix: Matrix, fresh) -> CheckResult:
             False, "instance set is propositionally satisfiable", None, witness
         )
     return CheckResult(True)
-
-
-def check_proof_files(proof_path: str, problem_path: str) -> CheckResult:
-    with open(proof_path, "r", encoding="utf-8") as fh:
-        proof_text = fh.read()
-    with open(problem_path, "r", encoding="utf-8") as fh:
-        problem_text = fh.read()
-    return check_proof_texts(proof_text, problem_text)

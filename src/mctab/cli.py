@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import gbt
 from .calculus import NoStartClauseError
-from .checker import check_proof_files
+from .checker import check_proof_texts
 from .config import Config, ConfigError, load_config, to_ini
 from .loop import LoopError, ProofRejected, list_problems, run_loop, solve_one
 from .problems import ParseError, parse_problem
@@ -97,9 +97,11 @@ def _cmd_prove(args, cfg: Config) -> int:
 
 
 def _cmd_check(args) -> int:
+    proof_text = Path(args.proof).read_text(encoding="utf-8")
+    problem_text = Path(args.problem).read_text(encoding="utf-8")
     # an unparsable problem is an input error (exit 2), not a rejected proof
-    parse_problem(Path(args.problem).read_text(encoding="utf-8"))
-    verdict = check_proof_files(args.proof, args.problem)
+    parse_problem(problem_text)
+    verdict = check_proof_texts(proof_text, problem_text)
     if verdict.ok:
         print("OK")
         return 0

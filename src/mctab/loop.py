@@ -74,8 +74,10 @@ def solve_one(name: str, text: str, cfg: Config, value_model=None, policy_model=
     """Search one problem and verify what it finds; returns (stats, trace or
     None, value rows, policy rows).
 
-    A found proof is checked against `text`, not against the parsed matrix,
-    so the checker shares nothing with the search but the parser.  A
+    A found proof is checked against `text`, not against the parsed matrix.
+    The checker shares with the search only the problem parser and printer,
+    the term data model and the position helpers `literal_positions`,
+    `literal_subterm`, `literal_replace`, `replace_at` and `subterm_at`.  A
     rejection raises `ProofRejected`.
     """
     m = parse_problem(text)

@@ -2,11 +2,11 @@
 
 Terms are immutable values.  Variables are integers wrapped in Var; function
 symbols and constants are App nodes (a constant is an App with no arguments).
-Substitutions are plain dicts from variable id to Term.  A triangular one,
-such as a prover state's, holds bindings as made, a later one binding a
-variable an earlier one mentions; `resolve_term` applies it to a fixpoint.
-The unifier works triangularly and normalizes once, on success: no binding
-it returns mentions a variable it binds, so one application is enough.
+Substitutions are plain dicts from variable id to Term, in one format:
+triangular.  Each binding is kept as it was made and may mention a variable
+another binding binds, earlier or later; nothing normalizes it.  The unifier
+returns its bindings in the order it made them, and `resolve_term` and
+`resolve_literal` apply any substitution by following bindings to a fixpoint.
 """
 
 from __future__ import annotations
@@ -45,30 +45,6 @@ def negate(lit: Literal) -> Literal:
 # ---------------------------------------------------------------------------
 # substitution application
 
-def apply_term(s: Subst, t: Term) -> Term:
-    if isinstance(t, Var):
-        return s.get(t.id, t)
-    if not t.args:
-        return t
-    args = tuple(apply_term(s, a) for a in t.args)
-    if all(a is b for a, b in zip(args, t.args)):
-        return t  # untouched subtrees keep their identity
-    return App(t.symbol, args)
-
-
-def apply_literal(s: Subst, lit: Literal) -> Literal:
-    if not lit.args:
-        return lit
-    args = tuple(apply_term(s, a) for a in lit.args)
-    if all(a is b for a, b in zip(args, lit.args)):
-        return lit
-    return Literal(lit.positive, lit.predicate, args)
-
-
-def apply_literals(s: Subst, lits: Iterable[Literal]) -> tuple:
-    return tuple(apply_literal(s, l) for l in lits)
-
-
 def shift_term(t: Term, k: int) -> Term:
     """`t` with `k` added to every variable id."""
     if isinstance(t, Var):
@@ -85,7 +61,8 @@ def shift_literal(lit: Literal, k: int) -> Literal:
 
 
 def resolve_term(s: Subst, t: Term) -> Term:
-    """`t` under the triangular `s`, applied to a fixpoint."""
+    """`t` under `s`, bindings followed to a fixpoint; untouched subtrees
+    keep their identity."""
     if isinstance(t, Var):
         bound = s.get(t.id)
         return t if bound is None else resolve_term(s, bound)
@@ -102,6 +79,10 @@ def resolve_literal(s: Subst, lit: Literal) -> Literal:
     if all(a is b for a, b in zip(args, lit.args)):
         return lit
     return Literal(lit.positive, lit.predicate, args)
+
+
+def resolve_literals(s: Subst, lits: Iterable[Literal]) -> tuple:
+    return tuple(resolve_literal(s, l) for l in lits)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +107,8 @@ def unify_literals(a: Literal, b: Literal) -> Optional[Subst]:
     """Most general unifier of two literals' argument lists, or None;
     polarity agreement is the caller's concern.  One stack holds every pair,
     the first argument on top and a term's last argument above its first.
-    Bindings stay triangular until success, so a clash costs only the walk
-    up to it; the result is then normalized, in binding order."""
+    The result is triangular, each binding as made and in the order made, so
+    a clash costs only the walk up to it and a success no rewrite."""
     if a.predicate != b.predicate or len(a.args) != len(b.args):
         return None
     stack = list(zip(reversed(a.args), reversed(b.args)))
@@ -153,7 +134,7 @@ def unify_literals(a: Literal, b: Literal) -> Optional[Subst]:
             return None
         else:
             stack.extend(zip(x.args, y.args))
-    return {v: resolve_term(s, t) for v, t in s.items()}
+    return s
 
 
 def _occurs(s: Subst, v: int, t: Term) -> bool:

@@ -17,7 +17,6 @@ from mctab.terms import (
     Literal,
     Term,
     Var,
-    apply_term,
     literal_positions,
     literal_subterm,
     match_term,
@@ -197,7 +196,7 @@ def random_literal_pair(rng: random.Random, max_size: int = 8):
 
 def compose(s: dict, delta: dict) -> dict:
     """Normalized composition: (compose(s, d))(t) == d(s(t)) for all t."""
-    out = {v: apply_term(delta, t) for v, t in s.items()}
+    out = {v: oracle_apply(delta, t) for v, t in s.items()}
     for v, t in delta.items():
         if v not in out:
             out[v] = t
@@ -205,11 +204,12 @@ def compose(s: dict, delta: dict) -> dict:
 
 
 def eager_subst(triangular: dict) -> dict:
-    """A state's triangular substitution composed eagerly, one binding at a
-    time in the order made, the way the calculus used to keep it."""
+    """A triangular substitution composed eagerly, one binding at a time in
+    the order made, each brought up to date with the bindings before it, the
+    way the calculus used to keep a state's."""
     out: dict = {}
     for v, t in triangular.items():
-        out = compose(out, {v: t})
+        out = compose(out, {v: oracle_apply(out, t)})
     return out
 
 
@@ -356,7 +356,7 @@ def reference_valid_actions(m, goals, path, cfg, next_var) -> tuple:
                     for pos in literal_positions(head):
                         sub = literal_subterm(head, pos)
                         sigma = match_term(src, sub)
-                        if sigma is not None and apply_term(sigma, dst) != sub:
+                        if sigma is not None and oracle_apply(sigma, dst) != sub:
                             out.append(RewAction(clause.id, j, direction, pos))
     return tuple(out)
 

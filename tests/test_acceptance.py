@@ -39,7 +39,7 @@ from mctab.mcts import (
     uct_score,
 )
 from mctab.problems import parse_problem
-from mctab.terms import apply_term, unify_terms
+from mctab.terms import resolve_term, unify_terms
 
 from helpers import (
     RewardReplay,
@@ -114,8 +114,8 @@ def test_unification_oracle_equivalence():
         ref = oracle_unify(a, b)
         assert (mine is None) == (ref is None), (a, b)
         if mine is not None:
-            assert apply_term(mine, a) == apply_term(mine, b)
-            assert alpha_equal(apply_term(mine, a), oracle_apply(ref, a)), (a, b)
+            assert resolve_term(mine, a) == resolve_term(mine, b)
+            assert alpha_equal(resolve_term(mine, a), oracle_apply(ref, a)), (a, b)
     assert time.monotonic() - t0 < 10.0
 
 

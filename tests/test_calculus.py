@@ -25,9 +25,15 @@ from mctab.config import Config
 from mctab.guidance import DefaultGuidance
 from mctab.mcts import search_problem
 from mctab.problems import parse_problem
-from mctab.terms import App, Literal, Var, apply_literals, resolve_literal
+from mctab.terms import App, Literal, Var, resolve_literals
 
-from helpers import eager_subst, random_eq_matrix, random_matrix, reference_valid_actions
+from helpers import (
+    eager_subst,
+    oracle_apply,
+    random_eq_matrix,
+    random_matrix,
+    reference_valid_actions,
+)
 
 APP_A = "-p(X).\np(Y) | -q(a).\nq(a).\n"
 
@@ -140,6 +146,26 @@ def test_eager_reduction_fires_in_det_steps():
     s = initial_states(m, cfg)[0]
     s = apply_action(m, s, 0, cfg)
     assert s.result == PROVED  # -p(X) reduced eagerly against p(c), X bound to c
+
+
+def test_eager_reduction_takes_the_first_unifying_path_literal_uncounted():
+    # after ext 1 and ext 2 the goal -p(X) stands under the path (p(b), p(a)),
+    # and its negation unifies with both path literals
+    m = parse_problem("p(a).\n-p(a) | p(b).\n-p(b) | -p(X).\n")
+    for guided in (False, True):
+        cfg = cfg_manual(guided_reduction=guided)
+        s = initial_states(m, cfg)[0]
+        s = apply_action(m, s, s.actions.index(ExtAction(1, 0)), cfg)
+        s = apply_action(m, s, s.actions.index(ExtAction(2, 0)), cfg)
+        assert s.inference_count == 2
+        if guided:
+            assert s.result == OPEN
+            assert [a for a in s.actions if isinstance(a, RedAction)] == [
+                RedAction(0), RedAction(1)
+            ]
+        else:
+            assert s.result == PROVED
+            assert format_proof(s.proof, s.subst).splitlines()[-1] == "red -p(b) p(b)"
 
 
 def test_lemma_step():
@@ -267,8 +293,9 @@ def test_apply_action_index_out_of_range():
 
 def _search_trees():
     """(matrix, cfg, tree) for every corpus problem, one matrix with red
-    actions, one whose saved frame needs a chain of bindings, 20 random
-    matrices and 20 random equational ones, rewrite on."""
+    actions, one whose saved frame needs a chain of bindings, one whose
+    extension binds a path variable through a fresh clause variable, 20
+    random matrices and 20 random equational ones, rewrite on."""
     names = sorted(f for f in os.listdir(corpus_dir()) if f.endswith(".p"))
     for i, name in enumerate(names):
         with open(os.path.join(corpus_dir(), name), "r", encoding="utf-8") as fh:
@@ -290,6 +317,11 @@ def _search_trees():
         "-t(a).\n-t(W).\n-q(f(a)).\n-q(f(b)).\n"
     )
     yield m, cfg, search_problem(m, DefaultGuidance(), cfg).tree
+    # the path holds t(V) when p(V,V) extends with -p(Y,f(a)): the unifier
+    # gives {V: Y, Y: f(a)}, so t(V) reaches t(f(a)) only through the chain;
+    # the two r clauses keep the state open
+    m = parse_problem("t(X).\n-t(Z) | p(Z,Z).\n-p(Y,f(a)) | r(Y).\n-r(f(a)).\n-r(W).\n")
+    yield m, cfg, search_problem(m, DefaultGuidance(), cfg).tree
     rng = random.Random(11)
     for generate in (random_matrix, random_eq_matrix):
         for i in range(20):
@@ -304,8 +336,12 @@ def _settled_states(tree):
     return [n.state for n in tree.nodes if n.state is not None]
 
 
-def _resolved(subst, part):
-    return tuple(resolve_literal(subst, l) for l in part)
+def _applied_once(subst, part):
+    """One plain pass of `subst` over the literals, with the oracle."""
+    return tuple(
+        Literal(l.positive, l.predicate, tuple(oracle_apply(subst, a) for a in l.args))
+        for l in part
+    )
 
 
 def test_valid_actions_equal_the_renaming_reference():
@@ -320,7 +356,7 @@ def test_valid_actions_equal_the_renaming_reference():
             kinds.update(type(a) for a in expected)
             # resumed frames are heads the search reaches later
             for goals, path, _ in s.todos:
-                goals, path = _resolved(s.subst, goals), _resolved(s.subst, path)
+                goals, path = resolve_literals(s.subst, goals), resolve_literals(s.subst, path)
                 expected = reference_valid_actions(m, goals, path, cfg, s.next_var)
                 assert valid_actions(m, goals, path, cfg, s.next_var) == expected
                 frames += 1
@@ -336,13 +372,13 @@ def test_saved_frames_are_brought_up_to_date_by_one_application():
         for s in _settled_states(tree):
             eager = eager_subst(s.subst)
             for part in (s.goals, s.path, s.lemmas):
-                assert apply_literals(eager, part) == part
+                assert _applied_once(eager, part) == part
             for frame in s.todos:
                 for part in frame:
-                    once = _resolved(s.subst, part)
-                    assert once == apply_literals(eager, part)
-                    assert _resolved(s.subst, once) == once
-                    chained += once != apply_literals(s.subst, part)
+                    once = resolve_literals(s.subst, part)
+                    assert once == _applied_once(eager, part)
+                    assert resolve_literals(s.subst, once) == once
+                    chained += once != _applied_once(s.subst, part)
                 frames += 1
     assert frames > 0
     assert chained > 0  # some frame needs more than one plain application

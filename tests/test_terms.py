@@ -8,8 +8,6 @@ from mctab.terms import (
     App,
     Literal,
     Var,
-    apply_literal,
-    apply_term,
     fnv1a64,
     literal_positions,
     literal_replace,
@@ -18,6 +16,8 @@ from mctab.terms import (
     negate,
     positions,
     replace_at,
+    resolve_literal,
+    resolve_term,
     subterm_at,
     term_stats,
     unify_literals,
@@ -42,14 +42,20 @@ def a():
     return App("a")
 
 
+def resolved(s: dict) -> list:
+    """The bindings of `s`, each resolved through `s`, in key order."""
+    return [(v, resolve_term(s, t)) for v, t in s.items()]
+
+
 def test_unify_textbook_mgu():
-    # p(X, f(X)) vs p(a, Y)  ->  {X -> a, Y -> f(a)}
+    # p(X, f(X)) vs p(a, Y)  ->  {X -> a, Y -> f(X)}, resolving to Y -> f(a)
     x, y = Var(0), Var(1)
     s = unify_literals(
         Literal(True, "p", (x, App("f", (x,)))),
         Literal(True, "p", (a(), y)),
     )
-    assert s == {0: a(), 1: App("f", (a(),))}
+    assert s == {0: a(), 1: App("f", (x,))}
+    assert resolved(s) == [(0, a()), (1, App("f", (a(),)))]
 
 
 def test_unify_occurs_check_fails():
@@ -62,31 +68,38 @@ def test_unify_identical_literals_empty_subst():
     assert unify_literals(lit, lit) == {}
 
 
-def test_unify_result_is_normalized():
-    # X=f(Y) then Y=a must compose to X=f(a)
+def test_unify_result_is_triangular():
+    # a term's last argument goes first: Y=a, then X=f(Y), kept as made
     s = unify_terms(App("h", (Var(0), Var(1))), App("h", (App("f", (Var(1),)), a())))
-    assert s == {0: App("f", (a(),)), 1: a()}
+    assert list(s.items()) == [(1, a()), (0, App("f", (Var(1),)))]
+    assert resolve_term(s, Var(0)) == App("f", (a(),))
+    # -p(X,X) against p(Y,f(a)): X is bound to Y, which is bound after it
+    s = unify_literals(
+        Literal(True, "p", (Var(0), Var(0))), Literal(True, "p", (Var(1), App("f", (a(),))))
+    )
+    assert list(s.items()) == [(0, Var(1)), (1, App("f", (a(),)))]
+    assert resolve_term(s, Var(0)) == App("f", (a(),))
 
 
 def test_apply_subst_examples():
     f_xy = App("f", (Var(0), Var(1)))
-    assert apply_term({0: a()}, f_xy) == App("f", (a(), Var(1)))
-    assert apply_term({}, f_xy) == f_xy
-    s = {0: App("g", (App("b"),)), 2: App("b")}
-    assert apply_literal(s, Literal(True, "p", (Var(0),))) == Literal(
+    assert resolve_term({0: a()}, f_xy) == App("f", (a(), Var(1)))
+    assert resolve_term({}, f_xy) is f_xy
+    s = {0: App("g", (Var(2),)), 2: App("b")}
+    assert resolve_literal(s, Literal(True, "p", (Var(0),))) == Literal(
         True, "p", (App("g", (App("b"),)),)
     )
 
 
-def test_apply_idempotent_for_normalized():
+def test_resolve_is_idempotent():
     rng = random.Random(7)
     for _ in range(200):
         t1, t2 = random_term_pair(rng)
         s = unify_terms(t1, t2)
         if s is None:
             continue
-        u = apply_term(s, t1)
-        assert apply_term(s, u) == u
+        u = resolve_term(s, t1)
+        assert resolve_term(s, u) == u
 
 
 def test_unify_makes_terms_identical():
@@ -95,7 +108,7 @@ def test_unify_makes_terms_identical():
         t1, t2 = random_term_pair(rng)
         s = unify_terms(t1, t2)
         if s is not None:
-            assert apply_term(s, t1) == apply_term(s, t2)
+            assert resolve_term(s, t1) == resolve_term(s, t2)
 
 
 def test_unify_agrees_with_oracle():
@@ -106,7 +119,7 @@ def test_unify_agrees_with_oracle():
         ref = oracle_unify(t1, t2)
         assert (mine is None) == (ref is None), (t1, t2)
         if mine is not None:
-            inst_mine = apply_term(mine, t1)
+            inst_mine = resolve_term(mine, t1)
             inst_ref = oracle_apply(ref, t1)
             assert alpha_equal(inst_mine, inst_ref), (t1, t2, mine, ref)
 
@@ -120,7 +133,7 @@ def test_unify_literals_equal_the_reference_key_order_included():
         ref = reference_unify(a, b)
         assert (mine is None) == (ref is None), (a, b)
         if mine is not None:
-            assert list(mine.items()) == list(ref.items()), (a, b)
+            assert resolved(mine) == list(ref.items()), (a, b)
             unified += 1
     assert unified > 2_000
 
@@ -144,8 +157,8 @@ def _unify_terms_as_the_reference(a, b):
     ref = reference_unify(a, b)
     assert (mine is None) == (ref is None)
     if mine is not None:
-        assert list(mine.items()) == list(ref.items())
-        assert apply_term(mine, a) == apply_term(mine, b)
+        assert resolved(mine) == list(ref.items())
+        assert resolve_term(mine, a) == resolve_term(mine, b)
 
 
 def test_unify_terms_property_against_the_reference(tmp_path):
