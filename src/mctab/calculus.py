@@ -3,7 +3,10 @@
 A prover state carries the open goals of the active branch, the active path,
 lemmas, a stack of saved frames for sibling branches, the accumulated proof
 trace and substitution, and the list of valid actions.  Applying an action
-never mutates the parent state; after every nondeterministic action the
+never mutates the parent state: the step works on a shallow copy of it and
+only rebinds fields.  That copy is exact because every field is a tuple or
+an int except `subst`, which is only ever rebound (`{**subst, **delta}`),
+never updated in place.  After every nondeterministic action the
 deterministic simplifications run to a fixpoint (pop empty goals, loop
 elimination by identity, lemma steps, reductions, forced single actions,
 path limit).
@@ -65,9 +68,6 @@ class RewAction:
     position: tuple
 
 
-Action = object
-
-
 # ---------------------------------------------------------------------------
 # proof steps; literal fields hold step-time instantiations and are finalized
 # through the accumulated substitution when the trace is printed
@@ -107,7 +107,7 @@ class RewStep:
     side_lits: tuple
 
 
-@dataclass
+@dataclass(slots=True)
 class ProverState:
     goals: tuple
     path: tuple
@@ -123,6 +123,25 @@ class ProverState:
     subst: Subst
     next_var: int
     inference_count: int
+
+    def copy(self) -> ProverState:
+        return ProverState(*map(self.__getattribute__, self.__slots__))
+
+    def bind(self, delta: Subst, bound: int):
+        """Add the triangular `delta` to subst and, when it binds a variable
+        below `bound`, resolve the active branch through all of `delta`.  The
+        branch is fully applied, so `delta` binds only free variables.  A
+        step renames its clause from `bound` on, so no fresh clause variable
+        occurs in the branch (a rewrite's match binds only those), yet a
+        branch variable may be bound to one that `delta` binds in turn:
+        -p(X,X) against p(Y,f(a)) gives {X: Y, Y: f(a)}."""
+        if not delta:
+            return
+        if min(delta) < bound:
+            self.goals = resolve_literals(delta, self.goals)
+            self.path = resolve_literals(delta, self.path)
+            self.lemmas = resolve_literals(delta, self.lemmas)
+        self.subst = {**self.subst, **delta}
 
 
 # ---------------------------------------------------------------------------
@@ -190,174 +209,121 @@ def _rewrite_actions(m: Matrix, head: Literal) -> list:
 
 
 # ---------------------------------------------------------------------------
-# working representation (mutable scratch for one derivation step)
+# steps; each works in place on a fresh copy of the parent state
 
-class _Work:
-    __slots__ = ("goals", "path", "lemmas", "todos", "proof", "subst", "next_var", "inferences")
-
-    def __init__(self, state: ProverState):
-        self.goals = list(state.goals)
-        self.path = state.path
-        self.lemmas = state.lemmas
-        self.todos = list(state.todos)
-        self.proof = list(state.proof)
-        self.subst = state.subst
-        self.next_var = state.next_var
-        self.inferences = state.inference_count
-
-    def bind(self, delta: Subst, bound: int):
-        """Add the triangular `delta` to subst and, when it binds a variable
-        below `bound`, resolve the active branch through all of `delta`.  The
-        branch is fully applied, so `delta` binds only free variables.  An
-        extension renames its clause from `bound` on, so no fresh clause
-        variable occurs in the branch, yet a branch variable may be bound to
-        one that `delta` binds in turn: -p(X,X) against p(Y,f(a)) gives
-        {X: Y, Y: f(a)}."""
-        if not delta:
-            return
-        if min(delta) < bound:
-            self.goals = [resolve_literal(delta, l) for l in self.goals]
-            self.path = resolve_literals(delta, self.path)
-            self.lemmas = resolve_literals(delta, self.lemmas)
-        self.subst = {**self.subst, **delta}
-
-    def finish(self, result: int, actions: tuple) -> ProverState:
-        return ProverState(
-            goals=tuple(self.goals),
-            path=self.path,
-            lemmas=self.lemmas,
-            todos=tuple(self.todos),
-            actions=actions,
-            proof=tuple(self.proof),
-            result=result,
-            subst=self.subst,
-            next_var=self.next_var,
-            inference_count=self.inferences,
-        )
+def _renamed_clause(m: Matrix, s: ProverState, action) -> tuple:
+    """Rename the action's clause from `next_var` on and advance `next_var`;
+    returns the offset, the varmap, the chosen literal and the others."""
+    clause = m.clause(action.clause_id)
+    offset = s.next_var
+    renamed = clause.rename(offset)
+    s.next_var = offset + len(clause.var_names)
+    varmap = tuple((n, offset + i) for i, n in enumerate(clause.var_names))
+    j = action.lit_index
+    return offset, varmap, renamed[j], renamed[:j] + renamed[j + 1 :]
 
 
-def _apply_on_work(m: Matrix, w: _Work, action) -> None:
-    """One nondeterministic step on the scratch state; counts no inference
-    and runs no det_steps."""
-    head = w.goals[0]
-    tail = w.goals[1:]
-    if isinstance(action, ExtAction):
-        clause = m.clause(action.clause_id)
-        offset = w.next_var
-        renamed = clause.rename(offset)
-        w.next_var = offset + len(clause.var_names)
-        delta = unify_literals(negate(head), renamed[action.lit_index])
-        if delta is None:
-            raise ValueError("extension action no longer applicable")
-        w.goals = tail
-        w.bind(delta, offset)
-        head2 = resolve_literal(delta, head)
-        rest = resolve_literals(
-            delta, renamed[: action.lit_index] + renamed[action.lit_index + 1 :]
-        )
-        if w.goals:
-            w.todos = [(tuple(w.goals), w.path, (head2,) + w.lemmas)] + w.todos
-        w.goals = list(rest)
-        w.path = (head2,) + w.path
-        varmap = tuple((n, offset + i) for i, n in enumerate(clause.var_names))
-        w.proof.append(ExtStep(clause.id, varmap, head2))
-    elif isinstance(action, RedAction):
-        plit = w.path[action.path_index]
+def _apply_on_work(m: Matrix, s: ProverState, action) -> None:
+    """One nondeterministic step; counts no inference and runs no det_steps.
+    The action was enumerated from this state, so it applies."""
+    head = s.goals[0]
+    s.goals = s.goals[1:]
+    if isinstance(action, RedAction):
+        plit = s.path[action.path_index]
         delta = unify_literals(negate(head), plit)
-        if delta is None:
-            raise ValueError("reduction action no longer applicable")
-        w.goals = tail
-        w.bind(delta, w.next_var)
-        w.proof.append(RedStep(resolve_literal(delta, head), resolve_literal(delta, plit)))
-    elif isinstance(action, RewAction):
-        clause = m.clause(action.clause_id)
-        offset = w.next_var
-        renamed = clause.rename(offset)
-        w.next_var = offset + len(clause.var_names)
-        eq_lit = renamed[action.lit_index]
-        left, right = eq_lit.args
-        src, dst = (left, right) if action.direction == "LR" else (right, left)
-        sigma = match_term(src, literal_subterm(head, action.position))
-        if sigma is None:
-            raise ValueError("rewrite action no longer applicable")
-        goal_after = literal_replace(head, action.position, resolve_term(sigma, dst))
-        sides = resolve_literals(
-            sigma, renamed[: action.lit_index] + renamed[action.lit_index + 1 :]
-        )
-        # sigma binds only fresh clause variables; record it for trace output
-        w.subst = {**w.subst, **sigma}
-        if tail:
-            w.todos = [(tuple(tail), w.path, w.lemmas)] + w.todos
-        w.goals = [goal_after] + list(sides)
-        w.path = (head,) + w.path
-        varmap = tuple((n, offset + i) for i, n in enumerate(clause.var_names))
-        w.proof.append(
-            RewStep(
-                clause.id,
-                varmap,
-                resolve_literal(sigma, eq_lit),
-                action.direction,
-                head,
-                goal_after,
-                sides,
-            )
-        )
-    else:
-        raise TypeError(f"unknown action {action!r}")
+        s.bind(delta, s.next_var)
+        s.proof += (RedStep(resolve_literal(delta, head), resolve_literal(delta, plit)),)
+        return
+    offset, varmap, lit, rest = _renamed_clause(m, s, action)
+    if isinstance(action, ExtAction):
+        delta = unify_literals(negate(head), lit)
+        s.bind(delta, offset)
+        head2 = resolve_literal(delta, head)
+        if s.goals:
+            s.todos = ((s.goals, s.path, (head2,) + s.lemmas),) + s.todos
+        s.goals = resolve_literals(delta, rest)
+        s.path = (head2,) + s.path
+        s.proof += (ExtStep(action.clause_id, varmap, head2),)
+        return
+    left, right = lit.args
+    src, dst = (left, right) if action.direction == "LR" else (right, left)
+    sigma = match_term(src, literal_subterm(head, action.position))
+    goal_after = literal_replace(head, action.position, resolve_term(sigma, dst))
+    sides = resolve_literals(sigma, rest)
+    s.bind(sigma, offset)
+    if s.goals:
+        s.todos = ((s.goals, s.path, s.lemmas),) + s.todos
+    s.goals = (goal_after,) + sides
+    s.path = (head,) + s.path
+    s.proof += (
+        RewStep(
+            action.clause_id,
+            varmap,
+            resolve_literal(sigma, lit),
+            action.direction,
+            head,
+            goal_after,
+            sides,
+        ),
+    )
 
 
-def _det_on_work(m: Matrix, w: _Work, cfg: Config) -> ProverState:
-    """Deterministic simplification to fixpoint; returns the settled state."""
+def _det_on_work(m: Matrix, s: ProverState, cfg: Config) -> ProverState:
+    """Deterministic simplification to fixpoint; sets the result and actions
+    of `s` and returns it."""
     eager = not cfg.guided_reduction
+    s.result, s.actions = FAILED, ()
     for _ in range(_DET_GUARD):
-        if not w.goals:
-            if not w.todos:
-                return w.finish(PROVED, ())
+        if not s.goals:
+            if not s.todos:
+                s.result = PROVED
+                return s
             # a frame held no bound variable when saved; resolving it through
             # the bindings made since brings it up to date
-            goals2, w.path, w.lemmas = (resolve_literals(w.subst, part) for part in w.todos.pop(0))
-            w.goals = list(goals2)
+            s.goals, s.path, s.lemmas = (resolve_literals(s.subst, part) for part in s.todos[0])
+            s.todos = s.todos[1:]
             continue
-        head = w.goals[0]
-        if head in w.path:  # loop elimination, identity only
-            return w.finish(FAILED, ())
-        if head in w.lemmas:
-            w.proof.append(LemStep(head))
-            w.goals = w.goals[1:]
+        head = s.goals[0]
+        if head in s.path:  # loop elimination, identity only
+            return s
+        if head in s.lemmas:
+            s.proof += (LemStep(head),)
+            s.goals = s.goals[1:]
             continue
         neg_head = negate(head)
-        if neg_head in w.path:  # reduction without unification
-            w.proof.append(RedStep(head, neg_head))
-            w.goals = w.goals[1:]
+        if neg_head in s.path:  # reduction without unification
+            s.proof += (RedStep(head, neg_head),)
+            s.goals = s.goals[1:]
             continue
-        actions = valid_actions(m, w.goals, w.path, cfg, w.next_var)
+        actions = valid_actions(m, s.goals, s.path, cfg, s.next_var)
         if eager:
             # the first unifying path literal, in path order; not an inference
             red = next((a for a in actions if isinstance(a, RedAction)), None)
             if red is not None:
-                _apply_on_work(m, w, red)
+                _apply_on_work(m, s, red)
                 continue
         if cfg.single_action_optim and len(actions) == 1:
-            if len(w.path) > cfg.path_limit:
+            if len(s.path) > cfg.path_limit:
                 # forced chains must respect the depth bound even on ground
                 # goals, otherwise term-growing matrices chain forever
-                return w.finish(FAILED, ())
-            w.inferences += 1
-            _apply_on_work(m, w, actions[0])
+                return s
+            s.inference_count += 1
+            _apply_on_work(m, s, actions[0])
             continue
         if not actions:
-            return w.finish(FAILED, ())
-        if len(w.path) > cfg.path_limit and not all(is_ground_literal(l) for l in w.goals):
-            return w.finish(FAILED, ())
-        return w.finish(OPEN, actions)
-    return w.finish(FAILED, ())
+            return s
+        if len(s.path) > cfg.path_limit and not all(is_ground_literal(l) for l in s.goals):
+            return s
+        s.result, s.actions = OPEN, actions
+        return s
+    return s
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 def det_steps(m: Matrix, state: ProverState, cfg: Config) -> ProverState:
-    return _det_on_work(m, _Work(state), cfg)
+    return _det_on_work(m, state.copy(), cfg)
 
 
 def apply_action(m: Matrix, state: ProverState, index: int, cfg: Config) -> ProverState:
@@ -366,10 +332,10 @@ def apply_action(m: Matrix, state: ProverState, index: int, cfg: Config) -> Prov
         raise ValueError("cannot act on a closed state")
     if index < 0 or index >= len(state.actions):
         raise IndexError(f"action index {index} out of range")
-    w = _Work(state)
-    w.inferences += 1
-    _apply_on_work(m, w, state.actions[index])
-    return _det_on_work(m, w, cfg)
+    s = state.copy()
+    s.inference_count += 1
+    _apply_on_work(m, s, state.actions[index])
+    return _det_on_work(m, s, cfg)
 
 
 def initial_states(m: Matrix, cfg: Config) -> list:
@@ -383,10 +349,9 @@ def initial_states(m: Matrix, cfg: Config) -> list:
     out = []
     for sid in m.start_ids:
         clause = m.clause(sid)
-        goals = [l for l in clause.literals if l.predicate != START_MARK]
         varmap = tuple((n, i) for i, n in enumerate(clause.var_names))
         state = ProverState(
-            goals=tuple(goals),
+            goals=tuple(l for l in clause.literals if l.predicate != START_MARK),
             path=(),
             lemmas=(),
             todos=(),
@@ -397,7 +362,7 @@ def initial_states(m: Matrix, cfg: Config) -> list:
             next_var=len(clause.var_names),
             inference_count=0,
         )
-        out.append(det_steps(m, state, cfg))
+        out.append(_det_on_work(m, state, cfg))
     return out
 
 

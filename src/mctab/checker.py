@@ -404,10 +404,17 @@ class CheckResult:
 
 
 def check_proof_texts(proof_text: str, problem_text: str) -> CheckResult:
+    """Parse the problem and check the trace against it; a problem that
+    does not parse is a rejection."""
     try:
         matrix = parse_problem(problem_text)
     except ParseError as exc:
         return CheckResult(False, f"problem parse error: {exc}")
+    return check_trace(proof_text, matrix)
+
+
+def check_trace(proof_text: str, matrix: Matrix) -> CheckResult:
+    """Check a proof trace against an already parsed problem."""
     try:
         steps, fresh = parse_trace(proof_text)
     except TraceError as exc:

@@ -13,9 +13,9 @@ from pathlib import Path
 
 from . import gbt
 from .calculus import NoStartClauseError
-from .checker import check_proof_texts
+from .checker import check_trace
 from .config import Config, ConfigError, load_config, to_ini
-from .loop import LoopError, ProofRejected, list_problems, run_loop, solve_one
+from .loop import LoopError, ProofRejected, read_problems, run_loop, solve_one
 from .problems import ParseError, parse_problem
 
 
@@ -100,8 +100,7 @@ def _cmd_check(args) -> int:
     proof_text = Path(args.proof).read_text(encoding="utf-8")
     problem_text = Path(args.problem).read_text(encoding="utf-8")
     # an unparsable problem is an input error (exit 2), not a rejected proof
-    parse_problem(problem_text)
-    verdict = check_proof_texts(proof_text, problem_text)
+    verdict = check_trace(proof_text, parse_problem(problem_text))
     if verdict.ok:
         print("OK")
         return 0
@@ -135,12 +134,10 @@ def _cmd_loop(args, cfg: Config) -> int:
 
 def _cmd_bench(args, cfg: Config) -> int:
     value_model, policy_model = _load_models(args)
-    names = list_problems(args.problem_dir)
+    texts = read_problems(args.problem_dir)
     proved = 0
     totals = [0, 0, 0]
-    for name in names:
-        with open(os.path.join(args.problem_dir, name), "r", encoding="utf-8") as fh:
-            text = fh.read()
+    for name, text in texts.items():
         stats, trace, _, _ = solve_one(name, text, cfg, value_model, policy_model)
         print(stats.line())
         if trace is not None:
@@ -148,7 +145,7 @@ def _cmd_bench(args, cfg: Config) -> int:
         totals[0] += stats.inferences
         totals[1] += stats.playouts
         totals[2] += stats.bigsteps
-    print(f"# proved\t{proved}/{len(names)}\tinferences\t{totals[0]}\t"
+    print(f"# proved\t{proved}/{len(texts)}\tinferences\t{totals[0]}\t"
           f"playouts\t{totals[1]}\tbigsteps\t{totals[2]}")
     return 0
 

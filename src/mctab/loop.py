@@ -62,6 +62,15 @@ def list_problems(problem_dir: str) -> list:
     return names
 
 
+def read_problems(problem_dir: str) -> dict:
+    """The text of every problem file, keyed by name in sorted order."""
+    texts = {}
+    for name in list_problems(problem_dir):
+        with open(os.path.join(problem_dir, name), "r", encoding="utf-8") as fh:
+            texts[name] = fh.read()
+    return texts
+
+
 def _guidance_for(m, cfg: Config, value_model, policy_model):
     extractor = FeatureExtractor(m, cfg.feature_dim)
     if value_model is None and policy_model is None:
@@ -106,13 +115,8 @@ def run_iteration(
 ) -> IterationReport:
     """One data-collection plus training pass over the problem directory."""
     t0 = time.monotonic()
-    names = list_problems(problem_dir)
-    texts = {}
-    for name in names:
-        with open(os.path.join(problem_dir, name), "r", encoding="utf-8") as fh:
-            texts[name] = fh.read()
-
-    results = [solve_one(n, texts[n], cfg, value_model, policy_model) for n in names]
+    texts = read_problems(problem_dir)
+    results = [solve_one(n, t, cfg, value_model, policy_model) for n, t in texts.items()]
 
     proofs_dir = os.path.join(out_dir, "proofs")
     os.makedirs(proofs_dir, exist_ok=True)
@@ -122,7 +126,7 @@ def run_iteration(
 
     lines = []
     proved = 0
-    for name, (stats, trace, value_rows, policy_rows) in zip(names, results):
+    for name, (stats, trace, value_rows, policy_rows) in zip(texts, results):
         if trace is not None:
             with open(os.path.join(proofs_dir, name + ".proof"), "w", encoding="utf-8") as fh:
                 fh.write(trace)
@@ -156,7 +160,7 @@ def run_iteration(
 
     report = IterationReport(
         iteration=iteration,
-        attempted=len(names),
+        attempted=len(texts),
         proved=proved,
         cumulative_proved=len(proved_ever),
         value_rows=len(value_data),

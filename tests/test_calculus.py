@@ -1,5 +1,6 @@
 import os
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -95,15 +96,6 @@ def test_unit_start_closing_immediately():
     s = initial_states(m, Config(rewrite=False))[0]
     assert s.result == PROVED
     assert s.actions == ()
-
-
-def test_parent_state_not_mutated():
-    m = parse_problem(APP_A)
-    cfg = cfg_manual()
-    s = initial_states(m, cfg)[0]
-    before = repr(s)
-    apply_action(m, s, 0, cfg)
-    assert repr(s) == before
 
 
 def test_loop_elimination_is_identity_based():
@@ -342,6 +334,26 @@ def _applied_once(subst, part):
         Literal(l.positive, l.predicate, tuple(oracle_apply(subst, a) for a in l.args))
         for l in part
     )
+
+
+def test_parent_state_not_mutated():
+    """Every action of every open state in the search trees leaves every
+    field of its parent as it was, bindings of state variables included."""
+    applied = binding = 0
+    for m, cfg, tree in _search_trees():
+        for s in _settled_states(tree):
+            if s.result != OPEN:
+                continue
+            before = [getattr(s, f.name) for f in fields(s)]
+            subst = list(s.subst.items())
+            for i in range(len(s.actions)):
+                child = apply_action(m, s, i, cfg)
+                assert [getattr(s, f.name) for f in fields(s)] == before
+                assert list(s.subst.items()) == subst
+                applied += 1
+                binding += any(v < s.next_var for v in child.subst.keys() - s.subst.keys())
+    assert applied > 0
+    assert binding > 0
 
 
 def test_valid_actions_equal_the_renaming_reference():

@@ -5,10 +5,11 @@ from pathlib import Path
 import pytest
 
 import mctab
-from mctab import loop
+from mctab import checker, cli, loop
 from mctab.checker import CheckResult
 from mctab.cli import corpus_dir, main
 from mctab.config import Config, ConfigError, apply_overrides, from_ini, to_ini
+from mctab.problems import parse_problem
 
 from helpers import deep_model_text
 
@@ -91,6 +92,20 @@ def test_check_exits_two_on_an_unparsable_problem(problem, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: 2:1: ")
     assert "REJECTED" not in captured.out
+
+
+def test_check_parses_the_problem_once(problem, monkeypatch, capsys):
+    assert main(["prove", problem, *FAST]) == 0
+    texts = []
+
+    def counting_parse(text):
+        texts.append(text)
+        return parse_problem(text)
+
+    monkeypatch.setattr(cli, "parse_problem", counting_parse)
+    monkeypatch.setattr(checker, "parse_problem", counting_parse)
+    assert main(["check", problem + ".proof", problem]) == 0
+    assert texts == [APP_A]
 
 
 def test_bench_prints_table(tmp_path, capsys):

@@ -65,34 +65,60 @@ def references(tree: ast.AST) -> Counter:
     return found
 
 
+def defined_names(node: ast.stmt) -> list:
+    """The names a top-level statement defines: a function or class, or the
+    targets of an assignment other than dunder names such as `__all__`."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [
+            n.id
+            for t in targets
+            for n in ast.walk(t)
+            if isinstance(n, ast.Name) and not n.id.startswith("__")
+        ]
+    return []
+
+
 def dead_definitions(sources: dict, defining: set) -> list:
-    """Top-level functions and classes of the `defining` modules that nothing
-    outside their own body refers to; `__all__` entries count as used."""
+    """Top-level functions, classes and assigned names of the `defining`
+    modules that nothing outside their own statement refers to; `__all__`
+    entries count as used."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     used: Counter = Counter()
     for tree in trees.values():
         used.update(references(tree))
         used.update(exported(tree))
     return [
-        (name, node.name)
+        (name, defined)
         for name in sorted(defining)
         for node in trees[name].body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and used[node.name] <= references(node)[node.name]
+        for defined in defined_names(node)
+        if used[defined] <= references(node)[defined]
     ]
 
 
 def test_dead_definitions_are_found():
     sources = {
         "lib": "def used(): pass\ndef recursive(): recursive()\nclass Unused: pass\n"
-        "def exported(): pass\n__all__ = ['exported']\n",
-        "user": "from lib import used\nused()\n",
+        "def exported(): pass\n__all__ = ['exported']\n__version__ = '1'\n"
+        "UNUSED = object\nLIMIT: int = 3\nA, B = 0, 1\nSELF = SELF\n",
+        "user": "from lib import used, LIMIT, A\nused(LIMIT, A)\n",
         "bench": "WRAPS = [('lib', 'Unused')]\n",
     }
-    assert dead_definitions(sources, {"lib"}) == [("lib", "recursive")]
+    assert dead_definitions(sources, {"lib"}) == [
+        ("lib", "recursive"),
+        ("lib", "UNUSED"),
+        ("lib", "B"),
+        ("lib", "SELF"),
+    ]
     assert dead_definitions({**sources, "bench": ""}, {"lib"}) == [
         ("lib", "recursive"),
         ("lib", "Unused"),
+        ("lib", "UNUSED"),
+        ("lib", "B"),
+        ("lib", "SELF"),
     ]
 
 
