@@ -78,6 +78,21 @@ def _action_walks(m: Matrix, path: tuple, action, out: dict):
         raise TypeError(f"unknown action {action!r}")
 
 
+def _scalars(goals: tuple, path: tuple) -> dict:
+    """The `n:` counts and the two most frequent goal symbols as `top:`."""
+    total, max_size, max_depth, symbols = term_stats(goals)
+    out = {"n:goals": float(len(goals)), "n:symbols": float(symbols),
+           "n:maxsize": float(max_size), "n:maxdepth": float(max_depth),
+           "n:pathlen": float(len(path))}
+    counts: dict = {}
+    for lit in goals:
+        _count_symbols(lit, counts)
+    top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:2]
+    for name, _ in top:
+        _add(out, "top:" + name)
+    return out
+
+
 def raw_features(m: Matrix, goals: tuple, path: tuple, action=None) -> dict:
     """Token multiset for a state and optionally one action."""
     out: dict = {}
@@ -87,18 +102,7 @@ def raw_features(m: Matrix, goals: tuple, path: tuple, action=None) -> dict:
         _literal_walks(lit, "p:", out)
     if action is not None:
         _action_walks(m, path, action, out)
-    total, max_size, max_depth, symbols = term_stats(goals)
-    out["n:goals"] = float(len(goals))
-    out["n:symbols"] = float(symbols)
-    out["n:maxsize"] = float(max_size)
-    out["n:maxdepth"] = float(max_depth)
-    out["n:pathlen"] = float(len(path))
-    counts: dict = {}
-    for lit in goals:
-        _count_symbols(lit, counts)
-    top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:2]
-    for name, _ in top:
-        _add(out, "top:" + name)
+    out.update(_scalars(goals, path))
     return out
 
 
@@ -116,15 +120,14 @@ def compress(raw: dict, dim: int) -> FeatureVector:
 
 
 class FeatureExtractor:
-    """Per-problem extractor equal to `compress(raw_features(...))`.
-
-    A state's vector is computed once; an action's vector is that vector plus
-    an action-only delta.  This is exact: the regions are disjoint (`g:`,
-    `p:`, `n:` and `top:` belong to the state, `a:` to the action), compress
-    is additive, and every value is an integer-valued float, so the sums do
-    not round.  Deltas are memoised by what they depend on: the clause for
-    ext (the walk covers the whole clause), clause, literal and direction for
-    rew, the path literal for red.  Token buckets are memoised too.
+    """Per-problem extractor equal to `compress(raw_features(...))`, built from
+    compressed pieces: a state's vector is its `n:`/`top:` scalars plus the
+    walk entries of each goal (`g:`) and path literal (`p:`), memoised per
+    tag and literal; an action's vector is its state's vector plus an `a:`
+    delta, memoised by `action_key`.  This is exact: the regions are disjoint,
+    compress is additive, and every value is an integer-valued float, so the
+    sums do not round.  Token buckets are memoised too.  The memos live as
+    long as the extractor, that is, one problem.
     """
 
     def __init__(self, m: Matrix, dim: int):
@@ -133,6 +136,7 @@ class FeatureExtractor:
         self.matrix = m
         self.dim = dim
         self._buckets: dict = {}  # token -> bucket
+        self._walks: dict = {}  # (tag, literal) -> entries of its walks
         self._deltas: dict = {}  # action key -> entries of the a: region
         # the search scores a state's value and then its actions' priors
         self._last: tuple = (None, None)  # (state, its vector)
@@ -149,23 +153,40 @@ class FeatureExtractor:
             entries[idx] = entries.get(idx, 0.0) + value
         return entries
 
+    def _add_walks(self, entries: dict, tag: str, lits: tuple):
+        for lit in lits:
+            walks = self._walks.get((tag, lit))
+            if walks is None:
+                raw: dict = {}
+                _literal_walks(lit, tag, raw)
+                walks = self._walks[tag, lit] = self._compress(raw)
+            for idx, value in walks.items():
+                entries[idx] = entries.get(idx, 0.0) + value
+
     def state_features(self, s: ProverState) -> FeatureVector:
         state, fv = self._last
         if state is not s:
-            raw = raw_features(self.matrix, s.goals, s.path)
-            fv = FeatureVector(self._compress(raw), self.dim)
+            entries = self._compress(_scalars(s.goals, s.path))
+            self._add_walks(entries, "g:", s.goals)
+            self._add_walks(entries, "p:", s.path)
+            fv = FeatureVector(entries, self.dim)
             self._last = (s, fv)
         return fv
 
-    def action_features(self, s: ProverState, action) -> FeatureVector:
+    @staticmethod
+    def action_key(s: ProverState, action) -> tuple:
+        """What the `a:` delta depends on: ext its clause, red its path
+        literal, rew all but the position."""
         if isinstance(action, ExtAction):
-            key = ("ext", action.clause_id)
-        elif isinstance(action, RedAction):
-            key = ("red", s.path[action.path_index])
-        elif isinstance(action, RewAction):
-            key = ("rew", action.clause_id, action.lit_index, action.direction)
-        else:
-            raise TypeError(f"unknown action {action!r}")
+            return ("ext", action.clause_id)
+        if isinstance(action, RedAction):
+            return ("red", s.path[action.path_index])
+        if isinstance(action, RewAction):
+            return ("rew", action.clause_id, action.lit_index, action.direction)
+        raise TypeError(f"unknown action {action!r}")
+
+    def action_features(self, s: ProverState, action) -> FeatureVector:
+        key = self.action_key(s, action)
         delta = self._deltas.get(key)
         if delta is None:
             raw: dict = {}

@@ -63,18 +63,48 @@ class TrainHistory:
 
 @dataclass
 class GbtModel:
+    """`base` plus `eta` times each tree's leaf weight.  For `predict` the
+    trees are laid out once, in preorder, as parallel lists over all nodes: a
+    split keeps its feature, threshold, default and right child (the left one
+    is next); a leaf keeps feature -1 and `eta * weight`.  The walk is one
+    loop at any depth and adds leaves in tree order: the same float as
+    `base + eta * tree.evaluate(...)` over the trees."""
+
     dim: int
     eta: float
     base: float
     trees: list = field(default_factory=list)
     history: Optional[TrainHistory] = None  # transient, not serialized
 
+    def __post_init__(self):
+        nodes, roots = [], []
+        for tree in self.trees:
+            roots.append(len(nodes))
+            stack = [tree]
+            while stack:
+                nodes.append(stack.pop())
+                if nodes[-1].feature >= 0:
+                    stack += (nodes[-1].right, nodes[-1].left)
+        at = {id(n): i for i, n in enumerate(nodes)}
+        right = [at.get(id(n.right)) for n in nodes]
+        default = [i + 1 if n.default_left else r for i, (n, r) in enumerate(zip(nodes, right))]
+        value = [n.threshold if n.feature >= 0 else self.eta * n.weight for n in nodes]
+        self._flat = ([n.feature for n in nodes], value, default, right, roots)
+
     def predict(self, fv: FeatureVector) -> float:
         if fv.dim != self.dim:
             raise DatasetError(f"feature dimension {fv.dim} does not match model {self.dim}")
+        get = fv.entries.get
+        feature, value, default, right, roots = self._flat
         total = self.base
-        for tree in self.trees:
-            total += self.eta * tree.evaluate(fv.entries)
+        for i in roots:
+            while feature[i] >= 0:
+                x = get(feature[i])
+                if x is None or x == 0.0:
+                    i = default[i]
+                else:
+                    i = i + 1 if x <= value[i] else right[i]
+            total += value[i]
         return total
 
 
@@ -254,6 +284,13 @@ def save(model: GbtModel, path: str):
         fh.write(format_model(model))
 
 
+def _finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token!r}")
+    return value
+
+
 def _parse_tree(tokens: list, dim: int) -> Tuple[_Node, int]:
     """The tree a preorder line starts with, and the number of tokens it took."""
     root = None
@@ -266,7 +303,7 @@ def _parse_tree(tokens: list, dim: int) -> Tuple[_Node, int]:
         if tok == "L":
             if pos + 1 >= len(tokens):
                 raise ValueError("truncated leaf")
-            node = _Node(weight=float(tokens[pos + 1]))
+            node = _Node(weight=_finite(tokens[pos + 1]))
             pos += 2
         elif tok == "N":
             if pos + 3 >= len(tokens):
@@ -274,7 +311,7 @@ def _parse_tree(tokens: list, dim: int) -> Tuple[_Node, int]:
             feature = int(tokens[pos + 1])
             if not 0 <= feature < dim:
                 raise ValueError(f"feature index {feature} outside dimension {dim}")
-            threshold = float(tokens[pos + 2])
+            threshold = _finite(tokens[pos + 2])
             default = tokens[pos + 3]
             if default not in ("L", "R"):
                 raise ValueError(f"bad default direction {default!r}")
@@ -304,8 +341,8 @@ def parse_model(text: str) -> GbtModel:
         if header[:2] != ["GBT", "v1"] or len(header) != 5:
             raise ValueError
         dim = int(header[2].removeprefix("dim="))
-        eta = float(header[3].removeprefix("eta="))
-        base = float(header[4].removeprefix("base="))
+        eta = _finite(header[3].removeprefix("eta="))
+        base = _finite(header[4].removeprefix("base="))
         if dim <= 0:
             raise ValueError
     except ValueError:

@@ -1,8 +1,9 @@
 """Monte-Carlo tree search over prover states.
 
 Each playout selects a node by descending through the children that maximize
-the UCT score, expands the unexpanded action with the largest prior, scores
-the new child with the guidance value, and backpropagates along all
+the UCT score, expands the unexpanded action with the largest prior (the
+lowest index among equal priors; each node sorts its actions by prior once),
+scores the new child with the guidance value, and backpropagates along all
 ancestors.  Every `bigstep_freq` playouts the exploration root moves one
 level down to the child with the best mean reward; the visited bigstep roots
 are the anchor points for training-data extraction.
@@ -36,6 +37,7 @@ class SearchNode:
     child_priors: list
     children: dict = field(default_factory=dict)  # action index -> node id
     dead: bool = False
+    pending: Optional[list] = None  # action indices by ascending prior, see _next_action
 
     def action_count(self) -> int:
         if self.state is None:
@@ -157,13 +159,23 @@ def uct_score(node: SearchNode, parent_visits: int, cp: float) -> float:
     )
 
 
+def _next_action(node: SearchNode) -> int:
+    """The unexpanded action with the largest prior, the lowest index among
+    equal priors: the last of the actions sorted once, stably from the
+    highest index down, after dropping expanded ones from the end."""
+    p = node.child_priors
+    if node.pending is None:
+        node.pending = sorted(reversed(range(len(p))), key=p.__getitem__)
+    while node.pending[-1] in node.children:
+        node.pending.pop()
+    return node.pending[-1]
+
+
 def unexplored_score(node: SearchNode, cp: float) -> float:
     """Score of the pool of unexpanded actions: UCT with a zero value term,
     one virtual visit, and the largest unexpanded prior."""
-    best_prior = max(
-        (p for i, p in enumerate(node.child_priors) if i not in node.children), default=0.0
-    )
-    return cp * best_prior * math.sqrt(math.log(node.visits)) if node.visits > 1 else 0.0
+    return (cp * node.child_priors[_next_action(node)] * math.sqrt(math.log(node.visits))
+            if node.visits > 1 else 0.0)
 
 
 def _select_child(tree: SearchTree, node: SearchNode, cp: float):
@@ -181,8 +193,7 @@ def _select_child(tree: SearchTree, node: SearchNode, cp: float):
 
 
 def _expand(tree: SearchTree, node: SearchNode, guidance, cfg: Config) -> SearchNode:
-    unexpanded = [i for i in range(node.action_count()) if i not in node.children]
-    ai = max(unexpanded, key=lambda i: (node.child_priors[i], -i))
+    ai = _next_action(node)
     if node.state is None:
         child_state = tree.start_states[ai]
         tree.inferences += child_state.inference_count + 1

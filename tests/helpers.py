@@ -396,3 +396,31 @@ def deep_model_text(depth: int, dim: int) -> str:
     left_chain = "N 0 0.5 L " * depth + "L 0.25" + " L -1.0" * depth
     right_chain = "N 0 0.5 R L -1.0 " * depth + "L 0.25"
     return f"GBT v1 dim={dim} eta=0.5 base=0.0\n{left_chain}\n{right_chain}\n"
+
+
+# ---------------------------------------------------------------------------
+# guided hot path oracles
+
+def reference_predict(model, fv) -> float:
+    """`GbtModel.predict` as the tree walk it was: `base` plus `eta` times
+    each tree's leaf weight, added in tree order."""
+    total = model.base
+    for tree in model.trees:
+        total += model.eta * tree.evaluate(fv.entries)
+    return total
+
+
+def reference_next_action(node) -> int:
+    """The action `_expand` took by scanning every prior: the unexpanded one
+    with the largest prior, the lowest index among equal priors."""
+    unexpanded = [i for i in range(node.action_count()) if i not in node.children]
+    return max(unexpanded, key=lambda i: (node.child_priors[i], -i))
+
+
+def reference_priors(guidance, s) -> list:
+    """`ModelGuidance.priors` with one policy prediction per action."""
+    from mctab.guidance import priors_from_predictions
+
+    ex = guidance.extractor
+    scores = [guidance.policy_model.predict(ex.action_features(s, a)) for a in s.actions]
+    return priors_from_predictions(scores, guidance.temperature)

@@ -324,6 +324,12 @@ def _search_trees():
             yield m, cfg, search_problem(m, DefaultGuidance(), cfg).tree
 
 
+@pytest.fixture(scope="module")
+def search_trees():
+    """The trees of `_search_trees`, built once for the tests that read them."""
+    return list(_search_trees())
+
+
 def _settled_states(tree):
     return [n.state for n in tree.nodes if n.state is not None]
 
@@ -336,11 +342,11 @@ def _applied_once(subst, part):
     )
 
 
-def test_parent_state_not_mutated():
+def test_parent_state_not_mutated(search_trees):
     """Every action of every open state in the search trees leaves every
     field of its parent as it was, bindings of state variables included."""
     applied = binding = 0
-    for m, cfg, tree in _search_trees():
+    for m, cfg, tree in search_trees:
         for s in _settled_states(tree):
             if s.result != OPEN:
                 continue
@@ -356,10 +362,10 @@ def test_parent_state_not_mutated():
     assert binding > 0
 
 
-def test_valid_actions_equal_the_renaming_reference():
+def test_valid_actions_equal_the_renaming_reference(search_trees):
     kinds = set()
     frames = 0
-    for m, cfg, tree in _search_trees():
+    for m, cfg, tree in search_trees:
         for s in _settled_states(tree):
             expected = reference_valid_actions(m, s.goals, s.path, cfg, s.next_var)
             assert valid_actions(m, s.goals, s.path, cfg, s.next_var) == expected
@@ -376,11 +382,11 @@ def test_valid_actions_equal_the_renaming_reference():
     assert frames > 0
 
 
-def test_saved_frames_are_brought_up_to_date_by_one_application():
+def test_saved_frames_are_brought_up_to_date_by_one_application(search_trees):
     """Resolving a frame once through the triangular subst equals applying
     the eagerly composed one, and a second pass changes nothing."""
     frames = chained = 0
-    for _, _, tree in _search_trees():
+    for _, _, tree in search_trees:
         for s in _settled_states(tree):
             eager = eager_subst(s.subst)
             for part in (s.goals, s.path, s.lemmas):
@@ -396,7 +402,7 @@ def test_saved_frames_are_brought_up_to_date_by_one_application():
     assert chained > 0  # some frame needs more than one plain application
 
 
-def test_format_proof_equals_the_eager_composition():
-    for _, _, tree in _search_trees():
+def test_format_proof_equals_the_eager_composition(search_trees):
+    for _, _, tree in search_trees:
         for s in _settled_states(tree):
             assert format_proof(s.proof, s.subst) == format_proof(s.proof, eager_subst(s.subst))

@@ -222,6 +222,9 @@ def test_malformed_model_file_exits_two(problem, tmp_path, capsys):
     bad.write_text("GBT v1 dim=10 eta=0.3 base=0.0\nN x 0.5 L L 0.1 L 0.2\n")
     assert main(["prove", problem, "--value-model", str(bad), *FAST]) == 2
     assert capsys.readouterr().err.startswith("error: line 2: ")
+    bad.write_text("GBT v1 dim=10 eta=0.3 base=0.0\nN 3 0.5 L L nan L 0.2\n")
+    assert main(["prove", problem, "--policy-model", str(bad), *FAST]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: non-finite number ")
 
 
 def test_prove_under_a_deeply_nested_model(problem, tmp_path):

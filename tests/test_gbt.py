@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from mctab.config import Config
 from mctab.features import FeatureVector
@@ -16,7 +18,7 @@ from mctab.gbt import (
     train,
 )
 
-from helpers import deep_model_text
+from helpers import deep_model_text, reference_predict
 
 
 def fv(entries, dim=100):
@@ -237,9 +239,17 @@ def test_malformed_model_lines_are_positioned_errors():
                  "N 10 0.5 L L 0.1 L 0.2", "L zz"):
         with pytest.raises(ModelFormatError, match="^line 3: "):
             parse_model(header + "\n" + tree + "\n")
-    for bad in ("dim=0", "dim=-2", "dim=x"):
+    for tree in ("N 3 nan L L 0.1 L 0.2", "N 3 inf L L 0.1 L 0.2", "N 3 0.5 L L nan L 0.2",
+                 "N 3 0.5 L L 0.1 L -inf", "L inf"):
+        with pytest.raises(ModelFormatError, match="^line 3: non-finite number "):
+            parse_model(header + "\n" + tree + "\n")
+    for field, bad in (("dim=10", "dim=0"), ("dim=10", "dim=-2"), ("dim=10", "dim=x"),
+                       ("eta=0.3", "eta=nan"), ("eta=0.3", "eta=inf"),
+                       ("base=0.0", "base=nan"), ("base=0.0", "base=-inf")):
         with pytest.raises(ModelFormatError, match="^line 1: "):
-            parse_model(header.replace("dim=10", bad))
+            parse_model(header.replace(field, bad))
+    with pytest.raises(ModelFormatError, match="^line 1: "):
+        parse_model("GBT v1 dim=10 eta=nan base=inf\nN 3 nan L L nan L inf\n")
     good = header + "N 9 0.5 L L 0.1 L 0.2\n"
     assert format_model(parse_model(good)) == good
 
@@ -268,3 +278,99 @@ def test_dataset_file_rejects_bad_rows():
         parse_dataset("0.5 7:1.0 3:1.0\n", 10)  # not ascending
     with pytest.raises(DatasetError):
         parse_dataset("0.5 12:1.0\n", 10)  # index out of dimension
+
+
+# ---------------------------------------------------------------------------
+# the flat predict against the per-tree walk it replaces
+
+# thresholds and vector values drawn from one small pool meet often, so
+# value == threshold is exercised, as are zero and negative values
+POOL = [-2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 3.0]
+
+
+def random_model_text(rng, dim, trees):
+    """A model file with random trees up to depth 6 over features 0..dim-1."""
+    def tree(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return f"L {rng.uniform(-2, 2)!r}"
+        split = f"N {rng.randrange(dim)} {rng.choice(POOL)!r} {rng.choice('LR')}"
+        return f"{split} {tree(depth - 1)} {tree(depth - 1)}"
+
+    lines = [f"GBT v1 dim={dim} eta={rng.uniform(0.05, 1.0)!r} base={rng.uniform(-1, 1)!r}"]
+    lines.extend(tree(6) for _ in range(trees))
+    return "\n".join(lines) + "\n"
+
+
+def random_vector(rng, dim):
+    entries = {}
+    for _ in range(rng.randint(0, dim)):
+        entries[rng.randrange(dim)] = rng.choice(POOL) if rng.random() < 0.7 else rng.uniform(-3, 3)
+    return fv(entries, dim)
+
+
+def test_flat_predict_equals_the_tree_walk_on_random_models():
+    rng = random.Random(13)
+    for _ in range(30):
+        dim = rng.randint(1, 12)
+        model = parse_model(random_model_text(rng, dim, rng.randint(0, 8)))
+        for _ in range(40):
+            vec = random_vector(rng, dim)
+            assert model.predict(vec) == reference_predict(model, vec)
+    for _ in range(5):
+        rows = []
+        for _ in range(80):
+            entries = {rng.randrange(15): rng.choice(POOL[4:] + [rng.uniform(0.1, 4.0)])
+                       for _ in range(rng.randint(1, 6))}
+            rows.append((entries, entries.get(0, 0.0) - entries.get(1, 0.0)))
+        model = train(make_dataset(rows, dim=15), Config(rounds=20, patience=50))
+        assert model.trees
+        for vec in [fv(e, 15) for e, _ in rows] + [random_vector(rng, 15) for _ in range(80)]:
+            assert model.predict(vec) == reference_predict(model, vec)
+
+
+def test_flat_predict_equals_the_tree_walk_on_a_deep_model():
+    model = parse_model(deep_model_text(30000, 10))
+    for entries in ({}, {0: 0.0}, {0: 0.5}, {0: 1.0}, {0: -1.0}, {3: 2.0}):
+        vec = fv(entries, 10)
+        assert model.predict(vec) == reference_predict(model, vec)
+
+
+_finite = st.floats(min_value=-1e6, max_value=1e6)
+_numbers = st.one_of(st.sampled_from(POOL), _finite)
+DIM = 8
+
+_trees = st.recursive(
+    _numbers.map(lambda w: f"L {w!r}"),
+    lambda inner: st.builds(
+        lambda f, t, side, left, right: f"N {f} {t!r} {side} {left} {right}",
+        st.integers(0, DIM - 1), _numbers, st.sampled_from("LR"), inner, inner,
+    ),
+    max_leaves=12,
+)
+
+_model_texts = st.builds(
+    lambda eta, base, trees: "\n".join(
+        [f"GBT v1 dim={DIM} eta={eta!r} base={base!r}", *trees]) + "\n",
+    _numbers, _numbers, st.lists(_trees, max_size=5),
+)
+
+_vectors = st.dictionaries(st.integers(0, DIM - 1), _numbers).map(lambda e: fv(e, DIM))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_model_texts, st.lists(_vectors, min_size=1, max_size=5))
+def _models_round_trip_and_predict_as_the_tree_walk(text, vectors):
+    model = parse_model(text)
+    assert format_model(model) == text
+    for vec in vectors:
+        assert model.predict(vec) == reference_predict(model, vec)
+
+
+def test_model_text_round_trip_and_flat_predict_properties(tmp_path):
+    # hypothesis caches the constants it finds in local source under its home
+    # directory; keep that out of the checkout
+    set_hypothesis_home_dir(tmp_path)
+    try:
+        _models_round_trip_and_predict_as_the_tree_walk()
+    finally:
+        set_hypothesis_home_dir(None)

@@ -1,9 +1,16 @@
 import math
+import os
 import random
 
 import pytest
 
+from mctab import gbt
+from mctab.cli import corpus_dir
+from mctab.config import Config
+from mctab.features import FeatureExtractor
 from mctab.guidance import (
+    DefaultGuidance,
+    ModelGuidance,
     default_policy,
     default_value,
     policy_target,
@@ -11,6 +18,11 @@ from mctab.guidance import (
     value_from_prediction,
     value_target,
 )
+from mctab.loop import list_problems
+from mctab.mcts import extract_training_data, search_problem
+from mctab.problems import parse_problem
+
+from helpers import reference_priors
 
 
 def sigmoid(x):
@@ -100,3 +112,38 @@ def test_targets_respect_clips():
         Nj = rng.randint(1, N)
         n = rng.randint(1, 50)
         assert policy_target(N, Nj, n) >= -6.0
+
+
+def test_priors_score_each_action_delta_once_as_the_per_action_oracle():
+    cfg = Config(inference_limit=150, bigstep_freq=20, path_limit=60, limited_policy=False)
+    matrices = []
+    for name in list_problems(corpus_dir()):
+        with open(os.path.join(corpus_dir(), name), "r", encoding="utf-8") as fh:
+            matrices.append(parse_problem(fh.read()))
+    rows = []
+    for m in matrices:
+        result = search_problem(m, DefaultGuidance(), cfg)
+        ex = FeatureExtractor(m, cfg.feature_dim)
+        rows.extend(extract_training_data(result.tree, result.outcome, cfg, ex)[1])
+    policy = gbt.train(gbt.Dataset(rows, cfg.feature_dim), Config(rounds=20, patience=50))
+    assert policy.trees
+    predictions = []
+    predict = policy.predict
+    policy.predict = lambda fv: predictions.append(fv) or predict(fv)
+    states = shared = 0
+    for m in matrices:
+        ex = FeatureExtractor(m, cfg.feature_dim)
+        guidance = ModelGuidance(None, policy, ex, 2.0)
+        tree = search_problem(m, guidance, cfg).tree
+        for node in tree.nodes:
+            s = node.state
+            if s is None or not s.actions:
+                continue
+            del predictions[:]
+            priors = guidance.priors(s)
+            keys = {ex.action_key(s, a) for a in s.actions}
+            assert len(predictions) == len(keys)  # one score per action delta
+            assert priors == reference_priors(guidance, s)
+            states += 1
+            shared += len(keys) < len(s.actions)
+    assert states > 0 and shared > 0

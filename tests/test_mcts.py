@@ -1,17 +1,22 @@
 import math
+import os
 import random
 
 from mctab.calculus import PROVED
+from mctab.cli import corpus_dir
 from mctab.config import Config
 from mctab.features import FeatureExtractor
 from mctab.guidance import DefaultGuidance
+from mctab import mcts
 from mctab.mcts import (
     SearchNode,
     _dedup,
+    _next_action,
     bigstep,
     extract_training_data,
     playout,
     search_problem,
+    unexplored_score,
     uct_score,
 )
 from mctab.mcts import SearchTree
@@ -19,7 +24,12 @@ from mctab.problems import parse_problem
 from mctab.calculus import initial_states
 from mctab.features import FeatureVector
 
-from helpers import RewardReplay, check_tree_invariants, random_matrix
+from helpers import (
+    RewardReplay,
+    check_tree_invariants,
+    random_matrix,
+    reference_next_action,
+)
 
 APP_A = "-p(X).\np(Y) | -q(a).\nq(a).\n"
 TWO_CHOICE = "p.\n-p | r.\n-p | s.\n-s.\n"
@@ -272,3 +282,60 @@ def test_multiple_start_clauses_become_root_children():
     playout(tree, g, cfg, cp=3.0)
     playout(tree, g, cfg, cp=3.0)
     assert len(root.children) == 2
+
+
+def test_expansion_order_equals_the_max_scan_on_random_priors():
+    rng = random.Random(4)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        # few distinct values, so equal priors are common
+        priors = [rng.choice([0.0, 0.05, 0.1, 0.25, 0.5, 1.0 / 3]) for _ in range(n)]
+        node = node_with(0.0, rng.randint(1, 5), 1.0)
+        node.child_priors = priors
+        # children already in place, the way a proved start state is inserted
+        # under a multi-start root outside the expansion
+        for i in rng.sample(range(n), rng.randint(0, n - 1)):
+            node.children[i] = len(node.children) + 1
+        while len(node.children) < n:
+            expected = reference_next_action(node)
+            if rng.random() < 0.5:
+                score = unexplored_score(node, 2.0)
+                if node.visits > 1:
+                    assert score == 2.0 * priors[expected] * math.sqrt(math.log(node.visits))
+            assert _next_action(node) == expected
+            if rng.random() < 0.2:  # an outside insert between expansions
+                late = rng.choice([i for i in range(n) if i not in node.children])
+                node.children[late] = len(node.children) + 1
+                continue
+            node.children[expected] = len(node.children) + 1
+            node.visits += 1
+
+
+def test_expansion_order_on_multi_start_roots(monkeypatch):
+    """The root's first pick is inserted directly, the way `search_problem`
+    inserts a proved start state; the expansions after it skip it."""
+    def checked(node):
+        expected = reference_next_action(node)
+        assert next_action(node) == expected
+        picks.append(node.id)
+        return expected
+
+    next_action = mcts._next_action
+    monkeypatch.setattr(mcts, "_next_action", checked)
+    cfg = Config(inference_limit=200, bigstep_freq=5, path_limit=20, single_action_optim=False)
+    g = DefaultGuidance()
+    for name in ("multi_start.p", "hash_start.p", "mixed_start.p"):
+        picks = []
+        with open(os.path.join(corpus_dir(), name), "r", encoding="utf-8") as fh:
+            m = parse_problem(fh.read())
+        starts = initial_states(m, cfg)
+        tree = SearchTree(m, g, starts)
+        if len(starts) > 1:
+            tree._insert(0, 0, starts[0], tree.node(0).child_priors[0], g)
+        for _ in range(20):
+            if tree.proved_node is not None or tree.node(0).dead:
+                break
+            playout(tree, g, cfg, cp=3.0)
+        assert picks, name
+        if len(starts) > 1:
+            assert picks[0] == 0 and tree.node(0).children == {0: 1, 1: 2}, name
