@@ -126,9 +126,8 @@ class FeatureExtractor:
     tag and literal; an action's vector is its state's vector plus an `a:`
     delta, memoised by `action_key`.  This is exact: the regions are disjoint,
     compress is additive, and every value is an integer-valued float, so the
-    sums do not round.  Token buckets are memoised too.  The memos live as
-    long as the extractor, that is, one problem.
-    """
+    sums do not round.  Token buckets are memoised too; every memo lives
+    for one problem."""
 
     def __init__(self, m: Matrix, dim: int):
         if dim <= 0:
@@ -175,8 +174,7 @@ class FeatureExtractor:
 
     @staticmethod
     def action_key(s: ProverState, action) -> tuple:
-        """What the `a:` delta depends on: ext its clause, red its path
-        literal, rew all but the position."""
+        """What the `a:` delta depends on: clause, path literal or rewrite."""
         if isinstance(action, ExtAction):
             return ("ext", action.clause_id)
         if isinstance(action, RedAction):

@@ -63,48 +63,18 @@ class TrainHistory:
 
 @dataclass
 class GbtModel:
-    """`base` plus `eta` times each tree's leaf weight.  For `predict` the
-    trees are laid out once, in preorder, as parallel lists over all nodes: a
-    split keeps its feature, threshold, default and right child (the left one
-    is next); a leaf keeps feature -1 and `eta * weight`.  The walk is one
-    loop at any depth and adds leaves in tree order: the same float as
-    `base + eta * tree.evaluate(...)` over the trees."""
-
     dim: int
     eta: float
     base: float
     trees: list = field(default_factory=list)
     history: Optional[TrainHistory] = None  # transient, not serialized
 
-    def __post_init__(self):
-        nodes, roots = [], []
-        for tree in self.trees:
-            roots.append(len(nodes))
-            stack = [tree]
-            while stack:
-                nodes.append(stack.pop())
-                if nodes[-1].feature >= 0:
-                    stack += (nodes[-1].right, nodes[-1].left)
-        at = {id(n): i for i, n in enumerate(nodes)}
-        right = [at.get(id(n.right)) for n in nodes]
-        default = [i + 1 if n.default_left else r for i, (n, r) in enumerate(zip(nodes, right))]
-        value = [n.threshold if n.feature >= 0 else self.eta * n.weight for n in nodes]
-        self._flat = ([n.feature for n in nodes], value, default, right, roots)
-
     def predict(self, fv: FeatureVector) -> float:
         if fv.dim != self.dim:
             raise DatasetError(f"feature dimension {fv.dim} does not match model {self.dim}")
-        get = fv.entries.get
-        feature, value, default, right, roots = self._flat
         total = self.base
-        for i in roots:
-            while feature[i] >= 0:
-                x = get(feature[i])
-                if x is None or x == 0.0:
-                    i = default[i]
-                else:
-                    i = i + 1 if x <= value[i] else right[i]
-            total += value[i]
+        for tree in self.trees:
+            total += self.eta * tree.evaluate(fv.entries)
         return total
 
 

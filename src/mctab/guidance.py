@@ -105,8 +105,7 @@ class ModelGuidance:
         if self.policy_model is None:
             return default_policy(len(s.actions))
         # actions with one delta key have one vector: score each key once
-        ex = self.extractor
-        keys = [ex.action_key(s, a) for a in s.actions]
-        score = {k: self.policy_model.predict(ex.action_features(s, a))
+        keys = [self.extractor.action_key(s, a) for a in s.actions]
+        score = {k: self.policy_model.predict(self.extractor.action_features(s, a))
                  for k, a in dict(zip(keys, s.actions)).items()}
         return priors_from_predictions([score[k] for k in keys], self.temperature)

@@ -160,9 +160,8 @@ def uct_score(node: SearchNode, parent_visits: int, cp: float) -> float:
 
 
 def _next_action(node: SearchNode) -> int:
-    """The unexpanded action with the largest prior, the lowest index among
-    equal priors: the last of the actions sorted once, stably from the
-    highest index down, after dropping expanded ones from the end."""
+    """The unexpanded action with the largest prior, lowest index first: the
+    last of the actions sorted once, stably from the highest index down."""
     p = node.child_priors
     if node.pending is None:
         node.pending = sorted(reversed(range(len(p))), key=p.__getitem__)

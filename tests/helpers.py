@@ -401,15 +401,6 @@ def deep_model_text(depth: int, dim: int) -> str:
 # ---------------------------------------------------------------------------
 # guided hot path oracles
 
-def reference_predict(model, fv) -> float:
-    """`GbtModel.predict` as the tree walk it was: `base` plus `eta` times
-    each tree's leaf weight, added in tree order."""
-    total = model.base
-    for tree in model.trees:
-        total += model.eta * tree.evaluate(fv.entries)
-    return total
-
-
 def reference_next_action(node) -> int:
     """The action `_expand` took by scanning every prior: the unexpanded one
     with the largest prior, the lowest index among equal priors."""
