@@ -14,7 +14,7 @@ from .config import Config, load_config  # noqa: E402
 from .guidance import DefaultGuidance, ModelGuidance  # noqa: E402
 from .loop import run_iteration, run_loop, solve_one  # noqa: E402
 from .mcts import extract_training_data, search_problem  # noqa: E402
-from .problems import generate_equality_axioms, parse_problem  # noqa: E402
+from .problems import parse_problem  # noqa: E402
 
 __all__ = [
     "Config",
@@ -22,7 +22,6 @@ __all__ = [
     "ModelGuidance",
     "check_proof_texts",
     "extract_training_data",
-    "generate_equality_axioms",
     "load_config",
     "parse_problem",
     "run_iteration",

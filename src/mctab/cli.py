@@ -117,7 +117,7 @@ def _cmd_train(args, cfg: Config) -> int:
     gbt.save(model, args.model_out)
     h = model.history
     print(f"trained {len(model.trees)} trees (best round {h.best_round}, "
-          f"holdout rmse {h.holdout_rmse[h.best_round] if h.best_round >= 0 else h.holdout_rmse[-1] if h.holdout_rmse else 0.0:.6f})")
+          f"holdout rmse {h.best_rmse:.6f})")
     return 0
 
 

@@ -59,6 +59,7 @@ class TrainHistory:
     train_rmse: list = field(default_factory=list)
     holdout_rmse: list = field(default_factory=list)
     best_round: int = -1
+    best_rmse: float = 0.0  # holdout rmse of the returned model (the base alone at round -1)
 
 
 @dataclass
@@ -219,6 +220,7 @@ def train(data: Dataset, cfg: Config) -> GbtModel:
         if rnd - best_round >= cfg.patience:
             break
     history.best_round = best_round
+    history.best_rmse = best
     model = GbtModel(dim=data.dim, eta=cfg.eta, base=base, trees=trees[: best_round + 1])
     model.history = history
     return model

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import gbt
@@ -47,12 +47,9 @@ class IterationReport:
     cumulative_proved: int
     value_rows: int
     policy_rows: int
-    value_model: str
-    policy_model: str
     wall_time: float
-    lines: list = field(default_factory=list)
-    trained_value: object = None  # transient, not serialized
-    trained_policy: object = None
+    trained_value: gbt.GbtModel
+    trained_policy: Optional[gbt.GbtModel]  # None without policy rows
 
 
 def list_problems(problem_dir: str) -> list:
@@ -145,34 +142,27 @@ def run_iteration(
         gbt.Dataset(policy_data, cfg.feature_dim), os.path.join(out_dir, "policy.data")
     )
 
-    value_path = os.path.join(out_dir, "value.model")
     new_value = gbt.train(gbt.Dataset(value_data, cfg.feature_dim), cfg)
-    gbt.save(new_value, value_path)
-    policy_path = ""
+    gbt.save(new_value, os.path.join(out_dir, "value.model"))
     new_policy = None
     if policy_data:
-        policy_path = os.path.join(out_dir, "policy.model")
         new_policy = gbt.train(gbt.Dataset(policy_data, cfg.feature_dim), cfg)
-        gbt.save(new_policy, policy_path)
+        gbt.save(new_policy, os.path.join(out_dir, "policy.model"))
 
     with open(os.path.join(out_dir, "report.tsv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    report = IterationReport(
+    return IterationReport(
         iteration=iteration,
         attempted=len(texts),
         proved=proved,
         cumulative_proved=len(proved_ever),
         value_rows=len(value_data),
         policy_rows=len(policy_data),
-        value_model=value_path,
-        policy_model=policy_path,
         wall_time=time.monotonic() - t0,
-        lines=lines,
+        trained_value=new_value,
+        trained_policy=new_policy,
     )
-    report.trained_value = new_value
-    report.trained_policy = new_policy
-    return report
 
 
 def run_loop(problem_dir: str, iterations: int, out_root: str, cfg: Config) -> list:

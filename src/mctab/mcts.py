@@ -207,38 +207,30 @@ def _expand(tree: SearchTree, node: SearchNode, guidance, cfg: Config) -> Search
 def playout(tree: SearchTree, guidance, cfg: Config, cp: float) -> int:
     """One select-expand-backpropagate cycle; returns the final node id.
 
-    The bigstep root itself is expanded breadth-first before any descent:
-    bigstep decisions compare child mean values, so every candidate child
-    must exist with real statistics before the root is allowed to move.
+    The descent expands a node's next action when no live child beats the
+    pool of unexpanded actions; it ends at a terminal node, or at a node
+    whose children are all dead, which is then marked dead.  The bigstep
+    root itself is expanded breadth-first before any descent: bigstep
+    decisions compare child mean values, so every candidate child must exist
+    with real statistics before the root is allowed to move.
     """
+    tree.playouts += 1
     node = tree.node(tree.bigstep_root)
-    if not node.is_terminal() and len(node.children) < node.action_count():
-        child = _expand(tree, node, guidance, cfg)
-        tree.playouts += 1
-        return child.id
-    while True:
-        if node.is_terminal():
-            reward = 1.0 if node.state.result == PROVED else 0.0
-            tree.backpropagate(node.id, reward)
-            tree.playouts += 1
-            return node.id
+    while not node.is_terminal():
         have_unexpanded = len(node.children) < node.action_count()
-        best_child, best_score = _select_child(tree, node, cp)
-        if best_child is None:
-            if have_unexpanded:
-                child = _expand(tree, node, guidance, cfg)
-                tree.playouts += 1
-                return child.id
-            # every action expanded and every child dead
+        if have_unexpanded and node.id == tree.bigstep_root:
+            best_child = None
+        else:
+            best_child, best_score = _select_child(tree, node, cp)
+        if have_unexpanded and (best_child is None or unexplored_score(node, cp) > best_score):
+            return _expand(tree, node, guidance, cfg).id
+        if best_child is None:  # every action expanded and every child dead
             tree._mark_dead(node.id)
-            tree.backpropagate(node.id, 0.0)
-            tree.playouts += 1
-            return node.id
-        if have_unexpanded and unexplored_score(node, cp) > best_score:
-            child = _expand(tree, node, guidance, cfg)
-            tree.playouts += 1
-            return child.id
+            break
         node = best_child
+    reward = 1.0 if node.is_terminal() and node.state.result == PROVED else 0.0
+    tree.backpropagate(node.id, reward)
+    return node.id
 
 
 def bigstep(tree: SearchTree) -> int:
@@ -285,34 +277,25 @@ def search_problem(
     starts = initial_states(m, cfg)
     tree = SearchTree(m, guidance, starts)
     deadline = time.monotonic() + cfg.time_limit_s
-    if tree.proved_node is None and len(starts) > 1:
+    if len(starts) > 1:
         for i, s in enumerate(starts):
             if s.result == PROVED:
-                tree._insert(0, i, s, tree.node(0).child_priors[i], guidance)
+                child = tree._insert(0, i, s, tree.node(0).child_priors[i], guidance)
+                tree.backpropagate(0, child.reward)
                 break
-    while tree.proved_node is None:
-        if tree.inferences >= cfg.inference_limit:
-            break
-        if tree.node(tree.bigstep_root).dead:
-            break
-        if time.monotonic() > deadline:
-            break
+    while (tree.proved_node is None and tree.inferences < cfg.inference_limit
+           and not tree.node(tree.bigstep_root).dead and time.monotonic() <= deadline):
         playout(tree, guidance, cfg, cp)
-        if tree.proved_node is not None:
-            break
-        if cfg.bigstep_freq > 0 and tree.playouts % cfg.bigstep_freq == 0:
+        if (tree.proved_node is None and cfg.bigstep_freq > 0
+                and tree.playouts % cfg.bigstep_freq == 0):
             bigstep(tree)
+    outcome, proof, subst = "exhausted", None, None
     if tree.proved_node is not None:
         state = tree.node(tree.proved_node).state
-        stats = SearchStats(
-            name, "proved", tree.inferences, tree.playouts,
-            len(tree.bigstep_nodes) - 1, len(state.proof),
-        )
-        return SearchResult("proved", state.proof, state.subst, stats, tree)
-    stats = SearchStats(
-        name, "exhausted", tree.inferences, tree.playouts, len(tree.bigstep_nodes) - 1, 0
-    )
-    return SearchResult("exhausted", None, None, stats, tree)
+        outcome, proof, subst = "proved", state.proof, state.subst
+    stats = SearchStats(name, outcome, tree.inferences, tree.playouts,
+                        len(tree.bigstep_nodes) - 1, 0 if proof is None else len(proof))
+    return SearchResult(outcome, proof, subst, stats, tree)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Problem files: parsing, printing, start-clause selection, equality axioms.
+"""Problem files: parsing, printing and start-clause selection.
 
 The matrix is a list of clauses in disjunctive normal form, one clause per
 line of the input file.  Grammar (UTF-8 text):
@@ -53,7 +53,6 @@ class Clause:
 class Matrix:
     clauses: list = field(default_factory=list)
     start_ids: list = field(default_factory=list)
-    symbol_table: dict = field(default_factory=dict)  # name -> (arity, kind)
     # (predicate, positive, arity) -> [(literal, clause id, literal index)]
     literal_index: dict = field(default_factory=dict)
     # one (clause id, literal index, direction, source, target) per direction
@@ -219,41 +218,35 @@ class _Parser:
         return App(name, tuple(args))
 
 
-def _finish(m: Matrix) -> Matrix:
-    """Fill the symbol table, enforcing arity consistency, then the start
-    clauses and the action index, from the clauses as they are now."""
-    m.literal_index, m.rewrite_rules = {}, []
-    for clause in m.clauses:
-        for j, lit in enumerate(clause.literals):
+def parse_problem(text: str) -> Matrix:
+    """Parse a problem, enforcing arity consistency, and build its start
+    clauses and action index."""
+    raw = _Parser(text).parse_clauses()
+    if not raw:
+        raise ParseError("empty problem: no clauses", 1, 1)
+    m = Matrix()
+    arities: dict = {}  # name -> (arity, kind)
+    for cid, (lits, names) in enumerate(raw):
+        m.clauses.append(Clause(cid, lits, names))
+        for j, lit in enumerate(lits):
             seen = [(lit.predicate, len(lit.args), "predicate")]
             seen += [(t.symbol, len(t.args), "function")
                      for _, t in literal_subterms(lit) if isinstance(t, App)]
             for name, arity, kind in seen:
-                prev = m.symbol_table.setdefault(name, (arity, kind))
+                prev = arities.setdefault(name, (arity, kind))
                 if prev != (arity, kind):
                     used = f"used as {kind}/{arity} but previously as {prev[1]}/{prev[0]}"
                     raise ParseError(f"symbol {name!r} {used}", 0, 0)
             key = (lit.predicate, lit.positive, len(lit.args))
-            m.literal_index.setdefault(key, []).append((lit, clause.id, j))
+            m.literal_index.setdefault(key, []).append((lit, cid, j))
             if not lit.positive and lit.predicate == EQ and len(lit.args) == 2:
                 left, right = lit.args
-                m.rewrite_rules.append((clause.id, j, "LR", left, right))
-                m.rewrite_rules.append((clause.id, j, "RL", right, left))
+                m.rewrite_rules.append((cid, j, "LR", left, right))
+                m.rewrite_rules.append((cid, j, "RL", right, left))
     marked = [c.id for c in m.clauses if any(l.predicate == START_MARK for l in c.literals)]
     positive = [c.id for c in m.clauses if c.literals and all(l.positive for l in c.literals)]
     m.start_ids = marked or positive
     return m
-
-
-def parse_problem(text: str) -> Matrix:
-    parser = _Parser(text)
-    raw = parser.parse_clauses()
-    if not raw:
-        raise ParseError("empty problem: no clauses", 1, 1)
-    m = Matrix()
-    for cid, (lits, names) in enumerate(raw):
-        m.clauses.append(Clause(cid, lits, names))
-    return _finish(m)
 
 
 # ---------------------------------------------------------------------------
@@ -286,80 +279,3 @@ def format_clause(c: Clause) -> str:
 
 def format_matrix(m: Matrix) -> str:
     return "\n".join(format_clause(c) for c in m.clauses) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# equality axioms
-
-def _canonical(lits: tuple) -> tuple:
-    """Alpha-canonical form used to detect structurally identical clauses."""
-    mapping: dict = {}
-
-    def canon_term(t: Term):
-        if isinstance(t, Var):
-            if t.id not in mapping:
-                mapping[t.id] = len(mapping)
-            return ("v", mapping[t.id])
-        return (t.symbol, tuple(canon_term(a) for a in t.args))
-
-    return tuple((l.positive, l.predicate, tuple(canon_term(a) for a in l.args)) for l in lits)
-
-
-def generate_equality_axioms(m: Matrix) -> Matrix:
-    """Append reflexivity, symmetry, transitivity and congruence clauses.
-
-    Clauses are in prover polarity (the negation of the usual axiom), e.g.
-    transitivity is X=Y | Y=Z | X!=Z.  One congruence clause is produced per
-    function or predicate symbol and argument position.  No-op when `=` does
-    not occur; calling twice adds nothing new.
-    """
-    if EQ not in m.symbol_table:
-        return m
-    existing = {_canonical(c.literals) for c in m.clauses}
-    new_clauses = []
-
-    def eq(a, b, positive=True):
-        return Literal(positive, EQ, (a, b))
-
-    x, y, z = Var(0), Var(1), Var(2)
-    new_clauses.append(((eq(x, x, positive=False),), ("X",)))
-    new_clauses.append(((eq(x, y), eq(y, x, positive=False)), ("X", "Y")))
-    new_clauses.append(((eq(x, y), eq(y, z), eq(x, z, positive=False)), ("X", "Y", "Z")))
-
-    for name in sorted(m.symbol_table):
-        arity, kind = m.symbol_table[name]
-        if arity == 0 or name in (EQ, START_MARK):
-            continue
-        for pos in range(arity):
-            # variable layout: 0 = X, 1 = Y, then one W per untouched argument
-            names = ["X", "Y"] + [f"W{j + 1}" for j in range(arity - 1)]
-            left_args, right_args = [], []
-            w = 2
-            for j in range(arity):
-                if j == pos:
-                    left_args.append(Var(0))
-                    right_args.append(Var(1))
-                else:
-                    left_args.append(Var(w))
-                    right_args.append(Var(w))
-                    w += 1
-            if kind == "function":
-                lits = (
-                    eq(Var(0), Var(1)),
-                    eq(App(name, tuple(left_args)), App(name, tuple(right_args)), positive=False),
-                )
-            else:
-                lits = (
-                    eq(Var(0), Var(1)),
-                    Literal(True, name, tuple(left_args)),
-                    Literal(False, name, tuple(right_args)),
-                )
-            new_clauses.append((lits, tuple(names[: 2 + arity - 1])))
-
-    for lits, names in new_clauses:
-        key = _canonical(lits)
-        if key in existing:
-            continue
-        existing.add(key)
-        m.clauses.append(Clause(len(m.clauses), lits, names))
-    return _finish(m)

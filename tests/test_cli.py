@@ -134,6 +134,18 @@ def test_loop_and_train_commands(tmp_path, capsys):
     assert model_out.exists()
 
 
+def test_train_reports_the_holdout_rmse_of_the_saved_model(tmp_path, capsys):
+    # no round improves the one holdout row (the tenth), so the saved model is
+    # the sign-balanced base alone: (1 + ... + 8) / (8 + 4 * 1) = 3.0
+    data = tmp_path / "d.data"
+    data.write_text("".join(f"{i} 0:{i + 1}\n" for i in range(9)) + "-100.0 0:10.0\n")
+    model_out = tmp_path / "d.model"
+    args = ["-s", "rounds=5", "-s", "patience=5", "-s", "feature_dim=10"]
+    assert main(["train", str(data), str(model_out), *args]) == 0
+    assert capsys.readouterr().out == "trained 0 trees (best round -1, holdout rmse 103.000000)\n"
+    assert "base=3.0" in model_out.read_text()
+
+
 def test_prove_with_models(problem, tmp_path):
     d = tmp_path / "probs"
     d.mkdir()

@@ -339,3 +339,15 @@ def test_expansion_order_on_multi_start_roots(monkeypatch):
         assert picks, name
         if len(starts) > 1:
             assert picks[0] == 0 and tree.node(0).children == {0: 1, 1: 2}, name
+
+
+def test_multi_start_trees_keep_the_visit_invariants():
+    """A proved start state inserted under a multi-start root is
+    backpropagated like an expansion."""
+    cfg = Config(inference_limit=200, bigstep_freq=5, path_limit=20)
+    for name in ("multi_start.p", "hash_start.p", "mixed_start.p"):
+        with open(os.path.join(corpus_dir(), name), "r", encoding="utf-8") as fh:
+            m = parse_problem(fh.read())
+        result = search_problem(m, DefaultGuidance(), cfg)
+        assert result.outcome == "proved", name
+        check_tree_invariants(result.tree)
