@@ -6,12 +6,19 @@ direction per split.  Training is deterministic: fixed row order, splits
 tie-broken by lowest feature index, lowest threshold, then default-left.
 A deterministic 90/10 train/holdout split drives early stopping, and the
 minority sign class is up-weighted so the data is sign-balanced.
+
+`train` sorts each feature's column once (XGBoost's column blocks), and a
+split hands its children stable subsequences of those columns.  Float sums
+add left to right, so a model is the same bits on every Python.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import accumulate, chain, compress
+from operator import add, ne, not_
 from typing import List, Optional, Tuple
 
 from .config import Config
@@ -82,81 +89,106 @@ class GbtModel:
 # ---------------------------------------------------------------------------
 # training
 
-def _best_split(row_ids, grad, hess, entries_of, lam: float, g_total: float, h_total: float):
-    """Exact greedy search over (feature, threshold, default direction), given
-    the gradient and hessian totals over `row_ids`.
+def left_sum(values) -> float:
+    """The float sum added left to right from 0.0.  `sum` did that up to
+    Python 3.11; from 3.12 it compensates, which changes the last bits."""
+    return reduce(add, values, 0.0)
 
-    Present values v go left when v <= threshold; missing rows follow the
-    default.  Returns (gain, feature, threshold, default_left) or None.
-    """
-    n = len(row_ids)
+
+def _columns(row_ids, entries_of) -> list:
+    """One (feature, values, row ids) column per feature present in the rows,
+    sorted by (value, row id), features ascending.  A column equal to a lower
+    feature's is left out: its gains are the same bits, and ties keep the
+    lower feature."""
     cols: dict = {}
     for i in row_ids:
         for f, v in entries_of[i].items():
             cols.setdefault(f, []).append((v, i))
+    out = {}
+    for f in sorted(cols):
+        vals, ids = zip(*sorted(cols[f]))
+        out.setdefault((vals, ids), (f, vals, ids))
+    return list(out.values())
+
+
+def _best_split(cols, n: int, grad, hess, lam: float, g_total: float, h_total: float):
+    """Exact greedy search over (feature, threshold, default direction) on the
+    node's columns, given its row count and its gradient and hessian totals.
+
+    Present values v go left when v <= threshold; missing rows follow the
+    default.  Returns (gain, feature, threshold, default_left) or None.
+    """
     parent = g_total * g_total / (h_total + lam)
     best = None
     best_gain = 1e-12
-    for f in sorted(cols):
-        col = sorted(cols[f])
-        g_present = 0.0
-        h_present = 0.0
-        for _, i in col:
-            g_present += grad[i]
-            h_present += hess[i]
-        g_miss = g_total - g_present
-        h_miss = h_total - h_present
-        n_miss = n - len(col)
-        g_left = 0.0
-        h_left = 0.0
-        n_left = 0
-        k = 0
-        while k < len(col):
-            value = col[k][0]
-            while k < len(col) and col[k][0] == value:
-                g_left += grad[col[k][1]]
-                h_left += hess[col[k][1]]
-                n_left += 1
-                k += 1
-            for default_left in (True, False):
-                if default_left:
-                    gl, hl, nl = g_left + g_miss, h_left + h_miss, n_left + n_miss
-                else:
-                    gl, hl, nl = g_left, h_left, n_left
-                nr = n - nl
-                if nl == 0 or nr == 0:
-                    continue
-                gr = g_total - gl
-                hr = h_total - hl
+    for f, vals, ids in cols:
+        m = len(ids)
+        g_left = list(accumulate(map(grad.__getitem__, ids), initial=0.0))
+        h_left = list(accumulate(map(hess.__getitem__, ids), initial=0.0))
+        g_miss = g_total - g_left[m]
+        h_miss = h_total - h_left[m]
+        start = 0
+        bounds = compress(range(1, m), map(ne, vals, vals[1:])) if vals[0] != vals[-1] else ()
+        for k in chain(bounds, (m,)):
+            value = vals[start]
+            start = k
+            # k >= 1 rows go left; a split needs a row on the right as well.
+            # Default left: the missing rows join them, so not after the last value.
+            if k != m:
+                gl, hl = g_left[k] + g_miss, h_left[k] + h_miss
+                gr, hr = g_total - gl, h_total - hl
                 gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
                 if gain > best_gain:
                     best_gain = gain
-                    best = (gain, f, value, default_left)
+                    best = (gain, f, value, True)
+            # default right: the k present rows go left alone
+            if k != n:
+                gl, hl = g_left[k], h_left[k]
+                gr, hr = g_total - gl, h_total - hl
+                gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
+                if gain > best_gain:
+                    best_gain = gain
+                    best = (gain, f, value, False)
     return best
 
 
-def _build_tree(row_ids, grad, hess, entries_of, cfg: Config, depth: int) -> _Node:
-    g_total = sum(grad[i] for i in row_ids)
-    h_total = sum(hess[i] for i in row_ids)
+def _child(row_ids, cols, side, deeper: bool):
+    """The rows and, if it may split, the columns of the child that takes the
+    rows i with side[i] set, each in its parent's order.  A column holding all
+    of the child's rows with one value has no split there or below, so it is
+    left out."""
+    ids = list(compress(row_ids, map(side.__getitem__, row_ids)))
+    sub = []
+    for f, vals, col_ids in cols if deeper else ():
+        mask = list(map(side.__getitem__, col_ids))
+        kept = tuple(compress(vals, mask))
+        if kept and (len(kept) < len(ids) or kept[0] != kept[-1]):
+            sub.append((f, kept, tuple(compress(col_ids, mask))))
+    return ids, sub
+
+
+def _build_tree(row_ids, cols, grad, hess, entries_of, cfg: Config, depth: int) -> _Node:
+    g_total = left_sum(map(grad.__getitem__, row_ids))
+    h_total = left_sum(map(hess.__getitem__, row_ids))
     leaf = _Node(weight=-g_total / (h_total + cfg.reg_lambda))
     if depth >= cfg.max_depth or len(row_ids) < 2:
         return leaf
-    found = _best_split(row_ids, grad, hess, entries_of, cfg.reg_lambda, g_total, h_total)
+    found = _best_split(cols, len(row_ids), grad, hess, cfg.reg_lambda, g_total, h_total)
     if found is None:
         return leaf
     _, feature, threshold, default_left = found
-    left_ids, right_ids = [], []
+    goes_left = [False] * len(grad)
     for i in row_ids:
         value = entries_of[i].get(feature)
         if value is None or value == 0.0:
-            (left_ids if default_left else right_ids).append(i)
-        elif value <= threshold:
-            left_ids.append(i)
+            goes_left[i] = default_left
         else:
-            right_ids.append(i)
+            goes_left[i] = value <= threshold
     node = _Node(feature=feature, threshold=threshold, default_left=default_left)
-    node.left = _build_tree(left_ids, grad, hess, entries_of, cfg, depth + 1)
-    node.right = _build_tree(right_ids, grad, hess, entries_of, cfg, depth + 1)
+    node.left, node.right = (
+        _build_tree(*_child(row_ids, cols, side, depth + 1 < cfg.max_depth),
+                    grad, hess, entries_of, cfg, depth + 1)
+        for side in (goes_left, list(map(not_, goes_left))))
     return node
 
 
@@ -192,10 +224,11 @@ def train(data: Dataset, cfg: Config) -> GbtModel:
     train_ids = [i for i in range(n) if i % 10 != 9]
     watch = holdout if holdout else train_ids
 
-    base_num = sum(weight[i] * target[i] for i in train_ids)
-    base_den = sum(weight[i] for i in train_ids)
+    base_num = left_sum(weight[i] * target[i] for i in train_ids)
+    base_den = left_sum(weight[i] for i in train_ids)
     base = base_num / base_den
 
+    cols = _columns(train_ids, entries_of)
     pred = [base] * n
     grad = [0.0] * n
     hess = [0.0] * n
@@ -207,7 +240,7 @@ def train(data: Dataset, cfg: Config) -> GbtModel:
         for i in train_ids:
             grad[i] = weight[i] * (pred[i] - target[i])
             hess[i] = weight[i]
-        tree = _build_tree(train_ids, grad, hess, entries_of, cfg, 0)
+        tree = _build_tree(train_ids, cols, grad, hess, entries_of, cfg, 0)
         trees.append(tree)
         for i in range(n):
             pred[i] += cfg.eta * tree.evaluate(entries_of[i])
@@ -263,11 +296,13 @@ def _finite(token: str) -> float:
     return value
 
 
-def _parse_tree(tokens: list, dim: int) -> Tuple[_Node, int]:
-    """The tree a preorder line starts with, and the number of tokens it took."""
+def _parse_tree(tokens: list, dim: int) -> Tuple[_Node, int, float]:
+    """The tree a preorder line starts with, the number of tokens it took and
+    its largest absolute leaf weight."""
     root = None
     open_splits: list = []  # split nodes still missing a child
     pos = 0
+    largest = 0.0
     while True:
         if pos >= len(tokens):
             raise ValueError("truncated tree line")
@@ -276,6 +311,7 @@ def _parse_tree(tokens: list, dim: int) -> Tuple[_Node, int]:
             if pos + 1 >= len(tokens):
                 raise ValueError("truncated leaf")
             node = _Node(weight=_finite(tokens[pos + 1]))
+            largest = max(largest, abs(node.weight))
             pos += 2
         elif tok == "N":
             if pos + 3 >= len(tokens):
@@ -300,7 +336,7 @@ def _parse_tree(tokens: list, dim: int) -> Tuple[_Node, int]:
         if node.feature >= 0:
             open_splits.append(node)
         if not open_splits:
-            return root, pos
+            return root, pos, largest
 
 
 def parse_model(text: str) -> GbtModel:
@@ -320,12 +356,16 @@ def parse_model(text: str) -> GbtModel:
     except ValueError:
         raise ModelFormatError(f"line {lineno}: bad model header: {first!r}") from None
     trees = []
+    bound = abs(base)  # plus each tree's largest |eta * leaf|: bounds every prediction
     for lineno, line in lines[1:]:
         tokens = line.split()
         try:
-            tree, end = _parse_tree(tokens, dim)
+            tree, end, largest = _parse_tree(tokens, dim)
             if end != len(tokens):
                 raise ValueError("trailing tokens after tree")
+            bound += abs(eta) * largest
+            if not math.isfinite(bound):
+                raise ValueError("leaf weights scaled by eta overflow")
         except ValueError as exc:
             raise ModelFormatError(f"line {lineno}: {exc}") from None
         trees.append(tree)
@@ -362,7 +402,7 @@ def parse_dataset(text: str, dim: int) -> Dataset:
             continue
         parts = stripped.split()
         try:
-            target = float(parts[0])
+            target = _finite(parts[0])
             entries = {}
             last = -1
             for part in parts[1:]:
@@ -373,7 +413,7 @@ def parse_dataset(text: str, dim: int) -> Dataset:
                 if idx >= dim:
                     raise ValueError(f"feature index {idx} outside dimension {dim}")
                 last = idx
-                entries[idx] = float(val_s)
+                entries[idx] = _finite(val_s)
         except ValueError as exc:
             raise DatasetError(f"line {lineno}: {exc}") from None
         rows.append((FeatureVector(entries, dim), target))

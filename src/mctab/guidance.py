@@ -10,6 +10,7 @@ import math
 from typing import Optional, Sequence
 
 from .calculus import ProverState
+from .gbt import left_sum
 from .terms import term_stats
 
 VALUE_CLIP = 3.0  # value targets lie in [-VALUE_CLIP, VALUE_CLIP]
@@ -65,7 +66,7 @@ def priors_from_predictions(scores: Sequence[float], temperature: float) -> list
         raise ValueError("empty score list")
     top = max(scores)
     exps = [math.exp((s - top) / temperature) for s in scores]
-    total = sum(exps)
+    total = left_sum(exps)
     return [e / total for e in exps]
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 from mctab.calculus import ExtAction, RedAction, RewAction
+from mctab.gbt import DatasetError, GbtModel, TrainHistory, _Node, _rmse, left_sum
 from mctab.problems import EQ
 from mctab.terms import (
     App,
@@ -415,3 +416,131 @@ def reference_priors(guidance, s) -> list:
     ex = guidance.extractor
     scores = [guidance.policy_model.predict(ex.action_features(s, a)) for a in s.actions]
     return priors_from_predictions(scores, guidance.temperature)
+
+
+# ---------------------------------------------------------------------------
+# learner oracle: the trainer that gathered and sorted each node's columns
+
+def _reference_best_split(row_ids, grad, hess, entries_of, lam, g_total, h_total):
+    n = len(row_ids)
+    cols: dict = {}
+    for i in row_ids:
+        for f, v in entries_of[i].items():
+            cols.setdefault(f, []).append((v, i))
+    parent = g_total * g_total / (h_total + lam)
+    best = None
+    best_gain = 1e-12
+    for f in sorted(cols):
+        col = sorted(cols[f])
+        g_present = 0.0
+        h_present = 0.0
+        for _, i in col:
+            g_present += grad[i]
+            h_present += hess[i]
+        g_miss = g_total - g_present
+        h_miss = h_total - h_present
+        n_miss = n - len(col)
+        g_left = 0.0
+        h_left = 0.0
+        n_left = 0
+        k = 0
+        while k < len(col):
+            value = col[k][0]
+            while k < len(col) and col[k][0] == value:
+                g_left += grad[col[k][1]]
+                h_left += hess[col[k][1]]
+                n_left += 1
+                k += 1
+            for default_left in (True, False):
+                if default_left:
+                    gl, hl, nl = g_left + g_miss, h_left + h_miss, n_left + n_miss
+                else:
+                    gl, hl, nl = g_left, h_left, n_left
+                nr = n - nl
+                if nl == 0 or nr == 0:
+                    continue
+                gr = g_total - gl
+                hr = h_total - hl
+                gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
+                if gain > best_gain:
+                    best_gain = gain
+                    best = (gain, f, value, default_left)
+    return best
+
+
+def _reference_build_tree(row_ids, grad, hess, entries_of, cfg, depth):
+    g_total = left_sum(grad[i] for i in row_ids)
+    h_total = left_sum(hess[i] for i in row_ids)
+    leaf = _Node(weight=-g_total / (h_total + cfg.reg_lambda))
+    if depth >= cfg.max_depth or len(row_ids) < 2:
+        return leaf
+    found = _reference_best_split(row_ids, grad, hess, entries_of, cfg.reg_lambda, g_total, h_total)
+    if found is None:
+        return leaf
+    _, feature, threshold, default_left = found
+    left_ids, right_ids = [], []
+    for i in row_ids:
+        value = entries_of[i].get(feature)
+        if value is None or value == 0.0:
+            (left_ids if default_left else right_ids).append(i)
+        elif value <= threshold:
+            left_ids.append(i)
+        else:
+            right_ids.append(i)
+    node = _Node(feature=feature, threshold=threshold, default_left=default_left)
+    node.left = _reference_build_tree(left_ids, grad, hess, entries_of, cfg, depth + 1)
+    node.right = _reference_build_tree(right_ids, grad, hess, entries_of, cfg, depth + 1)
+    return node
+
+
+def reference_train(data, cfg):
+    """`gbt.train` as it was before it sorted each column once: every split
+    search gathers the node's columns from the row dicts and sorts them.  The
+    code is the old code, except that its float sums are `gbt.left_sum`, the
+    left-to-right addition `sum` did up to Python 3.11."""
+    if not data.rows:
+        raise DatasetError("cannot train on an empty dataset")
+    n = len(data.rows)
+    entries_of = [fv.entries for fv, _ in data.rows]
+    target = [t for _, t in data.rows]
+    weight = [1.0] * n
+    pos = sum(1 for t in target if t > 0)
+    neg = n - pos
+    if pos and neg and pos != neg:
+        factor = max(pos, neg) / min(pos, neg)
+        minority_positive = pos < neg
+        weight = [factor if ((t > 0) == minority_positive) else 1.0 for t in target]
+    holdout = [i for i in range(n) if i % 10 == 9]
+    train_ids = [i for i in range(n) if i % 10 != 9]
+    watch = holdout if holdout else train_ids
+    base_num = left_sum(weight[i] * target[i] for i in train_ids)
+    base_den = left_sum(weight[i] for i in train_ids)
+    base = base_num / base_den
+    pred = [base] * n
+    grad = [0.0] * n
+    hess = [0.0] * n
+    history = TrainHistory()
+    trees = []
+    best = _rmse(watch, pred, target, weight)
+    best_round = -1
+    for rnd in range(cfg.rounds):
+        for i in train_ids:
+            grad[i] = weight[i] * (pred[i] - target[i])
+            hess[i] = weight[i]
+        tree = _reference_build_tree(train_ids, grad, hess, entries_of, cfg, 0)
+        trees.append(tree)
+        for i in range(n):
+            pred[i] += cfg.eta * tree.evaluate(entries_of[i])
+        history.train_rmse.append(_rmse(train_ids, pred, target, weight))
+        score = _rmse(watch, pred, target, weight)
+        history.holdout_rmse.append(score)
+        if score < best - 1e-12:
+            best = score
+            best_round = rnd
+        if rnd - best_round >= cfg.patience:
+            break
+    history.best_round = best_round
+    history.best_rmse = best
+    model = GbtModel(dim=data.dim, eta=cfg.eta, base=base, trees=trees[: best_round + 1])
+    model.history = history
+    return model

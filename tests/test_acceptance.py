@@ -248,7 +248,8 @@ def test_learner_contracts():
         ]
         grad = [rng.uniform(-2, 2) for _ in range(n)]
         hess = [rng.uniform(0.5, 2.0) for _ in range(n)]
-        mine = gbt._best_split(list(range(n)), grad, hess, entries, 1.5, sum(grad), sum(hess))
+        mine = gbt._best_split(gbt._columns(list(range(n)), entries), n, grad, hess, 1.5,
+                               sum(grad), sum(hess))
         ref = brute_best(list(range(n)), grad, hess, entries, 1.5)
         assert (mine is None) == (ref is None)
         if mine is not None:

@@ -237,6 +237,20 @@ def test_malformed_model_file_exits_two(problem, tmp_path, capsys):
     bad.write_text("GBT v1 dim=10 eta=0.3 base=0.0\nN 3 0.5 L L nan L 0.2\n")
     assert main(["prove", problem, "--policy-model", str(bad), *FAST]) == 2
     assert capsys.readouterr().err.startswith("error: line 2: non-finite number ")
+    # finite numbers, yet eta times a leaf overflows: every prior would be NaN
+    bad.write_text("GBT v1 dim=10000 eta=1e300 base=0.0\nN 3 0.5 L L 0.1 L 1e300\n")
+    assert main(["prove", problem, "--policy-model", str(bad), *FAST]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: leaf weights scaled by eta ")
+
+
+def test_train_refuses_a_non_finite_target(tmp_path, capsys):
+    # an inf target would train a model with base=inf, which no one could load
+    data = tmp_path / "d.data"
+    data.write_text("0.5 0:1.0\ninf 0:2.0\n-0.5 1:1.0\n")
+    model_out = tmp_path / "d.model"
+    assert main(["train", str(data), str(model_out), "-s", "feature_dim=10"]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: non-finite number 'inf'")
+    assert not model_out.exists()
 
 
 def test_prove_under_a_deeply_nested_model(problem, tmp_path):

@@ -1,24 +1,30 @@
+import os
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from mctab.config import Config
+from mctab.cli import corpus_dir
+from mctab.config import Config, load_config
 from mctab.features import FeatureVector
 from mctab.gbt import (
     Dataset,
     DatasetError,
     ModelFormatError,
     _best_split,
+    _columns,
     format_dataset,
     format_model,
+    left_sum,
+    load_dataset,
     parse_dataset,
     parse_model,
     train,
 )
+from mctab.loop import run_loop
 
-from helpers import deep_model_text
+from helpers import deep_model_text, reference_train
 
 
 def fv(entries, dim=100):
@@ -140,7 +146,7 @@ def test_split_choice_matches_brute_force():
         hess = [rng.uniform(0.5, 2.0) for _ in range(n)]
         lam = 1.5
         ids = list(range(n))
-        mine = _best_split(ids, grad, hess, entries, lam, sum(grad), sum(hess))
+        mine = _best_split(_columns(ids, entries), n, grad, hess, lam, sum(grad), sum(hess))
         ref = brute_best(ids, grad, hess, entries, lam)
         assert (mine is None) == (ref is None)
         if mine is None:
@@ -250,6 +256,12 @@ def test_malformed_model_lines_are_positioned_errors():
             parse_model(header.replace(field, bad))
     with pytest.raises(ModelFormatError, match="^line 1: "):
         parse_model("GBT v1 dim=10 eta=nan base=inf\nN 3 nan L L nan L inf\n")
+    # finite numbers whose scaled leaves, or their sum with the base, overflow
+    for text in ("GBT v1 dim=10 eta=1e300 base=0.0\nL 0.5\nN 3 0.5 L L 0.1 L 1e300\n",
+                 "GBT v1 dim=10 eta=1.0 base=1e308\nL 1e307\nL -1e308\n"):
+        with pytest.raises(ModelFormatError, match="^line 3: leaf weights scaled by eta overflow"):
+            parse_model(text)
+    assert parse_model("GBT v1 dim=10 eta=1.0 base=1e308\nL -1e307\n").trees
     good = header + "N 9 0.5 L L 0.1 L 0.2\n"
     assert format_model(parse_model(good)) == good
 
@@ -278,6 +290,13 @@ def test_dataset_file_rejects_bad_rows():
         parse_dataset("0.5 7:1.0 3:1.0\n", 10)  # not ascending
     with pytest.raises(DatasetError):
         parse_dataset("0.5 12:1.0\n", 10)  # index out of dimension
+
+
+def test_dataset_file_rejects_non_finite_numbers():
+    # NaN has no place in a sorted column; an inf target trains an unloadable base
+    for row in ("0.5 3:nan", "0.5 1:1.0 3:-inf", "nan 3:1.0", "inf", "-inf 2:0.5"):
+        with pytest.raises(DatasetError, match="^line 2: non-finite number "):
+            parse_dataset("0.5 1:1.0\n" + row + "\n", 10)
 
 
 # ---------------------------------------------------------------------------
@@ -318,5 +337,97 @@ def test_model_text_round_trip_property(tmp_path):
     set_hypothesis_home_dir(tmp_path)
     try:
         _models_round_trip()
+    finally:
+        set_hypothesis_home_dir(None)
+
+
+# ---------------------------------------------------------------------------
+# the trainer against the one it replaced
+
+def test_left_sum_adds_left_to_right():
+    # from Python 3.12 `sum` compensates and gives 1.0 here
+    assert left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert left_sum(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
+    assert repr(left_sum([])) == "0.0"
+
+
+def assert_same_training(mine, ref):
+    assert format_model(mine) == format_model(ref)
+    h, r = mine.history, ref.history
+    assert repr((h.train_rmse, h.holdout_rmse, h.best_round, h.best_rmse)) == repr(
+        (r.train_rmse, r.holdout_rmse, r.best_round, r.best_rmse))
+
+
+def test_training_equals_the_reference_on_the_loops_datasets(tmp_path):
+    # the guided benchmark's set-up: 2 iterations of desk.ini at 1000 inferences
+    ini = os.path.join(os.path.dirname(corpus_dir()), "ini", "desk.ini")
+    cfg = load_config(ini, ["inference_limit=1000"])
+    reports = run_loop(corpus_dir(), 2, str(tmp_path), cfg)
+    for k, report in enumerate(reports):
+        for kind, mine in (("value", report.trained_value), ("policy", report.trained_policy)):
+            data = load_dataset(str(tmp_path / f"iter{k}" / f"{kind}.data"), cfg.feature_dim)
+            assert len(data.rows) > 100
+            assert_same_training(mine, reference_train(data, cfg))
+
+
+# values with repeats, negatives and both zeros (present, yet routed as missing)
+VALUES = [-2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.0]
+
+_rows = st.lists(
+    st.tuples(
+        st.dictionaries(st.integers(0, 5), st.sampled_from(VALUES), max_size=5),
+        st.one_of(st.sampled_from([-1.0, 0.0, 0.3, 1.0]), st.floats(-3.0, 3.0)),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+def _with_copies(rows, copies):
+    """Feature 6 and 7 copy features `copies` in every row: duplicate columns."""
+    out = []
+    for entries, target in rows:
+        entries = dict(entries)
+        for dst, src in zip((6, 7), copies):
+            if src in entries:
+                entries[dst] = entries[src]
+        out.append((FeatureVector(entries, 8), target))
+    return Dataset(out, 8)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_rows, st.lists(st.integers(0, 5), max_size=2), st.integers(0, 7), st.integers(1, 6),
+       st.integers(1, 4), st.sampled_from([0.1, 1.5]))
+@example([({0: 1.0}, 0.5)], [0], 3, 1, 1, 1.5)  # one row
+@example([({0: -0.0, 1: 2.0}, 1.0), ({0: 0.0}, -1.0), ({1: 2.0}, 0.3)] * 4, [1], 0, 1, 1, 1.5)
+def _training_as_the_reference(rows, copies, max_depth, rounds, patience, lam):
+    data = _with_copies(rows, copies)
+    cfg = Config(max_depth=max_depth, rounds=rounds, patience=patience, reg_lambda=lam)
+    assert_same_training(train(data, cfg), reference_train(data, cfg))
+
+
+def test_training_property_against_the_reference(tmp_path):
+    set_hypothesis_home_dir(tmp_path)
+    try:
+        _training_as_the_reference()
+    finally:
+        set_hypothesis_home_dir(None)
+
+
+_dataset_texts = st.lists(
+    st.tuples(_numbers, st.dictionaries(st.integers(0, DIM - 1), _numbers)).map(
+        lambda row: " ".join([repr(row[0])] + [f"{i}:{v!r}" for i, v in sorted(row[1].items())])),
+).map(lambda lines: "".join(line + "\n" for line in lines))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_dataset_texts)
+def _datasets_round_trip(text):
+    assert format_dataset(parse_dataset(text, DIM)) == text
+
+
+def test_dataset_text_round_trip_property(tmp_path):
+    set_hypothesis_home_dir(tmp_path)
+    try:
+        _datasets_round_trip()
     finally:
         set_hypothesis_home_dir(None)
