@@ -15,10 +15,12 @@ path limit).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import Config
 from .problems import START_MARK, Matrix, format_literal, format_term
 from .terms import (
+    App,
     Literal,
     Subst,
     Var,
@@ -41,27 +43,26 @@ OPEN, PROVED, FAILED = 0, 1, -1
 # that drive single-action rewriting forever on ground goals
 _DET_GUARD = 100000
 
+_NO_CANDIDATES = ((), (), {})
+
 
 class NoStartClauseError(Exception):
     pass
 
 
 # ---------------------------------------------------------------------------
-# actions
+# actions; these and the proof steps are named tuples like terms (see terms)
 
-@dataclass(frozen=True)
-class ExtAction:
+class ExtAction(NamedTuple):
     clause_id: int
     lit_index: int
 
 
-@dataclass(frozen=True)
-class RedAction:
+class RedAction(NamedTuple):
     path_index: int
 
 
-@dataclass(frozen=True)
-class RewAction:
+class RewAction(NamedTuple):
     clause_id: int
     lit_index: int
     direction: str  # "LR" rewrites left side to right, "RL" the reverse
@@ -72,32 +73,27 @@ class RewAction:
 # proof steps; literal fields hold step-time instantiations and are finalized
 # through the accumulated substitution when the trace is printed
 
-@dataclass(frozen=True)
-class StartStep:
+class StartStep(NamedTuple):
     clause_id: int
     varmap: tuple  # ((source var name, fresh var id), ...)
 
 
-@dataclass(frozen=True)
-class ExtStep:
+class ExtStep(NamedTuple):
     clause_id: int
     varmap: tuple
     goal_lit: Literal
 
 
-@dataclass(frozen=True)
-class RedStep:
+class RedStep(NamedTuple):
     goal_lit: Literal
     path_lit: Literal
 
 
-@dataclass(frozen=True)
-class LemStep:
+class LemStep(NamedTuple):
     lit: Literal
 
 
-@dataclass(frozen=True)
-class RewStep:
+class RewStep(NamedTuple):
     clause_id: int
     varmap: tuple
     eq_lit: Literal
@@ -160,7 +156,9 @@ def valid_actions(m: Matrix, goals: tuple, path: tuple, cfg: Config, next_var: i
     has only negative ids and shares none with a clause's 0..k-1: clause
     literals are tested as they are, without a renamed copy.  Candidates
     come from the matrix's action index, in clause and literal order, so
-    the cost follows the literals that could connect, not the matrix size.
+    the cost follows the literals that could connect, not the matrix size:
+    when the head's first argument is an application, only the literals
+    whose first argument has its symbol and arity or is a variable.
     """
     if not goals:
         return ()
@@ -168,11 +166,14 @@ def valid_actions(m: Matrix, goals: tuple, path: tuple, cfg: Config, next_var: i
     neg_head = negate(head)
     shifted = shift_literal(neg_head, -next_var)
     out = []
-    for lit, clause_id, j in m.literal_index.get(
-        (head.predicate, not head.positive, len(head.args)), ()
-    ):
+    every, var_first, keyed = m.literal_index.get(
+        (head.predicate, not head.positive, len(head.args)), _NO_CANDIDATES)
+    first = head.args[0] if head.args else None
+    candidates = (keyed.get((first.symbol, len(first.args)), var_first)
+                  if isinstance(first, App) else every)
+    for lit, clause_id, j in candidates:
         if unify_literals(shifted, lit) is not None:
-            out.append(ExtAction(clause_id, j))
+            out.append(tuple.__new__(ExtAction, (clause_id, j)))  # see terms._new
     for k, plit in enumerate(path):
         if plit.predicate != head.predicate or plit.positive == head.positive:
             continue
@@ -204,7 +205,7 @@ def _rewrite_actions(m: Matrix, head: Literal) -> list:
                 continue
             if resolve_term(sigma, dst) == sub:
                 continue  # no-op rewrite
-            out.append(RewAction(clause_id, j, direction, pos))
+            out.append(tuple.__new__(RewAction, (clause_id, j, direction, pos)))
     return out
 
 

@@ -153,9 +153,10 @@ class SearchTree:
             cur = node.parent
 
 
-def uct_score(node: SearchNode, parent_visits: int, cp: float) -> float:
+def uct_score(node: SearchNode, log_parent_visits: float, cp: float) -> float:
+    """UCT of `node`, given the natural log of its parent's visits."""
     return node.reward / node.visits + cp * node.prior * math.sqrt(
-        math.log(parent_visits) / node.visits
+        log_parent_visits / node.visits
     )
 
 
@@ -180,11 +181,12 @@ def unexplored_score(node: SearchNode, cp: float) -> float:
 def _select_child(tree: SearchTree, node: SearchNode, cp: float):
     best = None
     best_score = -math.inf
+    log_visits = math.log(node.visits)
     for ai in sorted(node.children):
         child = tree.node(node.children[ai])
         if child.dead:
             continue
-        score = uct_score(child, node.visits, cp)
+        score = uct_score(child, log_visits, cp)
         if score > best_score:
             best_score = score
             best = child

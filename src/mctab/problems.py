@@ -53,7 +53,10 @@ class Clause:
 class Matrix:
     clauses: list = field(default_factory=list)
     start_ids: list = field(default_factory=list)
-    # (predicate, positive, arity) -> [(literal, clause id, literal index)]
+    # (predicate, positive, arity) -> (every, var_first, keyed), lists of
+    # (literal, clause id, literal index) in clause and literal order: all;
+    # those with a variable first argument; per first-argument (symbol,
+    # arity), those whose first argument has that key or is a variable
     literal_index: dict = field(default_factory=dict)
     # one (clause id, literal index, direction, source, target) per direction
     # of every negative equation, in clause order
@@ -237,8 +240,15 @@ def parse_problem(text: str) -> Matrix:
                 if prev != (arity, kind):
                     used = f"used as {kind}/{arity} but previously as {prev[1]}/{prev[0]}"
                     raise ParseError(f"symbol {name!r} {used}", 0, 0)
-            key = (lit.predicate, lit.positive, len(lit.args))
-            m.literal_index.setdefault(key, []).append((lit, cid, j))
+            every, var_first, keyed = m.literal_index.setdefault(
+                (lit.predicate, lit.positive, len(lit.args)), ([], [], {}))
+            first = lit.args[0] if lit.args else None
+            if isinstance(first, App):
+                lists = (every, keyed.setdefault((first.symbol, len(first.args)), var_first[:]))
+            else:
+                lists = (every, var_first, *keyed.values())
+            for candidates in lists:
+                candidates.append((lit, cid, j))
             if not lit.positive and lit.predicate == EQ and len(lit.args) == 2:
                 left, right = lit.args
                 m.rewrite_rules.append((cid, j, "LR", left, right))

@@ -2,6 +2,10 @@
 
 Terms are immutable values.  Variables are integers wrapped in Var; function
 symbols and constants are App nodes (a constant is an App with no arguments).
+Var, App and Literal are named tuples, so equality, hashing and construction
+run in C; equality and hash are those of the field tuple, as for frozen
+dataclasses.  Never mix them with plain tuples or other named tuples in one
+collection: `Var(1) == (1,)` holds, and so does `Var(1) == RedAction(1)`.
 Substitutions are plain dicts from variable id to Term, in one format:
 triangular.  Each binding is kept as it was made and may mention a variable
 another binding binds, earlier or later; nothing normalizes it.  The unifier
@@ -11,17 +15,16 @@ returns its bindings in the order it made them, and `resolve_term` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from itertools import repeat
+from operator import is_
+from typing import Iterable, NamedTuple, Optional, Union
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
+class Var(NamedTuple):
     id: int
 
 
-@dataclass(frozen=True, slots=True)
-class App:
+class App(NamedTuple):
     symbol: str
     args: tuple = ()
 
@@ -30,16 +33,18 @@ Term = Union[Var, App]
 
 Subst = dict  # variable id -> Term
 
+# the C call a named tuple's Python-level __new__ wraps; the walks build with it
+_new = tuple.__new__
 
-@dataclass(frozen=True, slots=True)
-class Literal:
+
+class Literal(NamedTuple):
     positive: bool
     predicate: str
     args: tuple = ()
 
 
 def negate(lit: Literal) -> Literal:
-    return Literal(not lit.positive, lit.predicate, lit.args)
+    return _new(Literal, (not lit.positive, lit.predicate, lit.args))
 
 
 # ---------------------------------------------------------------------------
@@ -48,16 +53,17 @@ def negate(lit: Literal) -> Literal:
 def shift_term(t: Term, k: int) -> Term:
     """`t` with `k` added to every variable id."""
     if isinstance(t, Var):
-        return Var(t.id + k)
+        return _new(Var, (t.id + k,))
     if not t.args:
         return t
-    return App(t.symbol, tuple(shift_term(a, k) for a in t.args))
+    return _new(App, (t.symbol, tuple(map(shift_term, t.args, repeat(k)))))
 
 
 def shift_literal(lit: Literal, k: int) -> Literal:
     if not lit.args:
         return lit
-    return Literal(lit.positive, lit.predicate, tuple(shift_term(a, k) for a in lit.args))
+    args = tuple(map(shift_term, lit.args, repeat(k)))
+    return _new(Literal, (lit.positive, lit.predicate, args))
 
 
 def resolve_term(s: Subst, t: Term) -> Term:
@@ -68,21 +74,21 @@ def resolve_term(s: Subst, t: Term) -> Term:
         return t if bound is None else resolve_term(s, bound)
     if not t.args:
         return t
-    args = tuple(resolve_term(s, a) for a in t.args)
-    if all(a is b for a, b in zip(args, t.args)):
+    args = tuple(map(resolve_term, repeat(s), t.args))
+    if all(map(is_, args, t.args)):
         return t
-    return App(t.symbol, args)
+    return _new(App, (t.symbol, args))
 
 
 def resolve_literal(s: Subst, lit: Literal) -> Literal:
-    args = tuple(resolve_term(s, a) for a in lit.args)
-    if all(a is b for a, b in zip(args, lit.args)):
+    args = tuple(map(resolve_term, repeat(s), lit.args))
+    if all(map(is_, args, lit.args)):
         return lit
-    return Literal(lit.positive, lit.predicate, args)
+    return _new(Literal, (lit.positive, lit.predicate, args))
 
 
 def resolve_literals(s: Subst, lits: Iterable[Literal]) -> tuple:
-    return tuple(resolve_literal(s, l) for l in lits)
+    return tuple(map(resolve_literal, repeat(s), lits))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ shares nothing with it.
 from __future__ import annotations
 
 import random
+from dataclasses import field, make_dataclass
 
 from mctab.calculus import ExtAction, RedAction, RewAction
 from mctab.gbt import DatasetError, GbtModel, TrainHistory, _Node, _rmse, left_sum
@@ -132,6 +133,38 @@ def alpha_equal_literals(a: Literal, b: Literal) -> bool:
         return False
     fwd, bwd = {}, {}
     return all(alpha_equal(x, y, fwd, bwd) for x, y in zip(a.args, b.args))
+
+
+# ---------------------------------------------------------------------------
+# the value types as frozen dataclasses, the way the library first had them;
+# its named tuples must agree with them on equality, hash and repr
+
+REFERENCE_TYPES = {
+    name: make_dataclass(name, fields, frozen=True, slots=name in ("Var", "App", "Literal"))
+    for name, fields in (
+        ("Var", ["id"]),
+        ("App", ["symbol", ("args", tuple, field(default=()))]),
+        ("Literal", ["positive", "predicate", ("args", tuple, field(default=()))]),
+        ("ExtAction", ["clause_id", "lit_index"]),
+        ("RedAction", ["path_index"]),
+        ("RewAction", ["clause_id", "lit_index", "direction", "position"]),
+        ("StartStep", ["clause_id", "varmap"]),
+        ("ExtStep", ["clause_id", "varmap", "goal_lit"]),
+        ("RedStep", ["goal_lit", "path_lit"]),
+        ("LemStep", ["lit"]),
+        ("RewStep", ["clause_id", "varmap", "eq_lit", "direction", "goal_before",
+                     "goal_after", "side_lits"]),
+    )
+}
+
+
+def rebuilt(x, types: dict):
+    """`x` built anew from the leaves up: each named tuple in it as the type
+    of its name in `types`, each plain tuple as a new plain tuple."""
+    if not isinstance(x, tuple):
+        return x
+    parts = [rebuilt(f, types) for f in x]
+    return types[type(x).__name__](*parts) if hasattr(x, "_fields") else tuple(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ def test_closed_form_transforms():
     class N:
         reward, visits, prior = 2.0, 4, 0.25
 
-    score = uct_score(N, 16, 3.0)
+    score = uct_score(N, math.log(16), 3.0)
     assert abs(score - (0.5 + 0.75 * math.sqrt(math.log(16.0) / 4.0))) < 1e-9
     assert abs(score - 1.1245) < 1e-4
 
@@ -187,7 +187,7 @@ def test_mcts_structural_invariants():
         ]
         parent_visits = sum(c.visits for c in children) + 1
         cp = rng.choice([0.0, 1.0, 2.0, 3.0])
-        scores = [uct_score(c, parent_visits, cp) for c in children]
+        scores = [uct_score(c, math.log(parent_visits), cp) for c in children]
         mine = max(range(n), key=lambda i: (scores[i], -i))
         brute = 0
         for i in range(1, n):

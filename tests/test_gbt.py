@@ -3,7 +3,6 @@ import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from mctab.cli import corpus_dir
 from mctab.config import Config, load_config
@@ -325,20 +324,14 @@ _model_texts = st.builds(
 )
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(_model_texts)
 def _models_round_trip(text):
     assert format_model(parse_model(text)) == text
 
 
-def test_model_text_round_trip_property(tmp_path):
-    # hypothesis caches the constants it finds in local source under its home
-    # directory; keep that out of the checkout
-    set_hypothesis_home_dir(tmp_path)
-    try:
-        _models_round_trip()
-    finally:
-        set_hypothesis_home_dir(None)
+def test_model_text_round_trip_property(hypothesis_home):
+    _models_round_trip()
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +387,7 @@ def _with_copies(rows, copies):
     return Dataset(out, 8)
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(_rows, st.lists(st.integers(0, 5), max_size=2), st.integers(0, 7), st.integers(1, 6),
        st.integers(1, 4), st.sampled_from([0.1, 1.5]))
 @example([({0: 1.0}, 0.5)], [0], 3, 1, 1, 1.5)  # one row
@@ -405,12 +398,8 @@ def _training_as_the_reference(rows, copies, max_depth, rounds, patience, lam):
     assert_same_training(train(data, cfg), reference_train(data, cfg))
 
 
-def test_training_property_against_the_reference(tmp_path):
-    set_hypothesis_home_dir(tmp_path)
-    try:
-        _training_as_the_reference()
-    finally:
-        set_hypothesis_home_dir(None)
+def test_training_property_against_the_reference(hypothesis_home):
+    _training_as_the_reference()
 
 
 _dataset_texts = st.lists(
@@ -419,15 +408,11 @@ _dataset_texts = st.lists(
 ).map(lambda lines: "".join(line + "\n" for line in lines))
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(_dataset_texts)
 def _datasets_round_trip(text):
     assert format_dataset(parse_dataset(text, DIM)) == text
 
 
-def test_dataset_text_round_trip_property(tmp_path):
-    set_hypothesis_home_dir(tmp_path)
-    try:
-        _datasets_round_trip()
-    finally:
-        set_hypothesis_home_dir(None)
+def test_dataset_text_round_trip_property(hypothesis_home):
+    _datasets_round_trip()

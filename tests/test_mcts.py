@@ -43,13 +43,13 @@ def node_with(reward, visits, prior):
 
 
 def test_uct_score_examples():
-    assert uct_score(node_with(1.0, 1, 0.3), 1, 3.0) == 1.0  # ln 1 = 0
-    score = uct_score(node_with(2.0, 4, 0.25), 16, 3.0)
+    assert uct_score(node_with(1.0, 1, 0.3), math.log(1), 3.0) == 1.0  # ln 1 = 0
+    score = uct_score(node_with(2.0, 4, 0.25), math.log(16), 3.0)
     assert abs(score - (0.5 + 0.75 * math.sqrt(math.log(16) / 4))) < 1e-12
     assert abs(score - 1.12441) < 1e-4
     # larger prior strictly increases the score once the parent has visits
-    low = uct_score(node_with(1.0, 2, 0.1), 5, 2.0)
-    high = uct_score(node_with(1.0, 2, 0.4), 5, 2.0)
+    low = uct_score(node_with(1.0, 2, 0.1), math.log(5), 2.0)
+    high = uct_score(node_with(1.0, 2, 0.4), math.log(5), 2.0)
     assert high > low
 
 
@@ -67,7 +67,7 @@ def test_uct_argmax_matches_brute_force():
             parent_visits += visits
         parent_visits += 1
         cp = rng.choice([0.5, 2.0, 3.0])
-        scores = [uct_score(c, parent_visits, cp) for c in children]
+        scores = [uct_score(c, math.log(parent_visits), cp) for c in children]
         best = max(range(n), key=lambda i: (scores[i], -i))
         ref = 0
         for i in range(1, n):
@@ -80,9 +80,9 @@ def test_cp_extremes():
     # equal priors; child 0 has the best mean, child 1 the fewest visits
     children = [node_with(9.0, 10, 0.5), node_with(0.2, 2, 0.5), node_with(3.0, 10, 0.5)]
     n_parent = 23
-    exploit = [uct_score(c, n_parent, 0.0) for c in children]
+    exploit = [uct_score(c, math.log(n_parent), 0.0) for c in children]
     assert exploit.index(max(exploit)) == 0
-    explore = [uct_score(c, n_parent, 1e9) for c in children]
+    explore = [uct_score(c, math.log(n_parent), 1e9) for c in children]
     assert explore.index(max(explore)) == 1
 
 

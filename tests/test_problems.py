@@ -1,6 +1,5 @@
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from mctab.problems import (
     MAX_TERM_DEPTH,
@@ -136,7 +135,7 @@ _problems = st.lists(
 ).map("\n".join)
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(_problems)
 def _print_parse_round_trip(text):
     m1 = parse_problem(text)
@@ -148,11 +147,5 @@ def _print_parse_round_trip(text):
     assert m2.rewrite_rules == m1.rewrite_rules
 
 
-def test_print_parse_round_trip_property(tmp_path):
-    # hypothesis caches the constants it finds in local source under its home
-    # directory; keep that out of the checkout
-    set_hypothesis_home_dir(tmp_path)
-    try:
-        _print_parse_round_trip()
-    finally:
-        set_hypothesis_home_dir(None)
+def test_print_parse_round_trip_property(hypothesis_home):
+    _print_parse_round_trip()

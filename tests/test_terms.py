@@ -2,8 +2,17 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
+from mctab.calculus import (
+    ExtAction,
+    ExtStep,
+    LemStep,
+    RedAction,
+    RedStep,
+    RewAction,
+    RewStep,
+    StartStep,
+)
 from mctab.terms import (
     App,
     Literal,
@@ -27,12 +36,14 @@ from mctab.terms import (
 from helpers import (
     CONSTANTS,
     FUNCTIONS,
+    REFERENCE_TYPES,
     alpha_equal,
     oracle_apply,
     oracle_unify,
     random_literal_pair,
     random_term,
     random_term_pair,
+    rebuilt,
     reference_term_stats,
     reference_unify,
 )
@@ -150,7 +161,7 @@ _terms = st.recursive(
 )
 
 
-@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@settings(max_examples=500)
 @given(_terms, _terms)
 def _unify_terms_as_the_reference(a, b):
     mine = unify_terms(a, b)
@@ -161,14 +172,64 @@ def _unify_terms_as_the_reference(a, b):
         assert resolve_term(mine, a) == resolve_term(mine, b)
 
 
-def test_unify_terms_property_against_the_reference(tmp_path):
-    # hypothesis caches the constants it finds in local source under its home
-    # directory; keep that out of the checkout
-    set_hypothesis_home_dir(tmp_path)
-    try:
-        _unify_terms_as_the_reference()
-    finally:
-        set_hypothesis_home_dir(None)
+def test_unify_terms_property_against_the_reference(hypothesis_home):
+    _unify_terms_as_the_reference()
+
+
+# ---------------------------------------------------------------------------
+# the named tuples against the frozen dataclasses they replaced
+
+LIBRARY_TYPES = {
+    t.__name__: t
+    for t in (Var, App, Literal, ExtAction, RedAction, RewAction,
+              StartStep, ExtStep, RedStep, LemStep, RewStep)
+}
+
+_ints = st.integers(-1, 3)
+_literals = st.builds(
+    Literal, st.booleans(), st.sampled_from(["p", "q"]), st.lists(_terms, max_size=3).map(tuple)
+)
+_directions = st.sampled_from(["LR", "RL"])
+_varmaps = st.lists(st.tuples(st.sampled_from("XY"), _ints), max_size=2).map(tuple)
+_actions = st.one_of(
+    st.builds(ExtAction, _ints, _ints),
+    st.builds(RedAction, _ints),
+    st.builds(RewAction, _ints, _ints, _directions,
+              st.lists(st.integers(1, 2), max_size=3).map(tuple)),
+)
+_steps = st.one_of(
+    st.builds(StartStep, _ints, _varmaps),
+    st.builds(ExtStep, _ints, _varmaps, _literals),
+    st.builds(RedStep, _literals, _literals),
+    st.builds(LemStep, _literals),
+    st.builds(RewStep, _ints, _varmaps, _literals, _directions, _literals, _literals,
+              st.lists(_literals, max_size=2).map(tuple)),
+)
+# a pair of values of one kind: terms and literals, actions, or proof steps
+_pairs = st.one_of(
+    st.tuples(_terms | _literals, _terms | _literals),
+    st.tuples(_actions, _actions),
+    st.tuples(_steps, _steps),
+)
+
+
+@settings(max_examples=1000)
+@given(_pairs)
+def _named_tuples_as_the_dataclasses(pair):
+    a, b = pair
+    ref_a, ref_b = rebuilt(a, REFERENCE_TYPES), rebuilt(b, REFERENCE_TYPES)
+    assert (a == b) == (ref_a == ref_b)
+    assert (a != b) == (ref_a != ref_b)
+    # an equal value built apart from `a` is equal to it in both
+    assert a == rebuilt(a, LIBRARY_TYPES) and ref_a == rebuilt(a, REFERENCE_TYPES)
+    for x, ref_x in ((a, ref_a), (b, ref_b)):
+        assert type(ref_x).__name__ == type(x).__name__
+        assert hash(x) == hash(ref_x)
+        assert repr(x) == repr(ref_x)
+
+
+def test_named_tuples_agree_with_the_dataclasses(hypothesis_home):
+    _named_tuples_as_the_dataclasses()
 
 
 def test_match_is_one_sided():
