@@ -179,7 +179,7 @@ def valid_actions(m: Matrix, goals: tuple, path: tuple, cfg: Config, next_var: i
             continue
         if unify_literals(neg_head, plit) is not None:
             out.append(RedAction(k))
-    if cfg.rewrite:
+    if cfg.rewrite and m.rewrite_rules:
         out.extend(_rewrite_actions(m, shifted))
     return tuple(out)
 

@@ -363,22 +363,23 @@ def _simplify(clauses, assignment):
 
 
 def _dpll(clauses, assignment):
-    clauses = _simplify(clauses, assignment)
-    if clauses is None:
-        return None
-    if not clauses:
-        return assignment
-    counts: dict = {}
-    for clause in clauses:
-        for lit in clause:
-            counts[lit] = counts.get(lit, 0) + 1
-    branch = max(sorted(counts), key=lambda l: counts[l])
-    for choice in (branch > 0, branch <= 0):
-        trial = dict(assignment)
-        trial[abs(branch)] = choice
-        model = _dpll(clauses, trial)
-        if model is not None:
-            return model
+    """Depth-first search for a model: each decision sets the most frequent
+    literal true first; the other branch waits on an explicit stack."""
+    stack = [(clauses, assignment)]
+    while stack:
+        clauses, assignment = stack.pop()
+        clauses = _simplify(clauses, assignment)
+        if clauses is None:
+            continue
+        if not clauses:
+            return assignment
+        counts: dict = {}
+        for clause in clauses:
+            for lit in clause:
+                counts[lit] = counts.get(lit, 0) + 1
+        branch = max(sorted(counts), key=lambda l: counts[l])
+        for choice in (branch <= 0, branch > 0):  # the last pushed is tried first
+            stack.append((clauses, {**assignment, abs(branch): choice}))
     return None
 
 

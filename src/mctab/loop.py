@@ -95,7 +95,7 @@ def solve_one(name: str, text: str, cfg: Config, value_model=None, policy_model=
         verdict = check_proof_texts(trace, text)
         if not verdict.ok:
             raise ProofRejected(f"{name}: checker rejected an emitted proof: {verdict.message}")
-    value_rows, policy_rows = extract_training_data(result.tree, result.outcome, cfg, extractor)
+    value_rows, policy_rows = extract_training_data(result.tree, cfg, extractor)
     return result.stats, trace, value_rows, policy_rows
 
 

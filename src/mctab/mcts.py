@@ -1,12 +1,18 @@
 """Monte-Carlo tree search over prover states.
 
 Each playout selects a node by descending through the children that maximize
-the UCT score, expands the unexpanded action with the largest prior (the
-lowest index among equal priors; each node sorts its actions by prior once),
-scores the new child with the guidance value, and backpropagates along all
-ancestors.  Every `bigstep_freq` playouts the exploration root moves one
-level down to the child with the best mean reward; the visited bigstep roots
-are the anchor points for training-data extraction.
+the UCT score (the lowest action index among equal scores), expands the
+unexpanded action with the largest prior (the lowest index among equal
+priors; each node sorts its actions by prior once), scores the new child
+with the guidance value, and backpropagates along all ancestors.  Every
+`bigstep_freq` playouts the exploration root moves one level down to the
+child with the best mean reward; the visited bigstep roots are the anchor
+points for training-data extraction.
+
+A node's actions are its priors: a PROVED or FAILED node has none, an open
+node one per valid action, and with several start clauses `SearchTree`
+builds a virtual root with one per start state.  Only expansion and
+extraction tell that root apart.
 
 Fully failed subtrees are marked dead so the search can stop early instead
 of replaying known failures forever.
@@ -29,23 +35,14 @@ from .problems import Matrix
 class SearchNode:
     id: int
     parent: Optional[int]
-    action_index: Optional[int]  # edge label from the parent
-    state: Optional[ProverState]  # None only for a virtual multi-start root
+    state: Optional[ProverState]  # None only at the virtual multi-start root
     prior: float
     visits: int
     reward: float
-    child_priors: list
+    child_priors: list  # one per action; empty exactly at a PROVED or FAILED node
     children: dict = field(default_factory=dict)  # action index -> node id
     dead: bool = False
     pending: Optional[list] = None  # action indices by ascending prior, see _next_action
-
-    def action_count(self) -> int:
-        if self.state is None:
-            return len(self.child_priors)
-        return len(self.state.actions)
-
-    def is_terminal(self) -> bool:
-        return self.state is not None and self.state.result != OPEN
 
 
 @dataclass
@@ -79,30 +76,21 @@ class SearchTree:
         self.playouts = 0
         self.inferences = 0
         self.proved_node: Optional[int] = None
-        if len(self.start_states) == 1:
-            state = self.start_states[0]
-            self._insert(None, None, state, prior=1.0, guidance=guidance)
-            self.inferences += state.inference_count
-        else:
-            # picking the start clause is the first branching of the search
-            n = len(self.start_states)
-            root = SearchNode(
-                id=0,
-                parent=None,
-                action_index=None,
-                state=None,
-                prior=1.0,
-                visits=1,
-                reward=0.5,
-                child_priors=[1.0 / n] * n,
-            )
-            self.nodes.append(root)
-        self.root_id = 0
         self.bigstep_root = 0
         self.bigstep_nodes = [0]
-
-    def node(self, nid: int) -> SearchNode:
-        return self.nodes[nid]
+        n = len(self.start_states)
+        if n == 1:
+            self._insert(None, None, self.start_states[0], 1.0, guidance)
+            self.inferences += self.start_states[0].inference_count
+            return
+        # picking the start clause is the first branching of the search; a
+        # start state that is already proved is that branching's first child
+        self.nodes.append(SearchNode(0, None, None, prior=1.0, visits=1, reward=0.5,
+                                     child_priors=[1.0 / n] * n))
+        for i, state in enumerate(self.start_states):
+            if state.result == PROVED:
+                self.backpropagate(0, self._insert(0, i, state, 1.0 / n, guidance).reward)
+                break
 
     def _insert(self, parent_id, action_index, state: ProverState, prior, guidance) -> SearchNode:
         if state.result == PROVED:
@@ -112,16 +100,8 @@ class SearchTree:
         else:
             value = guidance.value(state)
             priors = guidance.priors(state)
-        node = SearchNode(
-            id=len(self.nodes),
-            parent=parent_id,
-            action_index=action_index,
-            state=state,
-            prior=prior,
-            visits=1,
-            reward=value,
-            child_priors=priors,
-        )
+        node = SearchNode(len(self.nodes), parent_id, state, prior, visits=1, reward=value,
+                          child_priors=priors)
         self.nodes.append(node)
         if parent_id is not None:
             self.nodes[parent_id].children[action_index] = node.id
@@ -137,7 +117,7 @@ class SearchTree:
         parent = node.parent
         while parent is not None:
             pnode = self.nodes[parent]
-            if len(pnode.children) < pnode.action_count():
+            if len(pnode.children) < len(pnode.child_priors):
                 break
             if not all(self.nodes[c].dead for c in pnode.children.values()):
                 break
@@ -179,17 +159,17 @@ def unexplored_score(node: SearchNode, cp: float) -> float:
 
 
 def _select_child(tree: SearchTree, node: SearchNode, cp: float):
-    best = None
-    best_score = -math.inf
+    """The live child with the largest UCT score, the lowest action index
+    among equal scores, and that score; children are scanned as inserted."""
+    best, best_ai, best_score = None, None, -math.inf
     log_visits = math.log(node.visits)
-    for ai in sorted(node.children):
-        child = tree.node(node.children[ai])
+    for ai, cid in node.children.items():
+        child = tree.nodes[cid]
         if child.dead:
             continue
         score = uct_score(child, log_visits, cp)
-        if score > best_score:
-            best_score = score
-            best = child
+        if score > best_score or (score == best_score and ai < best_ai):
+            best, best_ai, best_score = child, ai, score
     return best, best_score
 
 
@@ -217,9 +197,9 @@ def playout(tree: SearchTree, guidance, cfg: Config, cp: float) -> int:
     with real statistics before the root is allowed to move.
     """
     tree.playouts += 1
-    node = tree.node(tree.bigstep_root)
-    while not node.is_terminal():
-        have_unexpanded = len(node.children) < node.action_count()
+    node = tree.nodes[tree.bigstep_root]
+    while node.child_priors:
+        have_unexpanded = len(node.children) < len(node.child_priors)
         if have_unexpanded and node.id == tree.bigstep_root:
             best_child = None
         else:
@@ -230,7 +210,7 @@ def playout(tree: SearchTree, guidance, cfg: Config, cp: float) -> int:
             tree._mark_dead(node.id)
             break
         node = best_child
-    reward = 1.0 if node.is_terminal() and node.state.result == PROVED else 0.0
+    reward = 1.0 if not node.child_priors and node.state.result == PROVED else 0.0
     tree.backpropagate(node.id, reward)
     return node.id
 
@@ -242,10 +222,10 @@ def bigstep(tree: SearchTree) -> int:
     children are skipped; with no live child the root stays put (if the
     subtree is fully failed the search loop stops anyway).
     """
-    node = tree.node(tree.bigstep_root)
+    node = tree.nodes[tree.bigstep_root]
     best = None
     for ai in sorted(node.children):
-        child = tree.node(node.children[ai])
+        child = tree.nodes[node.children[ai]]
         if child.dead:
             continue
         key = (child.reward / child.visits, child.visits, -ai)
@@ -276,24 +256,17 @@ def search_problem(
 ) -> SearchResult:
     """Alternate playouts and bigsteps until proof, dead root, or budgets end."""
     cp = cfg.cp_initial if cp is None else cp
-    starts = initial_states(m, cfg)
-    tree = SearchTree(m, guidance, starts)
+    tree = SearchTree(m, guidance, initial_states(m, cfg))
     deadline = time.monotonic() + cfg.time_limit_s
-    if len(starts) > 1:
-        for i, s in enumerate(starts):
-            if s.result == PROVED:
-                child = tree._insert(0, i, s, tree.node(0).child_priors[i], guidance)
-                tree.backpropagate(0, child.reward)
-                break
     while (tree.proved_node is None and tree.inferences < cfg.inference_limit
-           and not tree.node(tree.bigstep_root).dead and time.monotonic() <= deadline):
+           and not tree.nodes[tree.bigstep_root].dead and time.monotonic() <= deadline):
         playout(tree, guidance, cfg, cp)
         if (tree.proved_node is None and cfg.bigstep_freq > 0
                 and tree.playouts % cfg.bigstep_freq == 0):
             bigstep(tree)
     outcome, proof, subst = "exhausted", None, None
     if tree.proved_node is not None:
-        state = tree.node(tree.proved_node).state
+        state = tree.nodes[tree.proved_node].state
         outcome, proof, subst = "proved", state.proof, state.subst
     stats = SearchStats(name, outcome, tree.inferences, tree.playouts,
                         len(tree.bigstep_nodes) - 1, 0 if proof is None else len(proof))
@@ -322,12 +295,12 @@ def _proof_path(tree: SearchTree) -> list:
     cur = tree.proved_node
     while cur is not None:
         path.append(cur)
-        cur = tree.node(cur).parent
+        cur = tree.nodes[cur].parent
     path.reverse()
     return path
 
 
-def extract_training_data(tree: SearchTree, outcome: str, cfg: Config, extractor):
+def extract_training_data(tree: SearchTree, cfg: Config, extractor):
     """Value and policy rows from bigstep nodes (and proof-path nodes).
 
     Value targets discount by the number of remaining proof steps; failures
@@ -336,7 +309,7 @@ def extract_training_data(tree: SearchTree, outcome: str, cfg: Config, extractor
     proved searches unless limited_policy is off.  Rows with identical
     feature vectors are filtered keeping the maximum target.
     """
-    proved = outcome == "proved" and tree.proved_node is not None
+    proved = tree.proved_node is not None
     path = _proof_path(tree) if proved else []
     on_path = set(path)
 
@@ -346,9 +319,9 @@ def extract_training_data(tree: SearchTree, outcome: str, cfg: Config, extractor
         value_ids.extend(nid for nid in path if nid not in seen)
 
     value_rows = []
-    proof_len = len(tree.node(tree.proved_node).state.proof) if proved else 0
+    proof_len = len(tree.nodes[tree.proved_node].state.proof) if proved else 0
     for nid in value_ids:
-        node = tree.node(nid)
+        node = tree.nodes[nid]
         if node.state is None:
             continue
         if proved and nid in on_path:
@@ -361,12 +334,12 @@ def extract_training_data(tree: SearchTree, outcome: str, cfg: Config, extractor
     policy_rows = []
     if proved or not cfg.limited_policy:
         for nid in value_ids:
-            node = tree.node(nid)
+            node = tree.nodes[nid]
             if node.state is None or not node.children:
                 continue
             n_actions = len(node.state.actions)
             for ai in sorted(node.children):
-                child = tree.node(node.children[ai])
+                child = tree.nodes[node.children[ai]]
                 target = policy_target(node.visits, child.visits, n_actions)
                 policy_rows.append(
                     (extractor.action_features(node.state, node.state.actions[ai]), target)

@@ -8,11 +8,13 @@ shares nothing with it.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import field, make_dataclass
 
 from mctab.calculus import ExtAction, RedAction, RewAction
 from mctab.gbt import DatasetError, GbtModel, TrainHistory, _Node, _rmse, left_sum
+from mctab.mcts import uct_score
 from mctab.problems import EQ
 from mctab.terms import (
     App,
@@ -312,10 +314,9 @@ def random_eq_matrix(rng: random.Random):
 def check_tree_invariants(tree):
     """Parent/child tables inverse; open-node visits sum over children."""
     for node in tree.nodes:
-        for ai, cid in node.children.items():
-            child = tree.nodes[cid]
-            assert child.parent == node.id
-            assert child.action_index == ai
+        for cid in node.children.values():
+            assert tree.nodes[cid].parent == node.id
+        assert node.parent is None or node.id in tree.nodes[node.parent].children.values()
         if node.state is None or node.state.result == 0:
             expected = 1 + sum(tree.nodes[c].visits for c in node.children.values())
             assert node.visits == expected, (node.id, node.visits, expected)
@@ -438,8 +439,25 @@ def deep_model_text(depth: int, dim: int) -> str:
 def reference_next_action(node) -> int:
     """The action `_expand` took by scanning every prior: the unexpanded one
     with the largest prior, the lowest index among equal priors."""
-    unexpanded = [i for i in range(node.action_count()) if i not in node.children]
+    unexpanded = [i for i in range(len(node.child_priors)) if i not in node.children]
     return max(unexpanded, key=lambda i: (node.child_priors[i], -i))
+
+
+def reference_select_child(tree, node, cp: float):
+    """`mcts._select_child` scanning the children sorted by action index: the
+    first live child with the largest UCT score, and that score."""
+    best = None
+    best_score = -math.inf
+    log_visits = math.log(node.visits)
+    for ai in sorted(node.children):
+        child = tree.nodes[node.children[ai]]
+        if child.dead:
+            continue
+        score = uct_score(child, log_visits, cp)
+        if score > best_score:
+            best_score = score
+            best = child
+    return best, best_score
 
 
 def reference_priors(guidance, s) -> list:
@@ -449,6 +467,31 @@ def reference_priors(guidance, s) -> list:
     ex = guidance.extractor
     scores = [guidance.policy_model.predict(ex.action_features(s, a)) for a in s.actions]
     return priors_from_predictions(scores, guidance.temperature)
+
+
+# ---------------------------------------------------------------------------
+# checker oracle: DPLL recursing once per decision
+
+def reference_dpll(clauses, assignment):
+    from mctab.checker import _simplify
+
+    clauses = _simplify(clauses, assignment)
+    if clauses is None:
+        return None
+    if not clauses:
+        return assignment
+    counts: dict = {}
+    for clause in clauses:
+        for lit in clause:
+            counts[lit] = counts.get(lit, 0) + 1
+    branch = max(sorted(counts), key=lambda l: counts[l])
+    for choice in (branch > 0, branch <= 0):
+        trial = dict(assignment)
+        trial[abs(branch)] = choice
+        model = reference_dpll(clauses, trial)
+        if model is not None:
+            return model
+    return None
 
 
 # ---------------------------------------------------------------------------

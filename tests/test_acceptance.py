@@ -164,7 +164,7 @@ def test_mcts_structural_invariants():
         tree = SearchTree(m, guidance, starts)
         replay = RewardReplay(tree)
         for _ in range(30):
-            if tree.proved_node is not None or tree.node(tree.bigstep_root).dead:
+            if tree.proved_node is not None or tree.nodes[tree.bigstep_root].dead:
                 break
             nid = playout(tree, guidance, cfg, cp=3.0)
             replay.after_playout(tree, nid)
@@ -205,14 +205,14 @@ def test_training_data_contracts():
     starved = Config(rewrite=False, inference_limit=1)
     res = search_problem(m, DefaultGuidance(), starved)
     assert res.outcome == "exhausted"
-    value_rows, policy_rows = extract_training_data(res.tree, res.outcome, starved, extractor)
+    value_rows, policy_rows = extract_training_data(res.tree, starved, extractor)
     assert policy_rows == []
     assert value_rows and all(t == -3.0 for _, t in value_rows)
 
     cfg = Config(rewrite=False)
     res = search_problem(m, DefaultGuidance(), cfg)
     assert res.outcome == "proved"
-    value_rows, policy_rows = extract_training_data(res.tree, res.outcome, cfg, extractor)
+    value_rows, policy_rows = extract_training_data(res.tree, cfg, extractor)
     # the proved node was never a bigstep node but is on the proof path
     bigstep_ids = set(res.tree.bigstep_nodes)
     assert res.tree.proved_node not in bigstep_ids
@@ -383,8 +383,8 @@ def test_end_to_end_desk(corpus_runs, tmp_path):
         extractor = FeatureExtractor(matrix, cfg.feature_dim)
         cfg_on = Config(**DESK)
         cfg_off = Config(**{**DESK, "limited_policy": False})
-        _, p_on = extract_training_data(result.tree, result.outcome, cfg_on, extractor)
-        _, p_off = extract_training_data(result.tree, result.outcome, cfg_off, extractor)
+        _, p_on = extract_training_data(result.tree, cfg_on, extractor)
+        _, p_off = extract_training_data(result.tree, cfg_off, extractor)
         rows_on.extend(p_on)
         rows_off.extend(p_off)
         if result.outcome == "proved":

@@ -1,20 +1,28 @@
+import functools
 import itertools
+import os
 import random
+import sys
+
+from hypothesis import given, settings, strategies as st
 
 from mctab.calculus import format_proof
 from mctab.checker import (
+    CheckResult,
     GroundClauseSet,
     check_proof_texts,
     check_unsat,
     parse_trace,
 )
-from mctab.config import Config
+from mctab.cli import corpus_dir
+from mctab.config import Config, load_config
 from mctab.guidance import DefaultGuidance
+from mctab.loop import solve_one
 from mctab.mcts import search_problem
 from mctab.problems import parse_problem
 from mctab.terms import Literal
 
-from helpers import random_matrix
+from helpers import random_matrix, reference_dpll
 
 APP_A = "-p(X).\np(Y) | -q(a).\nq(a).\n"
 
@@ -101,6 +109,41 @@ def test_dpll_agrees_with_truth_table():
         if model is not None:
             for clause in clauses:
                 assert any(model.get(abs(l), l <= 0) == (l > 0) for l in clause)
+
+
+def test_dpll_finds_the_recursive_search_model():
+    from mctab.checker import _dpll
+
+    rng = random.Random(10)
+    for _ in range(500):
+        clauses, _ = random_cnf(rng, max_vars=12)
+        model = _dpll([list(c) for c in clauses], {})
+        expected = reference_dpll([list(c) for c in clauses], {})
+        assert model == expected and list(model or ()) == list(expected or ())
+
+
+def frame_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_dpll_depth_is_not_bounded_by_the_recursion_limit():
+    """400 pairs (x_i or y_i), (not x_i or not y_i) need 400 nested
+    decisions; the search gets 200 frames above the caller's depth."""
+    g = GroundClauseSet()
+    for i in range(400):
+        g.add_clause([lit(False, f"x{i}"), lit(False, f"y{i}")])  # swapped: x_i | y_i
+        g.add_clause([lit(True, f"x{i}"), lit(True, f"y{i}")])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frame_depth() + 200)
+    try:
+        unsat, witness = check_unsat(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert not unsat and len(witness) == 800
+    assert all(witness[f"x{i}"] != witness[f"y{i}"] for i in range(400))
 
 
 # ---------------------------------------------------------------------------
@@ -301,3 +344,52 @@ def test_left_out_clause_variable_gets_a_fresh_constant():
     assert (res.ok, res.step) == (False, 2)
     # a step the refutation does not need may leave its variables out
     assert check_proof_texts(proof + "start 0 {}\n", APP_A).ok
+
+
+# ---------------------------------------------------------------------------
+# mutated traces
+
+# their proofs hold every kind of step: start, ext, red, lem and rew
+MUTATED = ("deep_fn.p", "eq_chain_4.p", "ground_red.p", "lemma_use.p", "or_case.p", "twopath_05.p")
+
+
+@functools.lru_cache(maxsize=None)
+def corpus_proof(name: str) -> tuple:
+    """(proof text, problem text) of a corpus problem at the desk settings."""
+    cfg = load_config(os.path.join(corpus_dir(), os.pardir, "ini", "desk.ini"))
+    with open(os.path.join(corpus_dir(), name), "r", encoding="utf-8") as fh:
+        text = fh.read()
+    trace = solve_one(name, text, cfg)[1]
+    assert trace is not None, name
+    return trace, text
+
+
+_edits = st.lists(
+    st.tuples(
+        st.sampled_from(("delete", "insert", "duplicate")),
+        st.integers(0, 500),
+        st.integers(1, 12),
+        st.text(st.sampled_from(" \n\t(),.!=|-#_{}:abpqXY0129\x00\u00e9"), max_size=12),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(MUTATED), _edits)
+def _mutated_traces_get_a_verdict(name, edits):
+    trace, text = corpus_proof(name)
+    for kind, at, size, inserted in edits:
+        at %= len(trace) + 1
+        if kind == "delete":
+            trace = trace[:at] + trace[at + size:]
+        elif kind == "insert":
+            trace = trace[:at] + inserted + trace[at:]
+        else:
+            trace = trace[:at + size] + trace[at:]
+    assert isinstance(check_proof_texts(trace, text), CheckResult)
+
+
+def test_mutated_traces_get_a_verdict(hypothesis_home):
+    _mutated_traces_get_a_verdict()

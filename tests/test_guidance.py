@@ -124,7 +124,7 @@ def test_priors_score_each_action_delta_once_as_the_per_action_oracle():
     for m in matrices:
         result = search_problem(m, DefaultGuidance(), cfg)
         ex = FeatureExtractor(m, cfg.feature_dim)
-        rows.extend(extract_training_data(result.tree, result.outcome, cfg, ex)[1])
+        rows.extend(extract_training_data(result.tree, cfg, ex)[1])
     policy = gbt.train(gbt.Dataset(rows, cfg.feature_dim), Config(rounds=20, patience=50))
     assert policy.trees
     predictions = []

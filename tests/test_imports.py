@@ -126,3 +126,51 @@ def test_every_top_level_definition_is_referenced():
     sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in REFERRERS}
     defining = {str(p.relative_to(ROOT)) for p in (ROOT / "src" / "mctab").glob("*.py")}
     assert dead_definitions(sources, defining) == []
+
+
+def stored_attributes(tree: ast.Module) -> list:
+    """(class, name) for each field of a `@dataclass` class and each
+    attribute a class stores through `self`, in source order."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            found += [(cls.name, n.target.id) for n in cls.body
+                      if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+        found += [(cls.name, n.attr) for n in ast.walk(cls)
+                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                  and isinstance(n.value, ast.Name) and n.value.id == "self"]
+    return list(dict.fromkeys(found))
+
+
+def unread_attributes(sources: dict, storing: set) -> list:
+    """(module, class, name) for each attribute the `storing` modules store
+    that no module reads as an attribute of anything."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [(name, cls, attr) for name in sorted(storing)
+            for cls, attr in stored_attributes(trees[name]) if attr not in read]
+
+
+def test_unread_attributes_are_found():
+    sources = {
+        "lib": "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n"
+        "class B:\n    def __init__(self):\n        self.z = 1\n        self.w = 2\n"
+        "        self.z += 1\n    def get(self):\n        return self.w\n",
+        "user": "print(A(1).x)\n",
+    }
+    assert unread_attributes(sources, {"lib"}) == [("lib", "A", "y"), ("lib", "B", "z")]
+
+
+# read only by callers outside the package: a positioned error's column
+EXPOSED = [("src/mctab/problems.py", "ParseError", "col")]
+
+
+def test_every_stored_attribute_is_read():
+    readers = [*(ROOT / "src" / "mctab").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in readers}
+    storing = {str(p.relative_to(ROOT)) for p in (ROOT / "src" / "mctab").glob("*.py")}
+    assert unread_attributes(sources, storing) == EXPOSED

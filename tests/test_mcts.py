@@ -1,6 +1,7 @@
 import math
 import os
 import random
+from types import SimpleNamespace
 
 from mctab.calculus import PROVED
 from mctab.cli import corpus_dir
@@ -12,6 +13,7 @@ from mctab.mcts import (
     SearchNode,
     _dedup,
     _next_action,
+    _select_child,
     bigstep,
     extract_training_data,
     playout,
@@ -29,6 +31,7 @@ from helpers import (
     check_tree_invariants,
     random_matrix,
     reference_next_action,
+    reference_select_child,
 )
 
 APP_A = "-p(X).\np(Y) | -q(a).\nq(a).\n"
@@ -37,7 +40,7 @@ TWO_CHOICE = "p.\n-p | r.\n-p | s.\n-s.\n"
 
 def node_with(reward, visits, prior):
     return SearchNode(
-        id=0, parent=None, action_index=None, state=None,
+        id=0, parent=None, state=None,
         prior=prior, visits=visits, reward=reward, child_priors=[],
     )
 
@@ -76,6 +79,34 @@ def test_uct_argmax_matches_brute_force():
         assert best == ref
 
 
+def test_select_child_equals_the_sorted_scan_on_random_nodes():
+    """Few distinct means, visits and priors make equal UCT scores common;
+    some children are dead, and children are inserted out of index order,
+    as guided expansion inserts them."""
+    rng = random.Random(7)
+    late_ties = 0
+    for _ in range(3000):
+        parent = node_with(0.0, 1, 1.0)
+        tree = SimpleNamespace(nodes=[parent])
+        for ai in rng.sample(range(10), rng.randint(1, 8)):
+            visits = rng.choice([1, 2, 4])
+            child = node_with(rng.choice([0.0, 0.5, 1.0]) * visits, visits,
+                              rng.choice([0.125, 0.25, 0.5]))
+            child.id, child.parent, child.dead = len(tree.nodes), 0, rng.random() < 0.2
+            parent.children[ai] = child.id
+            parent.visits += visits
+            tree.nodes.append(child)
+        cp = rng.choice([0.0, 1.0, 3.0])
+        best, score = _select_child(tree, parent, cp)
+        ref_best, ref_score = reference_select_child(tree, parent, cp)
+        assert best is ref_best and score == ref_score
+        first = next((tree.nodes[c] for c in parent.children.values()
+                      if not tree.nodes[c].dead and uct_score(
+                          tree.nodes[c], math.log(parent.visits), cp) == score), None)
+        late_ties += best is not first
+    assert late_ties > 100  # the lowest index among equal scores came later
+
+
 def test_cp_extremes():
     # equal priors; child 0 has the best mean, child 1 the fewest visits
     children = [node_with(9.0, 10, 0.5), node_with(0.2, 2, 0.5), node_with(3.0, 10, 0.5)]
@@ -93,8 +124,8 @@ def test_first_playout_expands_highest_prior_root_action():
     tree = SearchTree(m, g, initial_states(m, cfg))
     nid = playout(tree, g, cfg, cp=3.0)
     # uniform priors tie-break to the lowest action index
-    assert tree.node(nid).action_index == 0
-    assert tree.node(nid).parent == tree.root_id
+    assert tree.nodes[0].children[0] == nid
+    assert tree.nodes[nid].parent == 0
 
 
 def test_proved_leaf_backpropagates_reward_one():
@@ -104,8 +135,8 @@ def test_proved_leaf_backpropagates_reward_one():
     tree = SearchTree(m, g, initial_states(m, cfg))
     while tree.proved_node is None:
         playout(tree, g, cfg, cp=3.0)
-    root = tree.node(tree.root_id)
-    proved = tree.node(tree.proved_node)
+    root = tree.nodes[0]
+    proved = tree.nodes[tree.proved_node]
     assert proved.state.result == PROVED
     assert proved.reward == 1.0
     assert root.reward >= 1.0
@@ -119,7 +150,7 @@ def test_root_visits_count_playouts():
     tree = SearchTree(m, g, initial_states(m, cfg))
     for p in range(30):
         playout(tree, g, cfg, cp=3.0)
-    assert tree.node(tree.root_id).visits == 31  # root starts at 1
+    assert tree.nodes[0].visits == 31  # root starts at 1
 
 
 def test_tree_invariants_on_random_problems():
@@ -135,7 +166,7 @@ def test_tree_invariants_on_random_problems():
         tree = SearchTree(m, g, starts)
         replay = RewardReplay(tree)
         for _ in range(25):
-            if tree.proved_node is not None or tree.node(tree.bigstep_root).dead:
+            if tree.proved_node is not None or tree.nodes[tree.bigstep_root].dead:
                 break
             nid = playout(tree, g, cfg, cp=3.0)
             replay.after_playout(tree, nid)
@@ -152,16 +183,16 @@ def test_bigstep_moves_to_best_mean_child():
     tree = SearchTree(m, g, initial_states(m, cfg))
     for _ in range(8):
         playout(tree, g, cfg, cp=3.0)
-    root = tree.node(tree.root_id)
+    root = tree.nodes[0]
     assert len(root.children) == 2
-    c0 = tree.node(root.children[0])
-    c1 = tree.node(root.children[1])
+    c0 = tree.nodes[root.children[0]]
+    c1 = tree.nodes[root.children[1]]
     c0.reward, c0.visits = 3.0, 4  # mean 0.75
     c1.reward, c1.visits = 5.0, 10  # mean 0.5
     assert bigstep(tree) == c0.id
     assert tree.bigstep_nodes[-1] == c0.id
     # tie on mean: larger visit count wins
-    tree.bigstep_root = tree.root_id
+    tree.bigstep_root = 0
     c0.reward, c0.visits = 2.0, 4
     c1.reward, c1.visits = 5.0, 10
     assert bigstep(tree) == c1.id
@@ -203,7 +234,7 @@ def test_extraction_failed_search_has_value_rows_no_policy():
     res = search_problem(m, DefaultGuidance(), cfg)
     assert res.outcome == "exhausted"
     ex = FeatureExtractor(m, 1000)
-    value_rows, policy_rows = extract_training_data(res.tree, res.outcome, cfg, ex)
+    value_rows, policy_rows = extract_training_data(res.tree, cfg, ex)
     assert policy_rows == []
     assert len(value_rows) >= 1
     assert all(t == -3.0 for _, t in value_rows)
@@ -215,7 +246,7 @@ def test_extraction_proved_includes_proof_path_nodes():
     res = search_problem(m, DefaultGuidance(), cfg)
     assert res.outcome == "proved"
     ex = FeatureExtractor(m, 1000)
-    value_rows, policy_rows = extract_training_data(res.tree, res.outcome, cfg, ex)
+    value_rows, policy_rows = extract_training_data(res.tree, cfg, ex)
     # the proved node was never a bigstep node yet contributes a +3 row
     assert any(t == 3.0 for _, t in value_rows)
     assert all(t > 0 for _, t in value_rows)  # every extracted node leads to the proof
@@ -223,7 +254,7 @@ def test_extraction_proved_includes_proof_path_nodes():
     # with limited policy off, even the failed search contributes policy rows
     cfg2 = Config(rewrite=False, inference_limit=1, limited_policy=False)
     res2 = search_problem(m, DefaultGuidance(), cfg2)
-    _, policy2 = extract_training_data(res2.tree, res2.outcome, cfg2, ex)
+    _, policy2 = extract_training_data(res2.tree, cfg2, ex)
     assert res2.outcome == "exhausted"
     assert len(policy2) >= 1
 
@@ -234,8 +265,8 @@ def test_all_proofsteps_toggle():
     cfg_off = Config(rewrite=False, all_proofsteps=False)
     ex = FeatureExtractor(m, 1000)
     res = search_problem(m, DefaultGuidance(), cfg_on)
-    v_on, _ = extract_training_data(res.tree, res.outcome, cfg_on, ex)
-    v_off, _ = extract_training_data(res.tree, res.outcome, cfg_off, ex)
+    v_on, _ = extract_training_data(res.tree, cfg_on, ex)
+    v_off, _ = extract_training_data(res.tree, cfg_off, ex)
     assert len(v_on) > len(v_off)
 
 
@@ -276,9 +307,9 @@ def test_multiple_start_clauses_become_root_children():
     cfg = Config(rewrite=False, single_action_optim=False)
     g = DefaultGuidance()
     tree = SearchTree(m, g, initial_states(m, cfg))
-    root = tree.node(tree.root_id)
+    root = tree.nodes[0]
     assert root.state is None  # virtual root over the start choice
-    assert root.action_count() == 2
+    assert len(root.child_priors) == 2
     playout(tree, g, cfg, cp=3.0)
     playout(tree, g, cfg, cp=3.0)
     assert len(root.children) == 2
@@ -312,7 +343,7 @@ def test_expansion_order_equals_the_max_scan_on_random_priors():
 
 
 def test_expansion_order_on_multi_start_roots(monkeypatch):
-    """The root's first pick is inserted directly, the way `search_problem`
+    """The root's first pick is inserted directly, the way `SearchTree`
     inserts a proved start state; the expansions after it skip it."""
     def checked(node):
         expected = reference_next_action(node)
@@ -331,14 +362,14 @@ def test_expansion_order_on_multi_start_roots(monkeypatch):
         starts = initial_states(m, cfg)
         tree = SearchTree(m, g, starts)
         if len(starts) > 1:
-            tree._insert(0, 0, starts[0], tree.node(0).child_priors[0], g)
+            tree._insert(0, 0, starts[0], tree.nodes[0].child_priors[0], g)
         for _ in range(20):
-            if tree.proved_node is not None or tree.node(0).dead:
+            if tree.proved_node is not None or tree.nodes[0].dead:
                 break
             playout(tree, g, cfg, cp=3.0)
         assert picks, name
         if len(starts) > 1:
-            assert picks[0] == 0 and tree.node(0).children == {0: 1, 1: 2}, name
+            assert picks[0] == 0 and tree.nodes[0].children == {0: 1, 1: 2}, name
 
 
 def test_multi_start_trees_keep_the_visit_invariants():
@@ -351,3 +382,14 @@ def test_multi_start_trees_keep_the_visit_invariants():
         result = search_problem(m, DefaultGuidance(), cfg)
         assert result.outcome == "proved", name
         check_tree_invariants(result.tree)
+
+
+def test_a_proved_start_state_is_the_multi_start_roots_first_child():
+    with open(os.path.join(corpus_dir(), "multi_start.p"), "r", encoding="utf-8") as fh:
+        m = parse_problem(fh.read())
+    starts = initial_states(m, Config())
+    assert len(starts) == 2 and all(s.result == PROVED for s in starts)
+    tree = SearchTree(m, DefaultGuidance(), starts)
+    assert tree.proved_node == 1 and tree.nodes[0].children == {0: 1}
+    assert tree.nodes[0].visits == 2 and tree.nodes[0].reward == 1.5
+    check_tree_invariants(tree)
