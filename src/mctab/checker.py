@@ -18,12 +18,16 @@ an unsatisfiable set of them refutes the problem.  The checks on `ext`,
 
 Trace variables are frozen to `_sk<n>` constants while the trace is parsed,
 numbered in order of first occurrence in the text; the fresh constants for
-left-out clause variables continue the same count.  What this module shares
-with the prover is exactly: the problem parser and literal printer
-(`problems`), the term and clause data model, and the position helpers
-`literal_positions`, `literal_subterm`, `literal_replace`, `replace_at` and
-`subterm_at`.  Instantiation, the rewrite expansion and the SAT core are its
-own.
+left-out clause variables continue the same count.  A substitution field is
+`{}` or `{Name=term,...}`, read by the problem parser's own term grammar.
+
+What this module shares with the prover is exactly these names: the problem
+parser and literal printer, the term and clause data model, and the position
+helpers.  Instantiation, the rewrite expansion and the SAT core are its own.
+
+    problems: EQ START_MARK Clause Matrix ParseError _Parser format_literal parse_problem
+    terms: App Literal Term Var literal_positions literal_replace literal_subterm
+        replace_at subterm_at
 """
 
 from __future__ import annotations
@@ -128,48 +132,19 @@ def _parse_field_literal(text: str, skolems: _Skolems) -> Literal:
     return Literal(lit.positive, lit.predicate, args)
 
 
-def _parse_field_term(text: str, skolems: _Skolems) -> Term:
-    parser = _Parser(text)
-    term = parser.parse_term()
-    if parser.peek()[0] != "eof":
-        raise TraceError(f"trailing input in term {text!r}")
-    return skolems.freeze(term, parser.var_names)
-
-
-def _split_theta(body: str) -> list:
-    parts = []
-    depth = 0
-    cur = []
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        parts.append("".join(cur))
-    return parts
-
-
 def _parse_theta(text: str, skolems: _Skolems) -> dict:
     if not (text.startswith("{") and text.endswith("}")):
         raise TraceError(f"malformed substitution {text!r}")
-    body = text[1:-1].strip()
+    parser = _Parser(text[1:-1])
     theta: dict = {}
-    if not body:
-        return theta
-    for part in _split_theta(body):
-        name, sep, value = part.partition("=")
-        name = name.strip()
-        if not sep or not name:
-            raise TraceError(f"malformed binding {part!r}")
+    while parser.peek()[0] != "eof":
+        if theta:
+            parser.expect(",")
+        name = parser.expect("ident")[1]
+        parser.expect("=")
         if name in theta:
             raise TraceError(f"{name} is bound twice")
-        theta[name] = _parse_field_term(value.strip(), skolems)
+        theta[name] = skolems.freeze(parser.parse_term(), parser.var_names)
     return theta
 
 
@@ -283,22 +258,11 @@ def expand_rewrite(step: Rew, b_lits) -> list:
         c_after = replace_at(c_before, (arg_path[k],), t_cur)
         out.append([Literal(True, EQ, (s_cur, t_cur)), Literal(False, EQ, (c_before, c_after))])
         s_cur, t_cur = c_before, c_after
-    if before.positive:
-        out.append(
-            [
-                Literal(True, EQ, (s_cur, t_cur)),
-                Literal(True, after.predicate, after.args),
-                Literal(False, before.predicate, before.args),
-            ]
-        )
-    else:
-        out.append(
-            [
-                Literal(True, EQ, (s_cur, t_cur)),
-                Literal(True, before.predicate, before.args),
-                Literal(False, after.predicate, after.args),
-            ]
-        )
+    # the goal that holds follows from the one it was rewritten from
+    implied, implying = (after, before) if before.positive else (before, after)
+    out.append([Literal(True, EQ, (s_cur, t_cur)),
+                Literal(True, implied.predicate, implied.args),
+                Literal(False, implying.predicate, implying.args)])
     return out
 
 
@@ -420,12 +384,6 @@ def check_trace(proof_text: str, matrix: Matrix) -> CheckResult:
         steps, fresh = parse_trace(proof_text)
     except TraceError as exc:
         return CheckResult(False, f"trace parse error: {exc}")
-    return check_proof(steps, matrix, fresh)
-
-
-def check_proof(steps, matrix: Matrix, fresh) -> CheckResult:
-    """Check parsed steps against the matrix; `fresh()` must return a
-    constant that occurs nowhere in the steps."""
     ground = GroundClauseSet()
     ext_goals: list = []
     saw_start_mark = False
@@ -461,21 +419,14 @@ def check_proof(steps, matrix: Matrix, fresh) -> CheckResult:
         elif isinstance(step, Red):
             goal = step.goal
             if Literal(not goal.positive, goal.predicate, goal.args) != step.path_lit:
-                return CheckResult(
-                    False, "reduction literals are not complementary", idx
-                )
-        elif isinstance(step, Lem):
-            if step.lit not in ext_goals:
-                return CheckResult(False, "lemma literal was never solved before", idx)
-        else:
-            return CheckResult(False, f"unknown step {step!r}", idx)
+                return CheckResult(False, "reduction literals are not complementary", idx)
+        elif step.lit not in ext_goals:  # a Lem step
+            return CheckResult(False, "lemma literal was never solved before", idx)
 
     if saw_start_mark:
         # the implicit initial goal of marked problems
         ground.add_clause([Literal(False, START_MARK, ())])
     unsat, witness = check_unsat(ground)
     if not unsat:
-        return CheckResult(
-            False, "instance set is propositionally satisfiable", None, witness
-        )
+        return CheckResult(False, "instance set is propositionally satisfiable", None, witness)
     return CheckResult(True)

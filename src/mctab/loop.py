@@ -80,11 +80,9 @@ def solve_one(name: str, text: str, cfg: Config, value_model=None, policy_model=
     """Search one problem and verify what it finds; returns (stats, trace or
     None, value rows, policy rows).
 
-    A found proof is checked against `text`, not against the parsed matrix.
-    The checker shares with the search only the problem parser and printer,
-    the term data model and the position helpers `literal_positions`,
-    `literal_subterm`, `literal_replace`, `replace_at` and `subterm_at`.  A
-    rejection raises `ProofRejected`.
+    A found proof is checked against `text`, not against the parsed matrix,
+    by a checker that shares with the search only the names its module
+    docstring lists.  A rejection raises `ProofRejected`.
     """
     m = parse_problem(text)
     guidance, extractor, cp = _guidance_for(m, cfg, value_model, policy_model)

@@ -167,10 +167,12 @@ class _Parser:
         return atom
 
     def parse_atom(self) -> Literal:
-        kind, value, line, col = self.peek()
+        kind, value = self.peek()[:2]
         if kind == "#":
             self.next()
-            return self._finish_eq(Literal(True, START_MARK, ()))
+            if self.peek()[0] in ("=", "!="):
+                self.error("'#' cannot appear inside an equation")
+            return Literal(True, START_MARK, ())
         if kind == "(":
             # parenthesized atom, e.g. -(a = b)
             self.next()
@@ -179,26 +181,13 @@ class _Parser:
             return lit
         if kind != "ident":
             self.error(f"expected atom, found {value!r}")
-        t = self.parse_term()
-        return self._finish_eq(t)
-
-    def _finish_eq(self, left) -> Literal:
-        kind = self.peek()[0]
-        if kind in ("=", "!="):
-            self.next()
-            right = self.parse_term()
-            lt = left if isinstance(left, (Var, App)) else self._atom_as_term(left)
-            return Literal(kind == "=", EQ, (lt, right))
-        if isinstance(left, Literal):
-            return left
+        left = self.parse_term()
+        if self.peek()[0] in ("=", "!="):
+            positive = self.next()[0] == "="
+            return Literal(positive, EQ, (left, self.parse_term()))
         if isinstance(left, Var):
             self.error("a bare variable is not an atom")
         return Literal(True, left.symbol, left.args)
-
-    def _atom_as_term(self, lit: Literal) -> Term:
-        if lit.predicate == START_MARK:
-            self.error("'#' cannot appear inside an equation")
-        return App(lit.predicate, lit.args)
 
     def parse_term(self, depth: int = 1):
         tok = self.expect("ident")

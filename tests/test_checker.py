@@ -19,10 +19,10 @@ from mctab.config import Config, load_config
 from mctab.guidance import DefaultGuidance
 from mctab.loop import solve_one
 from mctab.mcts import search_problem
-from mctab.problems import parse_problem
+from mctab.problems import format_matrix, parse_problem
 from mctab.terms import Literal
 
-from helpers import random_matrix, reference_dpll
+from helpers import random_eq_matrix, random_matrix, reference_dpll
 
 APP_A = "-p(X).\np(Y) | -q(a).\nq(a).\n"
 
@@ -252,24 +252,24 @@ def test_lemma_proof_accepted():
 
 
 def test_prover_emitted_proofs_always_accepted_on_random_matrices():
-    rng = random.Random(20)
-    cfg = Config(rewrite=False, inference_limit=150, bigstep_freq=10, path_limit=50)
-    proved = 0
-    for _ in range(60):
-        m = random_matrix(rng)
-        try:
+    """Every proof the search emits on seeded random matrices is accepted;
+    a search that raises fails the test."""
+    for make, count, rewrite in ((random_matrix, 60, False), (random_eq_matrix, 200, True)):
+        rng = random.Random(20)
+        cfg = Config(rewrite=rewrite, inference_limit=150, bigstep_freq=10, path_limit=50)
+        traces = []
+        for _ in range(count):
+            m = make(rng)
             res = search_problem(m, DefaultGuidance(), cfg)
-        except Exception:
-            continue
-        if res.outcome != "proved":
-            continue
-        proved += 1
-        from mctab.problems import format_matrix
-
-        trace = format_proof(res.proof, res.proof_subst)
-        check = check_proof_texts(trace, format_matrix(m))
-        assert check.ok, (format_matrix(m), trace, check.message)
-    assert proved >= 5  # the battery must actually exercise proofs
+            if res.outcome != "proved":
+                continue
+            trace = format_proof(res.proof, res.proof_subst)
+            check = check_proof_texts(trace, format_matrix(m))
+            assert check.ok, (format_matrix(m), trace, check.message)
+            traces.append(trace)
+        # the battery must actually exercise proofs, and rewrite steps with rewriting on
+        assert len(traces) >= 5
+        assert rewrite == any(l.startswith("rew ") for t in traces for l in t.splitlines())
 
 
 def test_trace_parse_errors():
@@ -282,6 +282,10 @@ def test_trace_parse_errors():
         parse_trace("bogus 1 {}\n")
     with pytest.raises(TraceError):
         parse_trace("ext 1 {X=} q(a)\n")
+    # a substitution is `{}` or `{Name=term,...}`, with no trailing comma
+    for theta in ("{X=a,}", "{,X=a}", "{X=a=b}", "{X!=a}", "{=a}"):
+        with pytest.raises(TraceError, match="line 2: "):
+            parse_trace(f"start 2 {{}}\next 0 {theta} p(a)\n")
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +358,16 @@ MUTATED = ("deep_fn.p", "eq_chain_4.p", "ground_red.p", "lemma_use.p", "or_case.
 
 
 @functools.lru_cache(maxsize=None)
+def corpus_text(name: str) -> str:
+    with open(os.path.join(corpus_dir(), name), "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+@functools.lru_cache(maxsize=None)
 def corpus_proof(name: str) -> tuple:
     """(proof text, problem text) of a corpus problem at the desk settings."""
     cfg = load_config(os.path.join(corpus_dir(), os.pardir, "ini", "desk.ini"))
-    with open(os.path.join(corpus_dir(), name), "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = corpus_text(name)
     trace = solve_one(name, text, cfg)[1]
     assert trace is not None, name
     return trace, text
@@ -393,3 +402,41 @@ def _mutated_traces_get_a_verdict(name, edits):
 
 def test_mutated_traces_get_a_verdict(hypothesis_home):
     _mutated_traces_get_a_verdict()
+
+
+# ---------------------------------------------------------------------------
+# arbitrary trace text
+
+# each step keyword takes its fields in slots: a clause id, a substitution,
+# a literal or a direction, each slot drawn well-typed or as free text over
+# the trace alphabet, then up to 9 fields in all with free ones appended
+_SLOTS = {"start": "it", "ext": "itl", "red": "ll", "lem": "l", "rew": "itldll",
+          "bogus": "ll", "": ""}
+_free = st.text(st.sampled_from("{}(),=!-_#%abpqfgXYZ0129LR \t\u00e9"), max_size=12)
+_typed = {
+    "i": st.sampled_from(("0", "1", "2", "3", "-1")),
+    "t": st.sampled_from(("{}", "{X=a}", "{Y=_1}", "{X=_1,Y=f(_1)}", "{Z=b}", "{X=a,}")),
+    "l": st.sampled_from(("p(a)", "-p(_1)", "q(a)", "-q(a)", "p(_1)", "a=b", "b!=a",
+                          "f(a)!=a", "#")),
+    "d": st.sampled_from(("LR", "RL")),
+}
+
+
+def _step_line(kind: str):
+    slots = [st.one_of(_typed[slot], _free) for slot in _SLOTS[kind]]
+    extra = st.lists(_free, max_size=9 - len(slots))
+    return st.tuples(*slots, extra).map(lambda f: " ".join((kind, *f[:-1], *f[-1])))
+
+
+_trace_lines = st.one_of(st.sampled_from(sorted(_SLOTS)).flatmap(_step_line), st.text(max_size=30))
+
+
+@settings(max_examples=300)
+@given(st.lists(_trace_lines, max_size=8).map("\n".join))
+def _arbitrary_traces_get_a_verdict(trace):
+    for name in ("app_a.p", "eq_chain_4.p"):
+        assert isinstance(check_proof_texts(trace, corpus_text(name)), CheckResult)
+
+
+def test_arbitrary_traces_get_a_verdict(hypothesis_home):
+    _arbitrary_traces_get_a_verdict()

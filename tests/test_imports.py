@@ -174,3 +174,48 @@ def test_every_stored_attribute_is_read():
     sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in readers}
     storing = {str(p.relative_to(ROOT)) for p in (ROOT / "src" / "mctab").glob("*.py")}
     assert unread_attributes(sources, storing) == EXPOSED
+
+
+# what the checker shares with the prover: widening it is a change to the
+# trust boundary, made here as well as in the checker's docstring
+CHECKER_SURFACE = {
+    "problems": {"EQ", "START_MARK", "Clause", "Matrix", "ParseError", "_Parser",
+                 "format_literal", "parse_problem"},
+    "terms": {"App", "Literal", "Term", "Var", "literal_positions", "literal_replace",
+              "literal_subterm", "replace_at", "subterm_at"},
+}
+
+
+def package_imports(tree: ast.Module) -> dict:
+    """Package module -> the names a module imports from it, relative or not."""
+    found: dict = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("mctab")):
+            module = (node.module or "").rpartition(".")[2] or "mctab"
+            found.setdefault(module, set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("mctab"):
+                    found.setdefault(alias.name.rpartition(".")[2], set())
+    return found
+
+
+def docstring_surface(tree: ast.Module) -> dict:
+    """The docstring's indented `module: name ...` block, continuation lines
+    included, as module -> names."""
+    listed: dict = {}
+    lines = ast.get_docstring(tree).splitlines()
+    for word in " ".join(l for l in lines if l.startswith("    ")).split():
+        if word.endswith(":"):
+            names = listed.setdefault(word[:-1], set())
+        else:
+            names.add(word)
+    return listed
+
+
+def test_checker_shares_exactly_the_names_its_docstring_lists():
+    assert package_imports(ast.parse("from . import a\nfrom .b import c, d\nimport mctab.e\n"
+                                     "from mctab.f import g\nimport os\n")) == {
+        "mctab": {"a"}, "b": {"c", "d"}, "e": set(), "f": {"g"}}
+    tree = ast.parse((ROOT / "src" / "mctab" / "checker.py").read_text(encoding="utf-8"))
+    assert package_imports(tree) == docstring_surface(tree) == CHECKER_SURFACE

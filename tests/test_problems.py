@@ -46,6 +46,9 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse_problem("p(a) |\n| q.\n")
     assert exc.value.line == 2
+    with pytest.raises(ParseError, match="inside an equation") as exc:
+        parse_problem("#=a.\n")
+    assert (exc.value.line, exc.value.col) == (1, 2)
 
 
 def nested(depth: int) -> str:
