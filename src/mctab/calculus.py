@@ -215,7 +215,7 @@ def _rewrite_actions(m: Matrix, head: Literal) -> list:
 def _renamed_clause(m: Matrix, s: ProverState, action) -> tuple:
     """Rename the action's clause from `next_var` on and advance `next_var`;
     returns the offset, the varmap, the chosen literal and the others."""
-    clause = m.clause(action.clause_id)
+    clause = m.clauses[action.clause_id]
     offset = s.next_var
     renamed = clause.rename(offset)
     s.next_var = offset + len(clause.var_names)
@@ -349,7 +349,7 @@ def initial_states(m: Matrix, cfg: Config) -> list:
         raise NoStartClauseError("matrix has no start clause")
     out = []
     for sid in m.start_ids:
-        clause = m.clause(sid)
+        clause = m.clauses[sid]
         varmap = tuple((n, i) for i, n in enumerate(clause.var_names))
         state = ProverState(
             goals=tuple(l for l in clause.literals if l.predicate != START_MARK),

@@ -16,10 +16,12 @@ input clause under a ground substitution, or an equality-axiom instance from
 an unsatisfiable set of them refutes the problem.  The checks on `ext`,
 `red` and `lem` steps only reject traces that do not describe a tableau.
 
-Trace variables are frozen to `_sk<n>` constants while the trace is parsed,
-numbered in order of first occurrence in the text; the fresh constants for
-left-out clause variables continue the same count.  A substitution field is
-`{}` or `{Name=term,...}`, read by the problem parser's own term grammar.
+Every field of a trace is read by the problem parser, over one variable
+table for the whole trace, so trace variable n is the parser's own number,
+by first occurrence in the text; it is frozen to the constant `_sk<n>`, and
+the fresh constants for left-out clause variables continue the same count.
+A substitution field is `{}` or `{Name=term,...}`, and a clause id is ASCII
+decimal digits.
 
 What this module shares with the prover is exactly these names: the problem
 parser and literal printer, the term and clause data model, and the position
@@ -32,6 +34,7 @@ helpers.  Instantiation, the rewrite expansion and the SAT core are its own.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -100,42 +103,31 @@ class Rew:
     sides: list
 
 
-class _Skolems:
-    """Sends each trace variable name to a `_sk<n>` constant, numbered in
-    order of first occurrence; `fresh` continues the same count."""
-
-    def __init__(self):
-        self.constants: dict = {}  # variable name -> constant
-        self.count = 0
-
-    def fresh(self) -> Term:
-        self.count += 1
-        return App(f"_sk{self.count - 1}")
-
-    def freeze(self, node: Term, names) -> Term:
-        if isinstance(node, Var):
-            name = names[node.id]
-            if name not in self.constants:
-                self.constants[name] = self.fresh()
-            return self.constants[name]
-        if not node.args:
-            return node
-        return App(node.symbol, tuple(self.freeze(a, names) for a in node.args))
+def _freeze(t: Term) -> Term:
+    """`t` with each trace variable `Var(n)` as the constant `_sk<n>`."""
+    if isinstance(t, Var):
+        return App(f"_sk{t.id}")
+    return App(t.symbol, tuple(map(_freeze, t.args))) if t.args else t
 
 
-def _parse_field_literal(text: str, skolems: _Skolems) -> Literal:
-    parser = _Parser(text)
+def _clause_id(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise TraceError(f"bad clause id {text!r}")
+    return int(text)
+
+
+def _parse_field_literal(text: str, names: dict) -> Literal:
+    parser = _Parser(text, names)
     lit = parser.parse_literal()
     if parser.peek()[0] != "eof":
         raise TraceError(f"trailing input in literal {text!r}")
-    args = tuple(skolems.freeze(a, parser.var_names) for a in lit.args)
-    return Literal(lit.positive, lit.predicate, args)
+    return Literal(lit.positive, lit.predicate, tuple(map(_freeze, lit.args)))
 
 
-def _parse_theta(text: str, skolems: _Skolems) -> dict:
+def _parse_theta(text: str, names: dict) -> dict:
     if not (text.startswith("{") and text.endswith("}")):
         raise TraceError(f"malformed substitution {text!r}")
-    parser = _Parser(text[1:-1])
+    parser = _Parser(text[1:-1], names)
     theta: dict = {}
     while parser.peek()[0] != "eof":
         if theta:
@@ -144,14 +136,14 @@ def _parse_theta(text: str, skolems: _Skolems) -> dict:
         parser.expect("=")
         if name in theta:
             raise TraceError(f"{name} is bound twice")
-        theta[name] = skolems.freeze(parser.parse_term(), parser.var_names)
+        theta[name] = _freeze(parser.parse_term())
     return theta
 
 
 def parse_trace(text: str):
     """Parse a proof trace into its list of ground steps.  Also returns a
     `fresh()` that makes constants occurring nowhere in the steps."""
-    skolems = _Skolems()
+    names: dict = {}  # trace variable name -> n, one table for every field's parser
     steps = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -161,38 +153,39 @@ def parse_trace(text: str):
         try:
             kind = fields[0]
             if kind == "start" and len(fields) == 3:
-                steps.append(Start(int(fields[1]), _parse_theta(fields[2], skolems)))
+                steps.append(Start(_clause_id(fields[1]), _parse_theta(fields[2], names)))
             elif kind == "ext" and len(fields) == 4:
                 steps.append(
-                    Ext(int(fields[1]), _parse_theta(fields[2], skolems),
-                        _parse_field_literal(fields[3], skolems))
+                    Ext(_clause_id(fields[1]), _parse_theta(fields[2], names),
+                        _parse_field_literal(fields[3], names))
                 )
             elif kind == "red" and len(fields) == 3:
                 steps.append(
-                    Red(_parse_field_literal(fields[1], skolems),
-                        _parse_field_literal(fields[2], skolems))
+                    Red(_parse_field_literal(fields[1], names),
+                        _parse_field_literal(fields[2], names))
                 )
             elif kind == "lem" and len(fields) == 2:
-                steps.append(Lem(_parse_field_literal(fields[1], skolems)))
+                steps.append(Lem(_parse_field_literal(fields[1], names)))
             elif kind == "rew" and len(fields) >= 7:
                 steps.append(
                     Rew(
-                        int(fields[1]),
-                        _parse_theta(fields[2], skolems),
-                        _parse_field_literal(fields[3], skolems),
+                        _clause_id(fields[1]),
+                        _parse_theta(fields[2], names),
+                        _parse_field_literal(fields[3], names),
                         fields[4],
-                        _parse_field_literal(fields[5], skolems),
-                        _parse_field_literal(fields[6], skolems),
-                        [_parse_field_literal(f, skolems) for f in fields[7:]],
+                        _parse_field_literal(fields[5], names),
+                        _parse_field_literal(fields[6], names),
+                        [_parse_field_literal(f, names) for f in fields[7:]],
                     )
                 )
             else:
                 raise TraceError(f"unrecognized step {stripped!r}")
-        except (ValueError, ParseError, TraceError) as exc:
+        except (ParseError, TraceError) as exc:
             raise TraceError(f"line {lineno}: {exc}") from None
     if not steps:
         raise TraceError("empty proof trace")
-    return steps, skolems.fresh
+    count = itertools.count(len(names))
+    return steps, lambda: App(f"_sk{next(count)}")
 
 
 def _instantiate(clause: Clause, theta: dict, fresh) -> list:
@@ -390,9 +383,9 @@ def check_trace(proof_text: str, matrix: Matrix) -> CheckResult:
 
     for idx, step in enumerate(steps):
         if isinstance(step, (Start, Ext, Rew)):
-            if step.clause_id < 0 or step.clause_id >= len(matrix.clauses):
+            if step.clause_id >= len(matrix.clauses):
                 return CheckResult(False, "clause reference out of range", idx)
-            clause = matrix.clause(step.clause_id)
+            clause = matrix.clauses[step.clause_id]
             foreign = [name for name in step.theta if name not in clause.var_names]
             if foreign:
                 return CheckResult(

@@ -67,12 +67,12 @@ def _count_symbols(lit: Literal, counts: dict):
 def _action_walks(m: Matrix, path: tuple, action, out: dict):
     """The `a:` region: walks that depend on the action alone, never on goals."""
     if isinstance(action, ExtAction):
-        for lit in m.clause(action.clause_id).literals:
+        for lit in m.clauses[action.clause_id].literals:
             _literal_walks(lit, "a:ext:", out)
     elif isinstance(action, RedAction):
         _literal_walks(path[action.path_index], "a:red:", out)
     elif isinstance(action, RewAction):
-        eq = m.clause(action.clause_id).literals[action.lit_index]
+        eq = m.clauses[action.clause_id].literals[action.lit_index]
         _literal_walks(eq, f"a:rew:{action.direction}:", out)
     else:
         raise TypeError(f"unknown action {action!r}")

@@ -97,13 +97,15 @@ def left_sum(values) -> float:
 
 def _columns(row_ids, entries_of) -> list:
     """One (feature, values, row ids) column per feature present in the rows,
-    sorted by (value, row id), features ascending.  A column equal to a lower
-    feature's is left out: its gains are the same bits, and ties keep the
-    lower feature."""
+    sorted by (value, row id), features ascending.  A 0.0 or -0.0 entry is
+    left out, as missing, the way routing treats it.  A column equal to a
+    lower feature's is left out: its gains are the same bits, and ties keep
+    the lower feature."""
     cols: dict = {}
     for i in row_ids:
         for f, v in entries_of[i].items():
-            cols.setdefault(f, []).append((v, i))
+            if v != 0.0:
+                cols.setdefault(f, []).append((v, i))
     out = {}
     for f in sorted(cols):
         vals, ids = zip(*sorted(cols[f]))

@@ -10,13 +10,18 @@ line of the input file.  Grammar (UTF-8 text):
     term     := variable | ident [ "(" term { "," term } ")" ]
     comment  := "%" rest-of-line
 
-Identifiers matching [A-Z_][A-Za-z0-9_]* are variables, quantified per
-clause.  `X != Y` abbreviates `-(X = Y)`; `#` is the reserved start marker.
-Clause ids are assigned in file order and stay stable for the whole run.
+An identifier is a run of `_` and the characters `str.isalnum()` accepts;
+one that starts with an uppercase letter or `_` is a variable, quantified per
+clause.  The parser numbers variables 0, 1, ... in order of first occurrence:
+per clause, or over one table a caller shares, as the proof checker does for
+all the fields of a trace.  `X != Y` abbreviates `-(X = Y)`; `#` is the
+reserved start marker.  Clause ids are assigned in file order and stay
+stable for the whole run.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -62,55 +67,27 @@ class Matrix:
     # of every negative equation, in clause order
     rewrite_rules: list = field(default_factory=list)
 
-    def clause(self, cid: int) -> Clause:
-        return self.clauses[cid]
-
 
 # ---------------------------------------------------------------------------
 # tokenizer
 
-_PUNCT = {"(", ")", ",", "|", ".", "-", "=", "#"}
+# one alternative per token kind; `\w` is exactly `str.isalnum()` plus "_"
+_TOKEN = re.compile(r"(?P<skip>[ \t\r]+|%[^\n]*)|(?P<newline>\n)|(?P<punct>!=|[(),|.=#-])"
+                    r"|(?P<ident>\w+)|(?P<error>.)")
 
 
 def _tokenize(text: str):
     tokens = []  # (kind, value, line, col)
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "!" and i + 1 < n and text[i + 1] == "=":
-            tokens.append(("!=", "!=", line, col))
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT:
-            tokens.append((c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c.isalnum() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(("eof", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, value, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "error":
+            raise ParseError(f"unexpected character {value!r}", line, col)
+        elif kind != "skip":
+            tokens.append((value if kind == "punct" else kind, value, line, col))
+    tokens.append(("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -119,11 +96,12 @@ def _is_var_name(name: str) -> bool:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, vars: Optional[dict] = None):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.vars: dict = {}  # per-clause: name -> id
-        self.var_names: list = []
+        # variable name -> id, numbered by first occurrence: per clause of a
+        # problem, or one table the caller passes in and shares
+        self.vars = {} if vars is None else vars
 
     def peek(self):
         return self.tokens[self.pos]
@@ -144,16 +122,17 @@ class _Parser:
         raise ParseError(msg, tok[2], tok[3])
 
     def parse_clauses(self) -> list:
+        """(literals, variable names, position of the first token) per clause."""
         clauses = []
         while self.peek()[0] != "eof":
             self.vars = {}
-            self.var_names = []
+            at = self.peek()[2:]
             lits = [self.parse_literal()]
             while self.peek()[0] == "|":
                 self.next()
                 lits.append(self.parse_literal())
             self.expect(".")
-            clauses.append((tuple(lits), tuple(self.var_names)))
+            clauses.append((tuple(lits), tuple(self.vars), at))
         return clauses
 
     def parse_literal(self) -> Literal:
@@ -193,10 +172,7 @@ class _Parser:
         tok = self.expect("ident")
         name = tok[1]
         if _is_var_name(name):
-            if name not in self.vars:
-                self.vars[name] = len(self.var_names)
-                self.var_names.append(name)
-            return Var(self.vars[name])
+            return Var(self.vars.setdefault(name, len(self.vars)))
         args = []
         if self.peek()[0] == "(":
             if depth >= MAX_TERM_DEPTH:
@@ -218,7 +194,7 @@ def parse_problem(text: str) -> Matrix:
         raise ParseError("empty problem: no clauses", 1, 1)
     m = Matrix()
     arities: dict = {}  # name -> (arity, kind)
-    for cid, (lits, names) in enumerate(raw):
+    for cid, (lits, names, at) in enumerate(raw):
         m.clauses.append(Clause(cid, lits, names))
         for j, lit in enumerate(lits):
             seen = [(lit.predicate, len(lit.args), "predicate")]
@@ -228,7 +204,7 @@ def parse_problem(text: str) -> Matrix:
                 prev = arities.setdefault(name, (arity, kind))
                 if prev != (arity, kind):
                     used = f"used as {kind}/{arity} but previously as {prev[1]}/{prev[0]}"
-                    raise ParseError(f"symbol {name!r} {used}", 0, 0)
+                    raise ParseError(f"symbol {name!r} {used}", *at)
             every, var_first, keyed = m.literal_index.setdefault(
                 (lit.predicate, lit.positive, len(lit.args)), ([], [], {}))
             first = lit.args[0] if lit.args else None

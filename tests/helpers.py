@@ -13,9 +13,10 @@ import random
 from dataclasses import field, make_dataclass
 
 from mctab.calculus import ExtAction, RedAction, RewAction
+from mctab.checker import Ext, Lem, Red, Rew, Start, TraceError
 from mctab.gbt import DatasetError, GbtModel, TrainHistory, _Node, _rmse, left_sum
 from mctab.mcts import uct_score
-from mctab.problems import EQ
+from mctab.problems import EQ, ParseError, _Parser
 from mctab.terms import (
     App,
     Literal,
@@ -502,7 +503,8 @@ def _reference_best_split(row_ids, grad, hess, entries_of, lam, g_total, h_total
     cols: dict = {}
     for i in row_ids:
         for f, v in entries_of[i].items():
-            cols.setdefault(f, []).append((v, i))
+            if v != 0.0:  # missing, as routing has it
+                cols.setdefault(f, []).append((v, i))
     parent = g_total * g_total / (h_total + lam)
     best = None
     best_gain = 1e-12
@@ -573,7 +575,8 @@ def reference_train(data, cfg):
     """`gbt.train` as it was before it sorted each column once: every split
     search gathers the node's columns from the row dicts and sorts them.  The
     code is the old code, except that its float sums are `gbt.left_sum`, the
-    left-to-right addition `sum` did up to Python 3.11."""
+    left-to-right addition `sum` did up to Python 3.11, and that its split
+    search leaves 0.0 entries out as missing, as routing does."""
     if not data.rows:
         raise DatasetError("cannot train on an empty dataset")
     n = len(data.rows)
@@ -620,3 +623,149 @@ def reference_train(data, cfg):
     model = GbtModel(dim=data.dim, eta=cfg.eta, base=base, trees=trees[: best_round + 1])
     model.history = history
     return model
+
+
+# ---------------------------------------------------------------------------
+# trust-boundary readers as they were: the character-loop tokenizer, and the
+# trace reader that numbered trace variables in a map of its own
+
+_PUNCT = {"(", ")", ",", "|", ".", "-", "=", "#"}
+
+
+def reference_tokenize(text: str):
+    tokens = []  # (kind, value, line, col)
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "%":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c == "!" and i + 1 < n and text[i + 1] == "=":
+            tokens.append(("!=", "!=", line, col))
+            i += 2
+            col += 2
+            continue
+        if c in _PUNCT:
+            tokens.append((c, c, line, col))
+            i += 1
+            col += 1
+            continue
+        if c.isalnum() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(f"unexpected character {c!r}", line, col)
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+class _Skolems:
+    """Sends each trace variable name to a `_sk<n>` constant, numbered in
+    order of first occurrence; `fresh` continues the same count."""
+
+    def __init__(self):
+        self.constants: dict = {}  # variable name -> constant
+        self.count = 0
+
+    def fresh(self) -> Term:
+        self.count += 1
+        return App(f"_sk{self.count - 1}")
+
+    def freeze(self, node: Term, names) -> Term:
+        if isinstance(node, Var):
+            name = names[node.id]
+            if name not in self.constants:
+                self.constants[name] = self.fresh()
+            return self.constants[name]
+        if not node.args:
+            return node
+        return App(node.symbol, tuple(self.freeze(a, names) for a in node.args))
+
+
+# the one edit to the old code: a field parser's variable names, once its
+# `var_names` list, are the keys of its `vars` table
+def _reference_field_literal(text: str, skolems: _Skolems) -> Literal:
+    parser = _Parser(text)
+    lit = parser.parse_literal()
+    if parser.peek()[0] != "eof":
+        raise TraceError(f"trailing input in literal {text!r}")
+    args = tuple(skolems.freeze(a, list(parser.vars)) for a in lit.args)
+    return Literal(lit.positive, lit.predicate, args)
+
+
+def _reference_theta(text: str, skolems: _Skolems) -> dict:
+    if not (text.startswith("{") and text.endswith("}")):
+        raise TraceError(f"malformed substitution {text!r}")
+    parser = _Parser(text[1:-1])
+    theta: dict = {}
+    while parser.peek()[0] != "eof":
+        if theta:
+            parser.expect(",")
+        name = parser.expect("ident")[1]
+        parser.expect("=")
+        if name in theta:
+            raise TraceError(f"{name} is bound twice")
+        theta[name] = skolems.freeze(parser.parse_term(), list(parser.vars))
+    return theta
+
+
+def reference_parse_trace(text: str):
+    """Parse a proof trace into its list of ground steps.  Also returns a
+    `fresh()` that makes constants occurring nowhere in the steps."""
+    skolems = _Skolems()
+    steps = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        fields = stripped.split()
+        try:
+            kind = fields[0]
+            if kind == "start" and len(fields) == 3:
+                steps.append(Start(int(fields[1]), _reference_theta(fields[2], skolems)))
+            elif kind == "ext" and len(fields) == 4:
+                steps.append(
+                    Ext(int(fields[1]), _reference_theta(fields[2], skolems),
+                        _reference_field_literal(fields[3], skolems))
+                )
+            elif kind == "red" and len(fields) == 3:
+                steps.append(
+                    Red(_reference_field_literal(fields[1], skolems),
+                        _reference_field_literal(fields[2], skolems))
+                )
+            elif kind == "lem" and len(fields) == 2:
+                steps.append(Lem(_reference_field_literal(fields[1], skolems)))
+            elif kind == "rew" and len(fields) >= 7:
+                steps.append(
+                    Rew(
+                        int(fields[1]),
+                        _reference_theta(fields[2], skolems),
+                        _reference_field_literal(fields[3], skolems),
+                        fields[4],
+                        _reference_field_literal(fields[5], skolems),
+                        _reference_field_literal(fields[6], skolems),
+                        [_reference_field_literal(f, skolems) for f in fields[7:]],
+                    )
+                )
+            else:
+                raise TraceError(f"unrecognized step {stripped!r}")
+        except (ValueError, ParseError, TraceError) as exc:
+            raise TraceError(f"line {lineno}: {exc}") from None
+    if not steps:
+        raise TraceError("empty proof trace")
+    return steps, skolems.fresh

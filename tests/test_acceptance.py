@@ -307,7 +307,7 @@ def test_checker_contracts(corpus_runs):
                 for c in matrix.clauses
                 if c.id != old
                 and sorted((l.positive, l.predicate) for l in c.literals)
-                != sorted((l.positive, l.predicate) for l in matrix.clause(old).literals)
+                != sorted((l.positive, l.predicate) for l in matrix.clauses[old].literals)
             )
             fields[1] = str(target)
             mutated = lines[: ext_ids[0]] + [" ".join(fields)] + lines[ext_ids[0] + 1 :]

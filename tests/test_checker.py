@@ -2,6 +2,7 @@ import functools
 import itertools
 import os
 import random
+import re
 import sys
 
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from mctab.calculus import format_proof
 from mctab.checker import (
     CheckResult,
     GroundClauseSet,
+    TraceError,
     check_proof_texts,
     check_unsat,
     parse_trace,
@@ -22,7 +24,7 @@ from mctab.mcts import search_problem
 from mctab.problems import format_matrix, parse_problem
 from mctab.terms import Literal
 
-from helpers import random_eq_matrix, random_matrix, reference_dpll
+from helpers import random_eq_matrix, random_matrix, reference_dpll, reference_parse_trace
 
 APP_A = "-p(X).\np(Y) | -q(a).\nq(a).\n"
 
@@ -272,9 +274,24 @@ def test_prover_emitted_proofs_always_accepted_on_random_matrices():
         assert rewrite == any(l.startswith("rew ") for t in traces for l in t.splitlines())
 
 
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def _emitted_proofs_are_accepted(seed, rewrite):
+    m = (random_eq_matrix if rewrite else random_matrix)(random.Random(seed))
+    cfg = Config(rewrite=rewrite, inference_limit=150, bigstep_freq=10, path_limit=50)
+    res = search_problem(m, DefaultGuidance(), cfg)
+    if res.outcome == "proved":
+        trace = format_proof(res.proof, res.proof_subst)
+        check = check_proof_texts(trace, format_matrix(m))
+        assert check.ok, (format_matrix(m), trace, check.message)
+
+
+def test_emitted_proofs_are_accepted(hypothesis_home):
+    _emitted_proofs_are_accepted()
+
+
 def test_trace_parse_errors():
     import pytest
-    from mctab.checker import TraceError
 
     with pytest.raises(TraceError):
         parse_trace("")
@@ -286,6 +303,10 @@ def test_trace_parse_errors():
     for theta in ("{X=a,}", "{,X=a}", "{X=a=b}", "{X!=a}", "{=a}"):
         with pytest.raises(TraceError, match="line 2: "):
             parse_trace(f"start 2 {{}}\next 0 {theta} p(a)\n")
+    # a clause id is ASCII decimal digits
+    for cid in ("1_0", "\u0663", "+3"):
+        with pytest.raises(TraceError, match=re.escape(f"line 1: bad clause id '{cid}'")):
+            parse_trace(f"start {cid} {{}}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -440,3 +461,34 @@ def _arbitrary_traces_get_a_verdict(trace):
 
 def test_arbitrary_traces_get_a_verdict(hypothesis_home):
     _arbitrary_traces_get_a_verdict()
+
+
+def _parsed(parse, trace):
+    """The steps and three fresh constants, or the error message."""
+    try:
+        steps, fresh = parse(trace)
+    except TraceError as exc:
+        return str(exc)
+    return steps, [fresh() for _ in range(3)]
+
+
+@settings(max_examples=300)
+@given(st.lists(_trace_lines, max_size=8).map("\n".join))
+def _trace_as_the_reference(trace):
+    mine = _parsed(parse_trace, trace)
+    ref = _parsed(reference_parse_trace, trace)
+    bad_id = re.match(r"line (\d+): bad clause id ", mine) if isinstance(mine, str) else None
+    if bad_id is None:
+        assert mine == ref
+        return
+    # the one change: a clause id that is not ASCII digits is refused where
+    # `int` read it or refused it with its own message
+    lineno = int(bad_id[1])
+    cid = trace.splitlines()[lineno - 1].split()[1]
+    assert mine == f"line {lineno}: bad clause id {cid!r}"
+    assert not (cid.isascii() and cid.isdigit())
+    assert not isinstance(ref, str) or int(ref.split(":")[0].split()[1]) >= lineno
+
+
+def test_trace_as_the_reference(hypothesis_home):
+    _trace_as_the_reference()

@@ -157,6 +157,30 @@ def test_split_choice_matches_brute_force():
             assert mine[1:] == ref[1:]
 
 
+def test_zero_entries_are_missing_in_the_split_search():
+    """Routing sends a present 0.0 or -0.0 the default way, as missing, and
+    the split search scores it the same way."""
+    cfg = Config(rounds=5, patience=5)
+    expected = train(make_dataset([({0: 2.0}, 1.0), ({1: 1.0}, -1.0)] * 10), cfg).history
+    assert round(expected.train_rmse[-1], 5) == 0.22626
+    for zero in (0.0, -0.0):
+        rows = [({0: zero}, 1.0), ({1: 1.0}, -1.0)] * 10
+        assert train(make_dataset(rows), cfg).history.train_rmse == expected.train_rmse
+    rng = random.Random(8)
+    for _ in range(50):
+        n = rng.randint(5, 40)
+        entries = [{rng.randrange(8): rng.choice([-0.0, 0.0, 1.0, 2.0, 3.0])
+                    for _ in range(rng.randint(0, 4))} for _ in range(n)]
+        grad = [rng.uniform(-2, 2) for _ in range(n)]
+        hess = [rng.uniform(0.5, 2.0) for _ in range(n)]
+        ids = list(range(n))
+        mine = _best_split(_columns(ids, entries), n, grad, hess, 1.5, sum(grad), sum(hess))
+        ref = brute_best(ids, grad, hess, entries, 1.5)
+        assert (mine is None) == (ref is None)
+        if mine is not None:
+            assert abs(mine[0] - ref[0]) < 1e-9
+
+
 def brute_second_gain(row_ids, grad, hess, entries, lam, exclude):
     feats = sorted({f for i in row_ids for f in entries[i] if entries[i][f] != 0.0})
     g_total = sum(grad[i] for i in row_ids)
