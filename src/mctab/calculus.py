@@ -186,20 +186,14 @@ def valid_actions(m: Matrix, goals: tuple, path: tuple, cfg: Config, next_var: i
 
 def _rewrite_actions(m: Matrix, head: Literal) -> list:
     """Rewrites of `head`, whose variables must not occur in any clause.  A
-    rule tries the subterms with its source's symbol and arity, or every
-    subterm when its source is a variable."""
+    rule tries the subterms with its source's symbol and arity."""
     out = []
-    every = literal_subterms(head)
     buckets: dict = {}
-    for pos, sub in every:
+    for pos, sub in literal_subterms(head):
         if not isinstance(sub, Var):
             buckets.setdefault((sub.symbol, len(sub.args)), []).append((pos, sub))
     for clause_id, j, direction, src, dst in m.rewrite_rules:
-        if isinstance(src, Var):
-            candidates = every
-        else:
-            candidates = buckets.get((src.symbol, len(src.args)), ())
-        for pos, sub in candidates:
+        for pos, sub in buckets.get((src.symbol, len(src.args)), ()):
             sigma = match_term(src, sub)
             if sigma is None:
                 continue

@@ -89,6 +89,7 @@ class SearchTree:
                                      child_priors=[1.0 / n] * n))
         for i, state in enumerate(self.start_states):
             if state.result == PROVED:
+                self.inferences += state.inference_count + 1  # as `_expand` counts a start
                 self.backpropagate(0, self._insert(0, i, state, 1.0 / n, guidance).reward)
                 break
 

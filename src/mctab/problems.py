@@ -63,8 +63,9 @@ class Matrix:
     # those with a variable first argument; per first-argument (symbol,
     # arity), those whose first argument has that key or is a variable
     literal_index: dict = field(default_factory=dict)
-    # one (clause id, literal index, direction, source, target) per direction
-    # of every negative equation, in clause order
+    # the rewrite rules l -> r, l not a variable: one (clause id, literal
+    # index, direction, source, target) per direction of a negative equation
+    # whose source is not a variable, in clause order
     rewrite_rules: list = field(default_factory=list)
 
 
@@ -216,8 +217,9 @@ def parse_problem(text: str) -> Matrix:
                 candidates.append((lit, cid, j))
             if not lit.positive and lit.predicate == EQ and len(lit.args) == 2:
                 left, right = lit.args
-                m.rewrite_rules.append((cid, j, "LR", left, right))
-                m.rewrite_rules.append((cid, j, "RL", right, left))
+                for direction, src, dst in (("LR", left, right), ("RL", right, left)):
+                    if not isinstance(src, Var):
+                        m.rewrite_rules.append((cid, j, direction, src, dst))
     marked = [c.id for c in m.clauses if any(l.predicate == START_MARK for l in c.literals)]
     positive = [c.id for c in m.clauses if c.literals and all(l.positive for l in c.literals)]
     m.start_ids = marked or positive

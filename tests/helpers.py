@@ -285,17 +285,19 @@ def random_matrix(rng: random.Random):
 
 def random_eq_matrix(rng: random.Random):
     """Small random matrix with negative equations for the rewrite half of
-    action enumeration: sources headed by a function symbol, by a constant
-    and by a bare variable (as in `f(X)!=X` read right to left), and goals
-    with variable subterms.  Has at least one all-positive start clause."""
+    action enumeration, over few symbols so that rules often apply: sides
+    headed by a function symbol or a constant, which are rewrite rules, and
+    bare-variable sides (as in `f(X)!=X` read right to left), which are
+    not, and goals with variable subterms.  Has at least one all-positive
+    start clause."""
     from mctab.problems import parse_problem
 
     def term(depth):
         roll = rng.random()
         if depth == 0 or roll < 0.3:
-            return rng.choice(["X", "Y", "a", "b"])
+            return rng.choice(["X", "Y", "a"])
         if roll < 0.8:
-            return f"{rng.choice('fg')}({term(depth - 1)})"
+            return f"f({term(depth - 1)})"
         return f"h({term(depth - 1)},{term(depth - 1)})"
 
     def literal():
@@ -389,6 +391,8 @@ def reference_valid_actions(m, goals, path, cfg, next_var) -> tuple:
                     continue
                 left, right = lit.args
                 for direction, src, dst in (("LR", left, right), ("RL", right, left)):
+                    if isinstance(src, Var):
+                        continue  # not a rewrite rule: its source is a variable
                     for pos in literal_positions(head):
                         sub = literal_subterm(head, pos)
                         sigma = match_term(src, sub)

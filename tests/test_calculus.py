@@ -364,6 +364,7 @@ def test_parent_state_not_mutated(search_trees):
 
 def test_valid_actions_equal_the_renaming_reference(search_trees):
     kinds = set()
+    sources = set()  # whether a rewrite's source has arguments
     frames = 0
     for m, cfg, tree in search_trees:
         for s in _settled_states(tree):
@@ -372,6 +373,10 @@ def test_valid_actions_equal_the_renaming_reference(search_trees):
             if s.result == OPEN:
                 assert s.actions == expected
             kinds.update(type(a) for a in expected)
+            for a in expected:
+                if isinstance(a, RewAction):
+                    left, right = m.clauses[a.clause_id].literals[a.lit_index].args
+                    sources.add(bool((left if a.direction == "LR" else right).args))
             # resumed frames are heads the search reaches later
             for goals, path, _ in s.todos:
                 goals, path = resolve_literals(s.subst, goals), resolve_literals(s.subst, path)
@@ -379,6 +384,10 @@ def test_valid_actions_equal_the_renaming_reference(search_trees):
                 assert valid_actions(m, goals, path, cfg, s.next_var) == expected
                 frames += 1
     assert kinds == {ExtAction, RedAction, RewAction}
+    assert sources == {True, False}  # sources headed by a function and by a constant
+    # the trees' matrices hold equations with a bare-variable side, which no rule has
+    assert any(isinstance(t, Var) for m, _, _ in search_trees for c in m.clauses
+               for l in c.literals if l.predicate == "=" for t in l.args)
     assert frames > 0
 
 

@@ -22,7 +22,7 @@ from mctab.guidance import DefaultGuidance
 from mctab.loop import solve_one
 from mctab.mcts import search_problem
 from mctab.problems import format_matrix, parse_problem
-from mctab.terms import Literal
+from mctab.terms import App, Literal, Var
 
 from helpers import random_eq_matrix, random_matrix, reference_dpll, reference_parse_trace
 
@@ -206,6 +206,16 @@ def test_rewrite_rl_direction_accepted():
     text = "p(g(a)).\nh(Z)!=g(Z) | -q(Z).\n-p(h(a)).\nq(a).\n"
     trace = prove(text, rewrite=True)
     assert any(" RL " in line for line in trace.splitlines())
+    res = check_proof_texts(trace, text)
+    assert res.ok, res.message
+
+
+def test_variable_source_rewrite_accepted():
+    # X -> f(X) is no rewrite rule, so the search never offers this step,
+    # but the step is sound and the checker accepts it
+    text = "p(a).\nf(X)!=X.\n-p(f(a)).\n"
+    assert parse_problem(text).rewrite_rules == [(1, 0, "LR", App("f", (Var(0),)), Var(0))]
+    trace = "start 0 {}\nrew 1 {X=a} f(a)!=a RL p(a) p(f(a))\next 2 {} p(f(a))\n"
     res = check_proof_texts(trace, text)
     assert res.ok, res.message
 

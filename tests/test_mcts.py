@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 from mctab.calculus import PROVED
 from mctab.cli import corpus_dir
-from mctab.config import Config
+from mctab.config import Config, load_config
 from mctab.features import FeatureExtractor
 from mctab.guidance import DefaultGuidance
 from mctab import mcts
@@ -393,3 +393,34 @@ def test_a_proved_start_state_is_the_multi_start_roots_first_child():
     assert tree.proved_node == 1 and tree.nodes[0].children == {0: 1}
     assert tree.nodes[0].visits == 2 and tree.nodes[0].reward == 1.5
     check_tree_invariants(tree)
+
+
+def test_a_proved_start_state_counts_as_an_expanded_start():
+    """Inserting a proved start while the root is built counts its
+    inferences and backpropagates exactly as the root's expansion would."""
+    with open(os.path.join(corpus_dir(), "multi_start.p"), "r", encoding="utf-8") as fh:
+        m = parse_problem(fh.read())
+    cfg = Config()
+    g = DefaultGuidance()
+    starts = initial_states(m, cfg)
+    inserted = SearchTree(m, g, starts)
+    expanded = SearchTree(m, g, starts)
+    del expanded.nodes[1:]  # back to the bare root, then expand its first start
+    root = expanded.nodes[0]
+    root.children, root.visits, root.reward = {}, 1, 0.5
+    expanded.inferences, expanded.proved_node = 0, None
+    mcts._expand(expanded, root, g, cfg)
+    assert inserted.inferences == expanded.inferences == starts[0].inference_count + 1 > 0
+    assert [(n.parent, n.visits, n.reward, n.children) for n in inserted.nodes] == [
+        (n.parent, n.visits, n.reward, n.children) for n in expanded.nodes]
+    assert inserted.proved_node == expanded.proved_node == 1
+    assert search_problem(m, g, cfg).stats.inferences == inserted.inferences
+
+
+def test_rewrite_rules_shorten_the_unguided_eq_chain_16():
+    # 2600 inferences when every orientation of an equation was a rule
+    ini = os.path.join(os.path.dirname(corpus_dir()), "ini", "desk.ini")
+    with open(os.path.join(corpus_dir(), "eq_chain_16.p"), "r", encoding="utf-8") as fh:
+        m = parse_problem(fh.read())
+    result = search_problem(m, DefaultGuidance(), load_config(ini))
+    assert result.outcome == "proved" and result.stats.inferences <= 1560

@@ -90,6 +90,28 @@ def test_equality_shorthand():
     assert format_literal(m.clauses[2].literals[0]) == "a!=b"
 
 
+def test_rewrite_rules_have_no_variable_source():
+    # f(X) -> X is a rewrite rule; X -> f(X) would match every subterm
+    m = parse_problem("f(X)!=X | p(X).\n")
+    assert m.rewrite_rules == [(0, 0, "LR", App("f", (Var(0),)), Var(0))]
+    assert parse_problem("X!=Y | p(X).\n").rewrite_rules == []
+    # a target with a variable the source lacks is still a rule
+    m = parse_problem("p(a).\nq(b) | a!=X.\n")
+    assert m.rewrite_rules == [(1, 1, "LR", App("a"), Var(0))]
+
+
+def test_no_corpus_rule_has_a_variable_source():
+    import os
+    from mctab.cli import corpus_dir
+
+    rules = []
+    for name in sorted(os.listdir(corpus_dir())):
+        with open(os.path.join(corpus_dir(), name), "r", encoding="utf-8") as fh:
+            rules += parse_problem(fh.read()).rewrite_rules
+    # 66 of the 102 orientations of the corpus's negative equations
+    assert len(rules) == 66 and not any(isinstance(src, Var) for _, _, _, src, _ in rules)
+
+
 def test_start_marker_convention():
     m = parse_problem("# | -q(a).\nq(a).\np(b).\n")
     assert m.start_ids == [0]
