@@ -144,7 +144,8 @@ class ProverState:
 # action enumeration
 
 def valid_actions(m: Matrix, goals: tuple, path: tuple, cfg: Config, next_var: int) -> tuple:
-    """All applicable actions for the head goal literal.
+    """All applicable actions for the head goal literal: extensions, then
+    reductions, then rewrites.
 
     Extensions connect the head to a complementary input-clause literal;
     reductions to a complementary path literal (both under unification with
@@ -159,29 +160,40 @@ def valid_actions(m: Matrix, goals: tuple, path: tuple, cfg: Config, next_var: i
     the cost follows the literals that could connect, not the matrix size:
     when the head's first argument is an application, only the literals
     whose first argument has its symbol and arity or is a variable.
+
+    Extensions and rewrites do not depend on the path, and they are
+    enumerated once per exact head literal and rewrite setting, then kept in
+    `m.head_actions`.  The exact head is a sound key for any `next_var`:
+    unification, matching and the no-op test compare variables only for
+    identity, and every shift keeps the head's variables apart from the
+    clause's.  Reductions depend on the path and are computed on every call.
     """
     if not goals:
         return ()
     head = goals[0]
     neg_head = negate(head)
-    shifted = shift_literal(neg_head, -next_var)
-    out = []
-    every, var_first, keyed = m.literal_index.get(
-        (head.predicate, not head.positive, len(head.args)), _NO_CANDIDATES)
-    first = head.args[0] if head.args else None
-    candidates = (keyed.get((first.symbol, len(first.args)), var_first)
-                  if isinstance(first, App) else every)
-    for lit, clause_id, j in candidates:
-        if unify_literals(shifted, lit) is not None:
-            out.append(tuple.__new__(ExtAction, (clause_id, j)))  # see terms._new
+    key = head, cfg.rewrite
+    known = m.head_actions.get(key)
+    if known is None:
+        shifted = shift_literal(neg_head, -next_var)
+        every, var_first, keyed = m.literal_index.get(
+            (head.predicate, not head.positive, len(head.args)), _NO_CANDIDATES)
+        first = head.args[0] if head.args else None
+        candidates = (keyed.get((first.symbol, len(first.args)), var_first)
+                      if isinstance(first, App) else every)
+        ext = tuple(tuple.__new__(ExtAction, (clause_id, j))  # see terms._new
+                    for lit, clause_id, j in candidates
+                    if unify_literals(shifted, lit) is not None)
+        rew = tuple(_rewrite_actions(m, shifted)) if cfg.rewrite and m.rewrite_rules else ()
+        known = m.head_actions[key] = ext, rew
+    ext, rew = known
+    red = []
     for k, plit in enumerate(path):
         if plit.predicate != head.predicate or plit.positive == head.positive:
             continue
         if unify_literals(neg_head, plit) is not None:
-            out.append(RedAction(k))
-    if cfg.rewrite and m.rewrite_rules:
-        out.extend(_rewrite_actions(m, shifted))
-    return tuple(out)
+            red.append(RedAction(k))
+    return ext + tuple(red) + rew
 
 
 def _rewrite_actions(m: Matrix, head: Literal) -> list:

@@ -165,6 +165,8 @@ def run_iteration(
 
 def run_loop(problem_dir: str, iterations: int, out_root: str, cfg: Config) -> list:
     """Iteration 0 runs unguided; every later iteration loads the fresh models."""
+    if iterations < 1:
+        raise LoopError(f"iterations must be at least 1, got {iterations}")
     reports = []
     value_model = None
     policy_model = None

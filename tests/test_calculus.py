@@ -1,9 +1,10 @@
 import os
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
+from mctab import calculus
 from mctab.calculus import (
     FAILED,
     OPEN,
@@ -363,10 +364,15 @@ def test_parent_state_not_mutated(search_trees):
 
 
 def test_valid_actions_equal_the_renaming_reference(search_trees):
+    """Every settled state and resumed frame enumerates the reference's
+    actions; so do its goals, on the matrix whose head memo the search has
+    filled, under another `next_var`, with an empty path and with the other
+    rewrite setting."""
     kinds = set()
     sources = set()  # whether a rewrite's source has arguments
-    frames = 0
+    frames = pathless = unrewritten = 0
     for m, cfg, tree in search_trees:
+        flipped = replace(cfg, rewrite=not cfg.rewrite)
         for s in _settled_states(tree):
             expected = reference_valid_actions(m, s.goals, s.path, cfg, s.next_var)
             assert valid_actions(m, s.goals, s.path, cfg, s.next_var) == expected
@@ -377,18 +383,54 @@ def test_valid_actions_equal_the_renaming_reference(search_trees):
                 if isinstance(a, RewAction):
                     left, right = m.clauses[a.clause_id].literals[a.lit_index].args
                     sources.add(bool((left if a.direction == "LR" else right).args))
+            branches = [(s.goals, s.path, expected)]
             # resumed frames are heads the search reaches later
             for goals, path, _ in s.todos:
                 goals, path = resolve_literals(s.subst, goals), resolve_literals(s.subst, path)
                 expected = reference_valid_actions(m, goals, path, cfg, s.next_var)
                 assert valid_actions(m, goals, path, cfg, s.next_var) == expected
+                branches.append((goals, path, expected))
                 frames += 1
+            for goals, path, expected in branches:
+                for c, p, n in ((cfg, path, s.next_var + 7), (cfg, (), s.next_var),
+                                (flipped, path, s.next_var)):
+                    again = reference_valid_actions(m, goals, p, c, n)
+                    assert valid_actions(m, goals, p, c, n) == again
+                    pathless += p is not path and again != expected
+                    unrewritten += c is flipped and again != expected
     assert kinds == {ExtAction, RedAction, RewAction}
     assert sources == {True, False}  # sources headed by a function and by a constant
     # the trees' matrices hold equations with a bare-variable side, which no rule has
     assert any(isinstance(t, Var) for m, _, _ in search_trees for c in m.clauses
                for l in c.literals if l.predicate == "=" for t in l.args)
     assert frames > 0
+    # an empty path and the other rewrite setting each change some action
+    # set, so a memo that ignored either would be seen
+    assert pathless > 0 and unrewritten > 0
+
+
+def test_a_repeated_head_is_enumerated_once(monkeypatch):
+    """A head's extensions and rewrites are enumerated on its first call
+    only: the second call unifies nothing and enumerates no rewrite."""
+    m = parse_problem("p(g(a)).\ng(Z)!=h(Z) | -q(Z).\n-p(h(a)).\n-p(g(W)).\nq(a).\n")
+    cfg = Config(rewrite=True)
+    calls = []
+
+    def counted(f):
+        def wrapper(*args):
+            calls.append(f.__name__)
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(calculus, "unify_literals", counted(calculus.unify_literals))
+    monkeypatch.setattr(calculus, "_rewrite_actions", counted(calculus._rewrite_actions))
+    goals = (Literal(True, "p", (App("g", (App("a"),)),)),)
+    first = valid_actions(m, goals, (), cfg, 2)
+    assert {type(a) for a in first} == {ExtAction, RewAction}
+    assert "unify_literals" in calls and calls.count("_rewrite_actions") == 1
+    calls.clear()
+    assert valid_actions(m, goals, (), cfg, 2) == first
+    assert calls == []
 
 
 def test_saved_frames_are_brought_up_to_date_by_one_application(search_trees):

@@ -162,13 +162,19 @@ def test_prove_with_models(problem, tmp_path):
     assert code == 0
 
 
-def test_usage_errors_exit_two(tmp_path):
+def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["prove"]) == 2  # missing argument
     assert main(["frobnicate"]) == 2
     bad = tmp_path / "bad.p"
     bad.write_text("p(a) |\n")
     assert main(["prove", str(bad)]) == 2  # parse error
     assert main(["prove", str(bad), "-s", "no_such_key=1"]) == 2
+    for n in ("0", "-1"):  # a loop of no iterations
+        out = tmp_path / f"loop{n}"
+        capsys.readouterr()
+        assert main(["loop", corpus_dir(), "--iterations", n, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 def test_deep_problem_exits_two(tmp_path, capsys):
