@@ -15,6 +15,7 @@ path limit).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 from .config import Config
@@ -24,6 +25,7 @@ from .terms import (
     Literal,
     Subst,
     Var,
+    instantiate_literal,
     is_ground_literal,
     literal_replace,
     literal_subterm,
@@ -127,7 +129,7 @@ class ProverState:
         """Add the triangular `delta` to subst and, when it binds a variable
         below `bound`, resolve the active branch through all of `delta`.  The
         branch is fully applied, so `delta` binds only free variables.  A
-        step renames its clause from `bound` on, so no fresh clause variable
+        step shifts its clause from `bound` on, so no fresh clause variable
         occurs in the branch (a rewrite's match binds only those), yet a
         branch variable may be bound to one that `delta` binds in turn:
         -p(X,X) against p(Y,f(a)) gives {X: Y, Y: f(a)}."""
@@ -171,11 +173,10 @@ def valid_actions(m: Matrix, goals: tuple, path: tuple, cfg: Config, next_var: i
     if not goals:
         return ()
     head = goals[0]
-    neg_head = negate(head)
     key = head, cfg.rewrite
     known = m.head_actions.get(key)
     if known is None:
-        shifted = shift_literal(neg_head, -next_var)
+        shifted = shift_literal(head, -next_var)
         every, var_first, keyed = m.literal_index.get(
             (head.predicate, not head.positive, len(head.args)), _NO_CANDIDATES)
         first = head.args[0] if head.args else None
@@ -191,7 +192,7 @@ def valid_actions(m: Matrix, goals: tuple, path: tuple, cfg: Config, next_var: i
     for k, plit in enumerate(path):
         if plit.predicate != head.predicate or plit.positive == head.positive:
             continue
-        if unify_literals(neg_head, plit) is not None:
+        if unify_literals(head, plit) is not None:
             red.append(RedAction(k))
     return ext + tuple(red) + rew
 
@@ -218,61 +219,51 @@ def _rewrite_actions(m: Matrix, head: Literal) -> list:
 # ---------------------------------------------------------------------------
 # steps; each works in place on a fresh copy of the parent state
 
-def _renamed_clause(m: Matrix, s: ProverState, action) -> tuple:
-    """Rename the action's clause from `next_var` on and advance `next_var`;
-    returns the offset, the varmap, the chosen literal and the others."""
-    clause = m.clauses[action.clause_id]
-    offset = s.next_var
-    renamed = clause.rename(offset)
-    s.next_var = offset + len(clause.var_names)
-    varmap = tuple((n, offset + i) for i, n in enumerate(clause.var_names))
-    j = action.lit_index
-    return offset, varmap, renamed[j], renamed[:j] + renamed[j + 1 :]
-
-
 def _apply_on_work(m: Matrix, s: ProverState, action) -> None:
     """One nondeterministic step; counts no inference and runs no det_steps.
-    The action was enumerated from this state, so it applies."""
-    head = s.goals[0]
-    s.goals = s.goals[1:]
+    The action was enumerated from this state, so it applies.
+
+    An extension or a rewrite shifts only the chosen clause literal to fresh
+    variables from `next_var` on, and unifies it with the head (matches its
+    source against a head subterm) as it stands.  The head stays in the
+    goals until `bind`, so it is walked only when the unifier binds a branch
+    variable; otherwise it is final.  Each side literal is shifted and
+    resolved in one `instantiate_literal` walk."""
     if isinstance(action, RedAction):
-        plit = s.path[action.path_index]
-        delta = unify_literals(negate(head), plit)
-        s.bind(delta, s.next_var)
-        s.proof += (RedStep(resolve_literal(delta, head), resolve_literal(delta, plit)),)
+        s.bind(unify_literals(s.goals[0], s.path[action.path_index]), s.next_var)
+        s.proof += (RedStep(s.goals[0], s.path[action.path_index]),)
+        s.goals = s.goals[1:]
         return
-    offset, varmap, lit, rest = _renamed_clause(m, s, action)
+    clause = m.clauses[action.clause_id]
+    offset = s.next_var
+    s.next_var = offset + len(clause.var_names)
+    varmap = tuple(zip(clause.var_names, range(offset, s.next_var)))
+    j = action.lit_index
+    lit = shift_literal(clause.literals[j], offset)
+    rest = clause.literals[:j] + clause.literals[j + 1 :]
     if isinstance(action, ExtAction):
-        delta = unify_literals(negate(head), lit)
+        delta = unify_literals(s.goals[0], lit)
         s.bind(delta, offset)
-        head2 = resolve_literal(delta, head)
-        if s.goals:
-            s.todos = ((s.goals, s.path, (head2,) + s.lemmas),) + s.todos
-        s.goals = resolve_literals(delta, rest)
-        s.path = (head2,) + s.path
-        s.proof += (ExtStep(action.clause_id, varmap, head2),)
+        head = s.goals[0]
+        if len(s.goals) > 1:
+            s.todos = ((s.goals[1:], s.path, (head,) + s.lemmas),) + s.todos
+        s.goals = tuple(map(instantiate_literal, rest, repeat(offset), repeat(delta)))
+        s.path = (head,) + s.path
+        s.proof += (ExtStep(action.clause_id, varmap, head),)
         return
+    head = s.goals[0]
     left, right = lit.args
     src, dst = (left, right) if action.direction == "LR" else (right, left)
     sigma = match_term(src, literal_subterm(head, action.position))
     goal_after = literal_replace(head, action.position, resolve_term(sigma, dst))
-    sides = resolve_literals(sigma, rest)
+    sides = tuple(map(instantiate_literal, rest, repeat(offset), repeat(sigma)))
     s.bind(sigma, offset)
-    if s.goals:
-        s.todos = ((s.goals, s.path, s.lemmas),) + s.todos
+    if len(s.goals) > 1:
+        s.todos = ((s.goals[1:], s.path, s.lemmas),) + s.todos
     s.goals = (goal_after,) + sides
     s.path = (head,) + s.path
-    s.proof += (
-        RewStep(
-            action.clause_id,
-            varmap,
-            resolve_literal(sigma, lit),
-            action.direction,
-            head,
-            goal_after,
-            sides,
-        ),
-    )
+    s.proof += (RewStep(action.clause_id, varmap, resolve_literal(sigma, lit), action.direction,
+                        head, goal_after, sides),)
 
 
 def _det_on_work(m: Matrix, s: ProverState, cfg: Config) -> ProverState:

@@ -64,14 +64,14 @@ def _set(cfg: Config, key: str, raw: str, where: str = ""):
         elif low in ("off", "false", "0", "no"):
             value = False
         else:
-            raise ConfigError(f"bad boolean for {key}: {raw!r}")
+            raise ConfigError(f"{where}bad boolean for {key}: {raw!r}")
     else:
         try:
             value = kind(raw)
         except ValueError:
-            raise ConfigError(f"bad value for {key}: {raw!r}") from None
+            raise ConfigError(f"{where}bad value for {key}: {raw!r}") from None
         if not math.isfinite(value) or value < 0 or (key in _POSITIVE and value == 0):
-            raise ConfigError(f"out-of-range value for {key}: {raw!r}")
+            raise ConfigError(f"{where}out-of-range value for {key}: {raw!r}")
     setattr(cfg, key, value)
 
 

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .terms import App, Literal, Term, Var, literal_subterms, shift_literal
+from .terms import App, Literal, Term, Var, literal_subterms
 
 EQ = "="
 START_MARK = "#"
@@ -48,10 +48,6 @@ class Clause:
     id: int
     literals: tuple
     var_names: tuple  # source names; Var ids in literals are 0..len(var_names)-1
-
-    def rename(self, offset: int) -> tuple:
-        """Copy with variable ids shifted by `offset`."""
-        return tuple(shift_literal(l, offset) for l in self.literals)
 
 
 @dataclass

@@ -9,8 +9,15 @@ collection: `Var(1) == (1,)` holds, and so does `Var(1) == RedAction(1)`.
 Substitutions are plain dicts from variable id to Term, in one format:
 triangular.  Each binding is kept as it was made and may mention a variable
 another binding binds, earlier or later; nothing normalizes it.  The unifier
-returns its bindings in the order it made them, and `resolve_term` and
-`resolve_literal` apply any substitution by following bindings to a fixpoint.
+returns its bindings in the order it made them.
+
+Three walks apply a substitution or a renaming.  `shift_term` and
+`shift_literal` add `k` to every variable id, which renames a clause, whose
+variables are 0..n-1, apart from a state's.  `resolve_term` and
+`resolve_literal` apply any substitution by following bindings to a
+fixpoint, and keep the identity of untouched subtrees.  `instantiate_term`
+and `instantiate_literal` do both at once, shift by `k` and resolve under
+`s`, in one walk: the calculus builds a clause's side literals with them.
 """
 
 from __future__ import annotations
@@ -91,6 +98,25 @@ def resolve_literals(s: Subst, lits: Iterable[Literal]) -> tuple:
     return tuple(map(resolve_literal, repeat(s), lits))
 
 
+def instantiate_term(t: Term, k: int, s: Subst) -> Term:
+    """`resolve_term(s, shift_term(t, k))` in one walk: a shifted variable
+    is looked up in `s` as it is made."""
+    if isinstance(t, Var):
+        bound = s.get(t.id + k)
+        return _new(Var, (t.id + k,)) if bound is None else resolve_term(s, bound)
+    if not t.args:
+        return t
+    return _new(App, (t.symbol, tuple(map(instantiate_term, t.args, repeat(k), repeat(s)))))
+
+
+def instantiate_literal(lit: Literal, k: int, s: Subst) -> Literal:
+    """`resolve_literal(s, shift_literal(lit, k))` in one walk."""
+    if not lit.args:
+        return lit
+    args = tuple(map(instantiate_term, lit.args, repeat(k), repeat(s)))
+    return _new(Literal, (lit.positive, lit.predicate, args))
+
+
 # ---------------------------------------------------------------------------
 # unification
 
@@ -111,7 +137,8 @@ def unify_terms(a: Term, b: Term) -> Optional[Subst]:
 
 def unify_literals(a: Literal, b: Literal) -> Optional[Subst]:
     """Most general unifier of two literals' argument lists, or None;
-    polarity agreement is the caller's concern.  One stack holds every pair,
+    polarity is ignored, so a goal unifies with the literals complementary
+    to it as it stands, without a negated copy.  One stack holds every pair,
     the first argument on top and a term's last argument above its first.
     The result is triangular, each binding as made and in the order made, so
     a clash costs only the walk up to it and a success no rewrite."""

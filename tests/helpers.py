@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import field, make_dataclass
 
-from mctab.calculus import ExtAction, RedAction, RewAction
+from mctab.calculus import ExtAction, ExtStep, RedAction, RedStep, RewAction, RewStep
 from mctab.checker import Ext, Lem, Red, Rew, Start, TraceError
 from mctab.gbt import DatasetError, GbtModel, TrainHistory, _Node, _rmse, left_sum
 from mctab.mcts import uct_score
@@ -23,9 +23,15 @@ from mctab.terms import (
     Term,
     Var,
     literal_positions,
+    literal_replace,
     literal_subterm,
     match_term,
     negate,
+    resolve_literal,
+    resolve_literals,
+    resolve_term,
+    shift_literal,
+    unify_literals,
 )
 
 
@@ -399,6 +405,52 @@ def reference_valid_actions(m, goals, path, cfg, next_var) -> tuple:
                         if sigma is not None and oracle_apply(sigma, dst) != sub:
                             out.append(RewAction(clause.id, j, direction, pos))
     return tuple(out)
+
+
+def reference_apply_action(m, s, action) -> None:
+    """`calculus._apply_on_work` as it was: rename the whole clause from
+    `next_var` on, unify the chosen literal with the negated head, resolve
+    the head, then resolve the renamed side literals, a second walk over
+    each.  Works in place on `s`, as the step does."""
+    head = s.goals[0]
+    s.goals = s.goals[1:]
+    if isinstance(action, RedAction):
+        plit = s.path[action.path_index]
+        delta = unify_literals(negate(head), plit)
+        s.bind(delta, s.next_var)
+        s.proof += (RedStep(resolve_literal(delta, head), resolve_literal(delta, plit)),)
+        return
+    clause = m.clauses[action.clause_id]
+    offset = s.next_var
+    renamed = tuple(shift_literal(l, offset) for l in clause.literals)
+    s.next_var = offset + len(clause.var_names)
+    varmap = tuple((n, offset + i) for i, n in enumerate(clause.var_names))
+    j = action.lit_index
+    lit, rest = renamed[j], renamed[:j] + renamed[j + 1 :]
+    if isinstance(action, ExtAction):
+        delta = unify_literals(negate(head), lit)
+        s.bind(delta, offset)
+        head2 = resolve_literal(delta, head)
+        if s.goals:
+            s.todos = ((s.goals, s.path, (head2,) + s.lemmas),) + s.todos
+        s.goals = resolve_literals(delta, rest)
+        s.path = (head2,) + s.path
+        s.proof += (ExtStep(action.clause_id, varmap, head2),)
+        return
+    left, right = lit.args
+    src, dst = (left, right) if action.direction == "LR" else (right, left)
+    sigma = match_term(src, literal_subterm(head, action.position))
+    goal_after = literal_replace(head, action.position, resolve_term(sigma, dst))
+    sides = resolve_literals(sigma, rest)
+    s.bind(sigma, offset)
+    if s.goals:
+        s.todos = ((s.goals, s.path, s.lemmas),) + s.todos
+    s.goals = (goal_after,) + sides
+    s.path = (head,) + s.path
+    s.proof += (
+        RewStep(action.clause_id, varmap, resolve_literal(sigma, lit), action.direction,
+                head, goal_after, sides),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from mctab.calculus import (
     OPEN,
     PROVED,
     ExtAction,
+    ExtStep,
     LemStep,
     NoStartClauseError,
     RedAction,
@@ -34,6 +35,7 @@ from helpers import (
     oracle_apply,
     random_eq_matrix,
     random_matrix,
+    reference_apply_action,
     reference_valid_actions,
 )
 
@@ -409,21 +411,22 @@ def test_valid_actions_equal_the_renaming_reference(search_trees):
     assert pathless > 0 and unrewritten > 0
 
 
+def _counted(calls: list, f):
+    """`f`, appending its name to `calls` on every call."""
+    def wrapper(*args):
+        calls.append(f.__name__)
+        return f(*args)
+    return wrapper
+
+
 def test_a_repeated_head_is_enumerated_once(monkeypatch):
     """A head's extensions and rewrites are enumerated on its first call
     only: the second call unifies nothing and enumerates no rewrite."""
     m = parse_problem("p(g(a)).\ng(Z)!=h(Z) | -q(Z).\n-p(h(a)).\n-p(g(W)).\nq(a).\n")
     cfg = Config(rewrite=True)
     calls = []
-
-    def counted(f):
-        def wrapper(*args):
-            calls.append(f.__name__)
-            return f(*args)
-        return wrapper
-
-    monkeypatch.setattr(calculus, "unify_literals", counted(calculus.unify_literals))
-    monkeypatch.setattr(calculus, "_rewrite_actions", counted(calculus._rewrite_actions))
+    for name in ("unify_literals", "_rewrite_actions"):
+        monkeypatch.setattr(calculus, name, _counted(calls, getattr(calculus, name)))
     goals = (Literal(True, "p", (App("g", (App("a"),)),)),)
     first = valid_actions(m, goals, (), cfg, 2)
     assert {type(a) for a in first} == {ExtAction, RewAction}
@@ -431,6 +434,63 @@ def test_a_repeated_head_is_enumerated_once(monkeypatch):
     calls.clear()
     assert valid_actions(m, goals, (), cfg, 2) == first
     assert calls == []
+
+
+def test_an_extension_shifts_one_literal_and_negates_nothing(monkeypatch):
+    """An extension shifts only the chosen clause literal and unifies it with
+    the head as it stands; its side literals are instantiated in one walk."""
+    m = parse_problem("p(X) | q(X).\n-p(a) | r(Y) | s(Y,Z).\n-q(a).\n-r(b).\n-s(b,c).\n")
+    s = initial_states(m, cfg_manual())[0]
+    assert s.actions == (ExtAction(1, 0),)
+    calls = []
+    for name in ("shift_literal", "negate"):
+        monkeypatch.setattr(calculus, name, _counted(calls, getattr(calculus, name)))
+    child = s.copy()
+    calculus._apply_on_work(m, child, s.actions[0])
+    assert calls == ["shift_literal"]
+    a = App("a")
+    assert child.goals == (Literal(True, "r", (Var(1),)), Literal(True, "s", (Var(1), Var(2))))
+    assert child.path == (Literal(True, "p", (a,)),)
+    assert child.todos == (((Literal(True, "q", (a,)),), (), (Literal(True, "p", (a,)),)),)
+    assert child.subst == {0: a}
+    assert child.proof[-1] == ExtStep(1, (("Y", 1), ("Z", 2)), Literal(True, "p", (a,)))
+
+
+def _random_eq_searches():
+    """(matrix, cfg, tree) for 30 random equational matrices, rewrite on."""
+    rng = random.Random(23)
+    for i in range(30):
+        m = random_eq_matrix(rng)
+        cfg = Config(inference_limit=60, bigstep_freq=7, path_limit=20, rewrite=True,
+                     guided_reduction=bool(i % 2))
+        yield m, cfg, search_problem(m, DefaultGuidance(), cfg).tree
+
+
+def test_apply_action_equals_the_renaming_reference(search_trees, monkeypatch):
+    """Every child of every open state in the search trees, and in searches
+    over random equational matrices, equals the child that the step as it
+    was gives (rename the clause, unify with the negated head, resolve the
+    head, resolve the side literals), field by field, subst in key order."""
+    steps = []
+    for m, cfg, tree in search_trees + list(_random_eq_searches()):
+        for s in _settled_states(tree):
+            if s.result == OPEN:
+                steps.extend((m, cfg, s, i) for i in range(len(s.actions)))
+    children = [apply_action(m, s, i, cfg) for m, cfg, s, i in steps]
+    monkeypatch.setattr(calculus, "_apply_on_work", reference_apply_action)
+    kinds = set()
+    binding = 0  # extensions whose unifier binds a branch variable
+    for (m, cfg, s, i), child in zip(steps, children):
+        expected = apply_action(m, s, i, cfg)
+        for f in fields(child):
+            assert getattr(child, f.name) == getattr(expected, f.name), f.name
+        assert list(child.subst.items()) == list(expected.subst.items())
+        action = s.actions[i]
+        kinds.add(type(action))
+        if isinstance(action, ExtAction):
+            binding += any(v < s.next_var for v in child.subst.keys() - s.subst.keys())
+    assert kinds == {ExtAction, RedAction, RewAction}
+    assert binding > 0
 
 
 def test_saved_frames_are_brought_up_to_date_by_one_application(search_trees):

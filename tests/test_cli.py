@@ -1,4 +1,5 @@
 import os
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -274,6 +275,21 @@ def test_config_roundtrip_and_unknown_keys():
         from_ini("definitely_not_a_key = 1\n")
     with pytest.raises(ConfigError):
         from_ini("inference_limit = soon\n")
+
+
+def test_ini_value_errors_name_their_line(tmp_path, capsys):
+    cases = [
+        ("rewrite = maybe\n", "line 1: bad boolean for rewrite: 'maybe'"),
+        ("[mctab]\neta = 0.3\nrounds = x\n", "line 3: bad value for rounds: 'x'"),
+        ("eta = -1\n", "line 1: out-of-range value for eta: '-1'"),
+    ]
+    ini = tmp_path / "f.ini"
+    for text, message in cases:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            from_ini(text)
+        ini.write_text(text)
+        assert main(["config", "--config", str(ini)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_config_subcommand_prints_ini(capsys):

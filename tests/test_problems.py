@@ -142,13 +142,6 @@ def test_print_parse_roundtrip():
     assert m1.start_ids == m2.start_ids
 
 
-def test_rename_shifts_variable_ids():
-    m = parse_problem("p(X,Y) | q(X).\n")
-    lits = m.clauses[0].rename(10)
-    assert lits[0].args == (Var(10), Var(11))
-    assert lits[1].args == (Var(10),)
-
-
 # problem text over one fixed signature, so every generated problem parses:
 # predicates r/0, p/1, q/2, functions f/1, g/2, constants a, b
 _terms = st.recursive(

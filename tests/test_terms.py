@@ -18,6 +18,8 @@ from mctab.terms import (
     Literal,
     Var,
     fnv1a64,
+    instantiate_literal,
+    instantiate_term,
     literal_positions,
     literal_replace,
     literal_subterm,
@@ -27,6 +29,8 @@ from mctab.terms import (
     replace_at,
     resolve_literal,
     resolve_term,
+    shift_literal,
+    shift_term,
     subterm_at,
     term_stats,
     unify_literals,
@@ -40,6 +44,7 @@ from helpers import (
     alpha_equal,
     oracle_apply,
     oracle_unify,
+    oracle_vars,
     random_literal_pair,
     random_term,
     random_term_pair,
@@ -230,6 +235,65 @@ def _named_tuples_as_the_dataclasses(pair):
 
 def test_named_tuples_agree_with_the_dataclasses(hypothesis_home):
     _named_tuples_as_the_dataclasses()
+
+
+# ---------------------------------------------------------------------------
+# the contracts the extension step relies on
+
+def test_unify_literals_ignores_polarity_key_order_included():
+    """The calculus unifies a goal with the literals complementary to it as
+    they stand, so the unifier must not depend on either side's polarity."""
+    rng = random.Random(2025)
+    unified = 0
+    for _ in range(5_000):
+        a, b = random_literal_pair(rng)
+        mine = unify_literals(a, b)
+        for x, y in ((negate(a), b), (a, negate(b)), (negate(a), negate(b))):
+            other = unify_literals(x, y)
+            assert (other is None) == (mine is None), (x, y)
+            if mine is not None:
+                assert list(other.items()) == list(mine.items()), (x, y)
+        unified += mine is not None
+    assert unified > 500
+
+
+def _relabel(t, ids):
+    if isinstance(t, Var):
+        return Var(ids[t.id % len(ids)])
+    return App(t.symbol, tuple(_relabel(a, ids) for a in t.args))
+
+
+@st.composite
+def _triangular_substitutions(draw):
+    """A triangular substitution over the ids -2..8: in a random order of the
+    ids, a binding mentions only ids later in that order (a bare variable
+    half the time, so bindings chain), and its keys are in another random
+    order."""
+    order = draw(st.permutations(range(-2, 9)))
+    s = {}
+    for i, v in enumerate(order[: draw(st.integers(0, len(order) - 1))]):
+        shape = draw(st.builds(Var, st.integers(0, 10)) | _terms)
+        s[v] = _relabel(shape, order[i + 1 :])
+    keys = draw(st.permutations(list(s)))
+    return {v: s[v] for v in keys}
+
+
+def test_instantiate_literal_equals_shift_then_resolve(hypothesis_home):
+    seen = {"shifted": 0, "chained": 0}
+
+    @settings(max_examples=500)
+    @given(_literals, st.integers(-2, 5), _triangular_substitutions())
+    def instantiate_as_shift_then_resolve(lit, k, s):
+        assert instantiate_literal(lit, k, s) == resolve_literal(s, shift_literal(lit, k))
+        for t in lit.args:
+            assert instantiate_term(t, k, s) == resolve_term(s, shift_term(t, k))
+        bound = {v + k for t in lit.args for v in oracle_vars(t)} & s.keys()
+        seen["shifted"] += bool(bound)
+        seen["chained"] += any(oracle_vars(s[v]) & s.keys() for v in bound)
+
+    instantiate_as_shift_then_resolve()
+    # shifted variables are bound, some through chains of bindings
+    assert seen["shifted"] > 100 and seen["chained"] > 50, seen
 
 
 def test_match_is_one_sided():
