@@ -10,16 +10,35 @@ never updated in place.  After every nondeterministic action the
 deterministic simplifications run to a fixpoint (pop empty goals, loop
 elimination by identity, lemma steps, reductions, forced single actions,
 path limit).
+
+Besides the path limit, one bound limits what the prover builds: a literal
+deeper than `MAX_TERM_DEPTH` or larger than `MAX_TERM_SIZE` (problems) fails
+its state.  `_fits` measures a literal under a substitution without building
+it, only where a literal changes: on a head the first time `valid_actions`
+meets it; in `bind`, on the head under the unifier before anything is
+resolved and on the path and lemma literals resolving changed; and on a
+proof's recorded literals under the whole substitution as its state becomes
+PROVED, since a binding made later can still deepen a literal that has left
+the branch.  Every binding of a unifier or match resolves to a subterm of
+the head, so a step that passes adds less than the bound to any term it
+walks.  A variable a live literal shares with the active branch occurs in
+the head or in a path or lemma literal that stays on the branch while that
+literal lives, so it resolves within the bound: a goal nests at most a
+clause literal plus `MAX_TERM_DEPTH` deep and a rewritten head one bound
+more, every walk fits the interpreter's default recursion limit, and every
+emitted proof parses under the checker's depth bound.  Forced steps count
+against `inference_limit` as they are made, so a settle chain ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
+from operator import is_not
 from typing import NamedTuple
 
 from .config import Config
-from .problems import START_MARK, Matrix, format_literal, format_term
+from .problems import MAX_TERM_DEPTH, MAX_TERM_SIZE, START_MARK, Matrix, format_literal, format_term
 from .terms import (
     App,
     Literal,
@@ -31,7 +50,6 @@ from .terms import (
     literal_subterm,
     literal_subterms,
     match_term,
-    negate,
     resolve_literal,
     resolve_literals,
     resolve_term,
@@ -40,10 +58,6 @@ from .terms import (
 )
 
 OPEN, PROVED, FAILED = 0, 1, -1
-
-# deterministic chains are bounded as a last-resort guard against matrices
-# that drive single-action rewriting forever on ground goals
-_DET_GUARD = 100000
 
 _NO_CANDIDATES = ((), (), {})
 
@@ -125,21 +139,60 @@ class ProverState:
     def copy(self) -> ProverState:
         return ProverState(*map(self.__getattribute__, self.__slots__))
 
-    def bind(self, delta: Subst, bound: int):
+    def bind(self, delta: Subst, bound: int) -> bool:
         """Add the triangular `delta` to subst and, when it binds a variable
         below `bound`, resolve the active branch through all of `delta`.  The
         branch is fully applied, so `delta` binds only free variables.  A
         step shifts its clause from `bound` on, so no fresh clause variable
         occurs in the branch (a rewrite's match binds only those), yet a
         branch variable may be bound to one that `delta` binds in turn:
-        -p(X,X) against p(Y,f(a)) gives {X: Y, Y: f(a)}."""
+        -p(X,X) against p(Y,f(a)) gives {X: Y, Y: f(a)}.
+
+        `delta` unifies the head, goals[0], with a literal, so every binding
+        resolves to a subterm of the head under `delta`.  The head is
+        measured under `delta` before anything is resolved, and then every
+        walk is bounded; the path and lemma literals it changed are checked
+        after.  False when either is past the term bounds; the other goals
+        are checked as they become the head."""
         if not delta:
-            return
-        if min(delta) < bound:
-            self.goals = resolve_literals(delta, self.goals)
-            self.path = resolve_literals(delta, self.path)
-            self.lemmas = resolve_literals(delta, self.lemmas)
+            return True
         self.subst = {**self.subst, **delta}
+        if min(delta) >= bound:
+            return True
+        if not _fits(self.goals[0], delta):
+            return False
+        before = self.path + self.lemmas
+        self.goals = resolve_literals(delta, self.goals)
+        self.path = resolve_literals(delta, self.path)
+        self.lemmas = resolve_literals(delta, self.lemmas)
+        after = self.path + self.lemmas
+        # resolving keeps an unchanged literal itself
+        return all(map(_fits, compress(after, map(is_not, after, before))))
+
+
+_UNBOUND: Subst = {}
+
+
+def _fits(lit: Literal, s: Subst = _UNBOUND) -> bool:
+    """Whether `lit` under `s` is within the term bounds: at most
+    MAX_TERM_DEPTH deep and MAX_TERM_SIZE symbols and variables, its
+    predicate counting as one of each.  Measured without building it, a
+    level at a time, and stopping at the first level past either bound, so
+    a large literal costs about what the bounds allow."""
+    depth, size, level = 1, 1, lit.args
+    while level:
+        depth += 1
+        size += len(level)
+        if depth > MAX_TERM_DEPTH or size > MAX_TERM_SIZE:
+            return False
+        below = []
+        for t in level:
+            while t.__class__ is Var and t.id in s:
+                t = s[t.id]
+            if t.__class__ is App:
+                below += t.args
+        level = below
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +222,16 @@ def valid_actions(m: Matrix, goals: tuple, path: tuple, cfg: Config, next_var: i
     unification, matching and the no-op test compare variables only for
     identity, and every shift keeps the head's variables apart from the
     clause's.  Reductions depend on the path and are computed on every call.
+    A head beyond the term bounds has no actions, so its state fails; it is
+    checked once, on its miss.
     """
     if not goals:
         return ()
     head = goals[0]
     key = head, cfg.rewrite
     known = m.head_actions.get(key)
+    if known is None and not _fits(head):
+        known = m.head_actions[key] = ()
     if known is None:
         shifted = shift_literal(head, -next_var)
         every, var_first, keyed = m.literal_index.get(
@@ -187,6 +244,8 @@ def valid_actions(m: Matrix, goals: tuple, path: tuple, cfg: Config, next_var: i
                     if unify_literals(shifted, lit) is not None)
         rew = tuple(_rewrite_actions(m, shifted)) if cfg.rewrite and m.rewrite_rules else ()
         known = m.head_actions[key] = ext, rew
+    if not known:
+        return ()
     ext, rew = known
     red = []
     for k, plit in enumerate(path):
@@ -219,9 +278,11 @@ def _rewrite_actions(m: Matrix, head: Literal) -> list:
 # ---------------------------------------------------------------------------
 # steps; each works in place on a fresh copy of the parent state
 
-def _apply_on_work(m: Matrix, s: ProverState, action) -> None:
+def _apply_on_work(m: Matrix, s: ProverState, action) -> bool:
     """One nondeterministic step; counts no inference and runs no det_steps.
-    The action was enumerated from this state, so it applies.
+    The action was enumerated from this state, so it applies.  False, and
+    the step left unfinished, when `bind` puts a literal beyond the term
+    bounds.
 
     An extension or a rewrite shifts only the chosen clause literal to fresh
     variables from `next_var` on, and unifies it with the head (matches its
@@ -230,10 +291,11 @@ def _apply_on_work(m: Matrix, s: ProverState, action) -> None:
     variable; otherwise it is final.  Each side literal is shifted and
     resolved in one `instantiate_literal` walk."""
     if isinstance(action, RedAction):
-        s.bind(unify_literals(s.goals[0], s.path[action.path_index]), s.next_var)
+        if not s.bind(unify_literals(s.goals[0], s.path[action.path_index]), s.next_var):
+            return False
         s.proof += (RedStep(s.goals[0], s.path[action.path_index]),)
         s.goals = s.goals[1:]
-        return
+        return True
     clause = m.clauses[action.clause_id]
     offset = s.next_var
     s.next_var = offset + len(clause.var_names)
@@ -243,38 +305,42 @@ def _apply_on_work(m: Matrix, s: ProverState, action) -> None:
     rest = clause.literals[:j] + clause.literals[j + 1 :]
     if isinstance(action, ExtAction):
         delta = unify_literals(s.goals[0], lit)
-        s.bind(delta, offset)
+        if not s.bind(delta, offset):
+            return False
         head = s.goals[0]
         if len(s.goals) > 1:
             s.todos = ((s.goals[1:], s.path, (head,) + s.lemmas),) + s.todos
         s.goals = tuple(map(instantiate_literal, rest, repeat(offset), repeat(delta)))
         s.path = (head,) + s.path
         s.proof += (ExtStep(action.clause_id, varmap, head),)
-        return
+        return True
     head = s.goals[0]
     left, right = lit.args
     src, dst = (left, right) if action.direction == "LR" else (right, left)
     sigma = match_term(src, literal_subterm(head, action.position))
     goal_after = literal_replace(head, action.position, resolve_term(sigma, dst))
     sides = tuple(map(instantiate_literal, rest, repeat(offset), repeat(sigma)))
-    s.bind(sigma, offset)
+    s.bind(sigma, offset)  # binds only clause variables, so rewrites nothing
     if len(s.goals) > 1:
         s.todos = ((s.goals[1:], s.path, s.lemmas),) + s.todos
     s.goals = (goal_after,) + sides
     s.path = (head,) + s.path
     s.proof += (RewStep(action.clause_id, varmap, resolve_literal(sigma, lit), action.direction,
                         head, goal_after, sides),)
+    return True
 
 
 def _det_on_work(m: Matrix, s: ProverState, cfg: Config) -> ProverState:
     """Deterministic simplification to fixpoint; sets the result and actions
-    of `s` and returns it."""
+    of `s` and returns it.  Every pass pops a goal or a frame, or makes a
+    forced step, which adds goals but counts an inference: the loop ends."""
     eager = not cfg.guided_reduction
     s.result, s.actions = FAILED, ()
-    for _ in range(_DET_GUARD):
+    while True:
         if not s.goals:
             if not s.todos:
-                s.result = PROVED
+                if all(map(_fits, _recorded(s.proof), repeat(s.subst))):
+                    s.result = PROVED
                 return s
             # a frame held no bound variable when saved; resolving it through
             # the bindings made since brings it up to date
@@ -288,7 +354,7 @@ def _det_on_work(m: Matrix, s: ProverState, cfg: Config) -> ProverState:
             s.proof += (LemStep(head),)
             s.goals = s.goals[1:]
             continue
-        neg_head = negate(head)
+        neg_head = tuple.__new__(Literal, (not head.positive, head.predicate, head.args))
         if neg_head in s.path:  # reduction without unification
             s.proof += (RedStep(head, neg_head),)
             s.goals = s.goals[1:]
@@ -298,15 +364,16 @@ def _det_on_work(m: Matrix, s: ProverState, cfg: Config) -> ProverState:
             # the first unifying path literal, in path order; not an inference
             red = next((a for a in actions if isinstance(a, RedAction)), None)
             if red is not None:
-                _apply_on_work(m, s, red)
+                if not _apply_on_work(m, s, red):
+                    return s
                 continue
         if cfg.single_action_optim and len(actions) == 1:
-            if len(s.path) > cfg.path_limit:
-                # forced chains must respect the depth bound even on ground
-                # goals, otherwise term-growing matrices chain forever
+            # forced chains respect both budgets even on ground goals
+            if len(s.path) > cfg.path_limit or s.inference_count >= cfg.inference_limit:
                 return s
             s.inference_count += 1
-            _apply_on_work(m, s, actions[0])
+            if not _apply_on_work(m, s, actions[0]):
+                return s
             continue
         if not actions:
             return s
@@ -314,7 +381,16 @@ def _det_on_work(m: Matrix, s: ProverState, cfg: Config) -> ProverState:
             return s
         s.result, s.actions = OPEN, actions
         return s
-    return s
+
+
+def _recorded(proof: tuple) -> list:
+    """Every literal the steps of `proof` record."""
+    out = []
+    for step in proof:
+        out.extend(f for f in step if isinstance(f, Literal))
+        if isinstance(step, RewStep):
+            out.extend(step.side_lits)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +408,10 @@ def apply_action(m: Matrix, state: ProverState, index: int, cfg: Config) -> Prov
         raise IndexError(f"action index {index} out of range")
     s = state.copy()
     s.inference_count += 1
-    _apply_on_work(m, s, state.actions[index])
-    return _det_on_work(m, s, cfg)
+    if _apply_on_work(m, s, state.actions[index]):
+        return _det_on_work(m, s, cfg)
+    s.result, s.actions = FAILED, ()
+    return s
 
 
 def initial_states(m: Matrix, cfg: Config) -> list:

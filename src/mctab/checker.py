@@ -196,10 +196,9 @@ def _instantiate(clause: Clause, theta: dict, fresh) -> list:
     def ground(t: Term) -> Term:
         if isinstance(t, Var):
             return values[t.id]
-        return App(t.symbol, tuple(ground(a) for a in t.args))
+        return App(t.symbol, tuple(map(ground, t.args)))
 
-    return [Literal(l.positive, l.predicate, tuple(ground(a) for a in l.args))
-            for l in clause.literals]
+    return [Literal(l.positive, l.predicate, tuple(map(ground, l.args))) for l in clause.literals]
 
 
 # ---------------------------------------------------------------------------

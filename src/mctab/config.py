@@ -70,7 +70,10 @@ def _set(cfg: Config, key: str, raw: str, where: str = ""):
             value = kind(raw)
         except ValueError:
             raise ConfigError(f"{where}bad value for {key}: {raw!r}") from None
-        if not math.isfinite(value) or value < 0 or (key in _POSITIVE and value == 0):
+        # gbt builds a tree with one recursive call per level, so max_depth
+        # stays far below the interpreter's recursion limit
+        if (not math.isfinite(value) or value < 0 or (key in _POSITIVE and value == 0)
+                or (key == "max_depth" and value > 64)):
             raise ConfigError(f"{where}out-of-range value for {key}: {raw!r}")
     setattr(cfg, key, value)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional
 
 from .terms import App, Literal, Term, Var, literal_subterms
@@ -30,10 +31,12 @@ from .terms import App, Literal, Term, Var, literal_subterms
 EQ = "="
 START_MARK = "#"
 
-# deepest nesting the parser accepts, a predicate counting as one level;
-# recursive walks over parsed terms then stay well inside the recursion
-# limit the package sets on import
-MAX_TERM_DEPTH = 2000
+# the bounds on a literal, its predicate counting as one level and one
+# symbol: the parser refuses a deeper literal, the prover fails a state whose
+# literal outgrows either (see calculus), and a walk over a term twice this
+# deep, as a checker's ground instance can be, fits the default recursion limit
+MAX_TERM_DEPTH = 128
+MAX_TERM_SIZE = 1000
 
 
 class ParseError(Exception):
@@ -135,17 +138,17 @@ class _Parser:
             clauses.append((tuple(lits), tuple(self.vars), at))
         return clauses
 
-    def parse_literal(self) -> Literal:
+    def parse_literal(self, depth: int = 1) -> Literal:
         negative = False
         if self.peek()[0] == "-":
             self.next()
             negative = True
-        atom = self.parse_atom()
+        atom = self.parse_atom(depth)
         if negative:
             return Literal(not atom.positive, atom.predicate, atom.args)
         return atom
 
-    def parse_atom(self) -> Literal:
+    def parse_atom(self, depth: int) -> Literal:
         kind, value = self.peek()[:2]
         if kind == "#":
             self.next()
@@ -154,8 +157,10 @@ class _Parser:
             return Literal(True, START_MARK, ())
         if kind == "(":
             # parenthesized atom, e.g. -(a = b)
+            if depth >= MAX_TERM_DEPTH:
+                self.error(f"parentheses nest deeper than {MAX_TERM_DEPTH}")
             self.next()
-            lit = self.parse_literal()
+            lit = self.parse_literal(depth + 1)
             self.expect(")")
             return lit
         if kind != "ident":
@@ -235,7 +240,7 @@ def format_term(t: Term, names: Optional[dict] = None) -> str:
         return f"_{t.id}"
     if not t.args:
         return t.symbol
-    return f"{t.symbol}({','.join(format_term(a, names) for a in t.args)})"
+    return f"{t.symbol}({','.join(map(format_term, t.args, repeat(names)))})"
 
 
 def format_literal(lit: Literal, names: Optional[dict] = None) -> str:
@@ -244,7 +249,7 @@ def format_literal(lit: Literal, names: Optional[dict] = None) -> str:
         return f"{format_term(lit.args[0], names)}{op}{format_term(lit.args[1], names)}"
     body = lit.predicate
     if lit.args:
-        body += f"({','.join(format_term(a, names) for a in lit.args)})"
+        body += f"({','.join(map(format_term, lit.args, repeat(names)))})"
     return body if lit.positive else f"-{body}"
 
 

@@ -18,6 +18,9 @@ variables are 0..n-1, apart from a state's.  `resolve_term` and
 fixpoint, and keep the identity of untouched subtrees.  `instantiate_term`
 and `instantiate_literal` do both at once, shift by `k` and resolve under
 `s`, in one walk: the calculus builds a clause's side literals with them.
+Each walk recurses one frame per level of the term it builds, through `map`;
+the calculus keeps those terms a few times `problems.MAX_TERM_DEPTH` deep at
+most, so the walks fit the default recursion limit.
 """
 
 from __future__ import annotations
@@ -75,10 +78,13 @@ def shift_literal(lit: Literal, k: int) -> Literal:
 
 def resolve_term(s: Subst, t: Term) -> Term:
     """`t` under `s`, bindings followed to a fixpoint; untouched subtrees
-    keep their identity."""
-    if isinstance(t, Var):
+    keep their identity.  A chain of variable bindings is followed in a
+    loop, so the walk recurses once per level of the result only."""
+    while isinstance(t, Var):
         bound = s.get(t.id)
-        return t if bound is None else resolve_term(s, bound)
+        if bound is None:
+            return t
+        t = bound
     if not t.args:
         return t
     args = tuple(map(resolve_term, repeat(s), t.args))
@@ -123,11 +129,11 @@ def instantiate_literal(lit: Literal, k: int, s: Subst) -> Literal:
 def is_ground_term(t: Term) -> bool:
     if isinstance(t, Var):
         return False
-    return all(is_ground_term(a) for a in t.args)
+    return all(map(is_ground_term, t.args))
 
 
 def is_ground_literal(lit: Literal) -> bool:
-    return all(is_ground_term(a) for a in lit.args)
+    return all(map(is_ground_term, lit.args))
 
 
 def unify_terms(a: Term, b: Term) -> Optional[Subst]:
@@ -171,14 +177,19 @@ def unify_literals(a: Literal, b: Literal) -> Optional[Subst]:
 
 
 def _occurs(s: Subst, v: int, t: Term) -> bool:
-    """Whether variable `v` occurs in `t` under the triangular `s`."""
+    """Whether variable `v` occurs in `t` under the triangular `s`.  Each
+    binding is walked once: bindings such as {Y: f(X,X), Z: f(Y,Y)} share,
+    and following every occurrence would cost the size of the term they
+    resolve to, exponential in their number."""
     todo = [t]
+    seen = set()
     while todo:
         t = todo.pop()
         if isinstance(t, Var):
             if t.id == v:
                 return True
-            if t.id in s:
+            if t.id in s and t.id not in seen:
+                seen.add(t.id)
                 todo.append(s[t.id])
         else:
             todo.extend(t.args)

@@ -8,8 +8,10 @@ shares nothing with it.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
+import sys
 from dataclasses import field, make_dataclass
 
 from mctab.calculus import ExtAction, ExtStep, RedAction, RedStep, RewAction, RewStep
@@ -33,6 +35,18 @@ from mctab.terms import (
     shift_literal,
     unify_literals,
 )
+
+
+@contextlib.contextmanager
+def default_recursion_limit():
+    """Run the block under the interpreter's default recursion limit, 1000,
+    which the package leaves alone; then restore the caller's."""
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(before)
 
 
 # ---------------------------------------------------------------------------
@@ -407,19 +421,22 @@ def reference_valid_actions(m, goals, path, cfg, next_var) -> tuple:
     return tuple(out)
 
 
-def reference_apply_action(m, s, action) -> None:
+def reference_apply_action(m, s, action) -> bool:
     """`calculus._apply_on_work` as it was: rename the whole clause from
     `next_var` on, unify the chosen literal with the negated head, resolve
     the head, then resolve the renamed side literals, a second walk over
-    each.  Works in place on `s`, as the step does."""
+    each.  Works in place on `s`, as the step does: the head stays in the
+    goals until `bind`, which measures it, and False when `bind` finds a
+    literal beyond the term bounds."""
     head = s.goals[0]
-    s.goals = s.goals[1:]
     if isinstance(action, RedAction):
         plit = s.path[action.path_index]
         delta = unify_literals(negate(head), plit)
-        s.bind(delta, s.next_var)
+        if not s.bind(delta, s.next_var):
+            return False
+        s.goals = s.goals[1:]
         s.proof += (RedStep(resolve_literal(delta, head), resolve_literal(delta, plit)),)
-        return
+        return True
     clause = m.clauses[action.clause_id]
     offset = s.next_var
     renamed = tuple(shift_literal(l, offset) for l in clause.literals)
@@ -429,20 +446,23 @@ def reference_apply_action(m, s, action) -> None:
     lit, rest = renamed[j], renamed[:j] + renamed[j + 1 :]
     if isinstance(action, ExtAction):
         delta = unify_literals(negate(head), lit)
-        s.bind(delta, offset)
+        if not s.bind(delta, offset):
+            return False
+        s.goals = s.goals[1:]
         head2 = resolve_literal(delta, head)
         if s.goals:
             s.todos = ((s.goals, s.path, (head2,) + s.lemmas),) + s.todos
         s.goals = resolve_literals(delta, rest)
         s.path = (head2,) + s.path
         s.proof += (ExtStep(action.clause_id, varmap, head2),)
-        return
+        return True
     left, right = lit.args
     src, dst = (left, right) if action.direction == "LR" else (right, left)
     sigma = match_term(src, literal_subterm(head, action.position))
     goal_after = literal_replace(head, action.position, resolve_term(sigma, dst))
     sides = resolve_literals(sigma, rest)
     s.bind(sigma, offset)
+    s.goals = s.goals[1:]
     if s.goals:
         s.todos = ((s.goals, s.path, s.lemmas),) + s.todos
     s.goals = (goal_after,) + sides
@@ -451,6 +471,7 @@ def reference_apply_action(m, s, action) -> None:
         RewStep(action.clause_id, varmap, resolve_literal(sigma, lit), action.direction,
                 head, goal_after, sides),
     )
+    return True
 
 
 # ---------------------------------------------------------------------------

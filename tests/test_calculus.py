@@ -24,13 +24,14 @@ from mctab.calculus import (
     valid_actions,
 )
 from mctab.cli import corpus_dir
-from mctab.config import Config
+from mctab.config import Config, load_config
 from mctab.guidance import DefaultGuidance
 from mctab.mcts import search_problem
-from mctab.problems import parse_problem
+from mctab.problems import MAX_TERM_DEPTH, parse_problem
 from mctab.terms import App, Literal, Var, resolve_literals
 
 from helpers import (
+    default_recursion_limit,
     eager_subst,
     oracle_apply,
     random_eq_matrix,
@@ -442,9 +443,9 @@ def test_an_extension_shifts_one_literal_and_negates_nothing(monkeypatch):
     m = parse_problem("p(X) | q(X).\n-p(a) | r(Y) | s(Y,Z).\n-q(a).\n-r(b).\n-s(b,c).\n")
     s = initial_states(m, cfg_manual())[0]
     assert s.actions == (ExtAction(1, 0),)
+    assert not hasattr(calculus, "negate")
     calls = []
-    for name in ("shift_literal", "negate"):
-        monkeypatch.setattr(calculus, name, _counted(calls, getattr(calculus, name)))
+    monkeypatch.setattr(calculus, "shift_literal", _counted(calls, calculus.shift_literal))
     child = s.copy()
     calculus._apply_on_work(m, child, s.actions[0])
     assert calls == ["shift_literal"]
@@ -517,3 +518,87 @@ def test_format_proof_equals_the_eager_composition(search_trees):
     for _, _, tree in search_trees:
         for s in _settled_states(tree):
             assert format_proof(s.proof, s.subst) == format_proof(s.proof, eager_subst(s.subst))
+
+
+# ---------------------------------------------------------------------------
+# the term bounds and the inference budget end every settle chain
+
+DESK = os.path.join(os.path.dirname(corpus_dir()), "ini", "desk.ini")
+
+DOUBLING = {
+    # a forced chain doubles the goal at every step
+    "goal": "q(a).\n-q(Y) | q(f(h(Y,Y))).\n",
+    # the heads stay at size 2 while a path literal doubles
+    "path": "s(X) | r(X).\n-s(X) | p(X).\n-p(g(Y,Y)) | t(Y).\n-t(g(Z,Z)) | t(Z).\n-r(b).\n",
+}
+
+
+@pytest.mark.parametrize("limit", [None, 5])
+@pytest.mark.parametrize("name", sorted(DOUBLING))
+def test_doubling_chains_stop_within_their_budgets(name, limit):
+    """At desk settings the term bound ends each chain long before the path
+    limit; at 5 inferences the budget ends it.  A chain stops once its state
+    has counted `inference_limit` inferences, so a search reports at most
+    one chain, `inference_limit`, past the limit."""
+    cfg = load_config(DESK, [] if limit is None else [f"inference_limit={limit}"])
+    with default_recursion_limit():
+        res = search_problem(parse_problem(DOUBLING[name]), DefaultGuidance(), cfg)
+    assert res.outcome == "exhausted"
+    assert res.stats.inferences <= 2 * cfg.inference_limit
+    assert res.stats.inferences < cfg.path_limit
+
+
+def _linked(n: int, link) -> str:
+    """A start clause q(Z1,Z1,...,Zn,Zn) of size 2n + 1 and a clause whose
+    unifier with it binds each Zi through link(Y(i-1))."""
+    zs = ",".join(f"Z{i},Z{i}" for i in range(1, n + 1))
+    ys = ",".join(f"Y{i},{link(f'Y{i - 1}')}" for i in range(1, n + 1))
+    return f"q({zs}).\n-q({ys}).\n"
+
+
+LINKED = {
+    # each link nests 120 deep, within the bound: Z10 resolves 1,200 deep
+    "deep": _linked(10, lambda y: "f(" * 120 + y + ")" * 120),
+    # each link doubles: Z40 resolves to 2^41 - 1 symbols
+    "large": _linked(40, lambda y: f"f({y},{y})"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINKED))
+def test_a_unifier_past_the_bounds_fails_its_step_before_anything_is_built(name, monkeypatch):
+    """Both literals fit, and their unifier binds the head far past the
+    bounds.  `bind` measures the head under the unifier first, so the forced
+    extension fails without resolving or instantiating a literal."""
+    calls = []
+    for fn in ("resolve_literals", "instantiate_literal"):
+        monkeypatch.setattr(calculus, fn, _counted(calls, getattr(calculus, fn)))
+    cfg = load_config(DESK)
+    with default_recursion_limit():
+        res = search_problem(parse_problem(LINKED[name]), DefaultGuidance(), cfg)
+    assert res.outcome == "exhausted" and res.stats.inferences == 1
+    assert calls == []
+
+
+def test_a_head_beyond_the_depth_bound_fails_its_state():
+    """hard_rec deepens its goal by one level per forced step; at the
+    default path limit of 1000 the depth bound ends the chain instead."""
+    with open(os.path.join(corpus_dir(), "hard_rec.p"), encoding="utf-8") as fh:
+        m = parse_problem(fh.read())
+    (s,) = initial_states(m, Config())
+    assert s.result == FAILED and s.actions == ()
+    assert s.inference_count == len(s.path) == MAX_TERM_DEPTH - 1
+
+
+def test_a_recorded_literal_deepened_after_it_left_the_branch_fails_the_proof():
+    """p(g^100(Z)) is closed and leaves the branch; the binding made later
+    for r(X) keeps the branch within the bound but deepens the recorded
+    literal past it, which would emit a proof the checker cannot parse."""
+    def problem(depth):
+        deep = "g(" * 100 + "Z" + ")" * 100
+        arg = "h(" * depth + "a" + ")" * depth
+        return f"s(X) | r(X).\n-s(Z) | p({deep}).\n-p(Y).\n-r({arg}).\n"
+    cfg = load_config(DESK)
+    (fits,) = initial_states(parse_problem(problem(20)), cfg)
+    assert fits.result == PROVED
+    (beyond,) = initial_states(parse_problem(problem(50)), cfg)
+    assert beyond.result == FAILED and not beyond.goals and not beyond.todos

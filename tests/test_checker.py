@@ -21,10 +21,16 @@ from mctab.config import Config, load_config
 from mctab.guidance import DefaultGuidance
 from mctab.loop import solve_one
 from mctab.mcts import search_problem
-from mctab.problems import format_matrix, parse_problem
+from mctab.problems import MAX_TERM_DEPTH, format_matrix, parse_problem
 from mctab.terms import App, Literal, Var
 
-from helpers import random_eq_matrix, random_matrix, reference_dpll, reference_parse_trace
+from helpers import (
+    default_recursion_limit,
+    random_eq_matrix,
+    random_matrix,
+    reference_dpll,
+    reference_parse_trace,
+)
 
 APP_A = "-p(X).\np(Y) | -q(a).\nq(a).\n"
 
@@ -298,6 +304,36 @@ def _emitted_proofs_are_accepted(seed, rewrite):
 
 def test_emitted_proofs_are_accepted(hypothesis_home):
     _emitted_proofs_are_accepted()
+
+
+def nested(symbol: str, depth: int, inner: str) -> str:
+    return f"{symbol}(" * depth + inner + ")" * depth
+
+
+def test_a_literal_at_the_depth_bound_is_parsed_proved_and_checked():
+    """A literal exactly MAX_TERM_DEPTH deep, the deepest the parser takes
+    and the prover keeps, goes through the one path from problem text to
+    checked proof under the interpreter's default recursion limit."""
+    deepest = nested("f", MAX_TERM_DEPTH - 2, "a")
+    text = f"p({deepest}).\n-p(X) | q(X).\n-q({deepest}).\n"
+    cfg = load_config(os.path.join(os.path.dirname(corpus_dir()), "ini", "desk.ini"))
+    with default_recursion_limit():
+        stats, proof, _, _ = solve_one("deepest", text, cfg)
+    assert stats.outcome == "proved"
+    assert f"{{X={deepest}}}" in proof
+
+
+def test_an_instance_twice_the_depth_bound_gets_a_verdict():
+    """A clause variable MAX_TERM_DEPTH - 1 deep bound to a term
+    MAX_TERM_DEPTH deep: the checker's instances nest about twice the bound,
+    and every walk over them fits the default recursion limit."""
+    text = f"p({nested('f', MAX_TERM_DEPTH - 2, 'X')}).\n-p({nested('f', MAX_TERM_DEPTH - 2, 'Y')}).\n"
+    deep = nested("g", MAX_TERM_DEPTH - 1, "a")
+    with default_recursion_limit():
+        satisfiable = check_proof_texts(f"start 0 {{X={deep}}}\n", text)
+        unconnected = check_proof_texts(f"start 0 {{X={deep}}}\next 1 {{Y={deep}}} q\n", text)
+    assert satisfiable.message == "instance set is propositionally satisfiable"
+    assert unconnected.message == "extension goal is not connected to the clause instance"
 
 
 def test_trace_parse_errors():

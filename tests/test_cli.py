@@ -236,6 +236,16 @@ def test_out_of_range_values_are_refused(problem, capsys):
     assert (cfg.inference_limit, cfg.bigstep_freq, cfg.discount) == (0, 0, 0.0)
 
 
+def test_max_depth_is_bounded_above(problem, capsys):
+    """A tree is built one recursive call per level, so its depth has a
+    ceiling below the interpreter's recursion limit."""
+    assert apply_overrides(Config(), ["max_depth=64"]).max_depth == 64
+    assert main(["prove", problem, "-s", "max_depth=65"]) == 2
+    assert capsys.readouterr().err == "error: out-of-range value for max_depth: '65'\n"
+    assert main(["prove", problem, "-s", f"max_depth={10**30}"]) == 2
+    assert capsys.readouterr().err == f"error: out-of-range value for max_depth: '{10**30}'\n"
+
+
 def test_malformed_model_file_exits_two(problem, tmp_path, capsys):
     bad = tmp_path / "bad.model"
     bad.write_text("GBT v1 dim=10 eta=0.3 base=0.0\nN x 0.5 L L 0.1 L 0.2\n")

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -219,3 +222,12 @@ def test_checker_shares_exactly_the_names_its_docstring_lists():
         "mctab": {"a"}, "b": {"c", "d"}, "e": set(), "f": {"g"}}
     tree = ast.parse((ROOT / "src" / "mctab" / "checker.py").read_text(encoding="utf-8"))
     assert package_imports(tree) == docstring_surface(tree) == CHECKER_SURFACE
+
+
+def test_importing_the_package_leaves_the_recursion_limit_alone():
+    code = ("import sys; before = sys.getrecursionlimit(); import mctab, mctab.cli; "
+            "print(before, sys.getrecursionlimit())")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out[0] == out[1]

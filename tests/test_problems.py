@@ -78,6 +78,13 @@ def test_deep_terms_are_a_positioned_parse_error():
         parse_problem(f"p({nested(30000)}).\n")
 
 
+def test_nested_parentheses_are_a_positioned_parse_error():
+    parse_problem("(" * (MAX_TERM_DEPTH - 1) + "p" + ")" * (MAX_TERM_DEPTH - 1) + ".\n")
+    with pytest.raises(ParseError, match=f"parentheses nest deeper than {MAX_TERM_DEPTH}") as exc:
+        parse_problem("-" + "(" * 30000 + "p" + ")" * 30000 + ".\n")
+    assert (exc.value.line, exc.value.col) == (1, 1 + MAX_TERM_DEPTH)
+
+
 def test_equality_shorthand():
     m = parse_problem("a=b.\nX != f(Y).\n-(a = b).\n")
     assert m.clauses[0].literals == (Literal(True, "=", (App("a"), App("b"))),)

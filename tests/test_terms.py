@@ -79,6 +79,22 @@ def test_unify_occurs_check_fails():
     assert unify_terms(x, App("f", (x,))) is None
 
 
+def test_unify_occurs_check_walks_shared_bindings_once():
+    """q(Z1,Z1,...,Zn,Zn) against q(Y1,f(Y0,Y0),...,Yn,f(Yn-1,Yn-1)) binds
+    Zn to a term of 2^(n+1) - 1 symbols; an occurs check that followed every
+    occurrence of a bound variable would never finish at n = 60."""
+    n = 60
+    zs = tuple(Var(i) for i in range(1, n + 1))
+    ys = tuple(Var(n + 1 + i) for i in range(n + 1))
+    left = tuple(z for z in zs for _ in range(2))
+    right = tuple(t for i in range(1, n + 1) for t in (ys[i], App("f", (ys[i - 1], ys[i - 1]))))
+    s = unify_literals(Literal(True, "q", left), Literal(True, "q", right))
+    assert len(s) == 2 * n
+    # Y0 occurs in what Zn is bound to
+    cyclic = Literal(True, "q", left + (ys[0],)), Literal(True, "q", right + (zs[-1],))
+    assert unify_literals(*cyclic) is None
+
+
 def test_unify_identical_literals_empty_subst():
     lit = Literal(True, "p", (Var(0),))
     assert unify_literals(lit, lit) == {}
