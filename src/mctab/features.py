@@ -4,23 +4,16 @@ Walk tokens are vertical root-to-descendant symbol chains with variables
 abstracted to a shared `*` token and literal polarity folded into the
 predicate symbol.  Regions are tag-prefixed (`g:` goals, `p:` path, `a:...`
 action) and share one hashed space: token j lands in bucket fnv1a64(j) mod d
-and colliding tokens sum.
+and colliding tokens sum.  A vector is a plain dict from bucket to value:
+buckets lie below d, values are finite and positive.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import terms
 from .calculus import ExtAction, ProverState, RedAction, RewAction
 from .problems import Matrix
 from .terms import Literal, Term, Var, fnv1a64, term_stats
-
-
-@dataclass
-class FeatureVector:
-    entries: dict  # index -> value; indices < dim, values finite and > 0
-    dim: int
 
 
 def _sym(t: Term) -> str:
@@ -106,7 +99,7 @@ def raw_features(m: Matrix, goals: tuple, path: tuple, action=None) -> dict:
     return out
 
 
-def compress(raw: dict, dim: int) -> FeatureVector:
+def compress(raw: dict, dim: int) -> dict:
     """Index-modulo hashing; colliding tokens sum, zero values drop out."""
     if dim <= 0:
         raise ValueError("feature dimension must be positive")
@@ -116,7 +109,7 @@ def compress(raw: dict, dim: int) -> FeatureVector:
             continue
         idx = fnv1a64(token) % dim
         entries[idx] = entries.get(idx, 0.0) + value
-    return FeatureVector(entries, dim)
+    return entries
 
 
 class FeatureExtractor:
@@ -162,15 +155,14 @@ class FeatureExtractor:
             for idx, value in walks.items():
                 entries[idx] = entries.get(idx, 0.0) + value
 
-    def state_features(self, s: ProverState) -> FeatureVector:
-        state, fv = self._last
+    def state_features(self, s: ProverState) -> dict:
+        state, entries = self._last
         if state is not s:
             entries = self._compress(_scalars(s.goals, s.path))
             self._add_walks(entries, "g:", s.goals)
             self._add_walks(entries, "p:", s.path)
-            fv = FeatureVector(entries, self.dim)
-            self._last = (s, fv)
-        return fv
+            self._last = (s, entries)
+        return entries
 
     @staticmethod
     def action_key(s: ProverState, action) -> tuple:
@@ -183,14 +175,14 @@ class FeatureExtractor:
             return ("rew", action.clause_id, action.lit_index, action.direction)
         raise TypeError(f"unknown action {action!r}")
 
-    def action_features(self, s: ProverState, action) -> FeatureVector:
+    def action_features(self, s: ProverState, action) -> dict:
         key = self.action_key(s, action)
         delta = self._deltas.get(key)
         if delta is None:
             raw: dict = {}
             _action_walks(self.matrix, s.path, action, raw)
             delta = self._deltas[key] = self._compress(raw)
-        entries = dict(self.state_features(s).entries)
+        entries = dict(self.state_features(s))
         for idx, value in delta.items():
             entries[idx] = entries.get(idx, 0.0) + value
-        return FeatureVector(entries, self.dim)
+        return entries

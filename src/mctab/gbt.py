@@ -1,5 +1,8 @@
 """Gradient boosted regression trees over sparse feature vectors.
 
+A vector is a plain dict from feature index to value, a libsvm row in
+memory; the learner imports nothing from the prover but `Config`.
+
 Squared-error boosting with exact greedy split search on the sparse columns.
 Zero/absent entries are treated as missing and routed by a learned default
 direction per split.  Training is deterministic: fixed row order, splits
@@ -22,7 +25,6 @@ from operator import add, ne, not_
 from typing import List, Optional, Tuple
 
 from .config import Config
-from .features import FeatureVector
 
 
 class DatasetError(Exception):
@@ -35,7 +37,7 @@ class ModelFormatError(Exception):
 
 @dataclass
 class Dataset:
-    rows: list  # (FeatureVector, target)
+    rows: list  # (entries, target); entries maps feature index to value
     dim: int
 
 
@@ -77,12 +79,10 @@ class GbtModel:
     trees: list = field(default_factory=list)
     history: Optional[TrainHistory] = None  # transient, not serialized
 
-    def predict(self, fv: FeatureVector) -> float:
-        if fv.dim != self.dim:
-            raise DatasetError(f"feature dimension {fv.dim} does not match model {self.dim}")
+    def predict(self, entries: dict) -> float:
         total = self.base
         for tree in self.trees:
-            total += self.eta * tree.evaluate(fv.entries)
+            total += self.eta * tree.evaluate(entries)
         return total
 
 
@@ -210,7 +210,7 @@ def train(data: Dataset, cfg: Config) -> GbtModel:
     if not data.rows:
         raise DatasetError("cannot train on an empty dataset")
     n = len(data.rows)
-    entries_of = [fv.entries for fv, _ in data.rows]
+    entries_of = [entries for entries, _ in data.rows]
     target = [t for _, t in data.rows]
 
     # sign balancing: up-weight the minority sign class
@@ -384,9 +384,9 @@ def load(path: str) -> GbtModel:
 
 def format_dataset(data: Dataset) -> str:
     lines = []
-    for fv, target in data.rows:
+    for entries, target in data.rows:
         parts = [repr(target)]
-        parts.extend(f"{i}:{v!r}" for i, v in sorted(fv.entries.items()))
+        parts.extend(f"{i}:{v!r}" for i, v in sorted(entries.items()))
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n" if lines else ""
 
@@ -408,17 +408,19 @@ def parse_dataset(text: str, dim: int) -> Dataset:
             entries = {}
             last = -1
             for part in parts[1:]:
-                idx_s, _, val_s = part.partition(":")
+                idx_s, colon, val_s = part.partition(":")
+                if not (idx_s and colon and val_s):
+                    raise ValueError(f"malformed entry {part!r}")
                 idx = int(idx_s)
+                if not 0 <= idx < dim:
+                    raise ValueError(f"feature index {idx} outside dimension {dim}")
                 if idx <= last:
                     raise ValueError("feature indices must be strictly ascending")
-                if idx >= dim:
-                    raise ValueError(f"feature index {idx} outside dimension {dim}")
                 last = idx
                 entries[idx] = _finite(val_s)
         except ValueError as exc:
             raise DatasetError(f"line {lineno}: {exc}") from None
-        rows.append((FeatureVector(entries, dim), target))
+        rows.append((entries, target))
     return Dataset(rows, dim)
 
 

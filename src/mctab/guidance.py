@@ -2,6 +2,8 @@
 
 All squashing between model space and search space lives here; the learner
 deals in raw regression values only.  Natural logarithms throughout.
+`ModelGuidance` checks each model's dimension against its extractor's once
+per problem, when it is built, so a mismatched model fails before any search.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ import math
 from typing import Optional, Sequence
 
 from .calculus import ProverState
-from .gbt import left_sum
+from .gbt import DatasetError, left_sum
 from .terms import term_stats
 
 VALUE_CLIP = 3.0  # value targets lie in [-VALUE_CLIP, VALUE_CLIP]
@@ -88,6 +90,10 @@ class ModelGuidance:
     """Learned guidance; either model may be absent, falling back to defaults."""
 
     def __init__(self, value_model, policy_model, extractor, temperature: float):
+        for model in (value_model, policy_model):
+            if model is not None and model.dim != extractor.dim:
+                raise DatasetError(
+                    f"feature dimension {extractor.dim} does not match model {model.dim}")
         self.value_model = value_model
         self.policy_model = policy_model
         self.extractor = extractor

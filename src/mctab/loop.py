@@ -16,6 +16,7 @@ out of report.tsv for the same reason.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from dataclasses import dataclass
@@ -97,6 +98,13 @@ def solve_one(name: str, text: str, cfg: Config, value_model=None, policy_model=
     return result.stats, trace, value_rows, policy_rows
 
 
+def _remove(path: str):
+    """Delete an artifact this run does not make, left by an earlier run
+    into the same directory."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(path)
+
+
 def run_iteration(
     problem_dir: str,
     out_dir: str,
@@ -122,30 +130,31 @@ def run_iteration(
     lines = []
     proved = 0
     for name, (stats, trace, value_rows, policy_rows) in zip(texts, results):
+        proof_path = os.path.join(proofs_dir, name + ".proof")
         if trace is not None:
-            with open(os.path.join(proofs_dir, name + ".proof"), "w", encoding="utf-8") as fh:
+            with open(proof_path, "w", encoding="utf-8") as fh:
                 fh.write(trace)
             proved += 1
             proved_ever.add(name)
+        else:
+            _remove(proof_path)
         lines.append(stats.line())
         cumulative_value.extend(value_rows)
         cumulative_policy.extend(policy_rows)
 
-    value_data = _dedup(cumulative_value)
-    policy_data = _dedup(cumulative_policy)
-    gbt.save_dataset(
-        gbt.Dataset(value_data, cfg.feature_dim), os.path.join(out_dir, "value.data")
-    )
-    gbt.save_dataset(
-        gbt.Dataset(policy_data, cfg.feature_dim), os.path.join(out_dir, "policy.data")
-    )
+    value_data = gbt.Dataset(_dedup(cumulative_value), cfg.feature_dim)
+    policy_data = gbt.Dataset(_dedup(cumulative_policy), cfg.feature_dim)
+    gbt.save_dataset(value_data, os.path.join(out_dir, "value.data"))
+    gbt.save_dataset(policy_data, os.path.join(out_dir, "policy.data"))
 
-    new_value = gbt.train(gbt.Dataset(value_data, cfg.feature_dim), cfg)
+    new_value = gbt.train(value_data, cfg)
     gbt.save(new_value, os.path.join(out_dir, "value.model"))
     new_policy = None
-    if policy_data:
-        new_policy = gbt.train(gbt.Dataset(policy_data, cfg.feature_dim), cfg)
+    if policy_data.rows:
+        new_policy = gbt.train(policy_data, cfg)
         gbt.save(new_policy, os.path.join(out_dir, "policy.model"))
+    else:
+        _remove(os.path.join(out_dir, "policy.model"))
 
     with open(os.path.join(out_dir, "report.tsv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -155,8 +164,8 @@ def run_iteration(
         attempted=len(texts),
         proved=proved,
         cumulative_proved=len(proved_ever),
-        value_rows=len(value_data),
-        policy_rows=len(policy_data),
+        value_rows=len(value_data.rows),
+        policy_rows=len(policy_data.rows),
         wall_time=time.monotonic() - t0,
         trained_value=new_value,
         trained_policy=new_policy,

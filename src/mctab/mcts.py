@@ -281,13 +281,13 @@ def _dedup(rows: list) -> list:
     """Drop rows with identical feature vectors, keeping the maximum target."""
     best: dict = {}
     order: list = []
-    for fv, target in rows:
-        key = tuple(sorted(fv.entries.items()))
+    for entries, target in rows:
+        key = tuple(sorted(entries.items()))
         if key not in best:
-            best[key] = (fv, target)
+            best[key] = (entries, target)
             order.append(key)
         elif target > best[key][1]:
-            best[key] = (fv, target)
+            best[key] = (entries, target)
     return [best[k] for k in order]
 
 

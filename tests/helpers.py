@@ -657,7 +657,7 @@ def reference_train(data, cfg):
     if not data.rows:
         raise DatasetError("cannot train on an empty dataset")
     n = len(data.rows)
-    entries_of = [fv.entries for fv, _ in data.rows]
+    entries_of = [entries for entries, _ in data.rows]
     target = [t for _, t in data.rows]
     weight = [1.0] * n
     pos = sum(1 for t in target if t > 0)

@@ -19,7 +19,7 @@ from mctab.calculus import format_proof, initial_states
 from mctab.checker import check_proof_texts, _dpll
 from mctab.cli import corpus_dir, main
 from mctab.config import Config
-from mctab.features import FeatureExtractor, FeatureVector
+from mctab.features import FeatureExtractor
 from mctab.guidance import (
     DefaultGuidance,
     default_value,
@@ -219,8 +219,8 @@ def test_training_data_contracts():
     assert any(t == 3.0 for _, t in value_rows)
     assert len(policy_rows) == 2
 
-    fv = FeatureVector({3: 1.0}, 10)
-    out = _dedup([(fv, -3.0), (fv, 1.5), (FeatureVector({4: 1.0}, 10), 0.0)])
+    fv = {3: 1.0}
+    out = _dedup([(fv, -3.0), (fv, 1.5), ({4: 1.0}, 0.0)])
     assert len(out) == 2 and out[0][1] == 1.5
 
 
@@ -228,7 +228,7 @@ def test_training_data_contracts():
 def test_learner_contracts():
     data = make_dataset([({0: 1.0}, 2.5) for _ in range(12)])
     model = gbt.train(data, Config(rounds=1))
-    assert abs(model.predict(FeatureVector({0: 1.0}, 100)) - 2.5) < 1e-6
+    assert abs(model.predict({0: 1.0}) - 2.5) < 1e-6
 
     rows = [({5: float(i % 10 + 1)}, 1.0 if i % 10 + 1 > 5 else 0.0) for i in range(40)]
     model = gbt.train(make_dataset(rows), Config(rounds=20, patience=50))
@@ -393,7 +393,7 @@ def test_end_to_end_desk(corpus_runs, tmp_path):
             failed_searches += 1
             assert p_on == []  # nothing is learned from a failed search
     assert failed_searches >= 5
-    key = lambda row: (tuple(sorted(row[0].entries.items())), row[1])
+    key = lambda row: (tuple(sorted(row[0].items())), row[1])
     on_keys = {key(r) for r in rows_on}
     off_keys = {key(r) for r in rows_off}
     assert on_keys < off_keys  # strict subset

@@ -260,6 +260,62 @@ def test_malformed_model_file_exits_two(problem, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: line 2: leaf weights scaled by eta ")
 
 
+DESK = ["--config", str(INI_DIR / "desk.ini")]
+
+
+@pytest.fixture
+def model_dim10(tmp_path):
+    """A valid model whose dimension is not desk.ini's feature_dim of 10000."""
+    path = tmp_path / "dim10.model"
+    path.write_text("GBT v1 dim=10 eta=0.3 base=0.0\nN 3 0.5 L L 0.1 L 0.2\n")
+    return str(path)
+
+
+def test_prove_refuses_a_model_of_another_dimension_before_searching(
+    model_dim10, tmp_path, capsys
+):
+    problem = tmp_path / "chain2.p"
+    problem.write_text((Path(corpus_dir()) / "chain2.p").read_text())
+    assert main(["prove", str(problem), "--value-model", model_dim10, *DESK]) == 2
+    assert capsys.readouterr() == (
+        "", "error: feature dimension 10000 does not match model 10\n")
+    assert not os.path.exists(str(problem) + ".proof")
+
+
+def test_bench_refuses_a_model_of_another_dimension_before_any_result(model_dim10, capsys):
+    assert main(["bench", "--policy-model", model_dim10, *DESK]) == 2
+    assert capsys.readouterr() == (
+        "", "error: feature dimension 10000 does not match model 10\n")
+
+
+def test_a_rerun_into_one_out_directory_equals_a_fresh_run(tmp_path):
+    problems = tmp_path / "probs"
+    problems.mkdir()
+    for name in ("chain2.p", "twopath_03.p", "unsat_quick.p"):
+        (problems / name).write_text((Path(corpus_dir()) / name).read_text())
+    starved = ["-s", "inference_limit=1", "-s", "single_action_optim=off"]
+
+    def loop_into(out, *args):
+        assert main(["loop", str(problems), "--out", str(out), *DESK, *args]) == 0
+        return {str(f.relative_to(out)): f.read_bytes() if f.is_file() else None
+                for f in sorted(out.rglob("*"))}
+
+    first = loop_into(tmp_path / "rerun")
+    assert "iter0/proofs/chain2.p.proof" in first and "iter0/policy.model" in first
+    assert loop_into(tmp_path / "rerun", *starved) == loop_into(tmp_path / "fresh", *starved)
+
+
+def test_train_names_the_faulty_dataset_entry(tmp_path, capsys):
+    data = tmp_path / "d.data"
+    model_out = tmp_path / "d.model"
+    for row, message in (("0.5 -1:0.5", "feature index -1 outside dimension 10"),
+                         ("1.0 5", "malformed entry '5'")):
+        data.write_text(row + "\n")
+        assert main(["train", str(data), str(model_out), "-s", "feature_dim=10"]) == 2
+        assert capsys.readouterr().err == f"error: line 1: {message}\n"
+        assert not model_out.exists()
+
+
 def test_train_refuses_a_non_finite_target(tmp_path, capsys):
     # an inf target would train a model with base=inf, which no one could load
     data = tmp_path / "d.data"

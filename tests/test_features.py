@@ -83,15 +83,15 @@ def test_compress_sums_modulo_collisions():
     base = fnv1a64("tok0") % 10
     other = next(f"tok{i}" for i in range(1, 500) if fnv1a64(f"tok{i}") % 10 == base)
     fv = compress({"tok0": 1.0, other: 2.0}, 10)
-    assert fv.entries[base] == 3.0
+    assert fv[base] == 3.0
 
 
 def test_compress_empty_and_mass_conservation():
-    assert compress({}, 10).entries == {}
+    assert compress({}, 10) == {}
     raw = raw_features(M, (Literal(True, "q", (App("a"),)),), ())
     fv = compress(raw, 17)
-    assert abs(sum(fv.entries.values()) - sum(raw.values())) < 1e-12
-    assert all(0 <= i < 17 for i in fv.entries)
+    assert abs(sum(fv.values()) - sum(raw.values())) < 1e-12
+    assert all(0 <= i < 17 for i in fv)
 
 
 def test_state_features_ignore_todos():
@@ -99,7 +99,7 @@ def test_state_features_ignore_todos():
     g = (Literal(True, "q", (App("a"),)),)
     s1 = mk_state(goals=g)
     s2 = mk_state(goals=g, todos=(((Literal(True, "p", (App("a"),)),), (), ()),))
-    assert ex.state_features(s1).entries == ex.state_features(s2).entries
+    assert ex.state_features(s1) == ex.state_features(s2)
 
 
 def test_action_features_distinguish_ext_and_red():
@@ -108,7 +108,7 @@ def test_action_features_distinguish_ext_and_red():
     s = mk_state(goals=(Literal(True, "q", (App("a"),)),), path=(plit,))
     f_ext = ex.action_features(s, ExtAction(1, 1))
     f_red = ex.action_features(s, RedAction(0))
-    assert f_ext.entries != f_red.entries
+    assert f_ext != f_red
 
 
 def test_cache_hit_equals_fresh_computation():
@@ -116,8 +116,8 @@ def test_cache_hit_equals_fresh_computation():
     s = mk_state(goals=(Literal(True, "q", (App("a"),)),))
     a = ExtAction(1, 1)
     for _ in range(2):  # the second round reuses the state vector and the delta
-        assert ex.state_features(s).entries == oracle(M, s, dim=101).entries
-        assert ex.action_features(s, a).entries == oracle(M, s, a, dim=101).entries
+        assert ex.state_features(s) == oracle(M, s, dim=101)
+        assert ex.action_features(s, a) == oracle(M, s, a, dim=101)
 
 
 def test_states_differing_below_depth_three_get_their_own_vectors():
@@ -127,9 +127,9 @@ def test_states_differing_below_depth_three_get_their_own_vectors():
         for _ in range(3):
             t = App("f", (t,))
         s = mk_state(goals=(Literal(True, "p", (t,)),))
-        assert ex.state_features(s).entries == oracle(M, s).entries
+        assert ex.state_features(s) == oracle(M, s)
         a = ExtAction(0, 0)
-        assert ex.action_features(s, a).entries == oracle(M, s, a).entries
+        assert ex.action_features(s, a) == oracle(M, s, a)
 
 
 def _assert_tree_matches_oracle(m, tree, dim):
@@ -142,11 +142,11 @@ def _assert_tree_matches_oracle(m, tree, dim):
         # alternate the call order so both the fresh and the reused state
         # vector are compared
         if node.id % 2:
-            assert ex.state_features(s).entries == oracle(m, s, dim=dim).entries
+            assert ex.state_features(s) == oracle(m, s, dim=dim)
         for a in s.actions:
-            assert ex.action_features(s, a).entries == oracle(m, s, a, dim=dim).entries
+            assert ex.action_features(s, a) == oracle(m, s, a, dim=dim)
             checked += 1
-        assert ex.state_features(s).entries == oracle(m, s, dim=dim).entries
+        assert ex.state_features(s) == oracle(m, s, dim=dim)
     return checked
 
 
@@ -186,9 +186,9 @@ def test_determinism_same_state_twice():
     cfg = Config(single_action_optim=False, rewrite=False)
     s = initial_states(M, cfg)[0]
     ex = FeatureExtractor(M, 10000)
-    a = ex.state_features(s).entries
+    a = ex.state_features(s)
     ex2 = FeatureExtractor(M, 10000)
-    b = ex2.state_features(s).entries
+    b = ex2.state_features(s)
     assert a == b
 
 
@@ -198,4 +198,4 @@ def test_rewrite_action_features_distinguish_directions():
     s = mk_state(goals=(Literal(True, "p", (App("g", (App("a"),)),)),))
     lr = ex.action_features(s, RewAction(1, 0, "LR", (1,)))
     rl = ex.action_features(s, RewAction(1, 0, "RL", (1,)))
-    assert lr.entries != rl.entries
+    assert lr != rl

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from mctab.cli import corpus_dir
 from mctab.config import Config, load_config
-from mctab.features import FeatureVector
 from mctab.gbt import (
     Dataset,
     DatasetError,
@@ -26,18 +25,14 @@ from mctab.loop import run_loop
 from helpers import deep_model_text, reference_train
 
 
-def fv(entries, dim=100):
-    return FeatureVector(dict(entries), dim)
-
-
 def make_dataset(rows, dim=100):
-    return Dataset([(fv(e, dim), t) for e, t in rows], dim)
+    return Dataset([(dict(e), t) for e, t in rows], dim)
 
 
 def test_constant_target_fits_exactly():
     data = make_dataset([({0: 1.0}, 3.7) for _ in range(12)])
     model = train(data, Config(rounds=1))
-    assert abs(model.predict(fv({0: 1.0})) - 3.7) < 1e-6
+    assert abs(model.predict({0: 1.0}) - 3.7) < 1e-6
 
 
 def test_step_function_learned_quickly():
@@ -86,8 +81,8 @@ def test_missing_values_follow_default_direction():
             rows.append(({1: 1.0}, 1.0))  # feature 0 absent
     data = make_dataset(rows)
     model = train(data, Config(rounds=15, patience=50))
-    assert model.predict(fv({0: 1.0})) < 0.1
-    assert model.predict(fv({1: 1.0})) > 0.9
+    assert model.predict({0: 1.0}) < 0.1
+    assert model.predict({1: 1.0}) > 0.9
 
 
 def test_sign_balancing_upweights_minority():
@@ -98,7 +93,7 @@ def test_sign_balancing_upweights_minority():
     rows[10] = ({1: 1.0}, 1.0)
     data = make_dataset(rows)
     model = train(data, Config(rounds=20, patience=50))
-    assert model.predict(fv({1: 1.0})) > 0.5
+    assert model.predict({1: 1.0}) > 0.5
 
 
 def brute_best(row_ids, grad, hess, entries, lam):
@@ -244,13 +239,7 @@ def test_model_roundtrip_identical_predictions():
 def test_empty_model_predicts_base():
     text = "GBT v1 dim=10 eta=0.3 base=1.25\n"
     model = parse_model(text)
-    assert model.predict(fv({}, 10)) == 1.25
-
-
-def test_model_dimension_mismatch_errors():
-    model = parse_model("GBT v1 dim=10 eta=0.3 base=0.0\n")
-    with pytest.raises(DatasetError):
-        model.predict(fv({}, 11))
+    assert model.predict({}) == 1.25
 
 
 def test_truncated_model_file_errors():
@@ -292,8 +281,8 @@ def test_malformed_model_lines_are_positioned_errors():
 def test_models_of_any_depth_parse_predict_and_round_trip():
     text = deep_model_text(30000, 10)
     model = parse_model(text)
-    assert model.predict(fv({}, dim=10)) == 0.5 * 0.25 + 0.5 * 0.25
-    assert model.predict(fv({0: 1.0}, dim=10)) == 0.5 * -1.0 + 0.5 * 0.25
+    assert model.predict({}) == 0.5 * 0.25 + 0.5 * 0.25
+    assert model.predict({0: 1.0}) == 0.5 * -1.0 + 0.5 * 0.25
     assert format_model(model) == text
 
 
@@ -302,7 +291,7 @@ def test_dataset_file_roundtrip():
     data = make_dataset(rows, dim=10)
     text = format_dataset(data)
     back = parse_dataset("# comment\n" + text, 10)
-    assert [(r[0].entries, r[1]) for r in back.rows] == [
+    assert back.rows == [
         ({3: 1.5, 7: 2.0}, 0.5),
         ({}, -3.0),
     ]
@@ -409,7 +398,7 @@ def _with_copies(rows, copies):
         for dst, src in zip((6, 7), copies):
             if src in entries:
                 entries[dst] = entries[src]
-        out.append((FeatureVector(entries, 8), target))
+        out.append((entries, target))
     return Dataset(out, 8)
 
 

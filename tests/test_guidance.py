@@ -147,3 +147,13 @@ def test_priors_score_each_action_delta_once_as_the_per_action_oracle():
             states += 1
             shared += len(keys) < len(s.actions)
     assert states > 0 and shared > 0
+
+
+def test_model_dimension_mismatch_errors():
+    m = parse_problem("p(a).\n-p(X).\n")
+    model = gbt.parse_model("GBT v1 dim=10 eta=0.3 base=0.0\n")
+    ModelGuidance(model, model, FeatureExtractor(m, 10), 2.0)
+    for value_model, policy_model in ((model, None), (None, model)):
+        with pytest.raises(gbt.DatasetError,
+                           match="^feature dimension 11 does not match model 10$"):
+            ModelGuidance(value_model, policy_model, FeatureExtractor(m, 11), 2.0)

@@ -224,6 +224,11 @@ def test_checker_shares_exactly_the_names_its_docstring_lists():
     assert package_imports(tree) == docstring_surface(tree) == CHECKER_SURFACE
 
 
+def test_the_learner_imports_only_the_config_from_the_package():
+    tree = ast.parse((ROOT / "src" / "mctab" / "gbt.py").read_text(encoding="utf-8"))
+    assert set(package_imports(tree)) == {"config"}
+
+
 def test_importing_the_package_leaves_the_recursion_limit_alone():
     code = ("import sys; before = sys.getrecursionlimit(); import mctab, mctab.cli; "
             "print(before, sys.getrecursionlimit())")

@@ -24,7 +24,6 @@ from mctab.mcts import (
 from mctab.mcts import SearchTree
 from mctab.problems import parse_problem
 from mctab.calculus import initial_states
-from mctab.features import FeatureVector
 
 from helpers import (
     RewardReplay,
@@ -271,9 +270,9 @@ def test_all_proofsteps_toggle():
 
 
 def test_dedup_keeps_maximum_target():
-    fv1 = FeatureVector({1: 1.0}, 10)
-    fv1b = FeatureVector({1: 1.0}, 10)
-    fv2 = FeatureVector({2: 2.0}, 10)
+    fv1 = {1: 1.0}
+    fv1b = {1: 1.0}
+    fv2 = {2: 2.0}
     rows = [(fv1, -3.0), (fv2, 1.0), (fv1b, 2.5), (fv1, 0.0)]
     out = _dedup(rows)
     assert len(out) == 2
