@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .checker import check_proof_texts
 from .config import Config, load_config
 from .guidance import DefaultGuidance, ModelGuidance
-from .loop import run_iteration, run_loop, solve_one
+from .loop import run_loop, solve_one
 from .mcts import extract_training_data, search_problem
 from .problems import parse_problem
 
@@ -17,7 +17,6 @@ __all__ = [
     "extract_training_data",
     "load_config",
     "parse_problem",
-    "run_iteration",
     "run_loop",
     "search_problem",
     "solve_one",

@@ -13,8 +13,10 @@ a predicate congruence linking the goals before and after).
 Soundness rests on one fact: every clause handed to the DPLL core is an
 input clause under a ground substitution, or an equality-axiom instance from
 `expand_rewrite`.  Each is a consequence of the problem with equality, so
-an unsatisfiable set of them refutes the problem.  The checks on `ext`,
-`red` and `lem` steps only reject traces that do not describe a tableau.
+an unsatisfiable set of them refutes the problem.  The structural checks
+(one `start` step, the first; connected `ext` goals, complementary `red`
+literals, `lem` literals solved before) only reject traces that do not
+describe a tableau.
 
 Every field of a trace is read by the problem parser, over one variable
 table for the whole trace, so trace variable n is the parser's own number,
@@ -381,6 +383,9 @@ def check_trace(proof_text: str, matrix: Matrix) -> CheckResult:
     saw_start_mark = False
 
     for idx, step in enumerate(steps):
+        if isinstance(step, Start) != (idx == 0):
+            why = "a second start step" if idx else "the first step is not a start step"
+            return CheckResult(False, why, idx)
         if isinstance(step, (Start, Ext, Rew)):
             if step.clause_id >= len(matrix.clauses):
                 return CheckResult(False, "clause reference out of range", idx)

@@ -18,6 +18,7 @@ add left to right, so a model is the same bits on every Python.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, chain, compress
@@ -291,11 +292,24 @@ def save(model: GbtModel, path: str):
         fh.write(format_model(model))
 
 
+# the spellings `repr(float)` writes, in ASCII only: no `_`, no other digits
+_NUMBER = re.compile(r"-?(?:inf|nan|[0-9]+(?:\.[0-9]+)?(?:e[-+]?[0-9]+)?)")
+
+
 def _finite(token: str) -> float:
+    if not _NUMBER.fullmatch(token):
+        raise ValueError(f"bad number {token!r}")
     value = float(token)
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {token!r}")
     return value
+
+
+def _index(token: str) -> int:
+    """A feature index or dimension: ASCII decimal digits."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"bad feature index {token!r}")
+    return int(token)
 
 
 def _parse_tree(tokens: list, dim: int) -> Tuple[_Node, int, float]:
@@ -318,8 +332,8 @@ def _parse_tree(tokens: list, dim: int) -> Tuple[_Node, int, float]:
         elif tok == "N":
             if pos + 3 >= len(tokens):
                 raise ValueError("truncated split node")
-            feature = int(tokens[pos + 1])
-            if not 0 <= feature < dim:
+            feature = _index(tokens[pos + 1])
+            if feature >= dim:
                 raise ValueError(f"feature index {feature} outside dimension {dim}")
             threshold = _finite(tokens[pos + 2])
             default = tokens[pos + 3]
@@ -350,7 +364,7 @@ def parse_model(text: str) -> GbtModel:
     try:
         if header[:2] != ["GBT", "v1"] or len(header) != 5:
             raise ValueError
-        dim = int(header[2].removeprefix("dim="))
+        dim = _index(header[2].removeprefix("dim="))
         eta = _finite(header[3].removeprefix("eta="))
         base = _finite(header[4].removeprefix("base="))
         if dim <= 0:
@@ -411,8 +425,8 @@ def parse_dataset(text: str, dim: int) -> Dataset:
                 idx_s, colon, val_s = part.partition(":")
                 if not (idx_s and colon and val_s):
                     raise ValueError(f"malformed entry {part!r}")
-                idx = int(idx_s)
-                if not 0 <= idx < dim:
+                idx = _index(idx_s)
+                if idx >= dim:
                     raise ValueError(f"feature index {idx} outside dimension {dim}")
                 if idx <= last:
                     raise ValueError("feature indices must be strictly ascending")

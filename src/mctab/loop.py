@@ -1,13 +1,18 @@
-"""Searching one problem, and iterated data collection and training (the
-expert-iteration loop).
+"""Searching one problem, and the expert-iteration loop.
 
 `solve_one` is the one path from a problem text to a proof: every search,
 `mctab prove` and `mctab bench` as much as the loop, goes through it, and it
 hands each found proof to the independent checker against the text it parsed
 (a rejected proof raises `ProofRejected`: the search may never grade its own
-homework).  Each iteration of the loop searches every problem under the
-current guidance, appends the extracted rows to the cumulative datasets, and
-retrains the value and policy models on everything collected so far.
+homework).
+
+`run_loop` reads the problem files once.  Each iteration then searches every
+problem under the models the one before trained (iteration 0 runs
+unguided), appends the extracted rows to the cumulative datasets, retrains
+the value and policy models on everything collected so far, and writes its
+report, datasets, models and proofs under `<out>/iter<k>`.  First it
+removes every file of those kinds from each `iter<k>` under `<out>`, then
+the directories left empty, so a rerun equals a fresh run; other files stay.
 
 Problems are processed in sorted filename order so repeated runs are
 bit-for-bit reproducible.  Wall-clock time is reported on stdout but kept
@@ -16,11 +21,11 @@ out of report.tsv for the same reason.
 
 from __future__ import annotations
 
-import contextlib
+import glob
 import os
+import re
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 from . import gbt
 from .checker import check_proof_texts
@@ -49,8 +54,6 @@ class IterationReport:
     value_rows: int
     policy_rows: int
     wall_time: float
-    trained_value: gbt.GbtModel
-    trained_policy: Optional[gbt.GbtModel]  # None without policy rows
 
 
 def list_problems(problem_dir: str) -> list:
@@ -69,14 +72,6 @@ def read_problems(problem_dir: str) -> dict:
     return texts
 
 
-def _guidance_for(m, cfg: Config, value_model, policy_model):
-    extractor = FeatureExtractor(m, cfg.feature_dim)
-    if value_model is None and policy_model is None:
-        return DefaultGuidance(), extractor, cfg.cp_initial
-    guidance = ModelGuidance(value_model, policy_model, extractor, cfg.temperature)
-    return guidance, extractor, cfg.cp_later
-
-
 def solve_one(name: str, text: str, cfg: Config, value_model=None, policy_model=None):
     """Search one problem and verify what it finds; returns (stats, trace or
     None, value rows, policy rows).
@@ -86,7 +81,12 @@ def solve_one(name: str, text: str, cfg: Config, value_model=None, policy_model=
     docstring lists.  A rejection raises `ProofRejected`.
     """
     m = parse_problem(text)
-    guidance, extractor, cp = _guidance_for(m, cfg, value_model, policy_model)
+    extractor = FeatureExtractor(m, cfg.feature_dim)
+    if value_model is None and policy_model is None:
+        guidance, cp = DefaultGuidance(), cfg.cp_initial
+    else:
+        guidance = ModelGuidance(value_model, policy_model, extractor, cfg.temperature)
+        cp = cfg.cp_later
     result = search_problem(m, guidance, cfg, cp=cp, name=name)
     trace = None
     if result.outcome == "proved":
@@ -98,105 +98,67 @@ def solve_one(name: str, text: str, cfg: Config, value_model=None, policy_model=
     return result.stats, trace, value_rows, policy_rows
 
 
-def _remove(path: str):
-    """Delete an artifact this run does not make, left by an earlier run
-    into the same directory."""
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(path)
+# what a loop writes in each `iter<k>` directory
+ARTIFACTS = ("report.tsv", "value.data", "policy.data", "value.model", "policy.model",
+             os.path.join("proofs", "*.p.proof"))
 
 
-def run_iteration(
-    problem_dir: str,
-    out_dir: str,
-    iteration: int,
-    cfg: Config,
-    value_model=None,
-    policy_model=None,
-    cumulative_value: Optional[list] = None,
-    cumulative_policy: Optional[list] = None,
-    proved_ever: Optional[set] = None,
-) -> IterationReport:
-    """One data-collection plus training pass over the problem directory."""
-    t0 = time.monotonic()
-    texts = read_problems(problem_dir)
-    results = [solve_one(n, t, cfg, value_model, policy_model) for n, t in texts.items()]
-
-    proofs_dir = os.path.join(out_dir, "proofs")
-    os.makedirs(proofs_dir, exist_ok=True)
-    cumulative_value = cumulative_value if cumulative_value is not None else []
-    cumulative_policy = cumulative_policy if cumulative_policy is not None else []
-    proved_ever = proved_ever if proved_ever is not None else set()
-
-    lines = []
-    proved = 0
-    for name, (stats, trace, value_rows, policy_rows) in zip(texts, results):
-        proof_path = os.path.join(proofs_dir, name + ".proof")
-        if trace is not None:
-            with open(proof_path, "w", encoding="utf-8") as fh:
-                fh.write(trace)
-            proved += 1
-            proved_ever.add(name)
-        else:
-            _remove(proof_path)
-        lines.append(stats.line())
-        cumulative_value.extend(value_rows)
-        cumulative_policy.extend(policy_rows)
-
-    value_data = gbt.Dataset(_dedup(cumulative_value), cfg.feature_dim)
-    policy_data = gbt.Dataset(_dedup(cumulative_policy), cfg.feature_dim)
-    gbt.save_dataset(value_data, os.path.join(out_dir, "value.data"))
-    gbt.save_dataset(policy_data, os.path.join(out_dir, "policy.data"))
-
-    new_value = gbt.train(value_data, cfg)
-    gbt.save(new_value, os.path.join(out_dir, "value.model"))
-    new_policy = None
-    if policy_data.rows:
-        new_policy = gbt.train(policy_data, cfg)
-        gbt.save(new_policy, os.path.join(out_dir, "policy.model"))
-    else:
-        _remove(os.path.join(out_dir, "policy.model"))
-
-    with open(os.path.join(out_dir, "report.tsv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-    return IterationReport(
-        iteration=iteration,
-        attempted=len(texts),
-        proved=proved,
-        cumulative_proved=len(proved_ever),
-        value_rows=len(value_data.rows),
-        policy_rows=len(policy_data.rows),
-        wall_time=time.monotonic() - t0,
-        trained_value=new_value,
-        trained_policy=new_policy,
-    )
+def _remove_artifacts(out_root: str):
+    """Delete what an earlier loop wrote under out_root, then the
+    directories that leaves empty."""
+    for out_dir in [os.path.join(out_root, d) for d in os.listdir(out_root)
+                    if re.fullmatch("iter[0-9]+", d)]:
+        for pattern in ARTIFACTS:
+            for path in glob.glob(os.path.join(glob.escape(out_dir), pattern)):
+                os.remove(path)
+        for path in (os.path.join(out_dir, "proofs"), out_dir):
+            if os.path.isdir(path) and not os.listdir(path):
+                os.rmdir(path)
 
 
 def run_loop(problem_dir: str, iterations: int, out_root: str, cfg: Config) -> list:
-    """Iteration 0 runs unguided; every later iteration loads the fresh models."""
+    """Iteration 0 runs unguided; every later one under the models the one before trained."""
     if iterations < 1:
         raise LoopError(f"iterations must be at least 1, got {iterations}")
+    texts = read_problems(problem_dir)
+    os.makedirs(out_root, exist_ok=True)
+    _remove_artifacts(out_root)
     reports = []
-    value_model = None
-    policy_model = None
-    cumulative_value: list = []
-    cumulative_policy: list = []
+    value_model = policy_model = None
+    value_rows: list = []
+    policy_rows: list = []
     proved_ever: set = set()
     for k in range(iterations):
+        t0 = time.monotonic()
         out_dir = os.path.join(out_root, f"iter{k}")
-        os.makedirs(out_dir, exist_ok=True)
-        report = run_iteration(
-            problem_dir,
-            out_dir,
-            k,
-            cfg,
-            value_model=value_model,
-            policy_model=policy_model,
-            cumulative_value=cumulative_value,
-            cumulative_policy=cumulative_policy,
-            proved_ever=proved_ever,
-        )
-        reports.append(report)
-        value_model = report.trained_value
-        policy_model = report.trained_policy
+        os.makedirs(os.path.join(out_dir, "proofs"), exist_ok=True)
+        lines = []
+        proved = 0
+        for name, text in texts.items():
+            stats, trace, values, policies = solve_one(name, text, cfg, value_model, policy_model)
+            if trace is not None:
+                with open(os.path.join(out_dir, "proofs", name + ".proof"), "w",
+                          encoding="utf-8") as fh:
+                    fh.write(trace)
+                proved += 1
+                proved_ever.add(name)
+            lines.append(stats.line())
+            value_rows.extend(values)
+            policy_rows.extend(policies)
+
+        value_data = gbt.Dataset(_dedup(value_rows), cfg.feature_dim)
+        policy_data = gbt.Dataset(_dedup(policy_rows), cfg.feature_dim)
+        gbt.save_dataset(value_data, os.path.join(out_dir, "value.data"))
+        gbt.save_dataset(policy_data, os.path.join(out_dir, "policy.data"))
+        value_model = gbt.train(value_data, cfg)
+        gbt.save(value_model, os.path.join(out_dir, "value.model"))
+        policy_model = gbt.train(policy_data, cfg) if policy_data.rows else None
+        if policy_model is not None:
+            gbt.save(policy_model, os.path.join(out_dir, "policy.model"))
+        with open(os.path.join(out_dir, "report.tsv"), "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+
+        reports.append(IterationReport(
+            k, len(texts), proved, len(proved_ever), len(value_data.rows),
+            len(policy_data.rows), time.monotonic() - t0))
     return reports

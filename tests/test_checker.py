@@ -414,7 +414,19 @@ def test_left_out_clause_variable_gets_a_fresh_constant():
     res = check_proof_texts(proof.replace("{X=_1}", "{}"), APP_A)
     assert (res.ok, res.step) == (False, 2)
     # a step the refutation does not need may leave its variables out
-    assert check_proof_texts(proof + "start 0 {}\n", APP_A).ok
+    assert check_proof_texts(proof + "ext 1 {} q(a)\n", APP_A).ok
+
+
+def test_a_trace_describes_one_tableau_from_its_first_step():
+    """Each trace below is a sound refutation of its instances, yet no
+    tableau: one `start` step, the first, roots a tableau."""
+    text = "p(f(X)).\n-p(f(Y)).\n"
+    for trace, step, message in (
+        ("start 0 {X=t}\nstart 1 {Y=t}\n", 1, "a second start step"),
+        ("ext 0 {X=t} -p(f(t))\nstart 1 {Y=t}\n", 0, "the first step is not a start step"),
+    ):
+        assert check_proof_texts(trace, text) == CheckResult(False, message, step)
+    assert check_proof_texts("start 0 {X=t}\next 1 {Y=t} p(f(t))\n", text).ok
 
 
 # ---------------------------------------------------------------------------

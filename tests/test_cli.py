@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 from dataclasses import fields
@@ -291,7 +292,7 @@ def test_bench_refuses_a_model_of_another_dimension_before_any_result(model_dim1
 def test_a_rerun_into_one_out_directory_equals_a_fresh_run(tmp_path):
     problems = tmp_path / "probs"
     problems.mkdir()
-    for name in ("chain2.p", "twopath_03.p", "unsat_quick.p"):
+    for name in ("app_a.p", "chain2.p", "twopath_03.p", "unsat_quick.p"):
         (problems / name).write_text((Path(corpus_dir()) / name).read_text())
     starved = ["-s", "inference_limit=1", "-s", "single_action_optim=off"]
 
@@ -304,12 +305,37 @@ def test_a_rerun_into_one_out_directory_equals_a_fresh_run(tmp_path):
     assert "iter0/proofs/chain2.p.proof" in first and "iter0/policy.model" in first
     assert loop_into(tmp_path / "rerun", *starved) == loop_into(tmp_path / "fresh", *starved)
 
+    # fewer iterations, a problem gone, and a file no loop writes, which stays
+    assert "iter1/report.tsv" in first and "iter0/proofs/app_a.p.proof" in first
+    assert loop_into(tmp_path / "rerun") == first
+    (problems / "app_a.p").unlink()
+    (tmp_path / "rerun" / "iter1" / "notes.txt").write_text("kept\n")
+    rerun = loop_into(tmp_path / "rerun", "--iterations", "1")
+    fresh = loop_into(tmp_path / "fresh1", "--iterations", "1")
+    assert rerun == {**fresh, "iter1": None, "iter1/notes.txt": b"kept\n"}
+
+
+def test_bench_at_desk_settings_prints_the_recorded_bytes(capsys):
+    # a declared behaviour change re-records the hash
+    assert main(["bench", *DESK]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "# proved\t27/35\tinferences\t4139\tplayouts\t3504\tbigsteps\t30"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9993ce43a1ef8259307bfc32cf1cb67a652bc9445f584b2bfb3e3cff243ea8a9")
+
 
 def test_train_names_the_faulty_dataset_entry(tmp_path, capsys):
     data = tmp_path / "d.data"
     model_out = tmp_path / "d.model"
-    for row, message in (("0.5 -1:0.5", "feature index -1 outside dimension 10"),
-                         ("1.0 5", "malformed entry '5'")):
+    for row, message in (("0.5 -1:0.5", "bad feature index '-1'"),
+                         ("1.0 5", "malformed entry '5'"),
+                         # one number grammar: ASCII digits, no `_`, as `repr` writes
+                         ("0.5 1_0:1.0", "bad feature index '1_0'"),
+                         ("0.5 \u0663\u0663:2.0", "bad feature index '\u0663\u0663'"),
+                         ("1.0 a:1.0", "bad feature index 'a'"),
+                         ("\u0663.\u0665 1:1.0", "bad number '\u0663.\u0665'"),
+                         ("0.5 1:1_0.5", "bad number '1_0.5'"),
+                         ("0.5 3:1.0:2", "bad number '1.0:2'")):
         data.write_text(row + "\n")
         assert main(["train", str(data), str(model_out), "-s", "feature_dim=10"]) == 2
         assert capsys.readouterr().err == f"error: line 1: {message}\n"

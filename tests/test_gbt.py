@@ -1,5 +1,7 @@
+import hashlib
 import os
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -257,11 +259,20 @@ def test_malformed_model_lines_are_positioned_errors():
                  "N 10 0.5 L L 0.1 L 0.2", "L zz"):
         with pytest.raises(ModelFormatError, match="^line 3: "):
             parse_model(header + "\n" + tree + "\n")
+    # one number grammar: ASCII digits, no `_`, as `repr` writes
+    for tree, message in (("N 1_0 0.5 L L 0.1 L 0.2", "bad feature index '1_0'"),
+                          ("N \u0663 0.5 L L 0.1 L 0.2", "bad feature index '\u0663'"),
+                          ("N 3 0_5 L L 0.1 L 0.2", "bad number '0_5'"),
+                          ("L \u0663.\u0665", "bad number '\u0663.\u0665'")):
+        with pytest.raises(ModelFormatError, match=f"^line 2: {re.escape(message)}$"):
+            parse_model(header + tree + "\n")
     for tree in ("N 3 nan L L 0.1 L 0.2", "N 3 inf L L 0.1 L 0.2", "N 3 0.5 L L nan L 0.2",
                  "N 3 0.5 L L 0.1 L -inf", "L inf"):
         with pytest.raises(ModelFormatError, match="^line 3: non-finite number "):
             parse_model(header + "\n" + tree + "\n")
     for field, bad in (("dim=10", "dim=0"), ("dim=10", "dim=-2"), ("dim=10", "dim=x"),
+                       ("dim=10", "dim=1_0"), ("dim=10", "dim=\u0661\u0660"),
+                       ("eta=0.3", "eta=0_3"), ("base=0.0", "base=\u0660.\u0660"),
                        ("eta=0.3", "eta=nan"), ("eta=0.3", "eta=inf"),
                        ("base=0.0", "base=nan"), ("base=0.0", "base=-inf")):
         with pytest.raises(ModelFormatError, match="^line 1: "):
@@ -364,18 +375,49 @@ def assert_same_training(mine, ref):
         (r.train_rmse, r.holdout_rmse, r.best_round, r.best_rmse))
 
 
-def test_training_equals_the_reference_on_the_loops_datasets(tmp_path):
-    # the guided benchmark's set-up: 2 iterations of desk.ini at 1000 inferences
+@pytest.fixture(scope="module")
+def loop_out(tmp_path_factory):
+    """The guided benchmark's set-up: 2 iterations of desk.ini at 1000
+    inferences.  Returns the output directory and the config."""
     ini = os.path.join(os.path.dirname(corpus_dir()), "ini", "desk.ini")
     cfg = load_config(ini, ["inference_limit=1000"])
-    reports = run_loop(corpus_dir(), 2, str(tmp_path), cfg)
-    for k, report in enumerate(reports):
-        for kind, mine in (("value", report.trained_value), ("policy", report.trained_policy)):
-            data = load_dataset(str(tmp_path / f"iter{k}" / f"{kind}.data"), cfg.feature_dim)
+    out = tmp_path_factory.mktemp("loop")
+    run_loop(corpus_dir(), 2, str(out), cfg)
+    return out, cfg
+
+
+def test_training_equals_the_reference_on_the_loops_datasets(loop_out):
+    out, cfg = loop_out
+    for k in (0, 1):
+        for kind in ("value", "policy"):
+            data = load_dataset(str(out / f"iter{k}" / f"{kind}.data"), cfg.feature_dim)
             # just under the smallest dataset: value and policy rows per
             # iteration are [[96, 104], [175, 216]]
             assert len(data.rows) > 95
+            mine = train(data, cfg)
+            assert format_model(mine) == (out / f"iter{k}" / f"{kind}.model").read_text()
             assert_same_training(mine, reference_train(data, cfg))
+
+
+# sha256 of the loop's files above; a declared behaviour change re-records them
+LOOP_SHA256 = {
+    "iter0/report.tsv": "ca5c8ecb0b654325a8743bac0702c1255ea8c22252d0ad94a8b54f920a5120a5",
+    "iter0/value.data": "51e527014737ae413846d8adf2b08776daab01121329f31239c236a46e7b3cb9",
+    "iter0/policy.data": "f3aefd889fcac4512e8df613510b60850d152aa475ae5b0e0863ef1f44407eec",
+    "iter0/value.model": "ac24b397210bfd03080b52eab2908e8005b23bb5ae5de7021567b3761bb85cac",
+    "iter0/policy.model": "58a1ec4f57cd608b6292ecc0fa88ad44184150cdb683b1d3a12f84b847351ab1",
+    "iter1/report.tsv": "eced483115321907ff467da02f21243622ca44e787de4fdb8f5f70c5abfd4254",
+    "iter1/value.data": "49dfb1c9b18facaa9a8d786f27642fd7da1d29a0b70d90f088648051fa831e77",
+    "iter1/policy.data": "125ee4699c80aec753676c59181650346ec0a747cc9f1f0fc2e0cc77dad9b6ad",
+    "iter1/value.model": "1bc69aa84033978396bf7c55ae21d715c86afcf67c7c21bd7126fd267f112d45",
+    "iter1/policy.model": "b85a0a9f30667f80ede139fa4975ba54475e111b33173e2edaf595dd197474a2",
+}
+
+
+def test_the_loops_files_are_byte_identical_to_the_recorded_ones(loop_out):
+    out, _ = loop_out
+    found = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in LOOP_SHA256}
+    assert found == LOOP_SHA256
 
 
 # values with repeats, negatives and both zeros (present, yet routed as missing)

@@ -9,7 +9,6 @@ from mctab.loop import (
     LoopError,
     ProofRejected,
     list_problems,
-    run_iteration,
     run_loop,
     solve_one,
 )
@@ -61,10 +60,8 @@ def test_list_problems_sorted_and_errors(tmp_path, problem_dir):
 
 
 def test_run_iteration_outputs(problem_dir, tmp_path):
+    [report] = run_loop(problem_dir, 1, str(tmp_path / "out"), Config(**FAST))
     out = tmp_path / "out" / "iter0"
-    out.mkdir(parents=True)
-    cfg = Config(**FAST)
-    report = run_iteration(problem_dir, str(out), 0, cfg)
     assert report.attempted == 3
     assert report.proved == 2
     assert report.cumulative_proved == 2
