@@ -12,11 +12,14 @@ a predicate congruence linking the goals before and after).
 
 Soundness rests on one fact: every clause handed to the DPLL core is an
 input clause under a ground substitution, or an equality-axiom instance from
-`expand_rewrite`.  Each is a consequence of the problem with equality, so
-an unsatisfiable set of them refutes the problem.  The structural checks
-(one `start` step, the first; connected `ext` goals, complementary `red`
-literals, `lem` literals solved before) only reject traces that do not
-describe a tableau.
+`expand_rewrite`.  Each is a consequence of the problem with equality, so an
+unsatisfiable set of them refutes the problem.  The SAT core is unit
+propagation plus branching, depth-first on an explicit stack, which is
+complete; the witness it returns for a satisfiable set makes a literal of
+every clause true but may leave atoms unassigned, so any completion of it is
+a model too.  The structural checks (one `start` step, the first; connected
+`ext` goals, complementary `red` literals, `lem` literals solved before)
+only reject traces that do not describe a tableau.
 
 Every field of a trace is read by the problem parser, over one variable
 table for the whole trace, so trace variable n is the parser's own number,
@@ -279,9 +282,8 @@ class GroundClauseSet:
 
 
 def _simplify(clauses, assignment):
-    changed = True
-    while changed:
-        changed = False
+    """Unit propagation to a fixpoint; None on a conflict."""
+    while True:
         new = []
         for clause in clauses:
             keep = []
@@ -300,24 +302,12 @@ def _simplify(clauses, assignment):
             new.append(keep)
         clauses = new
         units = {c[0] for c in clauses if len(c) == 1}
-        if units:
-            for u in units:
-                if assignment.get(abs(u), (u > 0)) != (u > 0):
-                    return None
-                assignment[abs(u)] = u > 0
-            changed = True
-            continue
-        # pure literal elimination
-        seen: dict = {}
-        for clause in clauses:
-            for lit in clause:
-                seen[abs(lit)] = seen.get(abs(lit), 0) | (1 if lit > 0 else 2)
-        pure = [v for v, mask in sorted(seen.items()) if mask != 3]
-        if pure:
-            for v in pure:
-                assignment[v] = seen[v] == 1
-            changed = True
-    return clauses
+        if not units:
+            return clauses
+        for u in units:
+            if assignment.get(abs(u), (u > 0)) != (u > 0):
+                return None
+            assignment[abs(u)] = u > 0
 
 
 def _dpll(clauses, assignment):

@@ -14,7 +14,7 @@ from pathlib import Path
 from . import gbt
 from .calculus import NoStartClauseError
 from .checker import check_trace
-from .config import Config, ConfigError, load_config, to_ini
+from .config import Config, ConfigError, _digits, load_config, to_ini
 from .loop import LoopError, ProofRejected, read_problems, run_loop, solve_one
 from .problems import ParseError, parse_problem
 
@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("loop", help="run data-collection/training iterations")
     p.add_argument("problem_dir")
-    p.add_argument("--iterations", type=int, default=2)
+    p.add_argument("--iterations", default="2")
     p.add_argument("--out", default="out")
     _add_common(p)
 
@@ -122,7 +122,9 @@ def _cmd_train(args, cfg: Config) -> int:
 
 
 def _cmd_loop(args, cfg: Config) -> int:
-    reports = run_loop(args.problem_dir, args.iterations, args.out, cfg)
+    if not _digits(args.iterations):  # the spelling of an int in the ini file
+        raise ConfigError(f"bad value for --iterations: {args.iterations!r}")
+    reports = run_loop(args.problem_dir, int(args.iterations), args.out, cfg)
     for r in reports:
         print(
             f"iteration {r.iteration}: proved {r.proved}/{r.attempted} "

@@ -14,6 +14,7 @@ the deterministic steps perform the first one that unifies.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -49,27 +50,48 @@ _FIELD_KIND = {f.name: type(f.default) for f in fields(Config)}
 # every number must be finite and >= 0; these must also be > 0
 _POSITIVE = {"feature_dim", "time_limit_s", "temperature"}
 
+# the spellings `repr(float)` writes, in ASCII only: no `_`, no other digits
+_NUMBER = re.compile(r"-?(?:inf|nan|[0-9]+(?:\.[0-9]+)?(?:e[-+]?[0-9]+)?)")
+
+
+def _finite(token: str) -> float:
+    if not _NUMBER.fullmatch(token):
+        raise ValueError(f"bad number {token!r}")
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token!r}")
+    return value
+
+
+def _digits(token: str) -> bool:
+    """The one spelling of a count: ASCII decimal digits, as `repr(int)`
+    writes a non-negative int."""
+    return token.isascii() and token.isdigit()
+
+
+def _index(token: str) -> int:
+    """A feature index or dimension."""
+    if not _digits(token):
+        raise ValueError(f"bad feature index {token!r}")
+    return int(token)
+
 
 def _set(cfg: Config, key: str, raw: str, where: str = ""):
-    """Parse `raw` as the type of option `key` and store it on `cfg`."""
+    """Parse `raw` as the type of option `key` and store it on `cfg`; only
+    the spellings `to_ini` writes are accepted."""
     key = key.strip()
     kind = _FIELD_KIND.get(key)
     if kind is None:
         raise ConfigError(f"{where}unknown option {key!r}")
     raw = raw.strip()
     if kind is bool:
-        low = raw.lower()
-        if low in ("on", "true", "1", "yes"):
-            value = True
-        elif low in ("off", "false", "0", "no"):
-            value = False
-        else:
+        if raw not in ("on", "off"):
             raise ConfigError(f"{where}bad boolean for {key}: {raw!r}")
+        value = raw == "on"
     else:
-        try:
-            value = kind(raw)
-        except ValueError:
-            raise ConfigError(f"{where}bad value for {key}: {raw!r}") from None
+        if not (_digits(raw) if kind is int else _NUMBER.fullmatch(raw)):
+            raise ConfigError(f"{where}bad value for {key}: {raw!r}")
+        value = kind(raw)
         # gbt builds a tree with one recursive call per level, so max_depth
         # stays far below the interpreter's recursion limit
         if (not math.isfinite(value) or value < 0 or (key in _POSITIVE and value == 0)
@@ -78,8 +100,8 @@ def _set(cfg: Config, key: str, raw: str, where: str = ""):
     setattr(cfg, key, value)
 
 
-def from_ini(text: str, base: Optional[Config] = None) -> Config:
-    cfg = Config(**vars(base)) if base else Config()
+def from_ini(text: str) -> Config:
+    cfg = Config()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith(("#", ";", "%")):
@@ -118,5 +140,5 @@ def load_config(path: Optional[str] = None, overrides=()) -> Config:
     cfg = Config()
     if path:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = from_ini(fh.read(), base=cfg)
+            cfg = from_ini(fh.read())
     return apply_overrides(cfg, overrides)

@@ -1,7 +1,8 @@
 """Gradient boosted regression trees over sparse feature vectors.
 
 A vector is a plain dict from feature index to value, a libsvm row in
-memory; the learner imports nothing from the prover but `Config`.
+memory; the learner imports nothing from the prover but `Config` and the
+number spellings the ini file shares (`_finite`, `_index`).
 
 Squared-error boosting with exact greedy split search on the sparse columns.
 Zero/absent entries are treated as missing and routed by a learned default
@@ -18,14 +19,13 @@ add left to right, so a model is the same bits on every Python.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, chain, compress
 from operator import add, ne, not_
 from typing import List, Optional, Tuple
 
-from .config import Config
+from .config import Config, _finite, _index
 
 
 class DatasetError(Exception):
@@ -290,26 +290,6 @@ def format_model(model: GbtModel) -> str:
 def save(model: GbtModel, path: str):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_model(model))
-
-
-# the spellings `repr(float)` writes, in ASCII only: no `_`, no other digits
-_NUMBER = re.compile(r"-?(?:inf|nan|[0-9]+(?:\.[0-9]+)?(?:e[-+]?[0-9]+)?)")
-
-
-def _finite(token: str) -> float:
-    if not _NUMBER.fullmatch(token):
-        raise ValueError(f"bad number {token!r}")
-    value = float(token)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {token!r}")
-    return value
-
-
-def _index(token: str) -> int:
-    """A feature index or dimension: ASCII decimal digits."""
-    if not (token.isascii() and token.isdigit()):
-        raise ValueError(f"bad feature index {token!r}")
-    return int(token)
 
 
 def _parse_tree(tokens: list, dim: int) -> Tuple[_Node, int, float]:

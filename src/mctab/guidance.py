@@ -82,8 +82,7 @@ class DefaultGuidance:
         return default_value(term_stats(s.goals)[0])
 
     def priors(self, s: ProverState) -> list:
-        n = len(s.actions)
-        return default_policy(n) if n else []
+        return default_policy(len(s.actions))
 
 
 class ModelGuidance:
@@ -107,8 +106,6 @@ class ModelGuidance:
         return value_from_prediction(raw, len(s.goals))
 
     def priors(self, s: ProverState) -> list:
-        if not s.actions:
-            return []
         if self.policy_model is None:
             return default_policy(len(s.actions))
         # actions with one delta key have one vector: score each key once

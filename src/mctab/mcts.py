@@ -9,13 +9,17 @@ with the guidance value, and backpropagates along all ancestors.  Every
 child with the best mean reward; the visited bigstep roots are the anchor
 points for training-data extraction.
 
-A node's actions are its priors: a PROVED or FAILED node has none, an open
-node one per valid action, and with several start clauses `SearchTree`
-builds a virtual root with one per start state.  Only expansion and
-extraction tell that root apart.
+A node's actions are its priors: a PROVED or FAILED node has none, an OPEN
+node one per valid action (`calculus` makes a state OPEN only when it has
+one, so the guidance is never asked for none), and with several start
+clauses `SearchTree` builds a virtual root with one per start state.  Only
+expansion and extraction tell that root apart.
 
-Fully failed subtrees are marked dead so the search can stop early instead
-of replaying known failures forever.
+A node is dead when it is FAILED, or when all its actions are expanded and
+all its children are dead (`_mark_dead`); the search stops once the bigstep
+root is dead.  A PROVED node ends the search when it is inserted, so a
+playout meets only live OPEN nodes (or the virtual root) and ends in an
+expansion.
 """
 
 from __future__ import annotations
@@ -188,18 +192,18 @@ def _expand(tree: SearchTree, node: SearchNode, guidance, cfg: Config) -> Search
 
 
 def playout(tree: SearchTree, guidance, cfg: Config, cp: float) -> int:
-    """One select-expand-backpropagate cycle; returns the final node id.
+    """One select-expand-backpropagate cycle; returns the new node's id.
 
     The descent expands a node's next action when no live child beats the
-    pool of unexpanded actions; it ends at a terminal node, or at a node
-    whose children are all dead, which is then marked dead.  The bigstep
-    root itself is expanded breadth-first before any descent: bigstep
-    decisions compare child mean values, so every candidate child must exist
-    with real statistics before the root is allowed to move.
+    pool of unexpanded actions.  The bigstep root itself is expanded
+    breadth-first before any descent: bigstep decisions compare child mean
+    values, so every candidate child must exist with real statistics before
+    the root is allowed to move.  With a live bigstep root and no PROVED node,
+    as `search_problem` keeps them, the descent always ends in an expansion.
     """
     tree.playouts += 1
     node = tree.nodes[tree.bigstep_root]
-    while node.child_priors:
+    while True:
         have_unexpanded = len(node.children) < len(node.child_priors)
         if have_unexpanded and node.id == tree.bigstep_root:
             best_child = None
@@ -207,13 +211,7 @@ def playout(tree: SearchTree, guidance, cfg: Config, cp: float) -> int:
             best_child, best_score = _select_child(tree, node, cp)
         if have_unexpanded and (best_child is None or unexplored_score(node, cp) > best_score):
             return _expand(tree, node, guidance, cfg).id
-        if best_child is None:  # every action expanded and every child dead
-            tree._mark_dead(node.id)
-            break
         node = best_child
-    reward = 1.0 if not node.child_priors and node.state.result == PROVED else 0.0
-    tree.backpropagate(node.id, reward)
-    return node.id
 
 
 def bigstep(tree: SearchTree) -> int:

@@ -265,10 +265,6 @@ def subterms(t: Term, pos: tuple = ()) -> list:
     return out
 
 
-def positions(t: Term) -> list:
-    return [p for p, _ in subterms(t)]
-
-
 def subterm_at(t: Term, pos: tuple) -> Term:
     for i in pos:
         if not isinstance(t, App) or i < 1 or i > len(t.args):

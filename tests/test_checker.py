@@ -114,9 +114,20 @@ def test_dpll_agrees_with_truth_table():
         clauses, nvars = random_cnf(rng)
         model = _dpll([list(c) for c in clauses], {})
         assert (model is None) == truth_table_unsat(clauses, nvars)
+        # a witness may leave variables out; its assigned ones alone must make
+        # a literal of every clause true, so that any completion is a model
         if model is not None:
             for clause in clauses:
-                assert any(model.get(abs(l), l <= 0) == (l > 0) for l in clause)
+                assert any(model.get(abs(l)) == (l > 0) for l in clause)
+        # the same through `check_unsat`, whose witness names the atoms
+        g = GroundClauseSet()
+        for clause in clauses:
+            g.add_clause([lit(l < 0, f"x{abs(l)}") for l in clause])  # swapped
+        unsat, witness = check_unsat(g)
+        assert unsat == (model is None)
+        if witness is not None:
+            for clause in clauses:
+                assert any(witness.get(f"x{abs(l)}") == (l > 0) for l in clause)
 
 
 def test_dpll_finds_the_recursive_search_model():

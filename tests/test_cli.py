@@ -171,8 +171,9 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     bad.write_text("p(a) |\n")
     assert main(["prove", str(bad)]) == 2  # parse error
     assert main(["prove", str(bad), "-s", "no_such_key=1"]) == 2
-    for n in ("0", "-1"):  # a loop of no iterations
-        out = tmp_path / f"loop{n}"
+    # a loop of no iterations, and counts not spelled in ASCII digits
+    for i, n in enumerate(("0", "-1", "\u0662", "1_0", "+2")):
+        out = tmp_path / f"loop{i}"
         capsys.readouterr()
         assert main(["loop", corpus_dir(), "--iterations", n, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -226,6 +227,9 @@ def test_out_of_range_values_are_refused(problem, capsys):
         "feature_dim=0", "feature_dim=-3", "path_limit=-5", "rounds=-1",
         "time_limit_s=nan", "time_limit_s=inf", "eta=-inf", "discount=nan",
         "time_limit_s=0", "temperature=0", "temperature=-2.0",
+        # only the spellings `mctab config` prints
+        "inference_limit=1_000", "inference_limit=\u0663", "feature_dim=+5",
+        "rewrite=yes", "rewrite=TRUE", "eta=1_0.5", "eta=\u0660.5",
     ]
     for pair in bad:
         with pytest.raises(ConfigError):
@@ -374,12 +378,17 @@ def test_ini_value_errors_name_their_line(tmp_path, capsys):
         ("rewrite = maybe\n", "line 1: bad boolean for rewrite: 'maybe'"),
         ("[mctab]\neta = 0.3\nrounds = x\n", "line 3: bad value for rounds: 'x'"),
         ("eta = -1\n", "line 1: out-of-range value for eta: '-1'"),
+        ("inference_limit = 1_000\n", "line 1: bad value for inference_limit: '1_000'"),
+        ("inference_limit = \u0663\n", "line 1: bad value for inference_limit: '\u0663'"),
+        ("feature_dim = +5\n", "line 1: bad value for feature_dim: '+5'"),
+        ("rewrite = yes\n", "line 1: bad boolean for rewrite: 'yes'"),
+        ("rewrite = TRUE\n", "line 1: bad boolean for rewrite: 'TRUE'"),
     ]
     ini = tmp_path / "f.ini"
     for text, message in cases:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             from_ini(text)
-        ini.write_text(text)
+        ini.write_text(text, encoding="utf-8")
         assert main(["config", "--config", str(ini)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -44,6 +44,15 @@ def node_with(reward, visits, prior):
     )
 
 
+def check_dead_rule(tree):
+    """A node with every action expanded and every child dead is dead, the
+    rule that lets every playout end in an expansion."""
+    for node in tree.nodes:
+        if (node.child_priors and len(node.children) == len(node.child_priors)
+                and all(tree.nodes[c].dead for c in node.children.values())):
+            assert node.dead, node.id
+
+
 def test_uct_score_examples():
     assert uct_score(node_with(1.0, 1, 0.3), math.log(1), 3.0) == 1.0  # ln 1 = 0
     score = uct_score(node_with(2.0, 4, 0.25), math.log(16), 3.0)
@@ -167,7 +176,10 @@ def test_tree_invariants_on_random_problems():
         for _ in range(25):
             if tree.proved_node is not None or tree.nodes[tree.bigstep_root].dead:
                 break
+            before = len(tree.nodes)
             nid = playout(tree, g, cfg, cp=3.0)
+            assert len(tree.nodes) == before + 1 and nid == before  # one expansion
+            check_dead_rule(tree)
             replay.after_playout(tree, nid)
             check_tree_invariants(tree)
             replay.check(tree)
@@ -381,6 +393,10 @@ def test_multi_start_trees_keep_the_visit_invariants():
         result = search_problem(m, DefaultGuidance(), cfg)
         assert result.outcome == "proved", name
         check_tree_invariants(result.tree)
+        check_dead_rule(result.tree)
+        # every playout inserted exactly one node beside those the tree starts with
+        built = SearchTree(m, DefaultGuidance(), initial_states(m, cfg))
+        assert len(result.tree.nodes) == result.tree.playouts + len(built.nodes), name
 
 
 def test_a_proved_start_state_is_the_multi_start_roots_first_child():

@@ -25,13 +25,13 @@ from mctab.terms import (
     literal_subterm,
     match_term,
     negate,
-    positions,
     replace_at,
     resolve_literal,
     resolve_term,
     shift_literal,
     shift_term,
     subterm_at,
+    subterms,
     term_stats,
     unify_literals,
     unify_terms,
@@ -360,7 +360,7 @@ def test_term_stats_equal_the_three_walk_reference():
 
 def test_positions_enumeration_order():
     t = App("f", (a(), App("g", (App("b"),))))
-    assert positions(t) == [(), (1,), (2,), (2, 1)]
+    assert [p for p, _ in subterms(t)] == [(), (1,), (2,), (2, 1)]
 
 
 def test_replace_at_positions():
@@ -375,8 +375,9 @@ def test_positions_replace_roundtrip():
     rng = random.Random(5)
     for _ in range(300):
         t = random_term(rng, rng.randint(1, 12))
-        for p in positions(t):
-            assert replace_at(t, p, subterm_at(t, p)) == t
+        for p, sub in subterms(t):
+            assert subterm_at(t, p) == sub
+            assert replace_at(t, p, sub) == t
 
 
 def test_literal_positions_exclude_predicate_root():
