@@ -337,7 +337,7 @@ def check_unsat(g: GroundClauseSet):
     if model is None:
         return True, None
     names = {vid: atom for atom, vid in g.atoms.items()}
-    witness = {names[v]: val for v, val in sorted(model.items()) if v in names}
+    witness = {names[v]: val for v, val in sorted(model.items())}
     return False, witness
 
 

@@ -170,7 +170,7 @@ def _child(row_ids, cols, side, deeper: bool):
     return ids, sub
 
 
-def _build_tree(row_ids, cols, grad, hess, entries_of, cfg: Config, depth: int) -> _Node:
+def _build_tree(row_ids, cols, grad, hess, cfg: Config, depth: int) -> _Node:
     g_total = left_sum(map(grad.__getitem__, row_ids))
     h_total = left_sum(map(hess.__getitem__, row_ids))
     leaf = _Node(weight=-g_total / (h_total + cfg.reg_lambda))
@@ -180,17 +180,16 @@ def _build_tree(row_ids, cols, grad, hess, entries_of, cfg: Config, depth: int) 
     if found is None:
         return leaf
     _, feature, threshold, default_left = found
-    goes_left = [False] * len(grad)
-    for i in row_ids:
-        value = entries_of[i].get(feature)
-        if value is None or value == 0.0:
-            goes_left[i] = default_left
-        else:
-            goes_left[i] = value <= threshold
+    # the feature's column holds the node's rows with a present value; the
+    # rest follow the default
+    goes_left = [default_left] * len(grad)
+    _, vals, ids = next(col for col in cols if col[0] == feature)
+    for value, i in zip(vals, ids):
+        goes_left[i] = value <= threshold
     node = _Node(feature=feature, threshold=threshold, default_left=default_left)
     node.left, node.right = (
         _build_tree(*_child(row_ids, cols, side, depth + 1 < cfg.max_depth),
-                    grad, hess, entries_of, cfg, depth + 1)
+                    grad, hess, cfg, depth + 1)
         for side in (goes_left, list(map(not_, goes_left))))
     return node
 
@@ -243,7 +242,7 @@ def train(data: Dataset, cfg: Config) -> GbtModel:
         for i in train_ids:
             grad[i] = weight[i] * (pred[i] - target[i])
             hess[i] = weight[i]
-        tree = _build_tree(train_ids, cols, grad, hess, entries_of, cfg, 0)
+        tree = _build_tree(train_ids, cols, grad, hess, cfg, 0)
         trees.append(tree)
         for i in range(n):
             pred[i] += cfg.eta * tree.evaluate(entries_of[i])

@@ -13,7 +13,7 @@ A node's actions are its priors: a PROVED or FAILED node has none, an OPEN
 node one per valid action (`calculus` makes a state OPEN only when it has
 one, so the guidance is never asked for none), and with several start
 clauses `SearchTree` builds a virtual root with one per start state.  Only
-expansion and extraction tell that root apart.
+expansion, insertion and extraction tell that root apart.
 
 A node is dead when it is FAILED, or when all its actions are expanded and
 all its children are dead (`_mark_dead`); the search stops once the bigstep
@@ -84,8 +84,7 @@ class SearchTree:
         self.bigstep_nodes = [0]
         n = len(self.start_states)
         if n == 1:
-            self._insert(None, None, self.start_states[0], 1.0, guidance)
-            self.inferences += self.start_states[0].inference_count
+            self._insert(None, None, self.start_states[0], guidance)
             return
         # picking the start clause is the first branching of the search; a
         # start state that is already proved is that branching's first child
@@ -93,11 +92,14 @@ class SearchTree:
                                      child_priors=[1.0 / n] * n))
         for i, state in enumerate(self.start_states):
             if state.result == PROVED:
-                self.inferences += state.inference_count + 1  # as `_expand` counts a start
-                self.backpropagate(0, self._insert(0, i, state, 1.0 / n, guidance).reward)
+                self._insert(self.nodes[0], i, state, guidance)
                 break
 
-    def _insert(self, parent_id, action_index, state: ProverState, prior, guidance) -> SearchNode:
+    def _insert(self, parent: Optional[SearchNode], ai, state: ProverState,
+                guidance) -> SearchNode:
+        """Add `state` as the child of `parent` by its action `ai`, or as the
+        root when `parent` is None: score it, count its inferences, link it,
+        mark it proved or dead, and backpropagate its value."""
         if state.result == PROVED:
             value, priors = 1.0, []
         elif state.result != OPEN:
@@ -105,15 +107,20 @@ class SearchTree:
         else:
             value = guidance.value(state)
             priors = guidance.priors(state)
-        node = SearchNode(len(self.nodes), parent_id, state, prior, visits=1, reward=value,
+        node = SearchNode(len(self.nodes), None, state, 1.0, visits=1, reward=value,
                           child_priors=priors)
         self.nodes.append(node)
-        if parent_id is not None:
-            self.nodes[parent_id].children[action_index] = node.id
+        self.inferences += state.inference_count
+        if parent is not None:
+            node.parent, node.prior = parent.id, parent.child_priors[ai]
+            parent.children[ai] = node.id  # before `_mark_dead`, which counts them
+            # choosing a start clause under the virtual root is one inference
+            self.inferences += 1 if parent.state is None else -parent.state.inference_count
         if state.result == PROVED and self.proved_node is None:
             self.proved_node = node.id
         if state.result not in (OPEN, PROVED):
             self._mark_dead(node.id)
+        self.backpropagate(node.parent, value)
         return node
 
     def _mark_dead(self, nid: int):
@@ -129,13 +136,12 @@ class SearchTree:
             pnode.dead = True
             parent = pnode.parent
 
-    def backpropagate(self, nid: int, reward: float):
-        cur: Optional[int] = nid
-        while cur is not None:
-            node = self.nodes[cur]
+    def backpropagate(self, nid: Optional[int], reward: float):
+        while nid is not None:
+            node = self.nodes[nid]
             node.visits += 1
             node.reward += reward
-            cur = node.parent
+            nid = node.parent
 
 
 def uct_score(node: SearchNode, log_parent_visits: float, cp: float) -> float:
@@ -181,14 +187,8 @@ def _select_child(tree: SearchTree, node: SearchNode, cp: float):
 def _expand(tree: SearchTree, node: SearchNode, guidance, cfg: Config) -> SearchNode:
     ai = _next_action(node)
     if node.state is None:
-        child_state = tree.start_states[ai]
-        tree.inferences += child_state.inference_count + 1
-    else:
-        child_state = apply_action(tree.matrix, node.state, ai, cfg)
-        tree.inferences += child_state.inference_count - node.state.inference_count
-    child = tree._insert(node.id, ai, child_state, node.child_priors[ai], guidance)
-    tree.backpropagate(node.id, child.reward)
-    return child
+        return tree._insert(node, ai, tree.start_states[ai], guidance)
+    return tree._insert(node, ai, apply_action(tree.matrix, node.state, ai, cfg), guidance)
 
 
 def playout(tree: SearchTree, guidance, cfg: Config, cp: float) -> int:

@@ -5,8 +5,8 @@ line of the input file.  Grammar (UTF-8 text):
 
     problem  := { clause | comment | blank }
     clause   := literal { "|" literal } "."
-    literal  := [ "-" ] atom
-    atom     := ident [ "(" term { "," term } ")" ] | term "=" term | "#"
+    literal  := term ( "=" | "!=" ) term | [ "-" ] atom
+    atom     := ident [ "(" term { "," term } ")" ] | "#"
     term     := variable | ident [ "(" term { "," term } ")" ]
     comment  := "%" rest-of-line
 
@@ -14,9 +14,10 @@ An identifier is a run of `_` and the characters `str.isalnum()` accepts;
 one that starts with an uppercase letter or `_` is a variable, quantified per
 clause.  The parser numbers variables 0, 1, ... in order of first occurrence:
 per clause, or over one table a caller shares, as the proof checker does for
-all the fields of a trace.  `X != Y` abbreviates `-(X = Y)`; `#` is the
-reserved start marker.  Clause ids are assigned in file order and stay
-stable for the whole run.
+all the fields of a trace.  Each literal has one spelling, the one
+`format_literal` writes: a negated equation is `X != Y`, never `-X = Y`.
+`#` is the reserved start marker.  Clause ids are assigned in file order
+and stay stable for the whole run.
 """
 
 from __future__ import annotations
@@ -138,40 +139,27 @@ class _Parser:
             clauses.append((tuple(lits), tuple(self.vars), at))
         return clauses
 
-    def parse_literal(self, depth: int = 1) -> Literal:
-        negative = False
-        if self.peek()[0] == "-":
-            self.next()
-            negative = True
-        atom = self.parse_atom(depth)
+    def parse_literal(self) -> Literal:
+        negative = self.peek()[0] == "-"
         if negative:
-            return Literal(not atom.positive, atom.predicate, atom.args)
-        return atom
-
-    def parse_atom(self, depth: int) -> Literal:
+            self.next()
         kind, value = self.peek()[:2]
         if kind == "#":
             self.next()
             if self.peek()[0] in ("=", "!="):
                 self.error("'#' cannot appear inside an equation")
-            return Literal(True, START_MARK, ())
-        if kind == "(":
-            # parenthesized atom, e.g. -(a = b)
-            if depth >= MAX_TERM_DEPTH:
-                self.error(f"parentheses nest deeper than {MAX_TERM_DEPTH}")
-            self.next()
-            lit = self.parse_literal(depth + 1)
-            self.expect(")")
-            return lit
+            return Literal(not negative, START_MARK, ())
         if kind != "ident":
             self.error(f"expected atom, found {value!r}")
         left = self.parse_term()
         if self.peek()[0] in ("=", "!="):
+            if negative:
+                self.error("'-' cannot negate an equation: write it with '!='")
             positive = self.next()[0] == "="
             return Literal(positive, EQ, (left, self.parse_term()))
         if isinstance(left, Var):
             self.error("a bare variable is not an atom")
-        return Literal(True, left.symbol, left.args)
+        return Literal(not negative, left.symbol, left.args)
 
     def parse_term(self, depth: int = 1):
         tok = self.expect("ident")
@@ -247,9 +235,7 @@ def format_literal(lit: Literal, names: Optional[dict] = None) -> str:
     if lit.predicate == EQ and len(lit.args) == 2:
         op = "=" if lit.positive else "!="
         return f"{format_term(lit.args[0], names)}{op}{format_term(lit.args[1], names)}"
-    body = lit.predicate
-    if lit.args:
-        body += f"({','.join(map(format_term, lit.args, repeat(names)))})"
+    body = format_term(App(lit.predicate, lit.args), names)
     return body if lit.positive else f"-{body}"
 
 

@@ -364,6 +364,9 @@ def test_trace_parse_errors():
     for cid in ("1_0", "\u0663", "+3"):
         with pytest.raises(TraceError, match=re.escape(f"line 1: bad clause id '{cid}'")):
             parse_trace(f"start {cid} {{}}\n")
+    # a literal field has the one spelling `format_literal` writes
+    res = check_proof_texts("start 2 {}\next 1 {Y=_1} -(a=b)\n", APP_A)
+    assert not res.ok and res.message.startswith("trace parse error: line 2: 1:2:")
 
 
 # ---------------------------------------------------------------------------

@@ -373,7 +373,7 @@ def test_expansion_order_on_multi_start_roots(monkeypatch):
         starts = initial_states(m, cfg)
         tree = SearchTree(m, g, starts)
         if len(starts) > 1:
-            tree._insert(0, 0, starts[0], tree.nodes[0].child_priors[0], g)
+            tree._insert(tree.nodes[0], 0, starts[0], g)
         for _ in range(20):
             if tree.proved_node is not None or tree.nodes[0].dead:
                 break
@@ -397,6 +397,35 @@ def test_multi_start_trees_keep_the_visit_invariants():
         # every playout inserted exactly one node beside those the tree starts with
         built = SearchTree(m, DefaultGuidance(), initial_states(m, cfg))
         assert len(result.tree.nodes) == result.tree.playouts + len(built.nodes), name
+
+
+MULTI_START_OPEN = ("p(X).\nq(X).\n-p(a) | r(a).\n-p(b) | s(b).\n-q(a) | s(a).\n"
+                    "-q(b) | r(b).\n-r(b).\n-s(c).\n")
+
+
+def test_playouts_under_a_multi_start_root_keep_the_invariants():
+    """Both start states are open, so the search expands them from the
+    virtual root and plays out beneath it, one playout at a time."""
+    m = parse_problem(MULTI_START_OPEN)
+    cfg = Config(inference_limit=200, bigstep_freq=5, path_limit=20)
+    g = DefaultGuidance()
+    tree = SearchTree(m, g, initial_states(m, cfg))
+    assert [len(s.actions) for s in tree.start_states] == [2, 2]
+    assert len(tree.nodes) == 1 and tree.nodes[0].state is None
+    replay = RewardReplay(tree)
+    while tree.proved_node is None and not tree.nodes[tree.bigstep_root].dead:
+        nid = playout(tree, g, cfg, cp=cfg.cp_initial)
+        assert len(tree.nodes) == tree.playouts + 1 and nid == tree.playouts
+        check_dead_rule(tree)
+        replay.after_playout(tree, nid)
+        check_tree_invariants(tree)
+        replay.check(tree)
+        if tree.proved_node is None and tree.playouts % cfg.bigstep_freq == 0:
+            bigstep(tree)
+    assert (tree.playouts, tree.inferences, len(tree.nodes)) == (6, 7, 7)
+    assert tree.nodes[0].children == {0: 1, 1: 2}
+    stats = search_problem(m, g, cfg).stats
+    assert (stats.outcome, stats.playouts, stats.inferences) == ("proved", 6, 7)
 
 
 def test_a_proved_start_state_is_the_multi_start_roots_first_child():

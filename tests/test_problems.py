@@ -78,23 +78,25 @@ def test_deep_terms_are_a_positioned_parse_error():
         parse_problem(f"p({nested(30000)}).\n")
 
 
-def test_nested_parentheses_are_a_positioned_parse_error():
-    parse_problem("(" * (MAX_TERM_DEPTH - 1) + "p" + ")" * (MAX_TERM_DEPTH - 1) + ".\n")
-    with pytest.raises(ParseError, match=f"parentheses nest deeper than {MAX_TERM_DEPTH}") as exc:
-        parse_problem("-" + "(" * 30000 + "p" + ")" * 30000 + ".\n")
-    assert (exc.value.line, exc.value.col) == (1, 1 + MAX_TERM_DEPTH)
-
-
 def test_equality_shorthand():
-    m = parse_problem("a=b.\nX != f(Y).\n-(a = b).\n")
+    m = parse_problem("a=b.\nX != f(Y).\na!=b.\n")
     assert m.clauses[0].literals == (Literal(True, "=", (App("a"), App("b"))),)
     assert m.clauses[1].literals == (
         Literal(False, "=", (Var(0), App("f", (Var(1),)))),
     )
-    assert m.clauses[2].literals == m.clauses[1].literals[:0] + (
-        Literal(False, "=", (App("a"), App("b"))),
-    )
+    assert m.clauses[2].literals == (Literal(False, "=", (App("a"), App("b"))),)
     assert format_literal(m.clauses[2].literals[0]) == "a!=b"
+    # each literal has one spelling: no parentheses, no '-' before an equation
+    for text, message, col in (
+        ("-(a = b).", "expected atom, found '\\('", 2),
+        ("(p).", "expected atom, found '\\('", 1),
+        ("-(-p).", "expected atom, found '\\('", 2),
+        ("-a=b.", "'-' cannot negate an equation: write it with '!='", 3),
+        ("-a!=b.", "'-' cannot negate an equation: write it with '!='", 3),
+    ):
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_problem(f"q.\n{text}\n")
+        assert (exc.value.line, exc.value.col) == (2, col), text
 
 
 def test_rewrite_rules_have_no_variable_source():
@@ -164,7 +166,7 @@ _literals = st.one_of(
     st.builds("{}p({})".format, st.sampled_from(["", "-"]), _terms),
     st.builds("{}q({},{})".format, st.sampled_from(["", "-"]), _terms, _terms),
     st.builds("{} {} {}".format, _terms, st.sampled_from(["=", "!="]), _terms),
-    st.builds("-({} = {})".format, _terms, _terms),
+    st.builds("{}!={}".format, _terms, _terms),
 )
 _problems = st.lists(
     st.lists(_literals, min_size=1, max_size=4).map(lambda lits: " | ".join(lits) + "."),
