@@ -12,8 +12,13 @@ A deterministic 90/10 train/holdout split drives early stopping, and the
 minority sign class is up-weighted so the data is sign-balanced.
 
 `train` sorts each feature's column once (XGBoost's column blocks), and a
-split hands its children stable subsequences of those columns.  Float sums
-add left to right, so a model is the same bits on every Python.
+split hands its children stable subsequences of those columns, both
+children's in one pass over the node's.  A column whose values are all
+equal has one candidate split, so it is scored as one row set: one sum of
+its gradients and one of its hessians.  Each leaf adds its step to the
+predictions of the training rows the build routed to it, so only holdout
+rows walk the new tree.  Float sums add left to right, so a model is the
+same bits on every Python.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, filterfalse
 from operator import add, ne, not_
 from typing import List, Optional, Tuple
 
@@ -126,13 +131,24 @@ def _best_split(cols, n: int, grad, hess, lam: float, g_total: float, h_total: f
     best_gain = 1e-12
     for f, vals, ids in cols:
         m = len(ids)
+        if vals[0] == vals[-1]:
+            # one value, one candidate: the present rows go left, the rest
+            # go right by default; a column of all the rows has none
+            if m != n:
+                gl = left_sum(map(grad.__getitem__, ids))
+                hl = left_sum(map(hess.__getitem__, ids))
+                gr, hr = g_total - gl, h_total - hl
+                gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
+                if gain > best_gain:
+                    best_gain = gain
+                    best = (gain, f, vals[0], False)
+            continue
         g_left = list(accumulate(map(grad.__getitem__, ids), initial=0.0))
         h_left = list(accumulate(map(hess.__getitem__, ids), initial=0.0))
         g_miss = g_total - g_left[m]
         h_miss = h_total - h_left[m]
         start = 0
-        bounds = compress(range(1, m), map(ne, vals, vals[1:])) if vals[0] != vals[-1] else ()
-        for k in chain(bounds, (m,)):
+        for k in chain(compress(range(1, m), map(ne, vals, vals[1:])), (m,)):
             value = vals[start]
             start = k
             # k >= 1 rows go left; a split needs a row on the right as well.
@@ -155,30 +171,19 @@ def _best_split(cols, n: int, grad, hess, lam: float, g_total: float, h_total: f
     return best
 
 
-def _child(row_ids, cols, side, deeper: bool):
-    """The rows and, if it may split, the columns of the child that takes the
-    rows i with side[i] set, each in its parent's order.  A column holding all
-    of the child's rows with one value has no split there or below, so it is
-    left out."""
-    ids = list(compress(row_ids, map(side.__getitem__, row_ids)))
-    sub = []
-    for f, vals, col_ids in cols if deeper else ():
-        mask = list(map(side.__getitem__, col_ids))
-        kept = tuple(compress(vals, mask))
-        if kept and (len(kept) < len(ids) or kept[0] != kept[-1]):
-            sub.append((f, kept, tuple(compress(col_ids, mask))))
-    return ids, sub
-
-
-def _build_tree(row_ids, cols, grad, hess, cfg: Config, depth: int) -> _Node:
+def _build_tree(row_ids, cols, grad, hess, pred, cfg: Config, depth: int) -> _Node:
+    """The tree over the node's rows and columns.  Each leaf adds eta times
+    its weight to the predictions of the rows it holds."""
     g_total = left_sum(map(grad.__getitem__, row_ids))
     h_total = left_sum(map(hess.__getitem__, row_ids))
-    leaf = _Node(weight=-g_total / (h_total + cfg.reg_lambda))
-    if depth >= cfg.max_depth or len(row_ids) < 2:
-        return leaf
-    found = _best_split(cols, len(row_ids), grad, hess, cfg.reg_lambda, g_total, h_total)
+    found = None
+    if depth < cfg.max_depth and len(row_ids) >= 2:
+        found = _best_split(cols, len(row_ids), grad, hess, cfg.reg_lambda, g_total, h_total)
     if found is None:
-        return leaf
+        weight = -g_total / (h_total + cfg.reg_lambda)
+        for i in row_ids:
+            pred[i] += cfg.eta * weight
+        return _Node(weight=weight)
     _, feature, threshold, default_left = found
     # the feature's column holds the node's rows with a present value; the
     # rest follow the default
@@ -186,11 +191,36 @@ def _build_tree(row_ids, cols, grad, hess, cfg: Config, depth: int) -> _Node:
     _, vals, ids = next(col for col in cols if col[0] == feature)
     for value, i in zip(vals, ids):
         goes_left[i] = value <= threshold
+    left_ids = list(filter(goes_left.__getitem__, row_ids))
+    right_ids = list(filterfalse(goes_left.__getitem__, row_ids))
+    n_left, n_right = len(left_ids), len(right_ids)
+    # both children's columns in one pass, each in the node's order.  A child
+    # of fewer than two rows is a leaf and gets none; a column holding all of
+    # a child's rows with one value has no split there or below, so it is
+    # left out.
+    left_cols, right_cols = [], []
+    for f, vals, ids in cols if depth + 1 < cfg.max_depth else ():
+        if vals[0] == vals[-1]:
+            rows = tuple(filter(goes_left.__getitem__, ids))
+            if 0 < len(rows) < n_left:
+                left_cols.append((f, vals[:len(rows)], rows))
+            rows = tuple(filterfalse(goes_left.__getitem__, ids))
+            if 0 < len(rows) < n_right:
+                right_cols.append((f, vals[:len(rows)], rows))
+            continue
+        mask = list(map(goes_left.__getitem__, ids))
+        if n_left >= 2:
+            kept = tuple(compress(vals, mask))
+            if kept and (len(kept) < n_left or kept[0] != kept[-1]):
+                left_cols.append((f, kept, tuple(compress(ids, mask))))
+        if n_right >= 2:
+            mask = list(map(not_, mask))
+            kept = tuple(compress(vals, mask))
+            if kept and (len(kept) < n_right or kept[0] != kept[-1]):
+                right_cols.append((f, kept, tuple(compress(ids, mask))))
     node = _Node(feature=feature, threshold=threshold, default_left=default_left)
-    node.left, node.right = (
-        _build_tree(*_child(row_ids, cols, side, depth + 1 < cfg.max_depth),
-                    grad, hess, cfg, depth + 1)
-        for side in (goes_left, list(map(not_, goes_left))))
+    node.left = _build_tree(left_ids, left_cols, grad, hess, pred, cfg, depth + 1)
+    node.right = _build_tree(right_ids, right_cols, grad, hess, pred, cfg, depth + 1)
     return node
 
 
@@ -242,9 +272,9 @@ def train(data: Dataset, cfg: Config) -> GbtModel:
         for i in train_ids:
             grad[i] = weight[i] * (pred[i] - target[i])
             hess[i] = weight[i]
-        tree = _build_tree(train_ids, cols, grad, hess, cfg, 0)
+        tree = _build_tree(train_ids, cols, grad, hess, pred, cfg, 0)
         trees.append(tree)
-        for i in range(n):
+        for i in holdout:
             pred[i] += cfg.eta * tree.evaluate(entries_of[i])
         history.train_rmse.append(_rmse(train_ids, pred, target, weight))
         score = _rmse(watch, pred, target, weight)

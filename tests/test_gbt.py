@@ -449,6 +449,17 @@ def _with_copies(rows, copies):
        st.integers(1, 4), st.sampled_from([0.1, 1.5]))
 @example([({0: 1.0}, 0.5)], [0], 3, 1, 1, 1.5)  # one row
 @example([({0: -0.0, 1: 2.0}, 1.0), ({0: 0.0}, -1.0), ({1: 2.0}, 0.3)] * 4, [1], 0, 1, 1, 1.5)
+# every column at the root holds one value
+@example([({0: 1.0}, 1.0), ({1: 2.0}, -1.0), ({0: 1.0, 1: 2.0}, 0.3)] * 4, [], 2, 2, 1, 1.5)
+# the root's split leaves a child of one row above the depth limit
+@example([({0: 3.0}, 3.0)] + [({0: 1.0, 1: 1.0}, -0.0)] * 10, [], 3, 1, 1, 1.5)
+# features 0 and 1 differ at the root and hold the same rows and values in
+# the child with feature 2 at 2.0, where the tie keeps feature 0
+@example([({0: 1.0, 1: 1.0, 2: 2.0}, 1.0), ({0: 2.0, 1: 2.0, 2: 2.0}, 0.5),
+          ({0: 1.0, 2: 1.0}, -1.0), ({1: 2.0, 2: 1.0}, -1.0)] * 3, [], 3, 2, 1, 1.5)
+# 3 positive rows against 7 others: weight 7/3, so hessian sums are not whole
+@example([({0: 1.0}, 1.0), ({0: 2.0}, -1.0), ({1: 1.0}, -0.5)] * 3 + [({0: 2.0}, -1.0)],
+         [], 2, 2, 1, 0.1)
 def _training_as_the_reference(rows, copies, max_depth, rounds, patience, lam):
     data = _with_copies(rows, copies)
     cfg = Config(max_depth=max_depth, rounds=rounds, patience=patience, reg_lambda=lam)
