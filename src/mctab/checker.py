@@ -193,17 +193,19 @@ def parse_trace(text: str):
     return steps, lambda: App(f"_sk{next(count)}")
 
 
+def _ground(t: Term, values: list) -> Term:
+    """`t` with each clause variable replaced by its value, indexed by id."""
+    if isinstance(t, Var):
+        return values[t.id]
+    return App(t.symbol, tuple([_ground(a, values) for a in t.args]))
+
+
 def _instantiate(clause: Clause, theta: dict, fresh) -> list:
     """Ground instance of the clause under theta; the clause variables theta
     leaves out become fresh constants."""
     values = [theta[name] if name in theta else fresh() for name in clause.var_names]
-
-    def ground(t: Term) -> Term:
-        if isinstance(t, Var):
-            return values[t.id]
-        return App(t.symbol, tuple(map(ground, t.args)))
-
-    return [Literal(l.positive, l.predicate, tuple(map(ground, l.args))) for l in clause.literals]
+    return [Literal(l.positive, l.predicate, tuple([_ground(a, values) for a in l.args]))
+            for l in clause.literals]
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,7 @@ class FeatureExtractor:
         self._walks: dict = {}  # (tag, literal) -> entries of its walks
         self._deltas: dict = {}  # action key -> entries of the a: region
         # the search scores a state's value and then its actions' priors
-        self._last: tuple = (None, None)  # (state, its vector)
+        self._last: tuple = (None, None, None)  # (state, its vector, its key or None)
 
     def _compress(self, raw: dict) -> dict:
         buckets = self._buckets
@@ -156,13 +156,24 @@ class FeatureExtractor:
                 entries[idx] = entries.get(idx, 0.0) + value
 
     def state_features(self, s: ProverState) -> dict:
-        state, entries = self._last
+        state, entries, _ = self._last
         if state is not s:
             entries = self._compress(_scalars(s.goals, s.path))
             self._add_walks(entries, "g:", s.goals)
             self._add_walks(entries, "p:", s.path)
-            self._last = (s, entries)
+            self._last = (s, entries, None)
         return entries
+
+    def state_key(self, s: ProverState) -> tuple:
+        """The buckets of `state_features(s)` in order, then its values as
+        ints: equal keys are equal vectors, since every value is an integer."""
+        state, entries, key = self._last
+        if state is not s:
+            entries, key = self.state_features(s), None
+        if key is None:
+            key = (*entries, *map(int, entries.values()))
+            self._last = (s, entries, key)
+        return key
 
     @staticmethod
     def action_key(s: ProverState, action) -> tuple:

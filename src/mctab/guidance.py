@@ -4,6 +4,10 @@ All squashing between model space and search space lives here; the learner
 deals in raw regression values only.  Natural logarithms throughout.
 `ModelGuidance` checks each model's dimension against its extractor's once
 per problem, when it is built, so a mismatched model fails before any search.
+It lives for one problem and predicts once per distinct input: a state whose
+feature vector was seen before reuses that vector's raw value and its raw
+action scores, and only the transforms into search space run per state.
+This is exact, because a raw prediction depends only on its input vector.
 """
 
 from __future__ import annotations
@@ -98,18 +102,34 @@ class ModelGuidance:
         self.extractor = extractor
         self.temperature = temperature
         self._default = DefaultGuidance()
+        # state key -> raw predictions for its vector: the value under None,
+        # each action's score under its action key
+        self._predictions: dict = {}
+
+    def _predicted(self, s: ProverState) -> dict:
+        key = self.extractor.state_key(s)
+        predicted = self._predictions.get(key)
+        if predicted is None:
+            predicted = self._predictions[key] = {}
+        return predicted
 
     def value(self, s: ProverState) -> float:
         if self.value_model is None:
             return self._default.value(s)
-        raw = self.value_model.predict(self.extractor.state_features(s))
+        entries = self.extractor.state_features(s)
+        predicted = self._predicted(s)
+        raw = predicted.get(None)
+        if raw is None:
+            raw = predicted[None] = self.value_model.predict(entries)
         return value_from_prediction(raw, len(s.goals))
 
     def priors(self, s: ProverState) -> list:
         if self.policy_model is None:
             return default_policy(len(s.actions))
         # actions with one delta key have one vector: score each key once
+        predicted = self._predicted(s)
         keys = [self.extractor.action_key(s, a) for a in s.actions]
-        score = {k: self.policy_model.predict(self.extractor.action_features(s, a))
-                 for k, a in dict(zip(keys, s.actions)).items()}
-        return priors_from_predictions([score[k] for k in keys], self.temperature)
+        for k, a in zip(keys, s.actions):
+            if k not in predicted:
+                predicted[k] = self.policy_model.predict(self.extractor.action_features(s, a))
+        return priors_from_predictions([predicted[k] for k in keys], self.temperature)

@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import os
 import random
@@ -216,6 +217,18 @@ def test_rewrite_proof_accepted():
     assert any(line.startswith("rew") for line in trace.splitlines())
     res = check_proof_texts(trace, text)
     assert res.ok, res.message
+
+
+def test_checking_a_rewrite_proof_leaves_no_reference_cycle():
+    text = "p(g(a)).\ng(Z)!=h(Z) | -q(Z).\n-p(h(a)).\nq(a).\n"
+    trace = prove(text, rewrite=True)
+    gc.collect()
+    gc.disable()
+    try:
+        assert check_proof_texts(trace, text).ok
+        assert gc.collect() == 0  # reference counting freed everything the check made
+    finally:
+        gc.enable()
 
 
 def test_rewrite_rl_direction_accepted():

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 
@@ -6,6 +7,7 @@ from mctab.cli import corpus_dir
 from mctab.config import Config
 from mctab.features import FeatureExtractor, compress, raw_features
 from mctab.guidance import DefaultGuidance
+from mctab.loop import list_problems
 from mctab.mcts import search_problem
 from mctab.problems import parse_problem
 from mctab.terms import App, Literal, Var
@@ -180,6 +182,28 @@ def test_extractor_equals_oracle_on_random_matrices():
         m = random_matrix(rng)
         tree = search_problem(m, DefaultGuidance(), cfg).tree
         _assert_tree_matches_oracle(m, tree, 97)  # small dimension: many collisions
+
+
+def test_every_value_is_an_integer_so_a_state_key_is_its_vector():
+    # `state_key` writes values as ints; that is exact only for these
+    cfg = Config(inference_limit=150, bigstep_freq=20, path_limit=60, guided_reduction=True)
+    values = 0
+    for name in list_problems(corpus_dir()):
+        with open(os.path.join(corpus_dir(), name), "r", encoding="utf-8") as fh:
+            m = parse_problem(fh.read())
+        ex = FeatureExtractor(m, cfg.feature_dim)
+        vectors = {}  # state key -> the vector it stands for
+        for node in search_problem(m, DefaultGuidance(), cfg).tree.nodes:
+            s = node.state
+            if s is None:
+                continue
+            for entries in [ex.state_features(s)] + [ex.action_features(s, a) for a in s.actions]:
+                for v in entries.values():
+                    assert math.isfinite(v) and v == float(int(v))
+                values += len(entries)
+            vector = tuple(ex.state_features(s).items())
+            assert vectors.setdefault(ex.state_key(s), vector) == vector
+    assert values > 0
 
 
 def test_determinism_same_state_twice():

@@ -1,10 +1,12 @@
 import math
 import os
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from mctab import gbt
+from mctab.calculus import OPEN
 from mctab.cli import corpus_dir
 from mctab.config import Config
 from mctab.features import FeatureExtractor
@@ -22,7 +24,7 @@ from mctab.loop import list_problems
 from mctab.mcts import extract_training_data, search_problem
 from mctab.problems import parse_problem
 
-from helpers import reference_priors
+from helpers import random_eq_matrix, random_matrix, reference_priors
 
 
 def sigmoid(x):
@@ -131,10 +133,13 @@ def test_priors_score_each_action_delta_once_as_the_per_action_oracle():
     predict = policy.predict
     policy.predict = lambda fv: predictions.append(fv) or predict(fv)
     states = shared = 0
+    repeated = 0
     for m in matrices:
         ex = FeatureExtractor(m, cfg.feature_dim)
+        tree = search_problem(m, ModelGuidance(None, policy, ex, 2.0), cfg).tree
+        # a fresh guidance asked in the search's order scores what the search did
         guidance = ModelGuidance(None, policy, ex, 2.0)
-        tree = search_problem(m, guidance, cfg).tree
+        scored = set()
         for node in tree.nodes:
             s = node.state
             if s is None or not s.actions:
@@ -142,11 +147,93 @@ def test_priors_score_each_action_delta_once_as_the_per_action_oracle():
             del predictions[:]
             priors = guidance.priors(s)
             keys = {ex.action_key(s, a) for a in s.actions}
-            assert len(predictions) == len(keys)  # one score per action delta
+            vector = tuple(ex.state_features(s).items())
+            new = {k for k in keys if (vector, k) not in scored}
+            # one score per action delta, none for a (vector, delta) scored before
+            assert len(predictions) == len(new)
+            scored.update((vector, k) for k in keys)
             assert priors == reference_priors(guidance, s)
             states += 1
             shared += len(keys) < len(s.actions)
-    assert states > 0 and shared > 0
+            repeated += len(new) < len(keys)
+    assert states > 0 and shared > 0 and repeated > 0
+
+
+class _Recorded:
+    """A model that records each input it scores."""
+
+    def __init__(self, model):
+        self.model, self.dim, self.inputs = model, model.dim, []
+
+    def predict(self, entries: dict) -> float:
+        self.inputs.append(tuple(entries.items()))
+        return self.model.predict(entries)
+
+
+class _Checked:
+    """Asks `guidance` and checks every answer, bit for bit, against a
+    memo-free computation through its own extractor and the bare models."""
+
+    def __init__(self, guidance, reference):
+        self.guidance, self.reference = guidance, reference
+        self.states = []  # each state asked, in order
+
+    def value(self, s):
+        value = self.guidance.value(s)
+        ref = self.reference
+        raw = ref.value_model.predict(ref.extractor.state_features(s))
+        assert value == value_from_prediction(raw, len(s.goals))
+        self.states.append(s)
+        return value
+
+    def priors(self, s):
+        priors = self.guidance.priors(s)
+        assert priors == reference_priors(self.reference, s)
+        assert s is self.states[-1]  # the search asks a state's value, then its priors
+        return priors
+
+
+def test_the_prediction_memo_equals_predicting_every_state_and_action():
+    cfg = Config(inference_limit=150, bigstep_freq=20, path_limit=60, limited_policy=False)
+    corpus = []
+    for name in list_problems(corpus_dir()):
+        with open(os.path.join(corpus_dir(), name), "r", encoding="utf-8") as fh:
+            corpus.append(parse_problem(fh.read()))
+    value_rows, policy_rows = [], []
+    for m in corpus:
+        result = search_problem(m, DefaultGuidance(), cfg)
+        rows = extract_training_data(result.tree, cfg, FeatureExtractor(m, cfg.feature_dim))
+        value_rows.extend(rows[0])
+        policy_rows.extend(rows[1])
+    train_cfg = Config(rounds=20, patience=50)
+    value_model = gbt.train(gbt.Dataset(value_rows, cfg.feature_dim), train_cfg)
+    policy_model = gbt.train(gbt.Dataset(policy_rows, cfg.feature_dim), train_cfg)
+    assert value_model.trees and policy_model.trees
+    rng = random.Random(28)
+    draws = [(random_matrix if i % 2 else random_eq_matrix)(rng) for i in range(40)]
+    asked = value_predictions = scored = policy_predictions = 0
+    for m in corpus + draws:
+        value, policy = _Recorded(value_model), _Recorded(policy_model)
+        ex = FeatureExtractor(m, cfg.feature_dim)
+        reference = SimpleNamespace(value_model=value_model, policy_model=policy_model,
+                                    extractor=FeatureExtractor(m, cfg.feature_dim),
+                                    temperature=cfg.temperature)
+        checked = _Checked(ModelGuidance(value, policy, ex, cfg.temperature), reference)
+        tree = search_problem(m, checked, cfg).tree
+        assert len(checked.states) == sum(1 for node in tree.nodes
+                                          if node.state is not None and node.state.result == OPEN)
+        # the memo's key is order-sensitive, so inputs are told apart by item order
+        vectors = [tuple(reference.extractor.state_features(s).items()) for s in checked.states]
+        pairs = {(v, FeatureExtractor.action_key(s, a)) for v, s in zip(vectors, checked.states)
+                 for a in s.actions}
+        assert sorted(value.inputs) == sorted(set(vectors))  # once per distinct vector
+        assert len(policy.inputs) == len(pairs)  # once per distinct (vector, action delta)
+        asked += len(vectors)
+        value_predictions += len(value.inputs)
+        scored += sum(len({ex.action_key(s, a) for a in s.actions}) for s in checked.states)
+        policy_predictions += len(policy.inputs)
+    # repeated states were served from the memo
+    assert value_predictions < asked and policy_predictions < scored
 
 
 def test_model_dimension_mismatch_errors():
