@@ -170,11 +170,9 @@ def main(argv=None) -> int:
             return _cmd_loop(args, cfg)
         if args.command == "bench":
             return _cmd_bench(args, cfg)
-        if args.command == "config":
-            sys.stdout.write(to_ini(cfg))
-            return 0
-        parser.error(f"unknown command {args.command!r}")
-        return 2
+        # "config": argparse accepts no other command (the subparsers are required)
+        sys.stdout.write(to_ini(cfg))
+        return 0
     except (ConfigError, ParseError, NoStartClauseError, LoopError,
             gbt.DatasetError, gbt.ModelFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

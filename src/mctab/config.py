@@ -101,7 +101,10 @@ def _set(cfg: Config, key: str, raw: str, where: str = ""):
 
 
 def from_ini(text: str) -> Config:
+    """Read an ini file; a key may be set once (`-s` overrides, applied
+    afterwards, are the only place where the last value wins)."""
     cfg = Config()
+    set_on: dict = {}  # key -> the line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith(("#", ";", "%")):
@@ -111,7 +114,11 @@ def from_ini(text: str) -> Config:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, _, raw = stripped.partition("=")
+        key = key.strip()
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: {key} is already set on line {set_on[key]}")
         _set(cfg, key, raw, f"line {lineno}: ")
+        set_on[key] = lineno
     return cfg
 
 

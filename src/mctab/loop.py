@@ -10,9 +10,12 @@ homework).
 problem under the models the one before trained (iteration 0 runs
 unguided), appends the extracted rows to the cumulative datasets, retrains
 the value and policy models on everything collected so far, and writes its
-report, datasets, models and proofs under `<out>/iter<k>`.  First it
-removes every file of those kinds from each `iter<k>` under `<out>`, then
-the directories left empty, so a rerun equals a fresh run; other files stay.
+report, datasets, models and proofs under `<out>/iter<k>`.  Both models
+follow one rule: a model is trained, and its `.model` written, only when
+its dataset has rows; the next iteration searches without a model it
+lacks.  First it removes every file of those kinds from each `iter<k>`
+under `<out>`, then the directories left empty, so a rerun equals a fresh
+run; other files stay.
 
 Problems are processed in sorted filename order so repeated runs are
 bit-for-bit reproducible.  Wall-clock time is reported on stdout but kept
@@ -146,19 +149,19 @@ def run_loop(problem_dir: str, iterations: int, out_root: str, cfg: Config) -> l
             value_rows.extend(values)
             policy_rows.extend(policies)
 
-        value_data = gbt.Dataset(_dedup(value_rows), cfg.feature_dim)
-        policy_data = gbt.Dataset(_dedup(policy_rows), cfg.feature_dim)
-        gbt.save_dataset(value_data, os.path.join(out_dir, "value.data"))
-        gbt.save_dataset(policy_data, os.path.join(out_dir, "policy.data"))
-        value_model = gbt.train(value_data, cfg)
-        gbt.save(value_model, os.path.join(out_dir, "value.model"))
-        policy_model = gbt.train(policy_data, cfg) if policy_data.rows else None
-        if policy_model is not None:
-            gbt.save(policy_model, os.path.join(out_dir, "policy.model"))
+        sizes, models = [], []
+        for kind, rows in (("value", value_rows), ("policy", policy_rows)):
+            data = gbt.Dataset(_dedup(rows), cfg.feature_dim)
+            gbt.save_dataset(data, os.path.join(out_dir, kind + ".data"))
+            model = gbt.train(data, cfg) if data.rows else None
+            if model is not None:
+                gbt.save(model, os.path.join(out_dir, kind + ".model"))
+            sizes.append(len(data.rows))
+            models.append(model)
+        value_model, policy_model = models
         with open(os.path.join(out_dir, "report.tsv"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 
-        reports.append(IterationReport(
-            k, len(texts), proved, len(proved_ever), len(value_data.rows),
-            len(policy_data.rows), time.monotonic() - t0))
+        reports.append(IterationReport(k, len(texts), proved, len(proved_ever), *sizes,
+                                       time.monotonic() - t0))
     return reports

@@ -300,47 +300,32 @@ def _proof_path(tree: SearchTree) -> list:
 
 
 def extract_training_data(tree: SearchTree, cfg: Config, extractor):
-    """Value and policy rows from bigstep nodes (and proof-path nodes).
+    """Value and policy rows from one pass over the anchors: the bigstep
+    nodes, then (with all_proofsteps) the proof-path nodes not among them.
 
-    Value targets discount by the number of remaining proof steps; failures
-    get the clipped bottom target.  Policy rows pair each expanded child's
-    visit frequency with the action's features and are only emitted for
-    proved searches unless limited_policy is off.  Rows with identical
-    feature vectors are filtered keeping the maximum target.
+    An anchor on the proof path gets a value target discounted by its
+    remaining proof steps, any other anchor the clipped failure target.
+    Its policy rows follow its value row, one per expanded child, pairing
+    the child's visit frequency with the action's features; they are only
+    emitted for proved searches unless limited_policy is off.  Building an
+    anchor's rows together builds its state vector once.  Rows with
+    identical feature vectors are filtered keeping the maximum target.
     """
-    proved = tree.proved_node is not None
-    path = _proof_path(tree) if proved else []
+    path = _proof_path(tree)
     on_path = set(path)
-
-    value_ids = list(tree.bigstep_nodes)
-    if proved and cfg.all_proofsteps:
-        seen = set(value_ids)
-        value_ids.extend(nid for nid in path if nid not in seen)
-
-    value_rows = []
-    proof_len = len(tree.nodes[tree.proved_node].state.proof) if proved else 0
-    for nid in value_ids:
+    proof_len = len(tree.nodes[tree.proved_node].state.proof) if path else 0
+    with_policy = bool(path) or not cfg.limited_policy
+    value_rows, policy_rows = [], []
+    for nid in dict.fromkeys(tree.bigstep_nodes + (path if cfg.all_proofsteps else [])):
         node = tree.nodes[nid]
-        if node.state is None:
+        s = node.state
+        if s is None:
             continue
-        if proved and nid in on_path:
-            k = proof_len - len(node.state.proof)
-            target = value_target(k, cfg.discount)
-        else:
-            target = value_target(None, cfg.discount)
-        value_rows.append((extractor.state_features(node.state), target))
-
-    policy_rows = []
-    if proved or not cfg.limited_policy:
-        for nid in value_ids:
-            node = tree.nodes[nid]
-            if node.state is None or not node.children:
-                continue
-            n_actions = len(node.state.actions)
+        k = proof_len - len(s.proof) if nid in on_path else None
+        value_rows.append((extractor.state_features(s), value_target(k, cfg.discount)))
+        if with_policy:
             for ai in sorted(node.children):
-                child = tree.nodes[node.children[ai]]
-                target = policy_target(node.visits, child.visits, n_actions)
-                policy_rows.append(
-                    (extractor.action_features(node.state, node.state.actions[ai]), target)
-                )
+                target = policy_target(node.visits, tree.nodes[node.children[ai]].visits,
+                                       len(s.actions))
+                policy_rows.append((extractor.action_features(s, s.actions[ai]), target))
     return _dedup(value_rows), _dedup(policy_rows)

@@ -136,6 +136,23 @@ def test_loop_and_train_commands(tmp_path, capsys):
     assert model_out.exists()
 
 
+def test_loop_trains_no_model_on_a_dataset_without_rows(tmp_path, capsys):
+    # both start clauses fail at once: the tree is a virtual root over two
+    # dead children, so no anchor has a state and no row is extracted
+    d = tmp_path / "probs"
+    d.mkdir()
+    (d / "two_starts.p").write_text("p.\nq.\n")
+    out = tmp_path / "out"
+    assert main(["loop", str(d), "--iterations", "2", "--out", str(out), *FAST]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert all("rows value=0 policy=0," in line for line in lines)
+    for k in (0, 1):
+        assert (out / f"iter{k}" / "value.data").read_text() == ""
+        assert (out / f"iter{k}" / "policy.data").read_text() == ""
+    assert list(out.glob("**/*.model")) == []
+
+
 def test_train_reports_the_holdout_rmse_of_the_saved_model(tmp_path, capsys):
     # no round improves the one holdout row (the tenth), so the saved model is
     # the sign-balanced base alone: (1 + ... + 8) / (8 + 4 * 1) = 3.0
@@ -383,6 +400,8 @@ def test_ini_value_errors_name_their_line(tmp_path, capsys):
         ("feature_dim = +5\n", "line 1: bad value for feature_dim: '+5'"),
         ("rewrite = yes\n", "line 1: bad boolean for rewrite: 'yes'"),
         ("rewrite = TRUE\n", "line 1: bad boolean for rewrite: 'TRUE'"),
+        ("inference_limit = 10\n[mctab]\n inference_limit = 20\n",
+         "line 3: inference_limit is already set on line 1"),
     ]
     ini = tmp_path / "f.ini"
     for text, message in cases:

@@ -1,13 +1,14 @@
 import math
 import os
 import random
+from dataclasses import replace
 from types import SimpleNamespace
 
 from mctab.calculus import PROVED
 from mctab.cli import corpus_dir
 from mctab.config import Config, load_config
 from mctab.features import FeatureExtractor
-from mctab.guidance import DefaultGuidance
+from mctab.guidance import DefaultGuidance, policy_target, value_target
 from mctab import mcts
 from mctab.mcts import (
     SearchNode,
@@ -28,6 +29,7 @@ from mctab.calculus import initial_states
 from helpers import (
     RewardReplay,
     check_tree_invariants,
+    random_eq_matrix,
     random_matrix,
     reference_next_action,
     reference_select_child,
@@ -279,6 +281,88 @@ def test_all_proofsteps_toggle():
     v_on, _ = extract_training_data(res.tree, cfg_on, ex)
     v_off, _ = extract_training_data(res.tree, cfg_off, ex)
     assert len(v_on) > len(v_off)
+
+
+def reference_extract_training_data(tree, cfg, extractor):
+    """Extraction in two passes over the anchors, value rows first and then
+    policy rows, as it was written before the one-pass form."""
+    proved = tree.proved_node is not None
+    path = mcts._proof_path(tree) if proved else []
+    on_path = set(path)
+    value_ids = list(tree.bigstep_nodes)
+    if proved and cfg.all_proofsteps:
+        seen = set(value_ids)
+        value_ids.extend(nid for nid in path if nid not in seen)
+    value_rows = []
+    proof_len = len(tree.nodes[tree.proved_node].state.proof) if proved else 0
+    for nid in value_ids:
+        node = tree.nodes[nid]
+        if node.state is None:
+            continue
+        if proved and nid in on_path:
+            target = value_target(proof_len - len(node.state.proof), cfg.discount)
+        else:
+            target = value_target(None, cfg.discount)
+        value_rows.append((extractor.state_features(node.state), target))
+    policy_rows = []
+    if proved or not cfg.limited_policy:
+        for nid in value_ids:
+            node = tree.nodes[nid]
+            if node.state is None or not node.children:
+                continue
+            n_actions = len(node.state.actions)
+            for ai in sorted(node.children):
+                child = tree.nodes[node.children[ai]]
+                target = policy_target(node.visits, child.visits, n_actions)
+                policy_rows.append(
+                    (extractor.action_features(node.state, node.state.actions[ai]), target))
+    return _dedup(value_rows), _dedup(policy_rows)
+
+
+def _exact(rows):
+    return [(list(entries.items()), target) for entries, target in rows]
+
+
+def test_one_pass_extraction_equals_the_two_pass_reference(monkeypatch):
+    builds = []
+    state_features = FeatureExtractor.state_features
+
+    def counted(self, s):
+        if self._last[0] is not s:  # a miss of the last-state memo builds a vector
+            builds.append(s)
+        return state_features(self, s)
+
+    monkeypatch.setattr(FeatureExtractor, "state_features", counted)
+    ini = os.path.join(os.path.dirname(corpus_dir()), "ini", "desk.ini")
+    desk = load_config(ini)
+    searches = []
+    for name in sorted(os.listdir(corpus_dir())):
+        with open(os.path.join(corpus_dir(), name), "r", encoding="utf-8") as fh:
+            m = parse_problem(fh.read())
+        searches.append((m, desk))
+    rng = random.Random(29)
+    for i in range(300):
+        m = (random_matrix if i % 2 == 0 else random_eq_matrix)(rng)
+        searches.append((m, Config(inference_limit=80, bigstep_freq=5, path_limit=40,
+                                   guided_reduction=i % 4 >= 2)))
+    proved = 0
+    for m, cfg in searches:
+        tree = search_problem(m, DefaultGuidance(), cfg).tree
+        proved += tree.proved_node is not None
+        path, nid = set(), tree.proved_node
+        while nid is not None:
+            path.add(nid)
+            nid = tree.nodes[nid].parent
+        for all_proofsteps in (True, False):
+            for limited_policy in (True, False):
+                c = replace(cfg, all_proofsteps=all_proofsteps, limited_policy=limited_policy)
+                expected = reference_extract_training_data(tree, c, FeatureExtractor(m, 1000))
+                builds.clear()
+                got = extract_training_data(tree, c, FeatureExtractor(m, 1000))
+                assert [_exact(rows) for rows in got] == [_exact(rows) for rows in expected]
+                anchors = set(tree.bigstep_nodes) | (path if all_proofsteps else set())
+                assert len(builds) <= sum(tree.nodes[a].state is not None for a in anchors)
+    assert proved >= 80  # 27 corpus and 66 random searches reach a proof
 
 
 def test_dedup_keeps_maximum_target():
