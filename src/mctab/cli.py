@@ -15,7 +15,7 @@ from . import gbt
 from .calculus import NoStartClauseError
 from .checker import check_trace
 from .config import Config, ConfigError, _digits, load_config, to_ini
-from .loop import LoopError, ProofRejected, read_problems, run_loop, solve_one
+from .loop import LoopError, ProofRejected, collector_unit, read_problems, run_loop, solve_one
 from .problems import ParseError, parse_problem
 
 
@@ -113,7 +113,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_train(args, cfg: Config) -> int:
     data = gbt.load_dataset(args.dataset, cfg.feature_dim)
-    model = gbt.train(data, cfg)
+    with collector_unit():
+        model = gbt.train(data, cfg)
     gbt.save(model, args.model_out)
     h = model.history
     print(f"trained {len(model.trees)} trees (best round {h.best_round}, "

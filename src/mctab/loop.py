@@ -20,14 +20,23 @@ run; other files stay.
 Problems are processed in sorted filename order so repeated runs are
 bit-for-bit reproducible.  Wall-clock time is reported on stdout but kept
 out of report.tsv for the same reason.
+
+Each `solve_one` and each training the loop makes runs as one collector
+unit (`collector_unit`): the prover and the learner build no reference
+cycles, so reference counting frees what they drop, and the cyclic
+collector, paused inside the unit, never rescans a live search tree or
+training; one collection when the unit ends sweeps what it left and
+empties the interpreter's free lists.
 """
 
 from __future__ import annotations
 
+import gc
 import glob
 import os
 import re
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import gbt
@@ -75,13 +84,38 @@ def read_problems(problem_dir: str) -> dict:
     return texts
 
 
+@contextmanager
+def collector_unit():
+    """Run the block with the cyclic collector paused, then collect once.
+
+    What exists on entry is frozen, so the one `gc.collect()` on exit,
+    exceptions included, scans only what the block allocated and left
+    alive.  When the caller has disabled the collector, the unit does
+    nothing: so a unit nested in another is free.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.freeze()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.collect()
+        gc.unfreeze()
+        gc.enable()
+
+
+@collector_unit()
 def solve_one(name: str, text: str, cfg: Config, value_model=None, policy_model=None):
     """Search one problem and verify what it finds; returns (stats, trace or
     None, value rows, policy rows).
 
     A found proof is checked against `text`, not against the parsed matrix,
     by a checker that shares with the search only the names its module
-    docstring lists.  A rejection raises `ProofRejected`.
+    docstring lists.  A rejection raises `ProofRejected`.  The call is one
+    collector unit: its search tree is freed by reference counting when the
+    body returns, before the unit's one collection.
     """
     m = parse_problem(text)
     extractor = FeatureExtractor(m, cfg.feature_dim)
@@ -153,8 +187,10 @@ def run_loop(problem_dir: str, iterations: int, out_root: str, cfg: Config) -> l
         for kind, rows in (("value", value_rows), ("policy", policy_rows)):
             data = gbt.Dataset(_dedup(rows), cfg.feature_dim)
             gbt.save_dataset(data, os.path.join(out_dir, kind + ".data"))
-            model = gbt.train(data, cfg) if data.rows else None
-            if model is not None:
+            model = None
+            if data.rows:
+                with collector_unit():
+                    model = gbt.train(data, cfg)
                 gbt.save(model, os.path.join(out_dir, kind + ".model"))
             sizes.append(len(data.rows))
             models.append(model)

@@ -303,6 +303,17 @@ def random_matrix(rng: random.Random):
             return m
 
 
+def _random_eq_term(rng: random.Random, depth: int) -> str:
+    """A term of `random_eq_matrix`; module-level, since a recursive nested
+    function is a reference cycle."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return rng.choice(["X", "Y", "a"])
+    if roll < 0.8:
+        return f"f({_random_eq_term(rng, depth - 1)})"
+    return f"h({_random_eq_term(rng, depth - 1)},{_random_eq_term(rng, depth - 1)})"
+
+
 def random_eq_matrix(rng: random.Random):
     """Small random matrix with negative equations for the rewrite half of
     action enumeration, over few symbols so that rules often apply: sides
@@ -312,19 +323,11 @@ def random_eq_matrix(rng: random.Random):
     start clause."""
     from mctab.problems import parse_problem
 
-    def term(depth):
-        roll = rng.random()
-        if depth == 0 or roll < 0.3:
-            return rng.choice(["X", "Y", "a"])
-        if roll < 0.8:
-            return f"f({term(depth - 1)})"
-        return f"h({term(depth - 1)},{term(depth - 1)})"
-
     def literal():
         if rng.random() < 0.4:
-            return f"{term(2)}!={term(1)}"
+            return f"{_random_eq_term(rng, 2)}!={_random_eq_term(rng, 1)}"
         sign = "-" if rng.random() < 0.5 else ""
-        return f"{sign}{rng.choice('pq')}({term(2)})"
+        return f"{sign}{rng.choice('pq')}({_random_eq_term(rng, 2)})"
 
     while True:
         lines = [" | ".join(literal() for _ in range(rng.randint(1, 3))) + "."

@@ -6,8 +6,10 @@ import random
 import re
 import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from mctab import gbt
 from mctab.calculus import format_proof
 from mctab.checker import (
     CheckResult,
@@ -20,7 +22,7 @@ from mctab.checker import (
 from mctab.cli import corpus_dir
 from mctab.config import Config, load_config
 from mctab.guidance import DefaultGuidance
-from mctab.loop import solve_one
+from mctab.loop import read_problems, run_loop, solve_one
 from mctab.mcts import search_problem
 from mctab.problems import MAX_TERM_DEPTH, format_matrix, parse_problem
 from mctab.terms import App, Literal, Var
@@ -34,6 +36,7 @@ from helpers import (
 )
 
 APP_A = "-p(X).\np(Y) | -q(a).\nq(a).\n"
+DESK_INI = os.path.join(os.path.dirname(corpus_dir()), "ini", "desk.ini")
 
 
 def prove(text, **cfg_kw):
@@ -229,6 +232,59 @@ def test_checking_a_rewrite_proof_leaves_no_reference_cycle():
         assert gc.collect() == 0  # reference counting freed everything the check made
     finally:
         gc.enable()
+
+
+def no_cycle_after(call, *args):
+    """`call(*args)` with the collector disabled, so a collector unit inside
+    it does nothing; reference counting must then free all that it drops.
+    What exists before the call is frozen, so the collection after it
+    scans, and counts, only what the call made."""
+    gc.disable()
+    gc.freeze()
+    try:
+        call(*args)
+        assert gc.collect() == 0, f"{call.__name__}{args[:1]} made a reference cycle"
+    finally:
+        gc.unfreeze()
+        gc.enable()
+
+
+@pytest.fixture(scope="module")
+def one_iteration(tmp_path_factory):
+    """A 1-iteration desk.ini loop at 1000 inferences: its directory and config."""
+    cfg = load_config(DESK_INI, ["inference_limit=1000"])
+    out = tmp_path_factory.mktemp("loop")
+    run_loop(corpus_dir(), 1, str(out), cfg)
+    return out / "iter0", cfg
+
+
+def test_searching_the_corpus_leaves_no_reference_cycle(one_iteration):
+    """The premise of `loop.collector_unit`: the prover makes no reference
+    cycles, so pausing the cyclic collector over a search loses nothing."""
+    out, cfg = one_iteration
+    models = [gbt.load(str(out / f"{kind}.model")) for kind in ("value", "policy")]
+    desk = load_config(DESK_INI)
+    for name, text in read_problems(corpus_dir()).items():
+        no_cycle_after(solve_one, name, text, desk)
+        no_cycle_after(solve_one, name, text, cfg, *models)
+
+
+def test_seeded_random_searches_leave_no_reference_cycle():
+    def search(make, rng, cfg):
+        return solve_one("random.p", format_matrix(make(rng)), cfg)
+
+    for make, rewrite in ((random_matrix, False), (random_eq_matrix, True)):
+        rng = random.Random(3)
+        cfg = Config(rewrite=rewrite, inference_limit=150, bigstep_freq=10, path_limit=50)
+        for _ in range(50):
+            no_cycle_after(search, make, rng, cfg)
+
+
+def test_training_leaves_no_reference_cycle(one_iteration):
+    out, cfg = one_iteration
+    for kind in ("value", "policy"):
+        data = gbt.load_dataset(str(out / f"{kind}.data"), cfg.feature_dim)
+        no_cycle_after(gbt.train, data, cfg)
 
 
 def test_rewrite_rl_direction_accepted():

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import os
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import mctab
-from mctab import checker, cli, loop
+from mctab import checker, cli, gbt, loop
 from mctab.checker import CheckResult
 from mctab.cli import corpus_dir, main
 from mctab.config import Config, ConfigError, apply_overrides, from_ini, to_ini
@@ -122,7 +123,15 @@ def test_bench_prints_table(tmp_path, capsys):
     assert out[2].startswith("# proved\t1/2")
 
 
-def test_loop_and_train_commands(tmp_path, capsys):
+def test_loop_and_train_commands(tmp_path, monkeypatch, capsys):
+    paused = []  # every training runs in a collector unit
+
+    def spy(data, cfg):
+        paused.append(not gc.isenabled() and gc.get_freeze_count() > 0)
+        return train(data, cfg)
+
+    train = gbt.train
+    monkeypatch.setattr(gbt, "train", spy)
     d = tmp_path / "probs"
     d.mkdir()
     (d / "one.p").write_text(APP_A)
@@ -134,6 +143,8 @@ def test_loop_and_train_commands(tmp_path, capsys):
     code = main(["train", str(out / "iter0" / "value.data"), str(model_out), *FAST])
     assert code == 0
     assert model_out.exists()
+    assert paused == [True] * (len(list(out.glob("iter0/*.model"))) + 1)
+    assert gc.isenabled() and gc.get_freeze_count() == 0
 
 
 def test_loop_trains_no_model_on_a_dataset_without_rows(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import os
 
 import pytest
@@ -8,6 +9,7 @@ from mctab.config import Config
 from mctab.loop import (
     LoopError,
     ProofRejected,
+    collector_unit,
     list_problems,
     run_loop,
     solve_one,
@@ -123,3 +125,46 @@ def test_solve_one_raises_when_the_checker_rejects(monkeypatch):
     )
     with pytest.raises(ProofRejected, match="^x.p: checker rejected an emitted proof: planted$"):
         solve_one("x.p", PROBLEMS["a_chain.p"], Config(**FAST))
+    assert gc.isenabled() and gc.get_freeze_count() == 0  # the unit ended all the same
+
+
+def collections(call, *args) -> list:
+    """The (phase, generation) of every collection while `call(*args)` runs."""
+    seen = []
+
+    def watch(phase, info):
+        seen.append((phase, info["generation"]))
+
+    gc.collect()  # no automatic collection is due before the call pauses it
+    gc.callbacks.append(watch)
+    try:
+        call(*args)
+    finally:
+        gc.callbacks.remove(watch)
+    return seen
+
+
+def test_a_unit_pauses_the_collector_and_collects_once_when_it_ends():
+    def solve():
+        solve_one("x.p", PROBLEMS["b_fo.p"], Config(**FAST))
+        assert not gc.isenabled() and gc.get_freeze_count() == 0
+
+    def unit_solve():
+        with collector_unit():
+            assert not gc.isenabled() and gc.get_freeze_count() > 0
+            solve_one("x.p", PROBLEMS["b_fo.p"], Config(**FAST))
+
+    assert collections(solve_one, "x.p", PROBLEMS["b_fo.p"], Config(**FAST)) == [
+        ("start", 2), ("stop", 2)]
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    # a solve_one nested in a unit or called with the collector disabled
+    # leaves the collector as it found it
+    assert collections(unit_solve) == [("start", 2), ("stop", 2)]
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    gc.disable()
+    try:
+        assert collections(solve) == []
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
