@@ -468,7 +468,7 @@ def format_proof(proof: tuple, subst: Subst) -> str:
             lines.append(f"red {_fmt(subst, step.goal_lit)} {_fmt(subst, step.path_lit)}")
         elif isinstance(step, LemStep):
             lines.append(f"lem {_fmt(subst, step.lit)}")
-        elif isinstance(step, RewStep):
+        else:
             fields = [
                 "rew",
                 str(step.clause_id),
@@ -480,6 +480,4 @@ def format_proof(proof: tuple, subst: Subst) -> str:
             ]
             fields.extend(_fmt(subst, s) for s in step.side_lits)
             lines.append(" ".join(fields))
-        else:
-            raise TypeError(f"unknown proof step {step!r}")
     return "\n".join(lines) + "\n"

@@ -11,7 +11,7 @@ buckets lie below d, values are finite and positive.
 from __future__ import annotations
 
 from . import terms
-from .calculus import ExtAction, ProverState, RedAction, RewAction
+from .calculus import ExtAction, ProverState, RedAction
 from .problems import Matrix
 from .terms import Literal, Term, Var, fnv1a64, term_stats
 
@@ -64,11 +64,9 @@ def _action_walks(m: Matrix, path: tuple, action, out: dict):
             _literal_walks(lit, "a:ext:", out)
     elif isinstance(action, RedAction):
         _literal_walks(path[action.path_index], "a:red:", out)
-    elif isinstance(action, RewAction):
+    else:
         eq = m.clauses[action.clause_id].literals[action.lit_index]
         _literal_walks(eq, f"a:rew:{action.direction}:", out)
-    else:
-        raise TypeError(f"unknown action {action!r}")
 
 
 def _scalars(goals: tuple, path: tuple) -> dict:
@@ -182,9 +180,7 @@ class FeatureExtractor:
             return ("ext", action.clause_id)
         if isinstance(action, RedAction):
             return ("red", s.path[action.path_index])
-        if isinstance(action, RewAction):
-            return ("rew", action.clause_id, action.lit_index, action.direction)
-        raise TypeError(f"unknown action {action!r}")
+        return ("rew", action.clause_id, action.lit_index, action.direction)
 
     def action_features(self, s: ProverState, action) -> dict:
         key = self.action_key(s, action)

@@ -263,7 +263,6 @@ def train(data: Dataset, cfg: Config) -> GbtModel:
     cols = _columns(train_ids, entries_of)
     pred = [base] * n
     grad = [0.0] * n
-    hess = [0.0] * n
     history = TrainHistory()
     trees: List[_Node] = []
     best = _rmse(watch, pred, target, weight)
@@ -271,8 +270,8 @@ def train(data: Dataset, cfg: Config) -> GbtModel:
     for rnd in range(cfg.rounds):
         for i in train_ids:
             grad[i] = weight[i] * (pred[i] - target[i])
-            hess[i] = weight[i]
-        tree = _build_tree(train_ids, cols, grad, hess, pred, cfg, 0)
+        # the hessian of weighted squared error is the row's weight
+        tree = _build_tree(train_ids, cols, grad, weight, pred, cfg, 0)
         trees.append(tree)
         for i in holdout:
             pred[i] += cfg.eta * tree.evaluate(entries_of[i])

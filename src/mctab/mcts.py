@@ -217,14 +217,15 @@ def playout(tree: SearchTree, guidance, cfg: Config, cp: float) -> int:
 def bigstep(tree: SearchTree) -> int:
     """Move the exploration root to the child with the best mean reward.
 
-    Ties prefer the more visited child, then the lower action index.  Dead
+    Ties prefer the more visited child, then the lower action index, which
+    the key's `-ai` decides, so children are scanned as inserted.  Dead
     children are skipped; with no live child the root stays put (if the
     subtree is fully failed the search loop stops anyway).
     """
     node = tree.nodes[tree.bigstep_root]
     best = None
-    for ai in sorted(node.children):
-        child = tree.nodes[node.children[ai]]
+    for ai, cid in node.children.items():
+        child = tree.nodes[cid]
         if child.dead:
             continue
         key = (child.reward / child.visits, child.visits, -ai)
@@ -276,17 +277,14 @@ def search_problem(
 # training-data extraction
 
 def _dedup(rows: list) -> list:
-    """Drop rows with identical feature vectors, keeping the maximum target."""
+    """Drop rows with identical feature vectors, keeping the maximum target at
+    the vector's first position: a replaced dict value keeps its key's place."""
     best: dict = {}
-    order: list = []
     for entries, target in rows:
         key = tuple(sorted(entries.items()))
-        if key not in best:
+        if key not in best or target > best[key][1]:
             best[key] = (entries, target)
-            order.append(key)
-        elif target > best[key][1]:
-            best[key] = (entries, target)
-    return [best[k] for k in order]
+    return list(best.values())
 
 
 def _proof_path(tree: SearchTree) -> list:

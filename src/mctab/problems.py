@@ -213,7 +213,7 @@ def parse_problem(text: str) -> Matrix:
                     if not isinstance(src, Var):
                         m.rewrite_rules.append((cid, j, direction, src, dst))
     marked = [c.id for c in m.clauses if any(l.predicate == START_MARK for l in c.literals)]
-    positive = [c.id for c in m.clauses if c.literals and all(l.positive for l in c.literals)]
+    positive = [c.id for c in m.clauses if all(l.positive for l in c.literals)]
     m.start_ids = marked or positive
     return m
 

@@ -232,10 +232,6 @@ def test_directory_and_non_utf8_inputs_exit_two(problem, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: "), argv
 
 
-def test_default_ini_is_the_default_config():
-    assert (INI_DIR / "default.ini").read_bytes() == to_ini(Config()).encode("utf-8")
-
-
 def test_desk_ini_sets_every_option_once():
     text = (INI_DIR / "desk.ini").read_text(encoding="utf-8")
     keys = [line.partition("=")[0].strip() for line in text.splitlines() if "=" in line]

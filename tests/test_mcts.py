@@ -209,6 +209,16 @@ def test_bigstep_moves_to_best_mean_child():
     c0.reward, c0.visits = 2.0, 4
     c1.reward, c1.visits = 5.0, 10
     assert bigstep(tree) == c1.id
+    # tie on mean and visits: the lower action index wins, whatever the
+    # children's insertion order
+    tree.bigstep_root = 0
+    c0.reward, c0.visits = 2.0, 4
+    c1.reward, c1.visits = 2.0, 4
+    descending = sorted(root.children.items(), reverse=True)
+    root.children.clear()
+    root.children.update(descending)
+    assert list(root.children) == [1, 0]
+    assert bigstep(tree) == c0.id
 
 
 def test_search_finds_proof_on_simple_problem():
