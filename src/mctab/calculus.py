@@ -199,8 +199,8 @@ def _fits(lit: Literal, s: Subst = _UNBOUND) -> bool:
 # action enumeration
 
 def valid_actions(m: Matrix, goals: tuple, path: tuple, cfg: Config, next_var: int) -> tuple:
-    """All applicable actions for the head goal literal: extensions, then
-    reductions, then rewrites.
+    """All applicable actions for the head goal literal, the first of the
+    non-empty `goals`: extensions, then reductions, then rewrites.
 
     Extensions connect the head to a complementary input-clause literal;
     reductions to a complementary path literal (both under unification with
@@ -225,8 +225,6 @@ def valid_actions(m: Matrix, goals: tuple, path: tuple, cfg: Config, next_var: i
     A head beyond the term bounds has no actions, so its state fails; it is
     checked once, on its miss.
     """
-    if not goals:
-        return ()
     head = goals[0]
     key = head, cfg.rewrite
     known = m.head_actions.get(key)

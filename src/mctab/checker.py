@@ -5,17 +5,18 @@ polarities swapped into refutation view, are propositionally unsatisfiable.
 Each `start`, `ext` and `rew` step names an input clause and a substitution;
 the checker builds the instance itself by applying that substitution to the
 clause.  A substitution may leave clause variables out, which then get fresh
-constants, but may not bind a name the clause does not have.  Rewrite steps
-are also expanded into ground instances of the equality axioms (symmetry
-for right-to-left rewrites, one function congruence per nesting level, and
-a predicate congruence linking the goals before and after).
+constants, but may not bind a name the clause does not have.  Each rewrite
+step adds one more instance: the replacement instance of its equation that
+links the goal before the step to the goal after it.
 
 Soundness rests on one fact: every clause handed to the DPLL core is an
-input clause under a ground substitution, or an equality-axiom instance from
-`expand_rewrite`.  Each is a consequence of the problem with equality, so an
-unsatisfiable set of them refutes the problem.  The SAT core is unit
-propagation plus branching, depth-first on an explicit stack, which is
-complete; the witness it returns for a satisfiable set makes a literal of
+input clause under a ground substitution, or a replacement instance from
+`expand_rewrite`, valid with equality as the resolvent of the symmetry and
+congruence instances linking its two goals.  Each is a consequence of the
+problem with equality, so an unsatisfiable set of them refutes the problem;
+atoms are told apart by structure, not by their printed form.  The SAT core
+is unit propagation plus branching, depth-first on an explicit stack, which
+is complete; the witness it returns for a satisfiable set makes a literal of
 every clause true but may leave atoms unassigned, so any completion of it is
 a model too.  The structural checks (one `start` step, the first; connected
 `ext` goals, complementary `red` literals, `lem` literals solved before)
@@ -29,17 +30,18 @@ A substitution field is `{}` or `{Name=term,...}`, and a clause id is ASCII
 decimal digits.
 
 What this module shares with the prover is exactly these names: the problem
-parser and literal printer, the term and clause data model, and the position
-helpers.  Instantiation, the rewrite expansion and the SAT core are its own.
+parser and literal printer (which names a witness's atoms), the term and
+clause data model, and a literal's subterm walk and replacement.
+Instantiation, the rewrite expansion and the SAT core are its own.
 
     problems: EQ START_MARK Clause Matrix ParseError _Parser format_literal parse_problem
-    terms: App Literal Term Var literal_positions literal_replace literal_subterm
-        replace_at subterm_at
+    terms: App Literal Term Var literal_replace literal_subterms
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -58,11 +60,8 @@ from .terms import (
     Literal,
     Term,
     Var,
-    literal_positions,
     literal_replace,
-    literal_subterm,
-    replace_at,
-    subterm_at,
+    literal_subterms,
 )
 
 
@@ -212,12 +211,12 @@ def _instantiate(clause: Clause, theta: dict, fresh) -> list:
 # rewrite expansion
 
 def expand_rewrite(step: Rew, b_lits) -> list:
-    """Ground equality-axiom instances replacing one rewrite step.
+    """The one ground equality-axiom instance a rewrite step stands for.
 
-    Returns extra prover-polarity clauses: a symmetry instance for RL, one
-    function congruence per nesting level between the rewrite position and
-    the literal root, and a predicate congruence linking the goal before and
-    after.  Raises TraceError when the recorded step is not coherent.
+    Returns a prover-polarity clause built from the clause's own equation
+    `left=right`: the replacement instance that links the goal before the
+    step to the goal after it.  Raises TraceError when the recorded step is
+    not coherent.
     """
     if step.direction not in ("LR", "RL"):
         raise TraceError(f"bad rewrite direction {step.direction!r}")
@@ -226,43 +225,21 @@ def expand_rewrite(step: Rew, b_lits) -> list:
         raise TraceError("rewrite equation must be a negative equality literal")
     if eq not in b_lits:
         raise TraceError("rewrite equation does not occur in the clause instance")
-    remaining = list(b_lits)
-    remaining.remove(eq)
-    if sorted(map(format_literal, remaining)) != sorted(map(format_literal, step.sides)):
+    if Counter(b_lits) - Counter([eq]) != Counter(step.sides):
         raise TraceError("rewrite side literals do not match the clause instance")
     left, right = eq.args
     src, dst = (left, right) if step.direction == "LR" else (right, left)
     before, after = step.before, step.after
     if before.predicate != after.predicate or before.positive != after.positive:
         raise TraceError("rewrite changes the goal's predicate or polarity")
-    position = None
-    for pos in literal_positions(before):
-        if literal_subterm(before, pos) == src and literal_replace(before, pos, dst) == after:
-            position = pos
-            break
-    if position is None:
+    if not any(sub == src and literal_replace(before, pos, dst) == after
+               for pos, sub in literal_subterms(before)):
         raise TraceError("no position turns the goal before into the goal after")
-
-    out = []
-    if step.direction == "RL":
-        # symmetry: from l=r conclude r=l
-        out.append([Literal(True, EQ, (left, right)), Literal(False, EQ, (right, left))])
-    arg_index = position[0]
-    arg_path = position[1:]
-    arg_before = before.args[arg_index - 1]
-    s_cur, t_cur = src, dst
-    for k in range(len(arg_path) - 1, -1, -1):
-        prefix = arg_path[:k]
-        c_before = subterm_at(arg_before, prefix)
-        c_after = replace_at(c_before, (arg_path[k],), t_cur)
-        out.append([Literal(True, EQ, (s_cur, t_cur)), Literal(False, EQ, (c_before, c_after))])
-        s_cur, t_cur = c_before, c_after
     # the goal that holds follows from the one it was rewritten from
     implied, implying = (after, before) if before.positive else (before, after)
-    out.append([Literal(True, EQ, (s_cur, t_cur)),
-                Literal(True, implied.predicate, implied.args),
-                Literal(False, implying.predicate, implying.args)])
-    return out
+    return [Literal(True, EQ, (left, right)),
+            Literal(True, implied.predicate, implied.args),
+            Literal(False, implying.predicate, implying.args)]
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +248,13 @@ def expand_rewrite(step: Rew, b_lits) -> list:
 @dataclass
 class GroundClauseSet:
     clauses: list = field(default_factory=list)  # lists of signed ints
-    atoms: dict = field(default_factory=dict)  # atom string -> variable id
+    atoms: dict = field(default_factory=dict)  # positive Literal -> variable id
 
     def add_clause(self, lits):
         """Add a prover-polarity ground clause, swapping into refutation view."""
         encoded = []
         for lit in lits:
-            atom = format_literal(Literal(True, lit.predicate, lit.args))
+            atom = Literal(True, lit.predicate, lit.args)
             vid = self.atoms.setdefault(atom, len(self.atoms) + 1)
             encoded.append(-vid if lit.positive else vid)
         self.clauses.append(encoded)
@@ -338,7 +315,7 @@ def check_unsat(g: GroundClauseSet):
     model = _dpll([list(c) for c in g.clauses], {})
     if model is None:
         return True, None
-    names = {vid: atom for atom, vid in g.atoms.items()}
+    names = {vid: format_literal(atom) for atom, vid in g.atoms.items()}
     witness = {names[v]: val for v, val in sorted(model.items())}
     return False, witness
 
@@ -399,11 +376,9 @@ def check_trace(proof_text: str, matrix: Matrix) -> CheckResult:
                 ext_goals.append(goal)
             if isinstance(step, Rew):
                 try:
-                    extra = expand_rewrite(step, b_lits)
+                    ground.add_clause(expand_rewrite(step, b_lits))
                 except TraceError as exc:
                     return CheckResult(False, f"malformed rewrite step: {exc}", idx)
-                for lits in extra:
-                    ground.add_clause(lits)
             ground.add_clause(b_lits)
         elif isinstance(step, Red):
             goal = step.goal

@@ -377,6 +377,8 @@ def test_valid_actions_equal_the_renaming_reference(search_trees):
     for m, cfg, tree in search_trees:
         flipped = replace(cfg, rewrite=not cfg.rewrite)
         for s in _settled_states(tree):
+            if not s.goals:  # the calculus enumerates actions only for a head goal
+                continue
             expected = reference_valid_actions(m, s.goals, s.path, cfg, s.next_var)
             assert valid_actions(m, s.goals, s.path, cfg, s.next_var) == expected
             if s.result == OPEN:
@@ -602,3 +604,29 @@ def test_a_recorded_literal_deepened_after_it_left_the_branch_fails_the_proof():
     assert fits.result == PROVED
     (beyond,) = initial_states(parse_problem(problem(50)), cfg)
     assert beyond.result == FAILED and not beyond.goals and not beyond.todos
+
+
+def test_a_step_past_the_bounds_gives_a_failed_child_with_no_actions():
+    """An extension, a reduction action and an eager reduction whose unifier
+    puts a literal past the term bounds each fail their state: the linked
+    literal of LINKED["large"], reached as is or as a goal after a clause
+    literal that unifies with the start clause by renaming only."""
+    start, linked = LINKED["large"].splitlines()
+    renaming = "-q(" + ",".join(f"X{i}" for i in range(80)) + ")"
+    m = parse_problem(f"{start}\n{renaming} | {linked}\n")
+    guided = cfg_manual(guided_reduction=True)
+    (s,) = initial_states(m, guided)
+    assert s.actions == (ExtAction(1, 0), ExtAction(1, 1))
+    failed = apply_action(m, s, 1, guided)  # the extension by the linked literal
+    assert (failed.result, failed.actions) == (FAILED, ())
+    with pytest.raises(ValueError, match="closed state"):
+        apply_action(m, failed, 0, guided)
+    renamed = apply_action(m, s, 0, guided)  # the linked literal is now the head
+    assert renamed.actions == (ExtAction(0, 0), RedAction(0))
+    for i in range(2):
+        child = apply_action(m, renamed, i, guided)
+        assert (child.result, child.actions) == (FAILED, ())
+    # eagerly, the same reduction is tried as the head is settled
+    eager = apply_action(m, s, 0, cfg_manual(guided_reduction=False))
+    assert (eager.result, eager.actions) == (FAILED, ())
+    assert (eager.goals, eager.path, eager.proof) == (renamed.goals, renamed.path, renamed.proof)

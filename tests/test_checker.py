@@ -14,9 +14,11 @@ from mctab.calculus import format_proof
 from mctab.checker import (
     CheckResult,
     GroundClauseSet,
+    Rew,
     TraceError,
     check_proof_texts,
     check_unsat,
+    expand_rewrite,
     parse_trace,
 )
 from mctab.cli import corpus_dir
@@ -325,6 +327,58 @@ def test_rewrite_side_literal_obligation():
     mutated = "\n".join(lines[:rew_idx] + [" ".join(fields)] + lines[rew_idx + 1 :]) + "\n"
     res = check_proof_texts(mutated, text)
     assert not res.ok
+
+
+def test_a_rewrite_three_levels_below_its_argument_root_is_one_instance():
+    # b is rewritten to a right to left inside h(f(g(.))), and the step
+    # stands for the one replacement instance a=b -> (p(..b..) -> p(..a..))
+    text = "p(h(f(g(b)))).\na!=b.\n-p(h(f(g(a)))).\n"
+    trace = prove(text, rewrite=True)
+    assert "rew 1 {} a!=b RL p(h(f(g(b)))) p(h(f(g(a))))" in trace.splitlines()
+    assert check_proof_texts(trace, text).ok
+    (step,) = [s for s in parse_trace(trace)[0] if isinstance(s, Rew)]
+    a, b = App("a"), App("b")
+    h_f_g = [App("h", (App("f", (App("g", (t,)),)),)) for t in (a, b)]
+    assert expand_rewrite(step, [lit(False, "=", a, b)]) == [
+        lit(True, "=", a, b), lit(True, "p", h_f_g[0]), lit(False, "p", h_f_g[1])]
+
+
+def test_a_refutation_through_a_congruence_atom_no_step_reaches_is_rejected():
+    """The rewrite's instance a=b -> (p(f(a)) -> p(f(b))) leaves this set
+    satisfiable: only the chain of congruences it resolves from holds the
+    atom f(a)=f(b) of the start clause, and no step closes the rewritten
+    goal p(f(b))."""
+    res = check_proof_texts("start 0 {}\nrew 1 {} a!=b LR p(f(a)) p(f(b))\n",
+                            "f(a)=f(b).\na!=b.\n")
+    assert (res.ok, res.message, res.step) == (
+        False, "instance set is propositionally satisfiable", None)
+
+
+def test_each_rejection_names_its_step():
+    text = "p(g(a)).\ng(Z)!=h(Z) | -q(Z).\n-p(h(a)).\nq(a).\n"
+    trace = "start 0 {}\nrew 1 {Z=a} %s\next 2 {} p(h(a))\next 3 {} -q(a)\n"
+    assert check_proof_texts(trace % "g(a)!=h(a) LR p(g(a)) p(h(a)) -q(a)", text).ok
+    for fields, why in (
+        ("g(a)!=h(a) UD p(g(a)) p(h(a)) -q(a)", "bad rewrite direction 'UD'"),
+        ("g(a)=h(a) LR p(g(a)) p(h(a)) -q(a)",
+         "rewrite equation must be a negative equality literal"),
+        ("g(b)!=h(b) LR p(g(b)) p(h(b)) -q(b)",
+         "rewrite equation does not occur in the clause instance"),
+        ("g(a)!=h(a) LR p(g(a)) p(h(a)) -q(a) -q(a)",  # sides are a multiset
+         "rewrite side literals do not match the clause instance"),
+        ("g(a)!=h(a) LR p(g(a)) -p(h(a)) -q(a)", "rewrite changes the goal's predicate or polarity"),
+        ("g(a)!=h(a) RL p(g(a)) p(h(a)) -q(a)",
+         "no position turns the goal before into the goal after"),
+    ):
+        assert check_proof_texts(trace % fields, text) == CheckResult(
+            False, f"malformed rewrite step: {why}", 1), fields
+    assert check_proof_texts("start 4 {}\n", text) == CheckResult(
+        False, "clause reference out of range", 0)
+    proof = "start 2 {}\next 1 {Y=_1} q(a)\next 0 {X=_1} p(_1)\n"
+    assert check_proof_texts(proof + "red -p(a) -p(a)\n", APP_A) == CheckResult(
+        False, "reduction literals are not complementary", 3)
+    assert check_proof_texts(proof + "lem q(b)\n", APP_A) == CheckResult(
+        False, "lemma literal was never solved before", 3)
 
 
 def test_start_marker_proof_accepted():

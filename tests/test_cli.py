@@ -461,3 +461,10 @@ def test_config_defaults_match_reference_hyperparameters():
     assert cfg.rounds == 400
     assert cfg.patience == 50
     assert cfg.single_action_optim and cfg.limited_policy and cfg.all_proofsteps
+
+
+def test_a_setting_without_an_equals_sign_is_refused(capsys):
+    with pytest.raises(ConfigError, match="^line 2: expected key = value, got 'rewrite'$"):
+        from_ini("[mctab]\nrewrite\n")
+    assert main(["config", "-s", "rewrite"]) == 2
+    assert capsys.readouterr().err == "error: override must look like key=value: 'rewrite'\n"
