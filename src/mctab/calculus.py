@@ -277,7 +277,7 @@ def _rewrite_actions(m: Matrix, head: Literal) -> list:
 # steps; each works in place on a fresh copy of the parent state
 
 def _apply_on_work(m: Matrix, s: ProverState, action) -> bool:
-    """One nondeterministic step; counts no inference and runs no det_steps.
+    """One nondeterministic step; counts no inference and does not settle.
     The action was enumerated from this state, so it applies.  False, and
     the step left unfinished, when `bind` puts a literal beyond the term
     bounds.
@@ -394,12 +394,8 @@ def _recorded(proof: tuple) -> list:
 # ---------------------------------------------------------------------------
 # public operations
 
-def det_steps(m: Matrix, state: ProverState, cfg: Config) -> ProverState:
-    return _det_on_work(m, state.copy(), cfg)
-
-
 def apply_action(m: Matrix, state: ProverState, index: int, cfg: Config) -> ProverState:
-    """Apply the indexed action, then settle with det_steps.  Parent untouched."""
+    """Apply the indexed action, then settle with `_det_on_work`.  Parent untouched."""
     if state.result != OPEN:
         raise ValueError("cannot act on a closed state")
     if index < 0 or index >= len(state.actions):

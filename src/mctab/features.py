@@ -84,19 +84,6 @@ def _scalars(goals: tuple, path: tuple) -> dict:
     return out
 
 
-def raw_features(m: Matrix, goals: tuple, path: tuple, action=None) -> dict:
-    """Token multiset for a state and optionally one action."""
-    out: dict = {}
-    for lit in goals:
-        _literal_walks(lit, "g:", out)
-    for lit in path:
-        _literal_walks(lit, "p:", out)
-    if action is not None:
-        _action_walks(m, path, action, out)
-    out.update(_scalars(goals, path))
-    return out
-
-
 def compress(raw: dict, dim: int) -> dict:
     """Index-modulo hashing; colliding tokens sum, zero values drop out."""
     if dim <= 0:
@@ -111,14 +98,15 @@ def compress(raw: dict, dim: int) -> dict:
 
 
 class FeatureExtractor:
-    """Per-problem extractor equal to `compress(raw_features(...))`, built from
-    compressed pieces: a state's vector is its `n:`/`top:` scalars plus the
-    walk entries of each goal (`g:`) and path literal (`p:`), memoised per
-    tag and literal; an action's vector is its state's vector plus an `a:`
-    delta, memoised by `action_key`.  This is exact: the regions are disjoint,
-    compress is additive, and every value is an integer-valued float, so the
-    sums do not round.  Token buckets are memoised too; every memo lives
-    for one problem."""
+    """Per-problem extractor equal to `compress(raw_features(...))`, whose
+    `raw_features` token multiset is the oracle in `tests/helpers.py`.  It is
+    built from compressed pieces: a state's vector is its `n:`/`top:`
+    scalars plus the walk entries of each goal (`g:`) and path literal
+    (`p:`), memoised per tag and literal; an action's vector is its state's
+    vector plus an `a:` delta, memoised by `action_key`.  This is exact: the
+    regions are disjoint, compress is additive, and every value is an
+    integer-valued float, so the sums do not round.  Token buckets are
+    memoised too; every memo lives for one problem."""
 
     def __init__(self, m: Matrix, dim: int):
         if dim <= 0:

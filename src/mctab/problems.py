@@ -1,4 +1,4 @@
-"""Problem files: parsing, printing and start-clause selection.
+"""Problem files: parsing, start-clause selection and literal printing.
 
 The matrix is a list of clauses in disjunctive normal form, one clause per
 line of the input file.  Grammar (UTF-8 text):
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Optional
 
 from .terms import App, Literal, Term, Var, literal_subterms
@@ -221,28 +220,17 @@ def parse_problem(text: str) -> Matrix:
 # ---------------------------------------------------------------------------
 # printing
 
-def format_term(t: Term, names: Optional[dict] = None) -> str:
+def format_term(t: Term) -> str:
     if isinstance(t, Var):
-        if names and t.id in names:
-            return names[t.id]
         return f"_{t.id}"
     if not t.args:
         return t.symbol
-    return f"{t.symbol}({','.join(map(format_term, t.args, repeat(names)))})"
+    return f"{t.symbol}({','.join(map(format_term, t.args))})"
 
 
-def format_literal(lit: Literal, names: Optional[dict] = None) -> str:
+def format_literal(lit: Literal) -> str:
     if lit.predicate == EQ and len(lit.args) == 2:
         op = "=" if lit.positive else "!="
-        return f"{format_term(lit.args[0], names)}{op}{format_term(lit.args[1], names)}"
-    body = format_term(App(lit.predicate, lit.args), names)
+        return f"{format_term(lit.args[0])}{op}{format_term(lit.args[1])}"
+    body = format_term(App(lit.predicate, lit.args))
     return body if lit.positive else f"-{body}"
-
-
-def format_clause(c: Clause) -> str:
-    names = {i: n for i, n in enumerate(c.var_names)}
-    return " | ".join(format_literal(l, names) for l in c.literals) + "."
-
-
-def format_matrix(m: Matrix) -> str:
-    return "\n".join(format_clause(c) for c in m.clauses) + "\n"

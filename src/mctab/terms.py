@@ -53,10 +53,6 @@ class Literal(NamedTuple):
     args: tuple = ()
 
 
-def negate(lit: Literal) -> Literal:
-    return _new(Literal, (not lit.positive, lit.predicate, lit.args))
-
-
 # ---------------------------------------------------------------------------
 # substitution application
 
@@ -134,11 +130,6 @@ def is_ground_term(t: Term) -> bool:
 
 def is_ground_literal(lit: Literal) -> bool:
     return all(map(is_ground_term, lit.args))
-
-
-def unify_terms(a: Term, b: Term) -> Optional[Subst]:
-    """Most general unifier of two terms, or None."""
-    return unify_literals(Literal(True, "", (a,)), Literal(True, "", (b,)))
 
 
 def unify_literals(a: Literal, b: Literal) -> Optional[Subst]:
@@ -287,10 +278,6 @@ def replace_at(t: Term, pos: tuple, u: Term) -> Term:
 def literal_subterms(lit: Literal) -> list:
     """`subterms` of every argument, excluding the predicate itself."""
     return [x for i, a in enumerate(lit.args, start=1) for x in subterms(a, (i,))]
-
-
-def literal_positions(lit: Literal) -> list:
-    return [p for p, _ in literal_subterms(lit)]
 
 
 def literal_subterm(lit: Literal, pos: tuple) -> Term:

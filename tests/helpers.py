@@ -16,19 +16,19 @@ from dataclasses import field, make_dataclass
 
 from mctab.calculus import ExtAction, ExtStep, RedAction, RedStep, RewAction, RewStep
 from mctab.checker import Ext, Lem, Red, Rew, Start, TraceError
+from mctab.features import _action_walks, _literal_walks, _scalars
 from mctab.gbt import DatasetError, GbtModel, TrainHistory, _Node, _rmse, left_sum
 from mctab.mcts import uct_score
-from mctab.problems import EQ, ParseError, _Parser
+from mctab.problems import EQ, Matrix, ParseError, _Parser
 from mctab.terms import (
     App,
     Literal,
     Term,
     Var,
-    literal_positions,
     literal_replace,
     literal_subterm,
+    literal_subterms,
     match_term,
-    negate,
     resolve_literal,
     resolve_literals,
     resolve_term,
@@ -151,13 +151,6 @@ def alpha_equal(a: Term, b: Term, fwd=None, bwd=None) -> bool:
     return False
 
 
-def alpha_equal_literals(a: Literal, b: Literal) -> bool:
-    if a.positive != b.positive or a.predicate != b.predicate or len(a.args) != len(b.args):
-        return False
-    fwd, bwd = {}, {}
-    return all(alpha_equal(x, y, fwd, bwd) for x, y in zip(a.args, b.args))
-
-
 # ---------------------------------------------------------------------------
 # the value types as frozen dataclasses, the way the library first had them;
 # its named tuples must agree with them on equality, hash and repr
@@ -271,10 +264,27 @@ def eager_subst(triangular: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# feature oracle: the token multiset that `FeatureExtractor` compresses
+
+def raw_features(m: Matrix, goals: tuple, path: tuple, action=None) -> dict:
+    """Token multiset for a state and optionally one action."""
+    out: dict = {}
+    for lit in goals:
+        _literal_walks(lit, "g:", out)
+    for lit in path:
+        _literal_walks(lit, "p:", out)
+    if action is not None:
+        _action_walks(m, path, action, out)
+    out.update(_scalars(goals, path))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # MCTS test support
 
 def random_matrix(rng: random.Random):
-    """Small random DNF matrix with at least one all-positive start clause."""
+    """Small random DNF matrix with at least one all-positive start clause,
+    and the text it was parsed from."""
     from mctab.problems import parse_problem
 
     preds = [("p", 1), ("q", 1), ("r", 0)]
@@ -300,7 +310,7 @@ def random_matrix(rng: random.Random):
         except Exception:
             continue
         if m.start_ids:
-            return m
+            return m, text
 
 
 def _random_eq_term(rng: random.Random, depth: int) -> str:
@@ -320,7 +330,7 @@ def random_eq_matrix(rng: random.Random):
     headed by a function symbol or a constant, which are rewrite rules, and
     bare-variable sides (as in `f(X)!=X` read right to left), which are
     not, and goals with variable subterms.  Has at least one all-positive
-    start clause."""
+    start clause.  Returned with the text it was parsed from."""
     from mctab.problems import parse_problem
 
     def literal():
@@ -332,9 +342,10 @@ def random_eq_matrix(rng: random.Random):
     while True:
         lines = [" | ".join(literal() for _ in range(rng.randint(1, 3))) + "."
                  for _ in range(rng.randint(3, 7))]
-        m = parse_problem("\n".join(lines) + "\n")
+        text = "\n".join(lines) + "\n"
+        m = parse_problem(text)
         if m.start_ids:
-            return m
+            return m, text
 
 
 def check_tree_invariants(tree):
@@ -398,7 +409,7 @@ def reference_valid_actions(m, goals, path, cfg, next_var) -> tuple:
     if not goals:
         return ()
     head = goals[0]
-    neg_head = negate(head)
+    neg_head = Literal(not head.positive, head.predicate, head.args)
     out = []
     for clause in m.clauses:
         for j, lit in enumerate(renamed(clause)):
@@ -416,7 +427,7 @@ def reference_valid_actions(m, goals, path, cfg, next_var) -> tuple:
                 for direction, src, dst in (("LR", left, right), ("RL", right, left)):
                     if isinstance(src, Var):
                         continue  # not a rewrite rule: its source is a variable
-                    for pos in literal_positions(head):
+                    for pos in [p for p, _ in literal_subterms(head)]:
                         sub = literal_subterm(head, pos)
                         sigma = match_term(src, sub)
                         if sigma is not None and oracle_apply(sigma, dst) != sub:
@@ -434,7 +445,7 @@ def reference_apply_action(m, s, action) -> bool:
     head = s.goals[0]
     if isinstance(action, RedAction):
         plit = s.path[action.path_index]
-        delta = unify_literals(negate(head), plit)
+        delta = unify_literals(Literal(not head.positive, head.predicate, head.args), plit)
         if not s.bind(delta, s.next_var):
             return False
         s.goals = s.goals[1:]
@@ -448,7 +459,7 @@ def reference_apply_action(m, s, action) -> bool:
     j = action.lit_index
     lit, rest = renamed[j], renamed[:j] + renamed[j + 1 :]
     if isinstance(action, ExtAction):
-        delta = unify_literals(negate(head), lit)
+        delta = unify_literals(Literal(not head.positive, head.predicate, head.args), lit)
         if not s.bind(delta, offset):
             return False
         s.goals = s.goals[1:]

@@ -18,7 +18,6 @@ from mctab.calculus import (
     RewAction,
     RewStep,
     apply_action,
-    det_steps,
     format_proof,
     initial_states,
     valid_actions,
@@ -272,7 +271,7 @@ def test_det_steps_idempotent_on_settled_state():
     m = parse_problem(APP_A)
     cfg = cfg_manual()
     s = initial_states(m, cfg)[0]
-    again = det_steps(m, s, cfg)
+    again = calculus._det_on_work(m, s.copy(), cfg)
     assert again.goals == s.goals
     assert again.result == s.result
 
@@ -321,7 +320,7 @@ def _search_trees():
     rng = random.Random(11)
     for generate in (random_matrix, random_eq_matrix):
         for i in range(20):
-            m = generate(rng)
+            m, _ = generate(rng)
             cfg = Config(
                 inference_limit=60, bigstep_freq=7, path_limit=20, guided_reduction=bool(i % 2)
             )
@@ -463,7 +462,7 @@ def _random_eq_searches():
     """(matrix, cfg, tree) for 30 random equational matrices, rewrite on."""
     rng = random.Random(23)
     for i in range(30):
-        m = random_eq_matrix(rng)
+        m, _ = random_eq_matrix(rng)
         cfg = Config(inference_limit=60, bigstep_freq=7, path_limit=20, rewrite=True,
                      guided_reduction=bool(i % 2))
         yield m, cfg, search_problem(m, DefaultGuidance(), cfg).tree

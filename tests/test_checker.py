@@ -26,7 +26,7 @@ from mctab.config import Config, load_config
 from mctab.guidance import DefaultGuidance
 from mctab.loop import read_problems, run_loop, solve_one
 from mctab.mcts import search_problem
-from mctab.problems import MAX_TERM_DEPTH, format_matrix, parse_problem
+from mctab.problems import MAX_TERM_DEPTH, parse_problem
 from mctab.terms import App, Literal, Var
 
 from helpers import (
@@ -273,7 +273,7 @@ def test_searching_the_corpus_leaves_no_reference_cycle(one_iteration):
 
 def test_seeded_random_searches_leave_no_reference_cycle():
     def search(make, rng, cfg):
-        return solve_one("random.p", format_matrix(make(rng)), cfg)
+        return solve_one("random.p", make(rng)[1], cfg)
 
     for make, rewrite in ((random_matrix, False), (random_eq_matrix, True)):
         rng = random.Random(3)
@@ -411,13 +411,13 @@ def test_prover_emitted_proofs_always_accepted_on_random_matrices():
         cfg = Config(rewrite=rewrite, inference_limit=150, bigstep_freq=10, path_limit=50)
         traces = []
         for _ in range(count):
-            m = make(rng)
+            m, text = make(rng)
             res = search_problem(m, DefaultGuidance(), cfg)
             if res.outcome != "proved":
                 continue
             trace = format_proof(res.proof, res.proof_subst)
-            check = check_proof_texts(trace, format_matrix(m))
-            assert check.ok, (format_matrix(m), trace, check.message)
+            check = check_proof_texts(trace, text)
+            assert check.ok, (text, trace, check.message)
             traces.append(trace)
         # the battery must actually exercise proofs, and rewrite steps with rewriting on
         assert len(traces) >= 5
@@ -427,13 +427,13 @@ def test_prover_emitted_proofs_always_accepted_on_random_matrices():
 @settings(max_examples=200)
 @given(st.integers(0, 2**32 - 1), st.booleans())
 def _emitted_proofs_are_accepted(seed, rewrite):
-    m = (random_eq_matrix if rewrite else random_matrix)(random.Random(seed))
+    m, text = (random_eq_matrix if rewrite else random_matrix)(random.Random(seed))
     cfg = Config(rewrite=rewrite, inference_limit=150, bigstep_freq=10, path_limit=50)
     res = search_problem(m, DefaultGuidance(), cfg)
     if res.outcome == "proved":
         trace = format_proof(res.proof, res.proof_subst)
-        check = check_proof_texts(trace, format_matrix(m))
-        assert check.ok, (format_matrix(m), trace, check.message)
+        check = check_proof_texts(trace, text)
+        assert check.ok, (text, trace, check.message)
 
 
 def test_emitted_proofs_are_accepted(hypothesis_home):

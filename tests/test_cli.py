@@ -397,6 +397,13 @@ def test_config_roundtrip_and_unknown_keys():
         from_ini("inference_limit = soon\n")
 
 
+def test_ini_skips_blank_lines_comments_and_section_headers():
+    settings = "inference_limit = 77\nrewrite = off\neta = 0.5\n"
+    noisy = ("[mctab]\ninference_limit = 77\n\n# eta = 0.1\nrewrite = off\n"
+             "   ; rounds = 3\n% patience = 4\n\t\neta = 0.5\n")
+    assert from_ini(noisy) == from_ini(settings) != Config()
+
+
 def test_ini_value_errors_name_their_line(tmp_path, capsys):
     cases = [
         ("rewrite = maybe\n", "line 1: bad boolean for rewrite: 'maybe'"),

@@ -5,14 +5,14 @@ import random
 from mctab.calculus import ExtAction, ProverState, RedAction, RewAction, initial_states
 from mctab.cli import corpus_dir
 from mctab.config import Config
-from mctab.features import FeatureExtractor, compress, raw_features
+from mctab.features import FeatureExtractor, compress
 from mctab.guidance import DefaultGuidance
 from mctab.loop import list_problems
 from mctab.mcts import search_problem
 from mctab.problems import parse_problem
 from mctab.terms import App, Literal, Var
 
-from helpers import random_matrix
+from helpers import random_matrix, raw_features
 
 
 def mk_state(goals=(), path=(), todos=()):
@@ -179,7 +179,7 @@ def test_extractor_equals_oracle_on_random_matrices():
             rewrite=True, inference_limit=60, bigstep_freq=7, path_limit=20,
             guided_reduction=bool(i % 2),
         )
-        m = random_matrix(rng)
+        m, _ = random_matrix(rng)
         tree = search_problem(m, DefaultGuidance(), cfg).tree
         _assert_tree_matches_oracle(m, tree, 97)  # small dimension: many collisions
 

@@ -210,7 +210,7 @@ def test_the_prediction_memo_equals_predicting_every_state_and_action():
     policy_model = gbt.train(gbt.Dataset(policy_rows, cfg.feature_dim), train_cfg)
     assert value_model.trees and policy_model.trees
     rng = random.Random(28)
-    draws = [(random_matrix if i % 2 else random_eq_matrix)(rng) for i in range(40)]
+    draws = [(random_matrix if i % 2 else random_eq_matrix)(rng)[0] for i in range(40)]
     asked = value_predictions = scored = policy_predictions = 0
     for m in corpus + draws:
         value, policy = _Recorded(value_model), _Recorded(policy_model)

@@ -6,8 +6,15 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "mctab").glob("*.py"), *(ROOT / "tests").glob("*.py")])
-REFERRERS = sorted([*MODULES, *(ROOT / "perfbench").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "mctab").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+MODULES = PACKAGE + TESTS
+# what a program runs: the package, and the benchmark that wraps its names
+PROGRAM = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def read_sources(paths) -> dict:
+    return {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in paths}
 
 
 def exported(tree: ast.Module) -> list:
@@ -126,9 +133,13 @@ def test_dead_definitions_are_found():
 
 
 def test_every_top_level_definition_is_referenced():
-    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in REFERRERS}
-    defining = {str(p.relative_to(ROOT)) for p in (ROOT / "src" / "mctab").glob("*.py")}
-    assert dead_definitions(sources, defining) == []
+    """By the program: a package definition that only tests call is dead."""
+    defining = {str(p.relative_to(ROOT)) for p in PACKAGE}
+    assert dead_definitions(read_sources(PROGRAM), defining) == []
+
+
+def test_every_test_helper_is_referenced():
+    assert dead_definitions(read_sources(TESTS), {"tests/helpers.py"}) == []
 
 
 def stored_attributes(tree: ast.Module) -> list:
@@ -173,10 +184,8 @@ EXPOSED = [("src/mctab/problems.py", "ParseError", "col")]
 
 
 def test_every_stored_attribute_is_read():
-    readers = [*(ROOT / "src" / "mctab").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
-    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in readers}
-    storing = {str(p.relative_to(ROOT)) for p in (ROOT / "src" / "mctab").glob("*.py")}
-    assert unread_attributes(sources, storing) == EXPOSED
+    storing = {str(p.relative_to(ROOT)) for p in PACKAGE}
+    assert unread_attributes(read_sources(PROGRAM), storing) == EXPOSED
 
 
 # what the checker shares with the prover: widening it is a change to the
@@ -235,3 +244,16 @@ def test_importing_the_package_leaves_the_recursion_limit_alone():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout.split()
     assert out[0] == out[1]
+
+
+def test_the_package_loads_only_the_standard_library():
+    """Importing every module of the package loads no module from outside the
+    standard library: mctab has no runtime dependencies.  `-S` skips the
+    `site` module, whose `.pth` files may import modules of their own."""
+    modules = ", ".join(f"mctab.{p.stem}" for p in PACKAGE if p.stem != "__init__")
+    code = (f"import sys, mctab, {modules}; "
+            "print(*sorted({name.partition('.')[0] for name in sys.modules}))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert set(out) - sys.stdlib_module_names == {"__main__", "mctab"}

@@ -168,7 +168,7 @@ def test_tree_invariants_on_random_problems():
     cfg = Config(rewrite=False, inference_limit=60, bigstep_freq=7, path_limit=50)
     g = DefaultGuidance()
     for _ in range(30):
-        m = random_matrix(rng)
+        m, _ = random_matrix(rng)
         try:
             starts = initial_states(m, cfg)
         except Exception:
@@ -352,7 +352,7 @@ def test_one_pass_extraction_equals_the_two_pass_reference(monkeypatch):
         searches.append((m, desk))
     rng = random.Random(29)
     for i in range(300):
-        m = (random_matrix if i % 2 == 0 else random_eq_matrix)(rng)
+        m, _ = (random_matrix if i % 2 == 0 else random_eq_matrix)(rng)
         searches.append((m, Config(inference_limit=80, bigstep_freq=5, path_limit=40,
                                    guided_reduction=i % 4 >= 2)))
     proved = 0
