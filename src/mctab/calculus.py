@@ -87,7 +87,8 @@ class RewAction(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # proof steps; literal fields hold step-time instantiations and are finalized
-# through the accumulated substitution when the trace is printed
+# through the accumulated substitution when the trace is printed; like the
+# actions, the calculus builds them with `tuple.__new__` (see terms._new)
 
 class StartStep(NamedTuple):
     clause_id: int
@@ -250,7 +251,7 @@ def valid_actions(m: Matrix, goals: tuple, path: tuple, cfg: Config, next_var: i
         if plit.predicate != head.predicate or plit.positive == head.positive:
             continue
         if unify_literals(head, plit) is not None:
-            red.append(RedAction(k))
+            red.append(tuple.__new__(RedAction, (k,)))
     return ext + tuple(red) + rew
 
 
@@ -284,23 +285,31 @@ def _apply_on_work(m: Matrix, s: ProverState, action) -> bool:
 
     An extension or a rewrite shifts only the chosen clause literal to fresh
     variables from `next_var` on, and unifies it with the head (matches its
-    source against a head subterm) as it stands.  The head stays in the
+    source against a head subterm) as it stands.  That renaming, the other
+    literals and the varmap depend only on the clause, the literal and
+    `next_var`, and sibling steps share their parent's `next_var`: they are
+    built once per key and kept in `m.renamed`.  The head stays in the
     goals until `bind`, so it is walked only when the unifier binds a branch
     variable; otherwise it is final.  Each side literal is shifted and
     resolved in one `instantiate_literal` walk."""
     if isinstance(action, RedAction):
         if not s.bind(unify_literals(s.goals[0], s.path[action.path_index]), s.next_var):
             return False
-        s.proof += (RedStep(s.goals[0], s.path[action.path_index]),)
+        s.proof += (tuple.__new__(RedStep, (s.goals[0], s.path[action.path_index])),)
         s.goals = s.goals[1:]
         return True
-    clause = m.clauses[action.clause_id]
     offset = s.next_var
-    s.next_var = offset + len(clause.var_names)
-    varmap = tuple(zip(clause.var_names, range(offset, s.next_var)))
-    j = action.lit_index
-    lit = shift_literal(clause.literals[j], offset)
-    rest = clause.literals[:j] + clause.literals[j + 1 :]
+    key = action.clause_id, action.lit_index, offset
+    renamed = m.renamed.get(key)
+    if renamed is None:
+        clause = m.clauses[action.clause_id]
+        j = action.lit_index
+        renamed = m.renamed[key] = (
+            shift_literal(clause.literals[j], offset),
+            clause.literals[:j] + clause.literals[j + 1 :],
+            tuple(zip(clause.var_names, range(offset, offset + len(clause.var_names)))))
+    lit, rest, varmap = renamed
+    s.next_var = offset + len(varmap)
     if isinstance(action, ExtAction):
         delta = unify_literals(s.goals[0], lit)
         if not s.bind(delta, offset):
@@ -310,7 +319,7 @@ def _apply_on_work(m: Matrix, s: ProverState, action) -> bool:
             s.todos = ((s.goals[1:], s.path, (head,) + s.lemmas),) + s.todos
         s.goals = tuple(map(instantiate_literal, rest, repeat(offset), repeat(delta)))
         s.path = (head,) + s.path
-        s.proof += (ExtStep(action.clause_id, varmap, head),)
+        s.proof += (tuple.__new__(ExtStep, (action.clause_id, varmap, head)),)
         return True
     head = s.goals[0]
     left, right = lit.args
@@ -323,8 +332,8 @@ def _apply_on_work(m: Matrix, s: ProverState, action) -> bool:
         s.todos = ((s.goals[1:], s.path, s.lemmas),) + s.todos
     s.goals = (goal_after,) + sides
     s.path = (head,) + s.path
-    s.proof += (RewStep(action.clause_id, varmap, resolve_literal(sigma, lit), action.direction,
-                        head, goal_after, sides),)
+    s.proof += (tuple.__new__(RewStep, (action.clause_id, varmap, resolve_literal(sigma, lit),
+                                        action.direction, head, goal_after, sides)),)
     return True
 
 
@@ -349,12 +358,12 @@ def _det_on_work(m: Matrix, s: ProverState, cfg: Config) -> ProverState:
         if head in s.path:  # loop elimination, identity only
             return s
         if head in s.lemmas:
-            s.proof += (LemStep(head),)
+            s.proof += (tuple.__new__(LemStep, (head,)),)
             s.goals = s.goals[1:]
             continue
         neg_head = tuple.__new__(Literal, (not head.positive, head.predicate, head.args))
         if neg_head in s.path:  # reduction without unification
-            s.proof += (RedStep(head, neg_head),)
+            s.proof += (tuple.__new__(RedStep, (head, neg_head)),)
             s.goals = s.goals[1:]
             continue
         actions = valid_actions(m, s.goals, s.path, cfg, s.next_var)

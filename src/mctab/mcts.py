@@ -1,10 +1,13 @@
 """Monte-Carlo tree search over prover states.
 
-Each playout selects a node by descending through the children that maximize
-the UCT score (the lowest action index among equal scores), expands the
-unexpanded action with the largest prior (the lowest index among equal
-priors; each node sorts its actions by prior once), scores the new child
-with the guidance value, and backpropagates along all ancestors.  Every
+Each playout descends from the bigstep root in one loop.  At each node it
+moves to the live child with the largest UCT score (the lowest action index
+among equal scores), unless the pool of the node's unexpanded actions
+scores higher; there it expands the unexpanded action with the largest
+prior (the lowest index among equal priors; each node sorts its actions by
+prior once).  The bigstep root expands breadth-first: all its actions
+before any descent.  The new child is scored with the guidance value, and
+the value is backpropagated along all ancestors.  Every
 `bigstep_freq` playouts the exploration root moves one level down to the
 child with the best mean reward; the visited bigstep roots are the anchor
 points for training-data extraction.
@@ -35,7 +38,7 @@ from .guidance import policy_target, value_target
 from .problems import Matrix
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchNode:
     id: int
     parent: Optional[int]
@@ -162,28 +165,6 @@ def _next_action(node: SearchNode) -> int:
     return node.pending[-1]
 
 
-def unexplored_score(node: SearchNode, cp: float) -> float:
-    """Score of the pool of unexpanded actions: UCT with a zero value term,
-    one virtual visit, and the largest unexpanded prior."""
-    return (cp * node.child_priors[_next_action(node)] * math.sqrt(math.log(node.visits))
-            if node.visits > 1 else 0.0)
-
-
-def _select_child(tree: SearchTree, node: SearchNode, cp: float):
-    """The live child with the largest UCT score, the lowest action index
-    among equal scores, and that score; children are scanned as inserted."""
-    best, best_ai, best_score = None, None, -math.inf
-    log_visits = math.log(node.visits)
-    for ai, cid in node.children.items():
-        child = tree.nodes[cid]
-        if child.dead:
-            continue
-        score = uct_score(child, log_visits, cp)
-        if score > best_score or (score == best_score and ai < best_ai):
-            best, best_ai, best_score = child, ai, score
-    return best, best_score
-
-
 def _expand(tree: SearchTree, node: SearchNode, guidance, cfg: Config) -> SearchNode:
     ai = _next_action(node)
     if node.state is None:
@@ -194,24 +175,37 @@ def _expand(tree: SearchTree, node: SearchNode, guidance, cfg: Config) -> Search
 def playout(tree: SearchTree, guidance, cfg: Config, cp: float) -> int:
     """One select-expand-backpropagate cycle; returns the new node's id.
 
-    The descent expands a node's next action when no live child beats the
-    pool of unexpanded actions.  The bigstep root itself is expanded
-    breadth-first before any descent: bigstep decisions compare child mean
-    values, so every candidate child must exist with real statistics before
-    the root is allowed to move.  With a live bigstep root and no PROVED node,
-    as `search_problem` keeps them, the descent always ends in an expansion.
+    The descent is one loop.  At each node it scans the live children as
+    inserted for the largest UCT score, the lowest action index among equal
+    scores, and expands the node's next action when no live child beats
+    the pool of unexpanded actions: UCT with a zero value term, one virtual
+    visit and the largest unexpanded prior.  The bigstep root itself is
+    expanded breadth-first before any descent: bigstep decisions compare
+    child mean values, so every candidate child must exist with real
+    statistics before the root is allowed to move.  With a live bigstep root
+    and no PROVED node, as `search_problem` keeps them, the descent always
+    ends in an expansion.
     """
     tree.playouts += 1
-    node = tree.nodes[tree.bigstep_root]
+    nodes = tree.nodes
+    node = nodes[tree.bigstep_root]
     while True:
-        have_unexpanded = len(node.children) < len(node.child_priors)
-        if have_unexpanded and node.id == tree.bigstep_root:
-            best_child = None
-        else:
-            best_child, best_score = _select_child(tree, node, cp)
-        if have_unexpanded and (best_child is None or unexplored_score(node, cp) > best_score):
+        unexpanded = len(node.children) < len(node.child_priors)
+        if unexpanded and node.id == tree.bigstep_root:
             return _expand(tree, node, guidance, cfg).id
-        node = best_child
+        best, best_ai, best_score = None, None, -math.inf
+        log_visits = math.log(node.visits)
+        for ai, cid in node.children.items():
+            child = nodes[cid]
+            if child.dead:
+                continue
+            score = uct_score(child, log_visits, cp)
+            if score > best_score or (score == best_score and ai < best_ai):
+                best, best_ai, best_score = child, ai, score
+        if unexpanded and (best is None or cp * node.child_priors[_next_action(node)]
+                           * math.sqrt(log_visits) > best_score):
+            return _expand(tree, node, guidance, cfg).id
+        node = best
 
 
 def bigstep(tree: SearchTree) -> int:

@@ -69,6 +69,10 @@ class Matrix:
     # (head literal, rewriting on) -> (extension actions, rewrite actions):
     # the head's path-free actions, filled only by calculus.valid_actions
     head_actions: dict = field(default_factory=dict, compare=False, repr=False)
+    # (clause id, literal index, offset) -> (the literal shifted by offset,
+    # the clause's other literals unshifted, ((source name, fresh id), ...)):
+    # a step's renaming, filled only by calculus._apply_on_work
+    renamed: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------

@@ -135,12 +135,15 @@ def is_ground_literal(lit: Literal) -> bool:
 def unify_literals(a: Literal, b: Literal) -> Optional[Subst]:
     """Most general unifier of two literals' argument lists, or None;
     polarity is ignored, so a goal unifies with the literals complementary
-    to it as it stands, without a negated copy.  One stack holds every pair,
-    the first argument on top and a term's last argument above its first.
-    The result is triangular, each binding as made and in the order made, so
-    a clash costs only the walk up to it and a success no rewrite."""
-    if a.predicate != b.predicate or len(a.args) != len(b.args):
-        return None
+    to it as it stands, without a negated copy.  The literals must have the
+    same predicate and arity, which is not tested: the calculus pairs a head
+    only with a literal of its predicate, and the parser fixes each
+    predicate's arity.  One stack holds every pair, the first argument on
+    top and a term's last argument above its first.  The result is
+    triangular, each binding as made and in the order made, so a clash
+    costs only the walk up to it and a success no rewrite.  A variable
+    bound to a constant needs no occurs check: a constant holds no
+    variable."""
     stack = list(zip(reversed(a.args), reversed(b.args)))
     s: Subst = {}
     while stack:
@@ -155,7 +158,7 @@ def unify_literals(a: Literal, b: Literal) -> Optional[Subst]:
             x, y = y, x
         if isinstance(x, Var):
             if isinstance(y, App):
-                if _occurs(s, x.id, y):
+                if y.args and _occurs(s, x.id, y):
                     return None
             elif x.id == y.id:
                 continue

@@ -536,8 +536,8 @@ def reference_next_action(node) -> int:
 
 
 def reference_select_child(tree, node, cp: float):
-    """`mcts._select_child` scanning the children sorted by action index: the
-    first live child with the largest UCT score, and that score."""
+    """A playout's choice of child, scanning the children sorted by action
+    index: the first live child with the largest UCT score, and that score."""
     best = None
     best_score = -math.inf
     log_visits = math.log(node.visits)
@@ -550,6 +550,26 @@ def reference_select_child(tree, node, cp: float):
             best_score = score
             best = child
     return best, best_score
+
+
+def reference_descend(tree, cp: float):
+    """The node a playout expands, found with the oracles above: the bigstep
+    root while it has an unexpanded action; below it, the first node whose
+    pool of unexpanded actions beats its best live child, or that has no
+    live child.  The pool scores as UCT with a zero value term, one virtual
+    visit and the largest unexpanded prior."""
+    node = tree.nodes[tree.bigstep_root]
+    while True:
+        unexpanded = len(node.children) < len(node.child_priors)
+        if unexpanded and node.id == tree.bigstep_root:
+            return node
+        best, best_score = reference_select_child(tree, node, cp)
+        if unexpanded:
+            prior = node.child_priors[reference_next_action(node)]
+            pool = cp * prior * math.sqrt(math.log(node.visits)) if node.visits > 1 else 0.0
+            if best is None or pool > best_score:
+                return node
+        node = best
 
 
 def reference_priors(guidance, s) -> list:

@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from mctab import calculus
+from mctab import calculus, gbt
 from mctab.calculus import (
     FAILED,
     OPEN,
@@ -24,10 +24,11 @@ from mctab.calculus import (
 )
 from mctab.cli import corpus_dir
 from mctab.config import Config, load_config
-from mctab.guidance import DefaultGuidance
-from mctab.mcts import search_problem
+from mctab.features import FeatureExtractor
+from mctab.guidance import DefaultGuidance, ModelGuidance
+from mctab.mcts import extract_training_data, search_problem
 from mctab.problems import MAX_TERM_DEPTH, parse_problem
-from mctab.terms import App, Literal, Var, resolve_literals
+from mctab.terms import App, Literal, Var, resolve_literals, shift_literal
 
 from helpers import (
     default_recursion_limit,
@@ -519,6 +520,100 @@ def test_format_proof_equals_the_eager_composition(search_trees):
     for _, _, tree in search_trees:
         for s in _settled_states(tree):
             assert format_proof(s.proof, s.subst) == format_proof(s.proof, eager_subst(s.subst))
+
+
+# ---------------------------------------------------------------------------
+# the renaming memo and the unifier's precondition
+
+def _warm_searches():
+    """(problem text, matrix, cfg, tree) for the corpus searched unguided,
+    then guided by models trained on those searches' rows, then for 20
+    random matrices and 20 random equational ones, rewrite on."""
+    cfg = Config(inference_limit=150, bigstep_freq=20, path_limit=60, limited_policy=False)
+    texts = []
+    for name in sorted(f for f in os.listdir(corpus_dir()) if f.endswith(".p")):
+        with open(os.path.join(corpus_dir(), name), "r", encoding="utf-8") as fh:
+            texts.append(fh.read())
+    value_rows, policy_rows = [], []
+    for text in texts:
+        m = parse_problem(text)
+        tree = search_problem(m, DefaultGuidance(), cfg).tree
+        rows = extract_training_data(tree, cfg, FeatureExtractor(m, cfg.feature_dim))
+        value_rows += rows[0]
+        policy_rows += rows[1]
+        yield text, m, cfg, tree
+    train_cfg = Config(rounds=10, patience=50)
+    value = gbt.train(gbt.Dataset(value_rows, cfg.feature_dim), train_cfg)
+    policy = gbt.train(gbt.Dataset(policy_rows, cfg.feature_dim), train_cfg)
+    for text in texts:
+        m = parse_problem(text)
+        guidance = ModelGuidance(value, policy, FeatureExtractor(m, cfg.feature_dim),
+                                 cfg.temperature)
+        yield text, m, cfg, search_problem(m, guidance, cfg).tree
+    rng = random.Random(31)
+    for generate in (random_matrix, random_eq_matrix):
+        for i in range(20):
+            m, text = generate(rng)
+            cfg = Config(inference_limit=60, bigstep_freq=7, path_limit=20,
+                         guided_reduction=bool(i % 2))
+            yield text, m, cfg, search_problem(m, DefaultGuidance(), cfg).tree
+
+
+@pytest.fixture(scope="module")
+def warm_searches():
+    """The searches of `_warm_searches`, and the number of `unify_literals`
+    calls they made and the (predicate, arity) pairs of those whose two
+    literals differ in either; the calculus is the unifier's one caller."""
+    calls = []
+    unify = calculus.unify_literals
+
+    def recorded(a, b):
+        calls.append(((a.predicate, len(a.args)), (b.predicate, len(b.args))))
+        return unify(a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(calculus, "unify_literals", recorded)
+        searches = list(_warm_searches())
+    return searches, len(calls), [pair for pair in calls if pair[0] != pair[1]]
+
+
+def test_every_unification_pairs_literals_of_one_predicate_and_arity(warm_searches):
+    """`unify_literals` does not test its precondition; the calculus keeps it."""
+    _, calls, mismatched = warm_searches
+    assert calls > 4000
+    assert mismatched == []
+
+
+def test_the_renaming_memo_equals_a_fresh_renaming(warm_searches):
+    """After each search every memo entry equals the shift, slice and zip it
+    stands for, and every child of every open state equals the child built
+    on the same matrix freshly parsed, field by field, subst in key order,
+    and as printed."""
+    entries = hits = applied = 0
+    for text, m, cfg, tree in warm_searches[0]:
+        for (clause_id, j, offset), (lit, rest, varmap) in m.renamed.items():
+            clause = m.clauses[clause_id]
+            assert lit == shift_literal(clause.literals[j], offset)
+            assert rest == clause.literals[:j] + clause.literals[j + 1 :]
+            assert varmap == tuple(zip(clause.var_names, range(offset, offset + len(varmap))))
+            assert len(varmap) == len(clause.var_names)
+            entries += 1
+        parsed = parse_problem(text)
+        for s in _settled_states(tree):
+            if s.result != OPEN:
+                continue
+            for i, action in enumerate(s.actions):
+                if not isinstance(action, RedAction):
+                    hits += (action.clause_id, action.lit_index, s.next_var) in m.renamed
+                warm = apply_action(m, s, i, cfg)
+                fresh = apply_action(replace(parsed, head_actions={}, renamed={}), s, i, cfg)
+                for f in fields(warm):
+                    assert getattr(warm, f.name) == getattr(fresh, f.name), f.name
+                assert list(warm.subst.items()) == list(fresh.subst.items())
+                assert format_proof(warm.proof, warm.subst) == format_proof(fresh.proof,
+                                                                            fresh.subst)
+                applied += 1
+    assert entries > 1000 and hits > 1000 and applied > hits
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,10 @@ from mctab.mcts import (
     SearchNode,
     _dedup,
     _next_action,
-    _select_child,
     bigstep,
     extract_training_data,
     playout,
     search_problem,
-    unexplored_score,
     uct_score,
 )
 from mctab.mcts import SearchTree
@@ -31,6 +29,7 @@ from helpers import (
     check_tree_invariants,
     random_eq_matrix,
     random_matrix,
+    reference_descend,
     reference_next_action,
     reference_select_child,
 )
@@ -89,32 +88,79 @@ def test_uct_argmax_matches_brute_force():
         assert best == ref
 
 
-def test_select_child_equals_the_sorted_scan_on_random_nodes():
-    """Few distinct means, visits and priors make equal UCT scores common;
-    some children are dead, and children are inserted out of index order,
-    as guided expansion inserts them."""
+def _random_tree(rng: random.Random, expanded: list):
+    """A tree for `playout` to descend.  Few distinct means, visits and
+    priors make equal UCT scores common; some nodes are dead, and children
+    are inserted out of index order, as guided expansion inserts them.  The
+    nodes have no state, so an expansion inserts a start state, which the
+    tree records in `expanded` as (node id, action index)."""
+    def insert(parent, ai, state, guidance):
+        expanded.append((parent.id, ai))
+        return SimpleNamespace(id=None)
+
+    tree = SimpleNamespace(nodes=[], bigstep_root=0, playouts=0, start_states=range(8),
+                           _insert=insert)
+
+    def grow(parent, prior, depth):
+        node = node_with(0.0, 1, prior)
+        node.id, node.parent = len(tree.nodes), parent
+        tree.nodes.append(node)
+        # a dead leaf has no actions, as a FAILED node; a live node has one to eight
+        node.dead = depth < 3 and rng.random() < 0.2
+        if not node.dead:
+            node.child_priors = [rng.choice([0.125, 0.25, 0.5]) for _ in range(rng.randint(1, 8))]
+        if node.dead or depth == 0 or rng.random() < 0.2:
+            node.visits = rng.choice([1, 2, 4])
+        else:
+            n = len(node.child_priors)
+            for ai in rng.sample(range(n), rng.choice([n, rng.randint(1, n)])):
+                child = grow(node.id, node.child_priors[ai], depth - 1)
+                node.children[ai] = child.id
+                node.visits += child.visits
+        node.reward = rng.choice([0.0, 0.5, 1.0]) * node.visits
+        # the dead rule, as `_mark_dead` keeps it
+        if (node.children and len(node.children) == len(node.child_priors)
+                and all(tree.nodes[c].dead for c in node.children.values())):
+            node.dead = True
+        return node
+
+    grow(None, 1.0, 3)
+    tree.bigstep_root = rng.choice([n.id for n in tree.nodes if not n.dead
+                                    and len(n.children) == len(n.child_priors)] or [0])
+    return tree
+
+
+def test_playout_descends_to_the_reference_node_on_random_trees():
+    """Each playout expands the node `reference_descend` finds, by the
+    action `reference_next_action` picks: ties go to the lowest action
+    index, dead children are skipped, and the pool of unexpanded actions
+    wins over a live child when it scores higher."""
     rng = random.Random(7)
-    late_ties = 0
+    below_root = pool_won = late_ties = 0
     for _ in range(3000):
-        parent = node_with(0.0, 1, 1.0)
-        tree = SimpleNamespace(nodes=[parent])
-        for ai in rng.sample(range(10), rng.randint(1, 8)):
-            visits = rng.choice([1, 2, 4])
-            child = node_with(rng.choice([0.0, 0.5, 1.0]) * visits, visits,
-                              rng.choice([0.125, 0.25, 0.5]))
-            child.id, child.parent, child.dead = len(tree.nodes), 0, rng.random() < 0.2
-            parent.children[ai] = child.id
-            parent.visits += visits
-            tree.nodes.append(child)
+        expanded = []
+        tree = _random_tree(rng, expanded)
+        if tree.nodes[tree.bigstep_root].dead:
+            continue
         cp = rng.choice([0.0, 1.0, 3.0])
-        best, score = _select_child(tree, parent, cp)
-        ref_best, ref_score = reference_select_child(tree, parent, cp)
-        assert best is ref_best and score == ref_score
-        first = next((tree.nodes[c] for c in parent.children.values()
-                      if not tree.nodes[c].dead and uct_score(
-                          tree.nodes[c], math.log(parent.visits), cp) == score), None)
-        late_ties += best is not first
-    assert late_ties > 100  # the lowest index among equal scores came later
+        node = reference_descend(tree, cp)
+        ai = reference_next_action(node)
+        playout(tree, None, Config(), cp)
+        assert expanded == [(node.id, ai)] and tree.playouts == 1
+        below_root += node.id != tree.bigstep_root
+        pool_won += (node.id != tree.bigstep_root
+                     and reference_select_child(tree, node, cp)[0] is not None)
+        # a choice on the way down that came later than an equal score
+        while node.id != tree.bigstep_root:
+            parent = tree.nodes[node.parent]
+            log_visits = math.log(parent.visits)
+            first = next(tree.nodes[c] for c in parent.children.values()
+                         if not tree.nodes[c].dead
+                         and uct_score(tree.nodes[c], log_visits, cp) == uct_score(
+                             node, log_visits, cp))
+            late_ties += first is not node
+            node = parent
+    assert below_root > 2000 and pool_won > 50 and late_ties > 200
 
 
 def test_cp_extremes():
@@ -434,10 +480,6 @@ def test_expansion_order_equals_the_max_scan_on_random_priors():
             node.children[i] = len(node.children) + 1
         while len(node.children) < n:
             expected = reference_next_action(node)
-            if rng.random() < 0.5:
-                score = unexplored_score(node, 2.0)
-                if node.visits > 1:
-                    assert score == 2.0 * priors[expected] * math.sqrt(math.log(node.visits))
             assert _next_action(node) == expected
             if rng.random() < 0.2:  # an outside insert between expansions
                 late = rng.choice([i for i in range(n) if i not in node.children])

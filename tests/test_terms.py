@@ -13,6 +13,7 @@ from mctab.calculus import (
     RewStep,
     StartStep,
 )
+from mctab import terms
 from mctab.terms import (
     App,
     Literal,
@@ -97,6 +98,30 @@ def test_unify_occurs_check_walks_shared_bindings_once():
     # Y0 occurs in what Zn is bound to
     cyclic = Literal(True, "q", left + (ys[0],)), Literal(True, "q", right + (zs[-1],))
     assert unify_literals(*cyclic) is None
+
+
+def test_a_variable_binds_a_constant_without_the_occurs_walk(monkeypatch):
+    walked = []
+    occurs = terms._occurs
+    monkeypatch.setattr(terms, "_occurs", lambda s, v, t: walked.append(t) or occurs(s, v, t))
+    x, y = Var(0), Var(1)
+    assert unify(x, a()) == {0: a()}
+    # h(a, X) against h(Y, a): X := a, then Y := a
+    assert unify(App("h", (a(), x)), App("h", (y, a()))) == {0: a(), 1: a()}
+    assert walked == []
+    assert unify(x, App("f", (y,))) == {0: App("f", (y,))}
+    assert walked == [App("f", (y,))]
+
+
+def test_the_occurs_check_still_fails_a_cycle_through_bindings():
+    x, y, z = Var(0), Var(1), Var(2)
+    assert unify(x, App("f", (x,))) is None
+    # X := Y and Y := Z are made first; then Z meets f(X), which holds Z through them
+    chain = Literal(True, "p", (x, y, z)), Literal(True, "p", (y, z, App("f", (x,))))
+    assert unify_literals(*chain) is None
+    # the same chain ending in a constant unifies
+    ground = Literal(True, "p", (x, y, z)), Literal(True, "p", (y, z, a()))
+    assert unify_literals(*ground) == {0: y, 1: z, 2: a()}
 
 
 def test_unify_identical_literals_empty_subst():
