@@ -53,7 +53,6 @@ from .terms import (
     resolve_literal,
     resolve_literals,
     resolve_term,
-    shift_literal,
     unify_literals,
 )
 
@@ -199,9 +198,10 @@ def _fits(lit: Literal, s: Subst = _UNBOUND) -> bool:
 # ---------------------------------------------------------------------------
 # action enumeration
 
-def valid_actions(m: Matrix, goals: tuple, path: tuple, cfg: Config, next_var: int) -> tuple:
-    """All applicable actions for the head goal literal, the first of the
-    non-empty `goals`: extensions, then reductions, then rewrites.
+def valid_actions(m: Matrix, head: Literal, path: tuple, cfg: Config, next_var: int) -> tuple:
+    """All applicable actions for `head`, the first goal of a state, which
+    the settle loop has already tested for loop elimination, lemmas and
+    identity reduction: extensions, then reductions, then rewrites.
 
     Extensions connect the head to a complementary input-clause literal;
     reductions to a complementary path literal (both under unification with
@@ -210,12 +210,13 @@ def valid_actions(m: Matrix, goals: tuple, path: tuple, cfg: Config, next_var: i
     instantiates the clause's variables.
 
     State variables are below `next_var`, so the head shifted by -next_var
-    has only negative ids and shares none with a clause's 0..k-1: clause
-    literals are tested as they are, without a renamed copy.  Candidates
-    come from the matrix's action index, in clause and literal order, so
-    the cost follows the literals that could connect, not the matrix size:
-    when the head's first argument is an application, only the literals
-    whose first argument has its symbol and arity or is a variable.
+    (instantiated under no bindings) has only negative ids and shares none
+    with a clause's 0..k-1: clause literals are tested as they are, without
+    a renamed copy.  Candidates come from the matrix's action index, in
+    clause and literal order, so the cost follows the literals that could
+    connect, not the matrix size: when the head's first argument is an
+    application, only the literals whose first argument has its symbol and
+    arity or is a variable.
 
     Extensions and rewrites do not depend on the path, and they are
     enumerated once per exact head literal and rewrite setting, then kept in
@@ -226,13 +227,12 @@ def valid_actions(m: Matrix, goals: tuple, path: tuple, cfg: Config, next_var: i
     A head beyond the term bounds has no actions, so its state fails; it is
     checked once, on its miss.
     """
-    head = goals[0]
     key = head, cfg.rewrite
     known = m.head_actions.get(key)
     if known is None and not _fits(head):
         known = m.head_actions[key] = ()
     if known is None:
-        shifted = shift_literal(head, -next_var)
+        shifted = instantiate_literal(head, -next_var, _UNBOUND)
         every, var_first, keyed = m.literal_index.get(
             (head.predicate, not head.positive, len(head.args)), _NO_CANDIDATES)
         first = head.args[0] if head.args else None
@@ -283,15 +283,16 @@ def _apply_on_work(m: Matrix, s: ProverState, action) -> bool:
     the step left unfinished, when `bind` puts a literal beyond the term
     bounds.
 
-    An extension or a rewrite shifts only the chosen clause literal to fresh
-    variables from `next_var` on, and unifies it with the head (matches its
-    source against a head subterm) as it stands.  That renaming, the other
-    literals and the varmap depend only on the clause, the literal and
-    `next_var`, and sibling steps share their parent's `next_var`: they are
-    built once per key and kept in `m.renamed`.  The head stays in the
-    goals until `bind`, so it is walked only when the unifier binds a branch
-    variable; otherwise it is final.  Each side literal is shifted and
-    resolved in one `instantiate_literal` walk."""
+    An extension or a rewrite renames only the chosen clause literal to
+    fresh variables from `next_var` on, by `instantiate_literal` under no
+    bindings, and unifies it with the head (matches its source against a
+    head subterm) as it stands.  That renaming, the other literals and the
+    varmap depend only on the clause, the literal and `next_var`, and
+    sibling steps share their parent's `next_var`: they are built once per
+    key and kept in `m.renamed`.  The head stays in the goals until `bind`,
+    so it is walked only when the unifier binds a branch variable; otherwise
+    it is final.  Each side literal is shifted and resolved in one
+    `instantiate_literal` walk."""
     if isinstance(action, RedAction):
         if not s.bind(unify_literals(s.goals[0], s.path[action.path_index]), s.next_var):
             return False
@@ -305,7 +306,7 @@ def _apply_on_work(m: Matrix, s: ProverState, action) -> bool:
         clause = m.clauses[action.clause_id]
         j = action.lit_index
         renamed = m.renamed[key] = (
-            shift_literal(clause.literals[j], offset),
+            instantiate_literal(clause.literals[j], offset, _UNBOUND),
             clause.literals[:j] + clause.literals[j + 1 :],
             tuple(zip(clause.var_names, range(offset, offset + len(clause.var_names)))))
     lit, rest, varmap = renamed
@@ -366,7 +367,7 @@ def _det_on_work(m: Matrix, s: ProverState, cfg: Config) -> ProverState:
             s.proof += (tuple.__new__(RedStep, (head, neg_head)),)
             s.goals = s.goals[1:]
             continue
-        actions = valid_actions(m, s.goals, s.path, cfg, s.next_var)
+        actions = valid_actions(m, head, s.path, cfg, s.next_var)
         if eager:
             # the first unifying path literal, in path order; not an inference
             red = next((a for a in actions if isinstance(a, RedAction)), None)

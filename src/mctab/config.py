@@ -2,9 +2,11 @@
 
 Defaults follow the reference hyperparameters: 200000 inference steps, 200 s
 time limit, bigsteps every 2000 playouts, exploration constant 3.0 for the
-unguided iteration and 2.0 once models are loaded, 10000-dimensional
-features, path limit 1000, discount 0.99, softmax temperature 2. Learner
-defaults: eta 0.3, depth 9, lambda 1.5, 400 rounds, patience 50.
+unguided iteration and 2.0 once models are loaded (`mcts.search_problem`
+applies this rule: `cp_later` under `ModelGuidance`, `cp_initial`
+otherwise), 10000-dimensional features, path limit 1000, discount 0.99,
+softmax temperature 2. Learner defaults: eta 0.3, depth 9, lambda 1.5, 400
+rounds, patience 50.
 
 `guided_reduction` is the paper's "guidance extended to reduction steps":
 when on, reductions that need unification become search actions; when off,

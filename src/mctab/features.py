@@ -57,16 +57,17 @@ def _count_symbols(lit: Literal, counts: dict):
             stack.extend(t.args)
 
 
-def _action_walks(m: Matrix, path: tuple, action, out: dict):
-    """The `a:` region: walks that depend on the action alone, never on goals."""
-    if isinstance(action, ExtAction):
-        for lit in m.clauses[action.clause_id].literals:
+def _action_walks(m: Matrix, key: tuple, out: dict):
+    """The `a:` region of an action from its `FeatureExtractor.action_key`
+    alone: walks that depend on the action, never on goals."""
+    if key[0] == "ext":
+        for lit in m.clauses[key[1]].literals:
             _literal_walks(lit, "a:ext:", out)
-    elif isinstance(action, RedAction):
-        _literal_walks(path[action.path_index], "a:red:", out)
+    elif key[0] == "red":
+        _literal_walks(key[1], "a:red:", out)
     else:
-        eq = m.clauses[action.clause_id].literals[action.lit_index]
-        _literal_walks(eq, f"a:rew:{action.direction}:", out)
+        _, clause_id, j, direction = key
+        _literal_walks(m.clauses[clause_id].literals[j], f"a:rew:{direction}:", out)
 
 
 def _scalars(goals: tuple, path: tuple) -> dict:
@@ -103,9 +104,10 @@ class FeatureExtractor:
     built from compressed pieces: a state's vector is its `n:`/`top:`
     scalars plus the walk entries of each goal (`g:`) and path literal
     (`p:`), memoised per tag and literal; an action's vector is its state's
-    vector plus an `a:` delta, memoised by `action_key`.  This is exact: the
+    vector plus an `a:` delta, built from `action_key` alone and memoised
+    by it, so the memo is exact by construction.  The sum is exact: the
     regions are disjoint, compress is additive, and every value is an
-    integer-valued float, so the sums do not round.  Token buckets are
+    integer-valued float, so it does not round.  Token buckets are
     memoised too; every memo lives for one problem."""
 
     def __init__(self, m: Matrix, dim: int):
@@ -175,7 +177,7 @@ class FeatureExtractor:
         delta = self._deltas.get(key)
         if delta is None:
             raw: dict = {}
-            _action_walks(self.matrix, s.path, action, raw)
+            _action_walks(self.matrix, key, raw)
             delta = self._deltas[key] = self._compress(raw)
         entries = dict(self.state_features(s))
         for idx, value in delta.items():

@@ -24,6 +24,7 @@ same bits on every Python.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, chain, compress, filterfalse
@@ -363,18 +364,20 @@ def _parse_tree(tokens: list, dim: int) -> Tuple[_Node, int, float]:
             return root, pos, largest
 
 
+# the header `format_model` writes, each value behind its key
+_HEADER = re.compile(r"GBT v1 dim=(\S+) eta=(\S+) base=(\S+)")
+
+
 def parse_model(text: str) -> GbtModel:
     lines = [(n, l) for n, l in enumerate(text.splitlines(), start=1) if l.strip()]
     if not lines:
         raise ModelFormatError("empty model file")
     lineno, first = lines[0]
-    header = first.split()
     try:
-        if header[:2] != ["GBT", "v1"] or len(header) != 5:
+        fields = _HEADER.fullmatch(" ".join(first.split()))
+        if fields is None:
             raise ValueError
-        dim = _index(header[2].removeprefix("dim="))
-        eta = _finite(header[3].removeprefix("eta="))
-        base = _finite(header[4].removeprefix("base="))
+        dim, eta, base = _index(fields[1]), _finite(fields[2]), _finite(fields[3])
         if dim <= 0:
             raise ValueError
     except ValueError:

@@ -120,11 +120,10 @@ def solve_one(name: str, text: str, cfg: Config, value_model=None, policy_model=
     m = parse_problem(text)
     extractor = FeatureExtractor(m, cfg.feature_dim)
     if value_model is None and policy_model is None:
-        guidance, cp = DefaultGuidance(), cfg.cp_initial
+        guidance = DefaultGuidance()
     else:
         guidance = ModelGuidance(value_model, policy_model, extractor, cfg.temperature)
-        cp = cfg.cp_later
-    result = search_problem(m, guidance, cfg, cp=cp, name=name)
+    result = search_problem(m, guidance, cfg, name=name)
     trace = None
     if result.outcome == "proved":
         trace = format_proof(result.proof, result.proof_subst)

@@ -34,7 +34,7 @@ from typing import Optional
 
 from .calculus import OPEN, PROVED, ProverState, apply_action, initial_states
 from .config import Config
-from .guidance import policy_target, value_target
+from .guidance import ModelGuidance, policy_target, value_target
 from .problems import Matrix
 
 
@@ -241,15 +241,12 @@ class SearchResult:
     tree: SearchTree
 
 
-def search_problem(
-    m: Matrix,
-    guidance,
-    cfg: Config,
-    cp: Optional[float] = None,
-    name: str = "",
-) -> SearchResult:
-    """Alternate playouts and bigsteps until proof, dead root, or budgets end."""
-    cp = cfg.cp_initial if cp is None else cp
+def search_problem(m: Matrix, guidance, cfg: Config, name: str = "") -> SearchResult:
+    """Alternate playouts and bigsteps until proof, dead root, or budgets end.
+
+    The exploration constant is `cfg.cp_later` under learned guidance (a
+    `ModelGuidance`) and `cfg.cp_initial` otherwise."""
+    cp = cfg.cp_later if isinstance(guidance, ModelGuidance) else cfg.cp_initial
     tree = SearchTree(m, guidance, initial_states(m, cfg))
     deadline = time.monotonic() + cfg.time_limit_s
     while (tree.proved_node is None and tree.inferences < cfg.inference_limit

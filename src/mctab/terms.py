@@ -11,16 +11,16 @@ triangular.  Each binding is kept as it was made and may mention a variable
 another binding binds, earlier or later; nothing normalizes it.  The unifier
 returns its bindings in the order it made them.
 
-Three walks apply a substitution or a renaming.  `shift_term` and
-`shift_literal` add `k` to every variable id, which renames a clause, whose
-variables are 0..n-1, apart from a state's.  `resolve_term` and
+Two walks apply a substitution or a renaming.  `resolve_term` and
 `resolve_literal` apply any substitution by following bindings to a
 fixpoint, and keep the identity of untouched subtrees.  `instantiate_term`
-and `instantiate_literal` do both at once, shift by `k` and resolve under
-`s`, in one walk: the calculus builds a clause's side literals with them.
-Each walk recurses one frame per level of the term it builds, through `map`;
-the calculus keeps those terms a few times `problems.MAX_TERM_DEPTH` deep at
-most, so the walks fit the default recursion limit.
+and `instantiate_literal` add `k` to every variable id and resolve under
+`s` in one walk; under an empty `s` they rename a clause, whose variables
+are 0..n-1, apart from a state's.  The calculus renames a head and a
+clause literal and builds side literals with them.  Each walk recurses one
+frame per level of the term it builds, through `map`; the calculus keeps
+those terms a few times `problems.MAX_TERM_DEPTH` deep at most, so the
+walks fit the default recursion limit.
 """
 
 from __future__ import annotations
@@ -56,22 +56,6 @@ class Literal(NamedTuple):
 # ---------------------------------------------------------------------------
 # substitution application
 
-def shift_term(t: Term, k: int) -> Term:
-    """`t` with `k` added to every variable id."""
-    if isinstance(t, Var):
-        return _new(Var, (t.id + k,))
-    if not t.args:
-        return t
-    return _new(App, (t.symbol, tuple(map(shift_term, t.args, repeat(k)))))
-
-
-def shift_literal(lit: Literal, k: int) -> Literal:
-    if not lit.args:
-        return lit
-    args = tuple(map(shift_term, lit.args, repeat(k)))
-    return _new(Literal, (lit.positive, lit.predicate, args))
-
-
 def resolve_term(s: Subst, t: Term) -> Term:
     """`t` under `s`, bindings followed to a fixpoint; untouched subtrees
     keep their identity.  A chain of variable bindings is followed in a
@@ -101,8 +85,8 @@ def resolve_literals(s: Subst, lits: Iterable[Literal]) -> tuple:
 
 
 def instantiate_term(t: Term, k: int, s: Subst) -> Term:
-    """`resolve_term(s, shift_term(t, k))` in one walk: a shifted variable
-    is looked up in `s` as it is made."""
+    """`t` with `k` added to every variable id, then resolved under `s`,
+    in one walk: a shifted variable is looked up in `s` as it is made."""
     if isinstance(t, Var):
         bound = s.get(t.id + k)
         return _new(Var, (t.id + k,)) if bound is None else resolve_term(s, bound)
@@ -112,7 +96,7 @@ def instantiate_term(t: Term, k: int, s: Subst) -> Term:
 
 
 def instantiate_literal(lit: Literal, k: int, s: Subst) -> Literal:
-    """`resolve_literal(s, shift_literal(lit, k))` in one walk."""
+    """`instantiate_term` over the arguments of `lit`."""
     if not lit.args:
         return lit
     args = tuple(map(instantiate_term, lit.args, repeat(k), repeat(s)))

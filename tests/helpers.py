@@ -16,7 +16,7 @@ from dataclasses import field, make_dataclass
 
 from mctab.calculus import ExtAction, ExtStep, RedAction, RedStep, RewAction, RewStep
 from mctab.checker import Ext, Lem, Red, Rew, Start, TraceError
-from mctab.features import _action_walks, _literal_walks, _scalars
+from mctab.features import _literal_walks, _scalars
 from mctab.gbt import DatasetError, GbtModel, TrainHistory, _Node, _rmse, left_sum
 from mctab.mcts import uct_score
 from mctab.problems import EQ, Matrix, ParseError, _Parser
@@ -32,7 +32,6 @@ from mctab.terms import (
     resolve_literal,
     resolve_literals,
     resolve_term,
-    shift_literal,
     unify_literals,
 )
 
@@ -56,6 +55,13 @@ def oracle_apply(s: dict, t: Term) -> Term:
     if isinstance(t, Var):
         return s.get(t.id, t)
     return App(t.symbol, tuple(oracle_apply(s, a) for a in t.args))
+
+
+def oracle_rename(lit: Literal, k: int) -> Literal:
+    """`lit` with `k` added to every variable id: `oracle_apply` under a
+    map from each of its variables to the renamed one."""
+    fresh = {v: Var(v + k) for a in lit.args for v in oracle_vars(a)}
+    return Literal(lit.positive, lit.predicate, tuple(oracle_apply(fresh, a) for a in lit.args))
 
 
 def oracle_vars(t: Term) -> set:
@@ -273,8 +279,14 @@ def raw_features(m: Matrix, goals: tuple, path: tuple, action=None) -> dict:
         _literal_walks(lit, "g:", out)
     for lit in path:
         _literal_walks(lit, "p:", out)
-    if action is not None:
-        _action_walks(m, path, action, out)
+    if isinstance(action, ExtAction):
+        for lit in m.clauses[action.clause_id].literals:
+            _literal_walks(lit, "a:ext:", out)
+    elif isinstance(action, RedAction):
+        _literal_walks(path[action.path_index], "a:red:", out)
+    elif action is not None:
+        eq = m.clauses[action.clause_id].literals[action.lit_index]
+        _literal_walks(eq, f"a:rew:{action.direction}:", out)
     out.update(_scalars(goals, path))
     return out
 
@@ -453,7 +465,7 @@ def reference_apply_action(m, s, action) -> bool:
         return True
     clause = m.clauses[action.clause_id]
     offset = s.next_var
-    renamed = tuple(shift_literal(l, offset) for l in clause.literals)
+    renamed = tuple(oracle_rename(l, offset) for l in clause.literals)
     s.next_var = offset + len(clause.var_names)
     varmap = tuple((n, offset + i) for i, n in enumerate(clause.var_names))
     j = action.lit_index

@@ -28,12 +28,13 @@ from mctab.features import FeatureExtractor
 from mctab.guidance import DefaultGuidance, ModelGuidance
 from mctab.mcts import extract_training_data, search_problem
 from mctab.problems import MAX_TERM_DEPTH, parse_problem
-from mctab.terms import App, Literal, Var, resolve_literals, shift_literal
+from mctab.terms import App, Literal, Var, resolve_literals
 
 from helpers import (
     default_recursion_limit,
     eager_subst,
     oracle_apply,
+    oracle_rename,
     random_eq_matrix,
     random_matrix,
     reference_apply_action,
@@ -380,7 +381,7 @@ def test_valid_actions_equal_the_renaming_reference(search_trees):
             if not s.goals:  # the calculus enumerates actions only for a head goal
                 continue
             expected = reference_valid_actions(m, s.goals, s.path, cfg, s.next_var)
-            assert valid_actions(m, s.goals, s.path, cfg, s.next_var) == expected
+            assert valid_actions(m, s.goals[0], s.path, cfg, s.next_var) == expected
             if s.result == OPEN:
                 assert s.actions == expected
             kinds.update(type(a) for a in expected)
@@ -393,14 +394,14 @@ def test_valid_actions_equal_the_renaming_reference(search_trees):
             for goals, path, _ in s.todos:
                 goals, path = resolve_literals(s.subst, goals), resolve_literals(s.subst, path)
                 expected = reference_valid_actions(m, goals, path, cfg, s.next_var)
-                assert valid_actions(m, goals, path, cfg, s.next_var) == expected
+                assert valid_actions(m, goals[0], path, cfg, s.next_var) == expected
                 branches.append((goals, path, expected))
                 frames += 1
             for goals, path, expected in branches:
                 for c, p, n in ((cfg, path, s.next_var + 7), (cfg, (), s.next_var),
                                 (flipped, path, s.next_var)):
                     again = reference_valid_actions(m, goals, p, c, n)
-                    assert valid_actions(m, goals, p, c, n) == again
+                    assert valid_actions(m, goals[0], p, c, n) == again
                     pathless += p is not path and again != expected
                     unrewritten += c is flipped and again != expected
     assert kinds == {ExtAction, RedAction, RewAction}
@@ -431,26 +432,35 @@ def test_a_repeated_head_is_enumerated_once(monkeypatch):
     for name in ("unify_literals", "_rewrite_actions"):
         monkeypatch.setattr(calculus, name, _counted(calls, getattr(calculus, name)))
     goals = (Literal(True, "p", (App("g", (App("a"),)),)),)
-    first = valid_actions(m, goals, (), cfg, 2)
+    first = valid_actions(m, goals[0], (), cfg, 2)
     assert {type(a) for a in first} == {ExtAction, RewAction}
     assert "unify_literals" in calls and calls.count("_rewrite_actions") == 1
     calls.clear()
-    assert valid_actions(m, goals, (), cfg, 2) == first
+    assert valid_actions(m, goals[0], (), cfg, 2) == first
     assert calls == []
 
 
 def test_an_extension_shifts_one_literal_and_negates_nothing(monkeypatch):
-    """An extension shifts only the chosen clause literal and unifies it with
-    the head as it stands; its side literals are instantiated in one walk."""
+    """An extension renames only the chosen clause literal, an instantiation
+    under no bindings, and unifies it with the head as it stands; its side
+    literals are instantiated in one walk each."""
     m = parse_problem("p(X) | q(X).\n-p(a) | r(Y) | s(Y,Z).\n-q(a).\n-r(b).\n-s(b,c).\n")
     s = initial_states(m, cfg_manual())[0]
     assert s.actions == (ExtAction(1, 0),)
     assert not hasattr(calculus, "negate")
     calls = []
-    monkeypatch.setattr(calculus, "shift_literal", _counted(calls, calculus.shift_literal))
+    instantiate = calculus.instantiate_literal
+
+    def recorded(lit, k, subst):
+        calls.append((lit, k, dict(subst)))
+        return instantiate(lit, k, subst)
+
+    monkeypatch.setattr(calculus, "instantiate_literal", recorded)
     child = s.copy()
     calculus._apply_on_work(m, child, s.actions[0])
-    assert calls == ["shift_literal"]
+    chosen, *sides = m.clauses[1].literals
+    assert calls == [(chosen, 1, {})] + [(lit, 1, {0: App("a")}) for lit in sides]
+    assert list(m.renamed) == [(1, 0, 1)]
     a = App("a")
     assert child.goals == (Literal(True, "r", (Var(1),)), Literal(True, "s", (Var(1), Var(2))))
     assert child.path == (Literal(True, "p", (a,)),)
@@ -585,15 +595,15 @@ def test_every_unification_pairs_literals_of_one_predicate_and_arity(warm_search
 
 
 def test_the_renaming_memo_equals_a_fresh_renaming(warm_searches):
-    """After each search every memo entry equals the shift, slice and zip it
-    stands for, and every child of every open state equals the child built
+    """After each search every memo entry equals the renaming, slice and zip
+    it stands for, and every child of every open state equals the child built
     on the same matrix freshly parsed, field by field, subst in key order,
     and as printed."""
     entries = hits = applied = 0
     for text, m, cfg, tree in warm_searches[0]:
         for (clause_id, j, offset), (lit, rest, varmap) in m.renamed.items():
             clause = m.clauses[clause_id]
-            assert lit == shift_literal(clause.literals[j], offset)
+            assert lit == oracle_rename(clause.literals[j], offset)
             assert rest == clause.literals[:j] + clause.literals[j + 1 :]
             assert varmap == tuple(zip(clause.var_names, range(offset, offset + len(varmap))))
             assert len(varmap) == len(clause.var_names)
@@ -664,10 +674,18 @@ LINKED = {
 def test_a_unifier_past_the_bounds_fails_its_step_before_anything_is_built(name, monkeypatch):
     """Both literals fit, and their unifier binds the head far past the
     bounds.  `bind` measures the head under the unifier first, so the forced
-    extension fails without resolving or instantiating a literal."""
+    extension fails without resolving or instantiating a literal.  It may
+    rename one, an instantiation under no bindings, which binds nothing."""
     calls = []
-    for fn in ("resolve_literals", "instantiate_literal"):
-        monkeypatch.setattr(calculus, fn, _counted(calls, getattr(calculus, fn)))
+    monkeypatch.setattr(calculus, "resolve_literals", _counted(calls, calculus.resolve_literals))
+    instantiate = calculus.instantiate_literal
+
+    def under_bindings(lit, k, s):
+        if s:
+            calls.append("instantiate_literal")
+        return instantiate(lit, k, s)
+
+    monkeypatch.setattr(calculus, "instantiate_literal", under_bindings)
     cfg = load_config(DESK)
     with default_recursion_limit():
         res = search_problem(parse_problem(LINKED[name]), DefaultGuidance(), cfg)

@@ -311,6 +311,20 @@ def test_prove_refuses_a_model_of_another_dimension_before_searching(
     assert not os.path.exists(str(problem) + ".proof")
 
 
+def test_prove_refuses_a_model_header_without_its_keys_before_searching(
+    tmp_path, monkeypatch, capsys
+):
+    problem = tmp_path / "chain2.p"
+    problem.write_text((Path(corpus_dir()) / "chain2.p").read_text())
+    keyless = tmp_path / "keyless.model"
+    keyless.write_text("GBT v1 10000 0.3 0.5\n")
+    monkeypatch.setattr(loop, "search_problem", lambda *args, **kw: pytest.fail("searched"))
+    assert main(["prove", str(problem), "--value-model", str(keyless), *DESK]) == 2
+    assert capsys.readouterr() == (
+        "", "error: line 1: bad model header: 'GBT v1 10000 0.3 0.5'\n")
+    assert not os.path.exists(str(problem) + ".proof")
+
+
 def test_bench_refuses_a_model_of_another_dimension_before_any_result(model_dim10, capsys):
     assert main(["bench", "--policy-model", model_dim10, *DESK]) == 2
     assert capsys.readouterr() == (

@@ -253,6 +253,16 @@ def test_truncated_model_file_errors():
         parse_model("")
 
 
+def test_a_model_header_needs_each_key():
+    """The header is `GBT v1 dim=<d> eta=<eta> base=<b>`, as `format_model`
+    writes it: a value without its key is refused."""
+    for header in ("GBT v1 10 eta=0.3 base=0.5", "GBT v1 dim=10 0.3 base=0.5",
+                   "GBT v1 dim=10 eta=0.3 0.5", "GBT v1 10 0.3 0.5"):
+        with pytest.raises(ModelFormatError,
+                           match=f"^line 1: bad model header: {re.escape(repr(header))}$"):
+            parse_model(header + "\n")
+
+
 def test_malformed_model_lines_are_positioned_errors():
     header = "GBT v1 dim=10 eta=0.3 base=0.0\n"
     for tree in ("N x 0.5 L L 0.1 L 0.2", "N -1 0.5 L L 0.1 L 0.2",

@@ -8,7 +8,7 @@ from mctab.calculus import PROVED
 from mctab.cli import corpus_dir
 from mctab.config import Config, load_config
 from mctab.features import FeatureExtractor
-from mctab.guidance import DefaultGuidance, policy_target, value_target
+from mctab.guidance import DefaultGuidance, ModelGuidance, policy_target, value_target
 from mctab import mcts
 from mctab.mcts import (
     SearchNode,
@@ -171,6 +171,25 @@ def test_cp_extremes():
     assert exploit.index(max(exploit)) == 0
     explore = [uct_score(c, math.log(n_parent), 1e9) for c in children]
     assert explore.index(max(explore)) == 1
+
+
+def test_learned_guidance_explores_with_cp_later(monkeypatch):
+    """The search picks its exploration constant from its guidance: cp_initial
+    under the default guidance, cp_later under learned guidance."""
+    m = parse_problem(TWO_CHOICE)
+    cfg = Config(rewrite=False, cp_initial=3.5, cp_later=1.25)
+    seen = []
+    traced = mcts.playout
+
+    def spied(tree, guidance, cfg, cp):
+        seen.append((type(guidance), cp))
+        return traced(tree, guidance, cfg, cp)
+
+    monkeypatch.setattr(mcts, "playout", spied)
+    learned = ModelGuidance(None, None, FeatureExtractor(m, cfg.feature_dim), cfg.temperature)
+    for guidance in (DefaultGuidance(), learned):
+        assert search_problem(m, guidance, cfg).outcome == "proved"
+    assert set(seen) == {(DefaultGuidance, 3.5), (ModelGuidance, 1.25)}
 
 
 def test_first_playout_expands_highest_prior_root_action():

@@ -28,8 +28,6 @@ from mctab.terms import (
     replace_at,
     resolve_literal,
     resolve_term,
-    shift_literal,
-    shift_term,
     subterm_at,
     subterms,
     term_stats,
@@ -42,6 +40,7 @@ from helpers import (
     REFERENCE_TYPES,
     alpha_equal,
     oracle_apply,
+    oracle_rename,
     oracle_unify,
     oracle_vars,
     random_literal_pair,
@@ -326,21 +325,26 @@ def _triangular_substitutions(draw):
 
 
 def test_instantiate_literal_equals_shift_then_resolve(hypothesis_home):
-    seen = {"shifted": 0, "chained": 0}
+    """Instantiating is renaming by `k`, then resolving under `s`; under an
+    empty `s` it is the renaming alone, the calculus's one way to rename."""
+    seen = {"renamed": 0, "shifted": 0, "chained": 0}
 
     @settings(max_examples=500)
     @given(_literals, st.integers(-2, 5), _triangular_substitutions())
     def instantiate_as_shift_then_resolve(lit, k, s):
-        assert instantiate_literal(lit, k, s) == resolve_literal(s, shift_literal(lit, k))
-        for t in lit.args:
-            assert instantiate_term(t, k, s) == resolve_term(s, shift_term(t, k))
+        renamed = oracle_rename(lit, k)
+        assert instantiate_literal(lit, k, s) == resolve_literal(s, renamed)
+        for t, u in zip(lit.args, renamed.args):
+            assert instantiate_term(t, k, s) == resolve_term(s, u)
         bound = {v + k for t in lit.args for v in oracle_vars(t)} & s.keys()
+        seen["renamed"] += not s and lit != renamed
         seen["shifted"] += bool(bound)
         seen["chained"] += any(oracle_vars(s[v]) & s.keys() for v in bound)
 
     instantiate_as_shift_then_resolve()
-    # shifted variables are bound, some through chains of bindings
-    assert seen["shifted"] > 100 and seen["chained"] > 50, seen
+    # renamings alone occur, and shifted variables are bound, some through
+    # chains of bindings
+    assert seen["renamed"] > 10 and seen["shifted"] > 100 and seen["chained"] > 50, seen
 
 
 def test_match_is_one_sided():
