@@ -24,6 +24,15 @@ def _children(t: Term) -> tuple:
     return () if isinstance(t, Var) else t.args
 
 
+def _skeleton(t: Term):
+    """`t` with every variable erased to `*`, which no `App` equals."""
+    if isinstance(t, Var):
+        return "*"
+    if not t.args:
+        return t
+    return (t.symbol, tuple(map(_skeleton, t.args)))
+
+
 def _add(out: dict, token: str, value: float = 1.0):
     out[token] = out.get(token, 0.0) + value
 
@@ -100,15 +109,21 @@ def compress(raw: dict, dim: int) -> dict:
 
 class FeatureExtractor:
     """Per-problem extractor equal to `compress(raw_features(...))`, whose
-    `raw_features` token multiset is the oracle in `tests/helpers.py`.  It is
-    built from compressed pieces: a state's vector is its `n:`/`top:`
-    scalars plus the walk entries of each goal (`g:`) and path literal
-    (`p:`), memoised per tag and literal; an action's vector is its state's
-    vector plus an `a:` delta, built from `action_key` alone and memoised
-    by it, so the memo is exact by construction.  The sum is exact: the
-    regions are disjoint, compress is additive, and every value is an
-    integer-valued float, so it does not round.  Token buckets are
-    memoised too; every memo lives for one problem."""
+    `raw_features` token multiset is the oracle in `tests/helpers.py`.  It
+    gives each literal it meets the id of its skeleton: its polarity,
+    predicate and arguments with every variable erased.  The walks never
+    read a variable id, so a literal's compressed walks are memoised per
+    tag and skeleton id, and a state's vector is its `n:`/`top:` scalars
+    plus the walks of each goal (`g:`) and path literal (`p:`).  The
+    scalars, too, depend only on the skeletons and on how many goals and
+    path literals there are, so `state_key`, the skeleton ids of goals and
+    path, is an exact key of the vector that needs no vector.  An action's
+    vector is its state's vector plus an `a:` delta, built from its
+    `action_key` alone and memoised by it, so that memo is exact by
+    construction.  The sum is exact: the regions are disjoint, compress is
+    additive, and every value is an integer-valued float, so it does not
+    round.  Token buckets are memoised too; every memo lives for one
+    problem."""
 
     def __init__(self, m: Matrix, dim: int):
         if dim <= 0:
@@ -116,10 +131,12 @@ class FeatureExtractor:
         self.matrix = m
         self.dim = dim
         self._buckets: dict = {}  # token -> bucket
-        self._walks: dict = {}  # (tag, literal) -> entries of its walks
+        self._ids: dict = {}  # literal -> its skeleton id
+        self._skeletons: dict = {}  # skeleton -> id
+        self._walks: dict = {}  # (tag, skeleton id) -> entries of its walks
         self._deltas: dict = {}  # action key -> entries of the a: region
         # the search scores a state's value and then its actions' priors
-        self._last: tuple = (None, None, None)  # (state, its vector, its key or None)
+        self._last: tuple = (None, None)  # (state, its vector)
 
     def _compress(self, raw: dict) -> dict:
         buckets = self._buckets
@@ -133,35 +150,37 @@ class FeatureExtractor:
             entries[idx] = entries.get(idx, 0.0) + value
         return entries
 
+    def _id(self, lit: Literal) -> int:
+        i = self._ids.get(lit)
+        if i is None:
+            skeleton = (lit.positive, lit.predicate, tuple(map(_skeleton, lit.args)))
+            i = self._ids[lit] = self._skeletons.setdefault(skeleton, len(self._skeletons))
+        return i
+
     def _add_walks(self, entries: dict, tag: str, lits: tuple):
         for lit in lits:
-            walks = self._walks.get((tag, lit))
+            key = (tag, self._id(lit))
+            walks = self._walks.get(key)
             if walks is None:
                 raw: dict = {}
                 _literal_walks(lit, tag, raw)
-                walks = self._walks[tag, lit] = self._compress(raw)
+                walks = self._walks[key] = self._compress(raw)
             for idx, value in walks.items():
                 entries[idx] = entries.get(idx, 0.0) + value
 
     def state_features(self, s: ProverState) -> dict:
-        state, entries, _ = self._last
+        state, entries = self._last
         if state is not s:
             entries = self._compress(_scalars(s.goals, s.path))
             self._add_walks(entries, "g:", s.goals)
             self._add_walks(entries, "p:", s.path)
-            self._last = (s, entries, None)
+            self._last = (s, entries)
         return entries
 
     def state_key(self, s: ProverState) -> tuple:
-        """The buckets of `state_features(s)` in order, then its values as
-        ints: equal keys are equal vectors, since every value is an integer."""
-        state, entries, key = self._last
-        if state is not s:
-            entries, key = self.state_features(s), None
-        if key is None:
-            key = (*entries, *map(int, entries.values()))
-            self._last = (s, entries, key)
-        return key
+        """The skeleton ids of the goals and of the path, in order: states
+        with one key have one vector."""
+        return tuple(map(self._id, s.goals)), tuple(map(self._id, s.path))
 
     @staticmethod
     def action_key(s: ProverState, action) -> tuple:
@@ -172,8 +191,8 @@ class FeatureExtractor:
             return ("red", s.path[action.path_index])
         return ("rew", action.clause_id, action.lit_index, action.direction)
 
-    def action_features(self, s: ProverState, action) -> dict:
-        key = self.action_key(s, action)
+    def action_features(self, s: ProverState, key: tuple) -> dict:
+        """The vector of the action of `s` whose `action_key` is `key`."""
         delta = self._deltas.get(key)
         if delta is None:
             raw: dict = {}

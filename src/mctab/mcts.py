@@ -316,5 +316,6 @@ def extract_training_data(tree: SearchTree, cfg: Config, extractor):
             for ai in sorted(node.children):
                 target = policy_target(node.visits, tree.nodes[node.children[ai]].visits,
                                        len(s.actions))
-                policy_rows.append((extractor.action_features(s, s.actions[ai]), target))
+                key = extractor.action_key(s, s.actions[ai])
+                policy_rows.append((extractor.action_features(s, key), target))
     return _dedup(value_rows), _dedup(policy_rows)

@@ -589,7 +589,8 @@ def reference_priors(guidance, s) -> list:
     from mctab.guidance import priors_from_predictions
 
     ex = guidance.extractor
-    scores = [guidance.policy_model.predict(ex.action_features(s, a)) for a in s.actions]
+    scores = [guidance.policy_model.predict(ex.action_features(s, ex.action_key(s, a)))
+              for a in s.actions]
     return priors_from_predictions(scores, guidance.temperature)
 
 

@@ -1,4 +1,3 @@
-import math
 import os
 import random
 
@@ -12,7 +11,7 @@ from mctab.mcts import search_problem
 from mctab.problems import parse_problem
 from mctab.terms import App, Literal, Var
 
-from helpers import random_matrix, raw_features
+from helpers import random_eq_matrix, random_matrix, raw_features
 
 
 def mk_state(goals=(), path=(), todos=()):
@@ -108,8 +107,8 @@ def test_action_features_distinguish_ext_and_red():
     ex = FeatureExtractor(M, 1009)
     plit = Literal(False, "q", (App("a"),))
     s = mk_state(goals=(Literal(True, "q", (App("a"),)),), path=(plit,))
-    f_ext = ex.action_features(s, ExtAction(1, 1))
-    f_red = ex.action_features(s, RedAction(0))
+    f_ext = ex.action_features(s, ex.action_key(s, ExtAction(1, 1)))
+    f_red = ex.action_features(s, ex.action_key(s, RedAction(0)))
     assert f_ext != f_red
 
 
@@ -119,7 +118,7 @@ def test_cache_hit_equals_fresh_computation():
     a = ExtAction(1, 1)
     for _ in range(2):  # the second round reuses the state vector and the delta
         assert ex.state_features(s) == oracle(M, s, dim=101)
-        assert ex.action_features(s, a) == oracle(M, s, a, dim=101)
+        assert ex.action_features(s, ex.action_key(s, a)) == oracle(M, s, a, dim=101)
 
 
 def test_states_differing_below_depth_three_get_their_own_vectors():
@@ -131,7 +130,7 @@ def test_states_differing_below_depth_three_get_their_own_vectors():
         s = mk_state(goals=(Literal(True, "p", (t,)),))
         assert ex.state_features(s) == oracle(M, s)
         a = ExtAction(0, 0)
-        assert ex.action_features(s, a) == oracle(M, s, a)
+        assert ex.action_features(s, ex.action_key(s, a)) == oracle(M, s, a)
 
 
 def _assert_tree_matches_oracle(m, tree, dim):
@@ -146,7 +145,7 @@ def _assert_tree_matches_oracle(m, tree, dim):
         if node.id % 2:
             assert ex.state_features(s) == oracle(m, s, dim=dim)
         for a in s.actions:
-            assert ex.action_features(s, a) == oracle(m, s, a, dim=dim)
+            assert ex.action_features(s, ex.action_key(s, a)) == oracle(m, s, a, dim=dim)
             checked += 1
         assert ex.state_features(s) == oracle(m, s, dim=dim)
     return checked
@@ -184,26 +183,49 @@ def test_extractor_equals_oracle_on_random_matrices():
         _assert_tree_matches_oracle(m, tree, 97)  # small dimension: many collisions
 
 
-def test_every_value_is_an_integer_so_a_state_key_is_its_vector():
-    # `state_key` writes values as ints; that is exact only for these
+def test_states_with_one_skeleton_key_have_one_vector():
+    # a state key erases variable ids only, so one key stands for one vector
     cfg = Config(inference_limit=150, bigstep_freq=20, path_limit=60, guided_reduction=True)
-    values = 0
+    matrices = []
     for name in list_problems(corpus_dir()):
         with open(os.path.join(corpus_dir(), name), "r", encoding="utf-8") as fh:
-            m = parse_problem(fh.read())
+            matrices.append(parse_problem(fh.read()))
+    rng = random.Random(36)
+    matrices += [(random_matrix if i % 2 else random_eq_matrix)(rng)[0] for i in range(40)]
+    states = renamed = 0
+    for m in matrices:
         ex = FeatureExtractor(m, cfg.feature_dim)
-        vectors = {}  # state key -> the vector it stands for
+        seen = {}  # state key -> the oracle's vector and the literals first met under it
         for node in search_problem(m, DefaultGuidance(), cfg).tree.nodes:
             s = node.state
             if s is None:
                 continue
-            for entries in [ex.state_features(s)] + [ex.action_features(s, a) for a in s.actions]:
-                for v in entries.values():
-                    assert math.isfinite(v) and v == float(int(v))
-                values += len(entries)
-            vector = tuple(ex.state_features(s).items())
-            assert vectors.setdefault(ex.state_key(s), vector) == vector
-    assert values > 0
+            vector = oracle(m, s, dim=cfg.feature_dim)
+            first, literals = seen.setdefault(ex.state_key(s), (vector, (s.goals, s.path)))
+            assert first == vector
+            assert ex.state_features(s) == vector
+            states += 1
+            renamed += literals != (s.goals, s.path)
+    # some keys stand for literals that differ in their variable ids
+    assert states > renamed > 0
+
+
+def test_a_state_key_erases_variable_ids_only():
+    ex = FeatureExtractor(M, 101)
+
+    def key(*goals):
+        return ex.state_key(mk_state(goals=goals, path=goals[1:]))
+
+    x, a = Var(3), App("a")
+    px, pa = Literal(True, "p", (x,)), Literal(True, "p", (a,))
+    assert key(Literal(True, "p", (x, x))) == key(Literal(True, "p", (Var(9), Var(0))))
+    told_apart = [
+        key(px), key(Literal(False, "p", (x,))), key(Literal(True, "q", (x,))), key(pa),
+        key(Literal(True, "p", (App("*"),))),  # a constant named * is not a variable
+        key(Literal(True, "p", (App("f", (x,)),))), key(Literal(True, "p", (App("f", (a,)),))),
+        key(px, pa), key(pa, px),  # goals and path in order
+    ]
+    assert len(set(told_apart)) == len(told_apart)
 
 
 def test_determinism_same_state_twice():
@@ -220,6 +242,6 @@ def test_rewrite_action_features_distinguish_directions():
     m2 = parse_problem("p(g(a)).\ng(Z)!=h(Z) | -q(Z).\n-p(h(a)).\nq(a).\n")
     ex = FeatureExtractor(m2, 1009)
     s = mk_state(goals=(Literal(True, "p", (App("g", (App("a"),)),)),))
-    lr = ex.action_features(s, RewAction(1, 0, "LR", (1,)))
-    rl = ex.action_features(s, RewAction(1, 0, "RL", (1,)))
+    lr = ex.action_features(s, ex.action_key(s, RewAction(1, 0, "LR", (1,))))
+    rl = ex.action_features(s, ex.action_key(s, RewAction(1, 0, "RL", (1,))))
     assert lr != rl

@@ -147,11 +147,11 @@ def test_priors_score_each_action_delta_once_as_the_per_action_oracle():
             del predictions[:]
             priors = guidance.priors(s)
             keys = {ex.action_key(s, a) for a in s.actions}
-            vector = tuple(ex.state_features(s).items())
-            new = {k for k in keys if (vector, k) not in scored}
-            # one score per action delta, none for a (vector, delta) scored before
+            state = ex.state_key(s)
+            new = {k for k in keys if (state, k) not in scored}
+            # one score per action delta, none for a (state key, delta) scored before
             assert len(predictions) == len(new)
-            scored.update((vector, k) for k in keys)
+            scored.update((state, k) for k in keys)
             assert priors == reference_priors(guidance, s)
             states += 1
             shared += len(keys) < len(s.actions)
@@ -222,12 +222,17 @@ def test_the_prediction_memo_equals_predicting_every_state_and_action():
         tree = search_problem(m, checked, cfg).tree
         assert len(checked.states) == sum(1 for node in tree.nodes
                                           if node.state is not None and node.state.result == OPEN)
-        # the memo's key is order-sensitive, so inputs are told apart by item order
+        # inputs are told apart by item order, which one state key fixes
+        keys = [reference.extractor.state_key(s) for s in checked.states]
         vectors = [tuple(reference.extractor.state_features(s).items()) for s in checked.states]
-        pairs = {(v, FeatureExtractor.action_key(s, a)) for v, s in zip(vectors, checked.states)
+        first = {}  # state key -> the vector of its first state
+        for k, v in zip(keys, vectors):
+            first.setdefault(k, v)
+        assert sorted(value.inputs) == sorted(first.values())  # once per distinct state key
+        assert set(value.inputs) == set(vectors)  # so never less than once per distinct vector
+        pairs = {(k, FeatureExtractor.action_key(s, a)) for k, s in zip(keys, checked.states)
                  for a in s.actions}
-        assert sorted(value.inputs) == sorted(set(vectors))  # once per distinct vector
-        assert len(policy.inputs) == len(pairs)  # once per distinct (vector, action delta)
+        assert len(policy.inputs) == len(pairs)  # once per distinct (state key, action delta)
         asked += len(vectors)
         value_predictions += len(value.inputs)
         scored += sum(len({ex.action_key(s, a) for a in s.actions}) for s in checked.states)

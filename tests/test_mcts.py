@@ -389,8 +389,8 @@ def reference_extract_training_data(tree, cfg, extractor):
             for ai in sorted(node.children):
                 child = tree.nodes[node.children[ai]]
                 target = policy_target(node.visits, child.visits, n_actions)
-                policy_rows.append(
-                    (extractor.action_features(node.state, node.state.actions[ai]), target))
+                key = extractor.action_key(node.state, node.state.actions[ai])
+                policy_rows.append((extractor.action_features(node.state, key), target))
     return _dedup(value_rows), _dedup(policy_rows)
 
 
