@@ -51,6 +51,10 @@ class Config:
 _FIELD_KIND = {f.name: type(f.default) for f in fields(Config)}
 # every number must be finite and >= 0; these must also be > 0
 _POSITIVE = {"feature_dim", "time_limit_s", "temperature"}
+# and these at most their bound: gbt builds a tree with one recursive call
+# per level, so max_depth stays far below the interpreter's recursion limit,
+# and a discount factor lies in [0, 1]
+_AT_MOST = {"max_depth": 64, "discount": 1.0}
 
 # the spellings `repr(float)` writes, in ASCII only: no `_`, no other digits
 _NUMBER = re.compile(r"-?(?:inf|nan|[0-9]+(?:\.[0-9]+)?(?:e[-+]?[0-9]+)?)")
@@ -94,10 +98,8 @@ def _set(cfg: Config, key: str, raw: str, where: str = ""):
         if not (_digits(raw) if kind is int else _NUMBER.fullmatch(raw)):
             raise ConfigError(f"{where}bad value for {key}: {raw!r}")
         value = kind(raw)
-        # gbt builds a tree with one recursive call per level, so max_depth
-        # stays far below the interpreter's recursion limit
         if (not math.isfinite(value) or value < 0 or (key in _POSITIVE and value == 0)
-                or (key == "max_depth" and value > 64)):
+                or value > _AT_MOST.get(key, math.inf)):
             raise ConfigError(f"{where}out-of-range value for {key}: {raw!r}")
     setattr(cfg, key, value)
 

@@ -117,7 +117,10 @@ class FeatureExtractor:
     plus the walks of each goal (`g:`) and path literal (`p:`).  The
     scalars, too, depend only on the skeletons and on how many goals and
     path literals there are, so `state_key`, the skeleton ids of goals and
-    path, is an exact key of the vector that needs no vector.  An action's
+    path, is an exact key of the vector that needs no vector.  `_last` is
+    the package's one per-state memo: it holds the last state asked about,
+    its key and, once built, its vector, whose walks take their ids from
+    that key, so each of a state's literals is looked up once.  An action's
     vector is its state's vector plus an `a:` delta, built from its
     `action_key` alone and memoised by it, so that memo is exact by
     construction.  The sum is exact: the regions are disjoint, compress is
@@ -135,8 +138,8 @@ class FeatureExtractor:
         self._skeletons: dict = {}  # skeleton -> id
         self._walks: dict = {}  # (tag, skeleton id) -> entries of its walks
         self._deltas: dict = {}  # action key -> entries of the a: region
-        # the search scores a state's value and then its actions' priors
-        self._last: tuple = (None, None)  # (state, its vector)
+        # the search asks a state's value and then its priors
+        self._last: tuple = (None, None, None)  # (state, its key, its vector or None)
 
     def _compress(self, raw: dict) -> dict:
         buckets = self._buckets
@@ -157,9 +160,9 @@ class FeatureExtractor:
             i = self._ids[lit] = self._skeletons.setdefault(skeleton, len(self._skeletons))
         return i
 
-    def _add_walks(self, entries: dict, tag: str, lits: tuple):
-        for lit in lits:
-            key = (tag, self._id(lit))
+    def _add_walks(self, entries: dict, tag: str, lits: tuple, ids: tuple):
+        for lit, i in zip(lits, ids):
+            key = (tag, i)
             walks = self._walks.get(key)
             if walks is None:
                 raw: dict = {}
@@ -169,18 +172,22 @@ class FeatureExtractor:
                 entries[idx] = entries.get(idx, 0.0) + value
 
     def state_features(self, s: ProverState) -> dict:
-        state, entries = self._last
-        if state is not s:
+        key = self.state_key(s)
+        entries = self._last[2]
+        if entries is None:
             entries = self._compress(_scalars(s.goals, s.path))
-            self._add_walks(entries, "g:", s.goals)
-            self._add_walks(entries, "p:", s.path)
-            self._last = (s, entries)
+            self._add_walks(entries, "g:", s.goals, key[0])
+            self._add_walks(entries, "p:", s.path, key[1])
+            self._last = (s, key, entries)
         return entries
 
     def state_key(self, s: ProverState) -> tuple:
         """The skeleton ids of the goals and of the path, in order: states
         with one key have one vector."""
-        return tuple(map(self._id, s.goals)), tuple(map(self._id, s.path))
+        if self._last[0] is not s:
+            key = tuple(map(self._id, s.goals)), tuple(map(self._id, s.path))
+            self._last = (s, key, None)
+        return self._last[1]
 
     @staticmethod
     def action_key(s: ProverState, action) -> tuple:

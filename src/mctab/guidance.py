@@ -4,13 +4,15 @@ All squashing between model space and search space lives here; the learner
 deals in raw regression values only.  Natural logarithms throughout.
 `ModelGuidance` checks each model's dimension against its extractor's once
 per problem, when it is built, so a mismatched model fails before any search.
-It lives for one problem and keeps its raw predictions under the state's
-`FeatureExtractor.state_key`, the skeleton ids of its goals and path: a
-state whose key was seen before reuses that key's raw value and raw action
+It lives for one problem and keeps only its raw predictions, under the
+state's `FeatureExtractor.state_key`, the skeleton ids of its goals and path:
+a state whose key was seen before reuses that key's raw value and raw action
 scores without building a vector, and only the transforms into search space
 run per state.  A vector is built only for a prediction the memo misses.
 This is exact, because a raw prediction depends only on its input vector,
-and states with one key have one vector.
+and states with one key have one vector.  The extractor's `_last` is the one
+per-state memo: the search asks a state's value and then its priors, and
+both find the state's key, and its vector once built, there.
 """
 
 from __future__ import annotations
@@ -108,23 +110,11 @@ class ModelGuidance:
         # state key -> raw predictions for its vector: the value under None,
         # each action's score under its action key
         self._predictions: dict = {}
-        # the search asks a state's value and then its priors
-        self._last: tuple = (None, None)  # (state, its predictions)
-
-    def _predicted(self, s: ProverState) -> dict:
-        state, predicted = self._last
-        if state is not s:
-            key = self.extractor.state_key(s)
-            predicted = self._predictions.get(key)
-            if predicted is None:
-                predicted = self._predictions[key] = {}
-            self._last = (s, predicted)
-        return predicted
 
     def value(self, s: ProverState) -> float:
         if self.value_model is None:
             return self._default.value(s)
-        predicted = self._predicted(s)
+        predicted = self._predictions.setdefault(self.extractor.state_key(s), {})
         raw = predicted.get(None)
         if raw is None:
             raw = predicted[None] = self.value_model.predict(self.extractor.state_features(s))
@@ -134,7 +124,7 @@ class ModelGuidance:
         if self.policy_model is None:
             return default_policy(len(s.actions))
         # actions with one delta key have one vector: score each key once
-        predicted = self._predicted(s)
+        predicted = self._predictions.setdefault(self.extractor.state_key(s), {})
         keys = [self.extractor.action_key(s, a) for a in s.actions]
         for k in keys:
             if k not in predicted:

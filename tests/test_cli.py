@@ -275,6 +275,23 @@ def test_max_depth_is_bounded_above(problem, capsys):
     assert capsys.readouterr().err == f"error: out-of-range value for max_depth: '{10**30}'\n"
 
 
+def test_a_discount_above_one_is_refused(tmp_path, capsys):
+    """A discount factor lies in [0, 1]; a larger one would overflow
+    `discount**k` in the value target of an extracted row."""
+    assert apply_overrides(Config(), ["discount=1"]).discount == 1.0
+    chain = tmp_path / "eq_chain_4.p"
+    chain.write_bytes((Path(corpus_dir()) / "eq_chain_4.p").read_bytes())
+    chain = str(chain)
+    for argv in (["prove", chain], ["bench", *FAST]):
+        assert main([*argv, "-s", "discount=1e200"]) == 2, argv
+        err = capsys.readouterr().err
+        assert err == "error: out-of-range value for discount: '1e200'\n", argv
+    ini = tmp_path / "f.ini"
+    ini.write_text("[mctab]\ndiscount = 1.5\n", encoding="utf-8")
+    assert main(["prove", chain, "--config", str(ini)]) == 2
+    assert capsys.readouterr().err == "error: line 2: out-of-range value for discount: '1.5'\n"
+
+
 def test_malformed_model_file_exits_two(problem, tmp_path, capsys):
     bad = tmp_path / "bad.model"
     bad.write_text("GBT v1 dim=10 eta=0.3 base=0.0\nN x 0.5 L L 0.1 L 0.2\n")

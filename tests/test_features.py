@@ -210,6 +210,51 @@ def test_states_with_one_skeleton_key_have_one_vector():
     assert states > renamed > 0
 
 
+def _skeletons_of(ex, key):
+    """`key` with each skeleton id replaced by its skeleton, so that the
+    keys of two extractors compare."""
+    skeletons = {i: skeleton for skeleton, i in ex._skeletons.items()}
+    return tuple(tuple(skeletons[i] for i in ids) for ids in key)
+
+
+def test_the_one_memo_answers_keys_and_vectors_in_any_order():
+    # the last-state memo holds a state's key and vector for whichever is
+    # asked first, and a new state replaces both
+    cfg = Config(inference_limit=150, bigstep_freq=20, path_limit=60, guided_reduction=True)
+    matrices = []
+    for name in list_problems(corpus_dir()):
+        with open(os.path.join(corpus_dir(), name), "r", encoding="utf-8") as fh:
+            matrices.append(parse_problem(fh.read()))
+    rng = random.Random(37)
+    matrices += [(random_matrix if i % 2 else random_eq_matrix)(rng)[0] for i in range(30)]
+    asked = changed = 0
+    for m in matrices:
+        key_first, vector_first, interleaved = (
+            FeatureExtractor(m, cfg.feature_dim) for _ in range(3))
+        other = other_vector = None
+        for node in search_problem(m, DefaultGuidance(), cfg).tree.nodes:
+            s = node.state
+            if s is None:
+                continue
+            fresh = FeatureExtractor(m, cfg.feature_dim)
+            key = _skeletons_of(fresh, fresh.state_key(s))
+            vector = oracle(m, s, dim=cfg.feature_dim)
+            assert _skeletons_of(key_first, key_first.state_key(s)) == key
+            assert key_first.state_features(s) == vector
+            assert vector_first.state_features(s) == vector
+            assert _skeletons_of(vector_first, vector_first.state_key(s)) == key
+            if other is not None:  # A, B, A
+                assert _skeletons_of(interleaved, interleaved.state_key(s)) == key
+                assert interleaved.state_features(other) == other_vector
+                assert interleaved.state_features(s) == vector
+                assert _skeletons_of(interleaved, interleaved.state_key(s)) == key
+                changed += vector != other_vector
+            other, other_vector = s, vector
+            asked += 1
+    # a stale answer would differ from the right one
+    assert asked > changed > asked // 2
+
+
 def test_a_state_key_erases_variable_ids_only():
     ex = FeatureExtractor(M, 101)
 

@@ -403,7 +403,8 @@ def test_one_pass_extraction_equals_the_two_pass_reference(monkeypatch):
     state_features = FeatureExtractor.state_features
 
     def counted(self, s):
-        if self._last[0] is not s:  # a miss of the last-state memo builds a vector
+        # a state the last-state memo holds no vector for builds one
+        if self._last[0] is not s or self._last[2] is None:
             builds.append(s)
         return state_features(self, s)
 
