@@ -38,7 +38,7 @@ from operator import is_not
 from typing import NamedTuple
 
 from .config import Config
-from .problems import MAX_TERM_DEPTH, MAX_TERM_SIZE, START_MARK, Matrix, format_literal, format_term
+from .problems import MAX_TERM_DEPTH, MAX_TERM_SIZE, Matrix, format_literal, format_term
 from .terms import (
     App,
     Literal,
@@ -419,8 +419,10 @@ def apply_action(m: Matrix, state: ProverState, index: int, cfg: Config) -> Prov
 
 
 def initial_states(m: Matrix, cfg: Config) -> list:
-    """One settled state per start clause.
+    """One settled state per start clause, its goals the clause's literals.
 
+    A start clause's mark is not among its literals (the parser keeps it as
+    a flag), so a start clause an extension uses again leaves no goal behind.
     When several start clauses exist, picking among them is the search's
     first branching (the search layer builds a virtual root over these).
     """
@@ -431,7 +433,7 @@ def initial_states(m: Matrix, cfg: Config) -> list:
         clause = m.clauses[sid]
         varmap = tuple((n, i) for i, n in enumerate(clause.var_names))
         state = ProverState(
-            goals=tuple(l for l in clause.literals if l.predicate != START_MARK),
+            goals=clause.literals,
             path=(),
             lemmas=(),
             todos=(),

@@ -12,15 +12,18 @@ links the goal before the step to the goal after it.
 Soundness rests on one fact: every clause handed to the DPLL core is an
 input clause under a ground substitution, or a replacement instance from
 `expand_rewrite`, valid with equality as the resolvent of the symmetry and
-congruence instances linking its two goals.  Each is a consequence of the
-problem with equality, so an unsatisfiable set of them refutes the problem;
-atoms are told apart by structure, not by their printed form.  The SAT core
-is unit propagation plus branching, depth-first on an explicit stack, which
-is complete; the witness it returns for a satisfiable set makes a literal of
-every clause true but may leave atoms unassigned, so any completion of it is
-a model too.  The structural checks (one `start` step, the first; connected
-`ext` goals, complementary `red` literals, `lem` literals solved before)
-only reject traces that do not describe a tableau.
+congruence instances linking its two goals.  The checker makes up no clause
+of its own, not even a start goal: the parser keeps a start clause's mark
+out of its literals, and the checker reads no mark.  Each clause is a
+consequence of the problem with equality, so an unsatisfiable set of them
+refutes the problem; atoms are told apart by structure, not by their
+printed form.  The SAT core is unit propagation plus branching, depth-first
+on an explicit stack, which is complete; the witness it returns for a
+satisfiable set makes a literal of every clause true but may leave atoms
+unassigned, so any completion of it is a model too.  The structural checks
+(one `start` step, the first; connected `ext` goals, complementary `red`
+literals, `lem` literals solved before) only reject traces that do not
+describe a tableau.
 
 Every field of a trace is read by the problem parser, over one variable
 table for the whole trace, so trace variable n is the parser's own number,
@@ -34,7 +37,7 @@ parser and literal printer (which names a witness's atoms), the term and
 clause data model, and a literal's subterm walk and replacement.
 Instantiation, the rewrite expansion and the SAT core are its own.
 
-    problems: EQ START_MARK Clause Matrix ParseError _Parser format_literal parse_problem
+    problems: EQ Clause Matrix ParseError _Parser format_literal parse_problem
     terms: App Literal Term Var literal_replace literal_subterms
 """
 
@@ -47,7 +50,6 @@ from typing import Optional
 
 from .problems import (
     EQ,
-    START_MARK,
     Clause,
     Matrix,
     ParseError,
@@ -349,7 +351,6 @@ def check_trace(proof_text: str, matrix: Matrix) -> CheckResult:
         return CheckResult(False, f"trace parse error: {exc}")
     ground = GroundClauseSet()
     ext_goals: list = []
-    saw_start_mark = False
 
     for idx, step in enumerate(steps):
         if isinstance(step, Start) != (idx == 0):
@@ -365,8 +366,6 @@ def check_trace(proof_text: str, matrix: Matrix) -> CheckResult:
                     False, f"substitution binds {foreign[0]}, which the clause does not have", idx
                 )
             b_lits = _instantiate(clause, step.theta, fresh)
-            if any(l.predicate == START_MARK for l in b_lits):
-                saw_start_mark = True
             if isinstance(step, Ext):
                 goal = step.goal
                 if Literal(not goal.positive, goal.predicate, goal.args) not in b_lits:
@@ -387,9 +386,6 @@ def check_trace(proof_text: str, matrix: Matrix) -> CheckResult:
         elif step.lit not in ext_goals:  # a Lem step
             return CheckResult(False, "lemma literal was never solved before", idx)
 
-    if saw_start_mark:
-        # the implicit initial goal of marked problems
-        ground.add_clause([Literal(False, START_MARK, ())])
     unsat, witness = check_unsat(ground)
     if not unsat:
         return CheckResult(False, "instance set is propositionally satisfiable", None, witness)

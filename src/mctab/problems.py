@@ -4,9 +4,10 @@ The matrix is a list of clauses in disjunctive normal form, one clause per
 line of the input file.  Grammar (UTF-8 text):
 
     problem  := { clause | comment | blank }
-    clause   := literal { "|" literal } "."
+    clause   := item { "|" item } "."
+    item     := literal | "#"
     literal  := term ( "=" | "!=" ) term | [ "-" ] atom
-    atom     := ident [ "(" term { "," term } ")" ] | "#"
+    atom     := ident [ "(" term { "," term } ")" ]
     term     := variable | ident [ "(" term { "," term } ")" ]
     comment  := "%" rest-of-line
 
@@ -16,8 +17,11 @@ clause.  The parser numbers variables 0, 1, ... in order of first occurrence:
 per clause, or over one table a caller shares, as the proof checker does for
 all the fields of a trace.  Each literal has one spelling, the one
 `format_literal` writes: a negated equation is `X != Y`, never `-X = Y`.
-`#` is the reserved start marker.  Clause ids are assigned in file order
-and stay stable for the whole run.
+`#` is not an atom but a mark on its clause: the start clauses are the
+marked ones, or the all-positive ones when no clause is marked, and a
+clause's literals never hold the mark, so a marked clause can be used again
+later in a proof, as leanCoP's conjecture clauses can.  Clause ids are
+assigned in file order and stay stable for the whole run.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from typing import Optional
 from .terms import App, Literal, Term, Var, literal_subterms
 
 EQ = "="
-START_MARK = "#"
 
 # the bounds on a literal, its predicate counting as one level and one
 # symbol: the parser refuses a deeper literal, the prover fails a state whose
@@ -129,29 +132,33 @@ class _Parser:
         raise ParseError(msg, tok[2], tok[3])
 
     def parse_clauses(self) -> list:
-        """(literals, variable names, position of the first token) per clause."""
+        """(literals, whether marked, variable names, position of the first
+        token) per clause."""
         clauses = []
         while self.peek()[0] != "eof":
             self.vars = {}
             at = self.peek()[2:]
-            lits = [self.parse_literal()]
+            items = [self.parse_item()]
             while self.peek()[0] == "|":
                 self.next()
-                lits.append(self.parse_literal())
+                items.append(self.parse_item())
             self.expect(".")
-            clauses.append((tuple(lits), tuple(self.vars), at))
+            lits = tuple(filter(None, items))
+            clauses.append((lits, len(lits) < len(items), tuple(self.vars), at))
         return clauses
+
+    def parse_item(self) -> Optional[Literal]:
+        """A literal, or None for the start mark."""
+        if self.peek()[0] == "#":
+            self.next()
+            return None
+        return self.parse_literal()
 
     def parse_literal(self) -> Literal:
         negative = self.peek()[0] == "-"
         if negative:
             self.next()
         kind, value = self.peek()[:2]
-        if kind == "#":
-            self.next()
-            if self.peek()[0] in ("=", "!="):
-                self.error("'#' cannot appear inside an equation")
-            return Literal(not negative, START_MARK, ())
         if kind != "ident":
             self.error(f"expected atom, found {value!r}")
         left = self.parse_term()
@@ -190,7 +197,7 @@ def parse_problem(text: str) -> Matrix:
         raise ParseError("empty problem: no clauses", 1, 1)
     m = Matrix()
     arities: dict = {}  # name -> (arity, kind)
-    for cid, (lits, names, at) in enumerate(raw):
+    for cid, (lits, _, names, at) in enumerate(raw):
         m.clauses.append(Clause(cid, lits, names))
         for j, lit in enumerate(lits):
             seen = [(lit.predicate, len(lit.args), "predicate")]
@@ -215,7 +222,7 @@ def parse_problem(text: str) -> Matrix:
                 for direction, src, dst in (("LR", left, right), ("RL", right, left)):
                     if not isinstance(src, Var):
                         m.rewrite_rules.append((cid, j, direction, src, dst))
-    marked = [c.id for c in m.clauses if any(l.predicate == START_MARK for l in c.literals)]
+    marked = [cid for cid, (_, mark, _, _) in enumerate(raw) if mark]
     positive = [c.id for c in m.clauses if all(l.positive for l in c.literals)]
     m.start_ids = marked or positive
     return m

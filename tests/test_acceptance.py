@@ -11,6 +11,7 @@ import math
 import os
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -350,7 +351,7 @@ def test_end_to_end_desk(corpus_runs, tmp_path):
     assert proved / total >= 0.70, (proved, total)
 
     # (b) rewriting finds the eq_chain_16 proof with strictly fewer inferences
-    text = open(os.path.join(corpus_dir(), "eq_chain_16.p")).read()
+    text = Path(corpus_dir(), "eq_chain_16.p").read_text(encoding="utf-8")
     m = parse_problem(text)
     big_on = Config(**{**DESK, "inference_limit": 100000})
     big_off = Config(**{**DESK, "inference_limit": 100000, "rewrite": False})
@@ -405,7 +406,7 @@ def test_loop_determinism(tmp_path):
     subset = tmp_path / "probs"
     subset.mkdir()
     for name in ("app_a.p", "chain5.p", "or_case.p", "eq_chain_4.p", "twopath_03.p", "unsat_quick.p"):
-        text = open(os.path.join(corpus_dir(), name)).read()
+        text = Path(corpus_dir(), name).read_text(encoding="utf-8")
         (subset / name).write_text(text)
     fast = [
         "-s", "inference_limit=2000", "-s", "bigstep_freq=100", "-s", "path_limit=60",

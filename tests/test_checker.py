@@ -386,6 +386,13 @@ def test_start_marker_proof_accepted():
     trace = prove(text)
     res = check_proof_texts(trace, text)
     assert res.ok, res.message
+    for name, proof in (("hash_start.p", "start 0 {}\next 1 {} -q(a)\n"),
+                        ("mixed_start.p", "start 0 {}\next 1 {} -p(a)\next 2 {} q(b)\n")):
+        assert corpus_proof(name)[0] == proof
+        assert check_proof_texts(proof, corpus_text(name)).ok, name
+    # a witness names the atoms of the clauses' literals, and the mark is none
+    assert check_proof_texts("start 0 {}\n", text) == CheckResult(
+        False, "instance set is propositionally satisfiable", None, {"q(a)": True})
 
 
 def test_reduction_proof_accepted():
@@ -490,6 +497,10 @@ def test_trace_parse_errors():
     # a literal field has the one spelling `format_literal` writes
     res = check_proof_texts("start 2 {}\next 1 {Y=_1} -(a=b)\n", APP_A)
     assert not res.ok and res.message.startswith("trace parse error: line 2: 1:2:")
+    # the start mark is no atom; a `red` step adds no clause, so this one
+    # was once accepted
+    res = check_proof_texts("start 0 {}\next 1 {} -q(a)\nred # -#\n", "# | -q(a).\nq(a).\n")
+    assert res == CheckResult(False, "trace parse error: line 3: 1:1: expected atom, found '#'")
 
 
 # ---------------------------------------------------------------------------

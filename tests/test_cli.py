@@ -79,7 +79,7 @@ def test_check_accepts_and_rejects(problem, capsys):
     assert main(["check", proof, problem]) == 0
     assert "OK" in capsys.readouterr().out
     mutated = proof + ".bad"
-    lines = open(proof).read().strip().splitlines()
+    lines = Path(proof).read_text(encoding="utf-8").strip().splitlines()
     with open(mutated, "w") as fh:
         fh.write("\n".join(lines[:-1]) + "\n")
     assert main(["check", mutated, problem]) == 1
@@ -206,6 +206,21 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert main(["loop", corpus_dir(), "--iterations", n, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+
+def test_a_negated_start_mark_is_a_positioned_parse_error(tmp_path, capsys):
+    # `#` marks a clause and is no atom: the prover once started from the
+    # `-#` clause and then had its proof rejected (exit 1)
+    path = tmp_path / "negated_mark.p"
+    path.write_text("p | -#.\n-p.\n")
+    assert main(["prove", str(path)]) == 2
+    assert capsys.readouterr().err == "error: 1:6: expected atom, found '#'\n"
+    assert not os.path.exists(str(path) + ".proof")
+    for trace in ("start 0 {}\n", "start 1 {}\next 0 {} -p\n"):
+        proof = tmp_path / "any.proof"
+        proof.write_text(trace)
+        assert main(["check", str(proof), str(path)]) == 2
+        assert capsys.readouterr().err == "error: 1:6: expected atom, found '#'\n"
 
 
 def test_deep_problem_exits_two(tmp_path, capsys):

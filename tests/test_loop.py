@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import os
+import random
 
 import pytest
 
@@ -14,6 +15,8 @@ from mctab.loop import (
     run_loop,
     solve_one,
 )
+
+from helpers import random_eq_matrix, random_matrix
 
 FAST = dict(
     inference_limit=500,
@@ -117,6 +120,28 @@ def test_solve_one_checks_the_proof_against_the_text_it_parsed(monkeypatch):
     assert seen == [(trace, PROBLEMS["a_chain.p"])]
     solve_one("x.p", PROBLEMS["c_dead.p"], Config(**FAST))
     assert len(seen) == 1  # nothing to check without a proof
+
+
+def marked(start_ids, text: str) -> str:
+    """`text`, one clause a line, with `#` added to each start clause."""
+    return "".join(line[:-1] + " | #.\n" if cid in start_ids else line + "\n"
+                   for cid, line in enumerate(text.splitlines()))
+
+
+def test_a_mark_on_the_default_start_clauses_changes_nothing():
+    # every outcome, trace and training row is the same with the start
+    # clauses marked; a marked clause used again once left a `#` goal that
+    # nothing closed, which changed 6 of these 150 searches
+    cfg = Config(inference_limit=150, bigstep_freq=10, path_limit=20)
+    rng = random.Random(20)
+    for i in range(150):
+        m, text = (random_matrix if i % 2 else random_eq_matrix)(rng)
+        plain = solve_one("random.p", text, cfg)
+        assert solve_one("random.p", marked(m.start_ids, text), cfg) == plain, text
+    # the marked clause is used twice
+    stats, trace, _, _ = solve_one("reuse.p", "-p(a) | -p(b).\np(X) | #.\n", cfg)
+    assert stats.line() == "reuse.p\tproved\t2\t1\t0\t3"
+    assert trace == "start 1 {X=a}\next 0 {} p(a)\next 1 {X=b} -p(b)\n"
 
 
 def test_solve_one_raises_when_the_checker_rejects(monkeypatch):

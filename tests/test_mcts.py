@@ -2,6 +2,7 @@ import math
 import os
 import random
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 from mctab.calculus import PROVED
@@ -455,11 +456,10 @@ def test_dedup_keeps_maximum_target():
 def test_rewrite_is_conservative_on_equality_chains():
     # anything proved with rewriting on stays provable with it off, given a
     # raised inference budget and the equality axioms in the matrix
-    import os
     from mctab.cli import corpus_dir
 
     for name in ("eq_chain_2.p", "eq_chain_4.p", "eq_chain_8.p"):
-        text = open(os.path.join(corpus_dir(), name)).read()
+        text = Path(corpus_dir(), name).read_text(encoding="utf-8")
         m = parse_problem(text)
         on = search_problem(
             m, DefaultGuidance(), Config(inference_limit=20000, bigstep_freq=100, path_limit=60)

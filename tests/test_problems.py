@@ -58,7 +58,7 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse_problem("p(a) |\n| q.\n")
     assert exc.value.line == 2
-    with pytest.raises(ParseError, match="inside an equation") as exc:
+    with pytest.raises(ParseError, match="expected '.', found '='") as exc:
         parse_problem("#=a.\n")
     assert (exc.value.line, exc.value.col) == (1, 2)
 
@@ -123,6 +123,21 @@ def test_no_corpus_rule_has_a_variable_source():
 def test_start_marker_convention():
     m = parse_problem("# | -q(a).\nq(a).\np(b).\n")
     assert m.start_ids == [0]
+    # the mark is a clause flag, not a literal
+    m = parse_problem("-q(a) | #.\nq(X) | # | -p(X).\np(a).\n#.\n")
+    assert m.start_ids == [0, 1, 3]
+    assert [c.literals for c in m.clauses] == [
+        (Literal(False, "q", (App("a"),)),),
+        (Literal(True, "q", (Var(0),)), Literal(False, "p", (Var(0),))),
+        (Literal(True, "p", (App("a"),)),),
+        (),
+    ]
+    # the mark is no atom: it is never negated and never stands in an equation
+    for text, at in (("p | -#.\n", (1, 6)), ("p.\na = # | q.\n", (2, 5)),
+                     ("-#.\n", (1, 2))):
+        with pytest.raises(ParseError, match="found '#'") as exc:
+            parse_problem(text)
+        assert (exc.value.line, exc.value.col) == at, text
 
 
 def test_variables_scoped_per_clause():
@@ -133,8 +148,10 @@ def test_variables_scoped_per_clause():
 
 def printed(m):
     """The clauses of `m` in the spelling of traces: each literal as
-    `format_literal` writes it, variable `Var(i)` as `_i`."""
-    return "".join(" | ".join(map(format_literal, c.literals)) + ".\n" for c in m.clauses)
+    `format_literal` writes it, variable `Var(i)` as `_i`, and `#` on every
+    start clause."""
+    return "".join(" | ".join([*map(format_literal, c.literals)] + ["#"] * (c.id in m.start_ids))
+                   + ".\n" for c in m.clauses)
 
 
 def test_print_parse_roundtrip():
