@@ -2,7 +2,9 @@
 
 A prover state carries the open goals of the active branch, the active path,
 lemmas, a stack of saved frames for sibling branches, the accumulated proof
-trace and substitution, and the list of valid actions.  Applying an action
+trace and substitution, and the list of valid actions.  A search starts
+from one root state (`initial_states`); with several start clauses the
+root's actions choose among them.  Applying an action
 never mutates the parent state: the step works on a shallow copy of it and
 only rebinds fields.  That copy is exact because every field is a tuple or
 an int except `subst`, which is only ever rebound (`{**subst, **delta}`),
@@ -67,6 +69,10 @@ class NoStartClauseError(Exception):
 
 # ---------------------------------------------------------------------------
 # actions; these and the proof steps are named tuples like terms (see terms)
+
+class StartAction(NamedTuple):
+    clause_id: int
+
 
 class ExtAction(NamedTuple):
     clause_id: int
@@ -283,7 +289,9 @@ def _apply_on_work(m: Matrix, s: ProverState, action) -> bool:
     the step left unfinished, when `bind` puts a literal beyond the term
     bounds.
 
-    An extension or a rewrite renames only the chosen clause literal to
+    A start step, taken only from a root with no goals, makes its clause's
+    literals the goals as they are, the clause's variables 0..k-1.  An
+    extension or a rewrite renames only the chosen clause literal to
     fresh variables from `next_var` on, by `instantiate_literal` under no
     bindings, and unifies it with the head (matches its source against a
     head subterm) as it stands.  That renaming, the other literals and the
@@ -293,6 +301,11 @@ def _apply_on_work(m: Matrix, s: ProverState, action) -> bool:
     so it is walked only when the unifier binds a branch variable; otherwise
     it is final.  Each side literal is shifted and resolved in one
     `instantiate_literal` walk."""
+    if isinstance(action, StartAction):
+        clause = m.clauses[action.clause_id]
+        s.goals, s.next_var = clause.literals, len(clause.var_names)
+        s.proof = (StartStep(action.clause_id, tuple(zip(clause.var_names, range(s.next_var)))),)
+        return True
     if isinstance(action, RedAction):
         if not s.bind(unify_literals(s.goals[0], s.path[action.path_index]), s.next_var):
             return False
@@ -418,34 +431,26 @@ def apply_action(m: Matrix, state: ProverState, index: int, cfg: Config) -> Prov
     return s
 
 
-def initial_states(m: Matrix, cfg: Config) -> list:
-    """One settled state per start clause, its goals the clause's literals.
+def initial_states(m: Matrix, cfg: Config) -> ProverState:
+    """The root state of a search.  With one start clause it is that
+    clause's settled start state: its literals as goals, its `StartStep`,
+    nothing on the path, and no inference counted.  With several it is an
+    OPEN state with no goals whose actions are one `StartAction` per start
+    clause, so choosing the start clause is an ordinary step: one inference
+    that builds that start state, then its settle.
 
     A start clause's mark is not among its literals (the parser keeps it as
     a flag), so a start clause an extension uses again leaves no goal behind.
-    When several start clauses exist, picking among them is the search's
-    first branching (the search layer builds a virtual root over these).
     """
     if not m.start_ids:
         raise NoStartClauseError("matrix has no start clause")
-    out = []
-    for sid in m.start_ids:
-        clause = m.clauses[sid]
-        varmap = tuple((n, i) for i, n in enumerate(clause.var_names))
-        state = ProverState(
-            goals=clause.literals,
-            path=(),
-            lemmas=(),
-            todos=(),
-            actions=(),
-            proof=(StartStep(sid, varmap),),
-            result=OPEN,
-            subst={},
-            next_var=len(clause.var_names),
-            inference_count=0,
-        )
-        out.append(_det_on_work(m, state, cfg))
-    return out
+    root = ProverState(goals=(), path=(), lemmas=(), todos=(),
+                       actions=tuple(map(StartAction, m.start_ids)), proof=(),
+                       result=OPEN, subst={}, next_var=0, inference_count=0)
+    if len(root.actions) > 1:
+        return root
+    _apply_on_work(m, root, root.actions[0])
+    return _det_on_work(m, root, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,7 @@ def parse_trace(text: str):
     steps = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        if not stripped:
             continue
         fields = stripped.split()
         try:

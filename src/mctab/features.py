@@ -11,7 +11,7 @@ buckets lie below d, values are finite and positive.
 from __future__ import annotations
 
 from . import terms
-from .calculus import ExtAction, ProverState, RedAction
+from .calculus import ExtAction, ProverState, RedAction, StartAction
 from .problems import Matrix
 from .terms import Literal, Term, Var, fnv1a64, term_stats
 
@@ -191,8 +191,9 @@ class FeatureExtractor:
 
     @staticmethod
     def action_key(s: ProverState, action) -> tuple:
-        """What the `a:` delta depends on: clause, path literal or rewrite."""
-        if isinstance(action, ExtAction):
+        """What the `a:` delta depends on: clause, path literal or rewrite.
+        A start choice walks its clause as an extension into it does."""
+        if isinstance(action, (ExtAction, StartAction)):
             return ("ext", action.clause_id)
         if isinstance(action, RedAction):
             return ("red", s.path[action.path_index])

@@ -14,15 +14,16 @@ points for training-data extraction.
 
 A node's actions are its priors: a PROVED or FAILED node has none, an OPEN
 node one per valid action (`calculus` makes a state OPEN only when it has
-one, so the guidance is never asked for none), and with several start
-clauses `SearchTree` builds a virtual root with one per start state.  Only
-expansion, insertion and extraction tell that root apart.
+one, so the guidance is never asked for none).  Every node holds a state,
+the root included: with several start clauses the root's actions are the
+start choices, and expanding one costs one inference plus its settle, like
+any other step.  That root has no start step yet, so extraction gives it no
+row.
 
 A node is dead when it is FAILED, or when all its actions are expanded and
 all its children are dead (`_mark_dead`); the search stops once the bigstep
 root is dead.  A PROVED node ends the search when it is inserted, so a
-playout meets only live OPEN nodes (or the virtual root) and ends in an
-expansion.
+playout meets only live OPEN nodes and ends in an expansion.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .problems import Matrix
 class SearchNode:
     id: int
     parent: Optional[int]
-    state: Optional[ProverState]  # None only at the virtual multi-start root
+    state: ProverState
     prior: float
     visits: int
     reward: float
@@ -76,27 +77,15 @@ class SearchStats:
 
 
 class SearchTree:
-    def __init__(self, m: Matrix, guidance, start_states):
+    def __init__(self, m: Matrix, guidance, root: ProverState):
         self.matrix = m
         self.nodes: list = []
-        self.start_states = list(start_states)
         self.playouts = 0
         self.inferences = 0
         self.proved_node: Optional[int] = None
         self.bigstep_root = 0
         self.bigstep_nodes = [0]
-        n = len(self.start_states)
-        if n == 1:
-            self._insert(None, None, self.start_states[0], guidance)
-            return
-        # picking the start clause is the first branching of the search; a
-        # start state that is already proved is that branching's first child
-        self.nodes.append(SearchNode(0, None, None, prior=1.0, visits=1, reward=0.5,
-                                     child_priors=[1.0 / n] * n))
-        for i, state in enumerate(self.start_states):
-            if state.result == PROVED:
-                self._insert(self.nodes[0], i, state, guidance)
-                break
+        self._insert(None, None, root, guidance)
 
     def _insert(self, parent: Optional[SearchNode], ai, state: ProverState,
                 guidance) -> SearchNode:
@@ -117,8 +106,7 @@ class SearchTree:
         if parent is not None:
             node.parent, node.prior = parent.id, parent.child_priors[ai]
             parent.children[ai] = node.id  # before `_mark_dead`, which counts them
-            # choosing a start clause under the virtual root is one inference
-            self.inferences += 1 if parent.state is None else -parent.state.inference_count
+            self.inferences -= parent.state.inference_count
         if state.result == PROVED and self.proved_node is None:
             self.proved_node = node.id
         if state.result not in (OPEN, PROVED):
@@ -167,8 +155,6 @@ def _next_action(node: SearchNode) -> int:
 
 def _expand(tree: SearchTree, node: SearchNode, guidance, cfg: Config) -> SearchNode:
     ai = _next_action(node)
-    if node.state is None:
-        return tree._insert(node, ai, tree.start_states[ai], guidance)
     return tree._insert(node, ai, apply_action(tree.matrix, node.state, ai, cfg), guidance)
 
 
@@ -308,7 +294,7 @@ def extract_training_data(tree: SearchTree, cfg: Config, extractor):
     for nid in dict.fromkeys(tree.bigstep_nodes + (path if cfg.all_proofsteps else [])):
         node = tree.nodes[nid]
         s = node.state
-        if s is None:
+        if not s.proof:  # a root before its start step
             continue
         k = proof_len - len(s.proof) if nid in on_path else None
         value_rows.append((extractor.state_features(s), value_target(k, cfg.discount)))

@@ -14,7 +14,16 @@ import random
 import sys
 from dataclasses import field, make_dataclass
 
-from mctab.calculus import ExtAction, ExtStep, RedAction, RedStep, RewAction, RewStep
+from mctab.calculus import (
+    ExtAction,
+    ExtStep,
+    RedAction,
+    RedStep,
+    RewAction,
+    RewStep,
+    StartAction,
+    StartStep,
+)
 from mctab.checker import Ext, Lem, Red, Rew, Start, TraceError
 from mctab.features import _literal_walks, _scalars
 from mctab.gbt import DatasetError, GbtModel, TrainHistory, _Node, _rmse, left_sum
@@ -273,13 +282,14 @@ def eager_subst(triangular: dict) -> dict:
 # feature oracle: the token multiset that `FeatureExtractor` compresses
 
 def raw_features(m: Matrix, goals: tuple, path: tuple, action=None) -> dict:
-    """Token multiset for a state and optionally one action."""
+    """Token multiset for a state and optionally one action.  A start
+    choice walks its clause under `a:ext:`, as an extension into it does."""
     out: dict = {}
     for lit in goals:
         _literal_walks(lit, "g:", out)
     for lit in path:
         _literal_walks(lit, "p:", out)
-    if isinstance(action, ExtAction):
+    if isinstance(action, (ExtAction, StartAction)):
         for lit in m.clauses[action.clause_id].literals:
             _literal_walks(lit, "a:ext:", out)
     elif isinstance(action, RedAction):
@@ -366,7 +376,7 @@ def check_tree_invariants(tree):
         for cid in node.children.values():
             assert tree.nodes[cid].parent == node.id
         assert node.parent is None or node.id in tree.nodes[node.parent].children.values()
-        if node.state is None or node.state.result == 0:
+        if node.state.result == 0:
             expected = 1 + sum(tree.nodes[c].visits for c in node.children.values())
             assert node.visits == expected, (node.id, node.visits, expected)
         else:
@@ -392,7 +402,7 @@ class RewardReplay:
             reward = end.reward
             start = end.parent
         else:
-            reward = 1.0 if (end.state is not None and end.state.result == 1) else 0.0
+            reward = 1.0 if end.state.result == 1 else 0.0
             start = end_id
         cur = start
         while cur is not None:
@@ -453,7 +463,16 @@ def reference_apply_action(m, s, action) -> bool:
     the head, then resolve the renamed side literals, a second walk over
     each.  Works in place on `s`, as the step does: the head stays in the
     goals until `bind`, which measures it, and False when `bind` finds a
-    literal beyond the term bounds."""
+    literal beyond the term bounds.  A start choice renames its clause the
+    same way and makes it the goals, its step the first of the proof."""
+    if isinstance(action, StartAction):
+        clause = m.clauses[action.clause_id]
+        offset = s.next_var
+        s.goals = tuple(oracle_rename(l, offset) for l in clause.literals)
+        s.next_var = offset + len(clause.var_names)
+        s.proof += (StartStep(clause.id, tuple((n, offset + i)
+                                               for i, n in enumerate(clause.var_names))),)
+        return True
     head = s.goals[0]
     if isinstance(action, RedAction):
         plit = s.path[action.path_index]
@@ -855,7 +874,7 @@ def reference_parse_trace(text: str):
     steps = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        if not stripped:
             continue
         fields = stripped.split()
         try:

@@ -159,10 +159,10 @@ def test_mcts_structural_invariants():
     for _ in range(100):
         m, _ = random_matrix(rng)
         try:
-            starts = initial_states(m, cfg)
+            root = initial_states(m, cfg)
         except Exception:
             continue
-        tree = SearchTree(m, guidance, starts)
+        tree = SearchTree(m, guidance, root)
         replay = RewardReplay(tree)
         for _ in range(30):
             if tree.proved_node is not None or tree.nodes[tree.bigstep_root].dead:

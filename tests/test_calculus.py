@@ -17,6 +17,8 @@ from mctab.calculus import (
     RedStep,
     RewAction,
     RewStep,
+    StartAction,
+    StartStep,
     apply_action,
     format_proof,
     initial_states,
@@ -52,9 +54,7 @@ def cfg_manual(**kw):
 
 def test_initial_state_from_goal_clause():
     m = parse_problem(APP_A)
-    states = initial_states(m, cfg_manual())
-    assert len(states) == 1
-    s = states[0]
+    s = initial_states(m, cfg_manual())
     assert s.result == OPEN
     assert s.goals == (Literal(True, "q", (App("a"),)),)
     assert s.path == ()
@@ -64,7 +64,7 @@ def test_initial_state_from_goal_clause():
 def test_three_clause_run_step_by_step():
     m = parse_problem(APP_A)
     cfg = cfg_manual()
-    s = initial_states(m, cfg)[0]
+    s = initial_states(m, cfg)
     assert s.actions == (ExtAction(1, 1),)
     s2 = apply_action(m, s, 0, cfg)
     assert s2.result == OPEN
@@ -80,14 +80,27 @@ def test_three_clause_run_step_by_step():
 
 def test_single_action_optimization_chains_to_proof():
     m = parse_problem(APP_A)
-    s = initial_states(m, Config(rewrite=False))[0]
+    s = initial_states(m, Config(rewrite=False))
     assert s.result == PROVED
 
 
 def test_two_start_clauses_give_two_states():
-    m = parse_problem("p(a).\np(b).\n-p(X).\n")
-    states = initial_states(m, cfg_manual())
-    assert len(states) == 2
+    """With several start clauses the root has no goals and no proof step,
+    and its actions choose the start clause: each builds that clause's start
+    state, counted as one inference.  A lone start counts none."""
+    m = parse_problem("p(a) | q(Y).\np(b).\n-p(X).\n")
+    cfg = cfg_manual()
+    root = initial_states(m, cfg)
+    assert (root.result, root.goals, root.path, root.proof) == (OPEN, (), (), ())
+    assert root.actions == (StartAction(0), StartAction(1))
+    assert root.inference_count == 0
+    first, second = (apply_action(m, root, i, cfg) for i in range(2))
+    assert first.goals == m.clauses[0].literals and first.path == ()
+    assert first.proof == (StartStep(0, (("Y", 0),)),) and first.next_var == 1
+    assert second.proof == (StartStep(1, ()),) and second.next_var == 0
+    assert first.inference_count == second.inference_count == 1
+    lone = initial_states(parse_problem("p(b).\n-p(X).\n"), cfg)
+    assert lone.proof == (StartStep(0, ()),) and lone.inference_count == 0
 
 
 def test_no_start_clause_is_error():
@@ -98,7 +111,7 @@ def test_no_start_clause_is_error():
 
 def test_unit_start_closing_immediately():
     m = parse_problem("q.\n-q.\n")
-    s = initial_states(m, Config(rewrite=False))[0]
+    s = initial_states(m, Config(rewrite=False))
     assert s.result == PROVED
     assert s.actions == ()
 
@@ -106,7 +119,7 @@ def test_unit_start_closing_immediately():
 def test_loop_elimination_is_identity_based():
     m = parse_problem("q(a).\n-q(a) | q(a).\n")
     cfg = cfg_manual()
-    s = initial_states(m, cfg)[0]
+    s = initial_states(m, cfg)
     # extending q(a) with clause 1 regenerates q(a) under path q(a): pruned
     s2 = apply_action(m, s, 0, cfg)
     assert s2.result == FAILED
@@ -116,7 +129,7 @@ def test_reduction_closes_against_path():
     # case split: prove r from (a or b), a=>r, b=>r; closing -r uses the path
     m = parse_problem("-a | -b.\na | -r.\nb | -r.\nr.\n")
     cfg = cfg_manual()
-    s = initial_states(m, cfg)[0]
+    s = initial_states(m, cfg)
     assert s.goals[0] == Literal(True, "r", ())
     s = apply_action(m, s, 0, cfg)  # ext a | -r
     assert [l.predicate for l in s.goals] == ["a"]
@@ -130,7 +143,7 @@ def test_reduction_closes_against_path():
 def test_valid_actions_include_unifying_reduction():
     m = parse_problem("p(c).\n-p(c) | -p(X).\n")
     cfg = cfg_manual(guided_reduction=True)
-    s = initial_states(m, cfg)[0]
+    s = initial_states(m, cfg)
     s = apply_action(m, s, 0, cfg)
     # goal -p(X) under path p(c): its negation unifies with the path literal
     assert s.goals[0] == Literal(False, "p", (Var(s.goals[0].args[0].id),))
@@ -140,7 +153,7 @@ def test_valid_actions_include_unifying_reduction():
 def test_eager_reduction_fires_in_det_steps():
     m = parse_problem("p(c).\n-p(c) | -p(X).\n")
     cfg = Config(single_action_optim=False, rewrite=False, guided_reduction=False)
-    s = initial_states(m, cfg)[0]
+    s = initial_states(m, cfg)
     s = apply_action(m, s, 0, cfg)
     assert s.result == PROVED  # -p(X) reduced eagerly against p(c), X bound to c
 
@@ -151,7 +164,7 @@ def test_eager_reduction_takes_the_first_unifying_path_literal_uncounted():
     m = parse_problem("p(a).\n-p(a) | p(b).\n-p(b) | -p(X).\n")
     for guided in (False, True):
         cfg = cfg_manual(guided_reduction=guided)
-        s = initial_states(m, cfg)[0]
+        s = initial_states(m, cfg)
         s = apply_action(m, s, s.actions.index(ExtAction(1, 0)), cfg)
         s = apply_action(m, s, s.actions.index(ExtAction(2, 0)), cfg)
         assert s.inference_count == 2
@@ -169,7 +182,7 @@ def test_lemma_step():
     # two identical subgoals: the second closes as a lemma
     m = parse_problem("-a.\na | a | -c.\nc.\n")
     cfg = cfg_manual()
-    s = initial_states(m, cfg)[0]
+    s = initial_states(m, cfg)
     s = apply_action(m, s, 0, cfg)  # goals [a, a]
     s = apply_action(m, s, 0, cfg)  # close first a; second a closes via lemma
     assert s.result == PROVED
@@ -180,7 +193,7 @@ def test_path_limit_fails_nonground_goals():
     # each extension introduces a fresh variable, so goals stay non-ground
     m = parse_problem("q(a).\n-q(X) | q(f(Y)) | q(Y).\n")
     cfg = cfg_manual(path_limit=2)
-    s = initial_states(m, cfg)[0]
+    s = initial_states(m, cfg)
     for _ in range(10):
         if s.result != OPEN:
             break
@@ -192,7 +205,7 @@ def test_rewrite_action_enumeration_and_application():
     # conditional rule: q(Z) implies g(Z)=h(Z), in matrix polarity
     m = parse_problem("p(g(a)).\ng(Z)!=h(Z) | -q(Z).\n-p(h(a)).\nq(a).\n")
     cfg = Config(single_action_optim=False, rewrite=True)
-    s = initial_states(m, cfg)[0]
+    s = apply_action(m, initial_states(m, cfg), 0, cfg)  # start from p(g(a))
     rews = [a for a in s.actions if isinstance(a, RewAction)]
     assert len(rews) == 1
     assert rews[0].direction == "LR"  # h(Z) matches no goal subterm, so no RL
@@ -211,7 +224,7 @@ def test_rewrite_action_enumeration_and_application():
 def test_rewrite_then_close():
     m = parse_problem("p(g(a)).\ng(Z)!=h(Z) | -q(Z).\n-p(h(a)).\nq(a).\n")
     cfg = Config(single_action_optim=False, rewrite=True)
-    s = initial_states(m, cfg)[0]
+    s = apply_action(m, initial_states(m, cfg), 0, cfg)  # start from p(g(a))
     idx = next(i for i, a in enumerate(s.actions) if isinstance(a, RewAction))
     s = apply_action(m, s, idx, cfg)
     idx = next(i for i, a in enumerate(s.actions) if isinstance(a, ExtAction))
@@ -225,7 +238,7 @@ def test_rewrite_then_close():
 def test_rewrite_ground_equation_no_noop_actions():
     m = parse_problem("f(a)=f(a).\na!=a.\n")
     cfg = Config(rewrite=True, single_action_optim=False)
-    s = initial_states(m, cfg)[0]
+    s = initial_states(m, cfg)
     # rewriting a to a would be a no-op and must not be enumerated
     assert not any(isinstance(a, RewAction) for a in s.actions)
 
@@ -235,7 +248,7 @@ def test_actions_all_applicable():
         "p(g(a)) | r(X).\ng(Z)!=h(Z) | -q(Z).\n-p(h(a)).\nq(a).\n-r(b).\n"
     )
     cfg = Config(single_action_optim=False, rewrite=True)
-    todo = initial_states(m, cfg)
+    todo = [initial_states(m, cfg)]
     seen = 0
     while todo and seen < 200:
         s = todo.pop()
@@ -251,14 +264,14 @@ def test_actions_all_applicable():
 def test_inference_count_increments():
     m = parse_problem(APP_A)
     cfg = cfg_manual()
-    s = initial_states(m, cfg)[0]
+    s = initial_states(m, cfg)
     s2 = apply_action(m, s, 0, cfg)
     assert s2.inference_count == s.inference_count + 1
 
 
 def test_proof_trace_format():
     m = parse_problem(APP_A)
-    s = initial_states(m, Config(rewrite=False))[0]
+    s = initial_states(m, Config(rewrite=False))
     assert s.result == PROVED
     text = format_proof(s.proof, s.subst)
     lines = text.strip().splitlines()
@@ -272,7 +285,7 @@ def test_proof_trace_format():
 def test_det_steps_idempotent_on_settled_state():
     m = parse_problem(APP_A)
     cfg = cfg_manual()
-    s = initial_states(m, cfg)[0]
+    s = initial_states(m, cfg)
     again = calculus._det_on_work(m, s.copy(), cfg)
     assert again.goals == s.goals
     assert again.result == s.result
@@ -281,7 +294,7 @@ def test_det_steps_idempotent_on_settled_state():
 def test_apply_action_index_out_of_range():
     m = parse_problem(APP_A)
     cfg = cfg_manual()
-    s = initial_states(m, cfg)[0]
+    s = initial_states(m, cfg)
     with pytest.raises(IndexError):
         apply_action(m, s, 99, cfg)
     with pytest.raises(IndexError):
@@ -336,7 +349,7 @@ def search_trees():
 
 
 def _settled_states(tree):
-    return [n.state for n in tree.nodes if n.state is not None]
+    return [n.state for n in tree.nodes]
 
 
 def _applied_once(subst, part):
@@ -445,7 +458,7 @@ def test_an_extension_shifts_one_literal_and_negates_nothing(monkeypatch):
     under no bindings, and unifies it with the head as it stands; its side
     literals are instantiated in one walk each."""
     m = parse_problem("p(X) | q(X).\n-p(a) | r(Y) | s(Y,Z).\n-q(a).\n-r(b).\n-s(b,c).\n")
-    s = initial_states(m, cfg_manual())[0]
+    s = initial_states(m, cfg_manual())
     assert s.actions == (ExtAction(1, 0),)
     assert not hasattr(calculus, "negate")
     calls = []
@@ -502,7 +515,7 @@ def test_apply_action_equals_the_renaming_reference(search_trees, monkeypatch):
         kinds.add(type(action))
         if isinstance(action, ExtAction):
             binding += any(v < s.next_var for v in child.subst.keys() - s.subst.keys())
-    assert kinds == {ExtAction, RedAction, RewAction}
+    assert kinds == {StartAction, ExtAction, RedAction, RewAction}
     assert binding > 0
 
 
@@ -613,7 +626,7 @@ def test_the_renaming_memo_equals_a_fresh_renaming(warm_searches):
             if s.result != OPEN:
                 continue
             for i, action in enumerate(s.actions):
-                if not isinstance(action, RedAction):
+                if isinstance(action, (ExtAction, RewAction)):
                     hits += (action.clause_id, action.lit_index, s.next_var) in m.renamed
                 warm = apply_action(m, s, i, cfg)
                 fresh = apply_action(replace(parsed, head_actions={}, renamed={}), s, i, cfg)
@@ -698,7 +711,7 @@ def test_a_head_beyond_the_depth_bound_fails_its_state():
     default path limit of 1000 the depth bound ends the chain instead."""
     with open(os.path.join(corpus_dir(), "hard_rec.p"), encoding="utf-8") as fh:
         m = parse_problem(fh.read())
-    (s,) = initial_states(m, Config())
+    s = initial_states(m, Config())
     assert s.result == FAILED and s.actions == ()
     assert s.inference_count == len(s.path) == MAX_TERM_DEPTH - 1
 
@@ -712,9 +725,9 @@ def test_a_recorded_literal_deepened_after_it_left_the_branch_fails_the_proof():
         arg = "h(" * depth + "a" + ")" * depth
         return f"s(X) | r(X).\n-s(Z) | p({deep}).\n-p(Y).\n-r({arg}).\n"
     cfg = load_config(DESK)
-    (fits,) = initial_states(parse_problem(problem(20)), cfg)
+    fits = initial_states(parse_problem(problem(20)), cfg)
     assert fits.result == PROVED
-    (beyond,) = initial_states(parse_problem(problem(50)), cfg)
+    beyond = initial_states(parse_problem(problem(50)), cfg)
     assert beyond.result == FAILED and not beyond.goals and not beyond.todos
 
 
@@ -727,7 +740,7 @@ def test_a_step_past_the_bounds_gives_a_failed_child_with_no_actions():
     renaming = "-q(" + ",".join(f"X{i}" for i in range(80)) + ")"
     m = parse_problem(f"{start}\n{renaming} | {linked}\n")
     guided = cfg_manual(guided_reduction=True)
-    (s,) = initial_states(m, guided)
+    s = initial_states(m, guided)
     assert s.actions == (ExtAction(1, 0), ExtAction(1, 1))
     failed = apply_action(m, s, 1, guided)  # the extension by the linked literal
     assert (failed.result, failed.actions) == (FAILED, ())

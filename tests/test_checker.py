@@ -503,6 +503,18 @@ def test_trace_parse_errors():
     assert res == CheckResult(False, "trace parse error: line 3: 1:1: expected atom, found '#'")
 
 
+def test_a_trace_has_no_comment_lines():
+    """A trace line that starts with `#` is no step, so it is refused like
+    any other; only blank lines are skipped."""
+    problem = "q.\n-q.\n"
+    assert check_proof_texts("start 0 {}\n\next 1 {} q\n", problem).ok
+    for parse in (parse_trace, reference_parse_trace):
+        with pytest.raises(TraceError, match=re.escape("line 2: unrecognized step '# note'")):
+            parse("start 0 {}\n# note\n")
+    res = check_proof_texts("start 0 {}\n# note\n", problem)
+    assert res == CheckResult(False, "trace parse error: line 2: unrecognized step '# note'")
+
+
 # ---------------------------------------------------------------------------
 # trace contract: bindings and frozen constants
 

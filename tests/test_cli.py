@@ -148,8 +148,8 @@ def test_loop_and_train_commands(tmp_path, monkeypatch, capsys):
 
 
 def test_loop_trains_no_model_on_a_dataset_without_rows(tmp_path, capsys):
-    # both start clauses fail at once: the tree is a virtual root over two
-    # dead children, so no anchor has a state and no row is extracted
+    # both start clauses fail at once: the root that chooses between them
+    # has two dead children and no start step, so no anchor gives a row
     d = tmp_path / "probs"
     d.mkdir()
     (d / "two_starts.p").write_text("p.\nq.\n")
@@ -393,9 +393,9 @@ def test_bench_at_desk_settings_prints_the_recorded_bytes(capsys):
     # a declared behaviour change re-records the hash
     assert main(["bench", *DESK]) == 0
     out = capsys.readouterr().out
-    assert out.splitlines()[-1] == "# proved\t27/35\tinferences\t4139\tplayouts\t3504\tbigsteps\t30"
+    assert out.splitlines()[-1] == "# proved\t27/35\tinferences\t4139\tplayouts\t3505\tbigsteps\t30"
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "9993ce43a1ef8259307bfc32cf1cb67a652bc9445f584b2bfb3e3cff243ea8a9")
+        "f63b1bfcc9319c6358e202c4f5339e711bfe145e7b8412f808b916955f143fce")
 
 
 def test_train_names_the_faulty_dataset_entry(tmp_path, capsys):

@@ -138,8 +138,6 @@ def _assert_tree_matches_oracle(m, tree, dim):
     checked = 0
     for node in tree.nodes:
         s = node.state
-        if s is None:
-            continue
         # alternate the call order so both the fresh and the reused state
         # vector are compared
         if node.id % 2:
@@ -159,7 +157,7 @@ def test_extractor_equals_oracle_on_corpus_trees():
             m = parse_problem(fh.read())
         tree = search_problem(m, DefaultGuidance(), cfg).tree
         assert _assert_tree_matches_oracle(m, tree, 10000) > 0
-        kinds.update(type(a) for n in tree.nodes if n.state for a in n.state.actions)
+        kinds.update(type(a) for n in tree.nodes for a in n.state.actions)
     assert kinds == {ExtAction, RewAction}
     # a red action needs a non-ground path literal and guided reduction
     m = parse_problem(
@@ -168,7 +166,7 @@ def test_extractor_equals_oracle_on_corpus_trees():
     cfg = Config(inference_limit=100, bigstep_freq=10, path_limit=20, guided_reduction=True)
     tree = search_problem(m, DefaultGuidance(), cfg).tree
     _assert_tree_matches_oracle(m, tree, 10000)
-    assert any(isinstance(a, RedAction) for n in tree.nodes if n.state for a in n.state.actions)
+    assert any(isinstance(a, RedAction) for n in tree.nodes for a in n.state.actions)
 
 
 def test_extractor_equals_oracle_on_random_matrices():
@@ -198,8 +196,6 @@ def test_states_with_one_skeleton_key_have_one_vector():
         seen = {}  # state key -> the oracle's vector and the literals first met under it
         for node in search_problem(m, DefaultGuidance(), cfg).tree.nodes:
             s = node.state
-            if s is None:
-                continue
             vector = oracle(m, s, dim=cfg.feature_dim)
             first, literals = seen.setdefault(ex.state_key(s), (vector, (s.goals, s.path)))
             assert first == vector
@@ -234,8 +230,6 @@ def test_the_one_memo_answers_keys_and_vectors_in_any_order():
         other = other_vector = None
         for node in search_problem(m, DefaultGuidance(), cfg).tree.nodes:
             s = node.state
-            if s is None:
-                continue
             fresh = FeatureExtractor(m, cfg.feature_dim)
             key = _skeletons_of(fresh, fresh.state_key(s))
             vector = oracle(m, s, dim=cfg.feature_dim)
@@ -275,7 +269,7 @@ def test_a_state_key_erases_variable_ids_only():
 
 def test_determinism_same_state_twice():
     cfg = Config(single_action_optim=False, rewrite=False)
-    s = initial_states(M, cfg)[0]
+    s = initial_states(M, cfg)
     ex = FeatureExtractor(M, 10000)
     a = ex.state_features(s)
     ex2 = FeatureExtractor(M, 10000)

@@ -411,12 +411,12 @@ def test_training_equals_the_reference_on_the_loops_datasets(loop_out):
 
 # sha256 of the loop's files above; a declared behaviour change re-records them
 LOOP_SHA256 = {
-    "iter0/report.tsv": "ca5c8ecb0b654325a8743bac0702c1255ea8c22252d0ad94a8b54f920a5120a5",
+    "iter0/report.tsv": "49778fc68fdcd04a1e02c4ffbd755e1b9a43356305707a3d1b844887845e5718",
     "iter0/value.data": "51e527014737ae413846d8adf2b08776daab01121329f31239c236a46e7b3cb9",
     "iter0/policy.data": "f3aefd889fcac4512e8df613510b60850d152aa475ae5b0e0863ef1f44407eec",
     "iter0/value.model": "ac24b397210bfd03080b52eab2908e8005b23bb5ae5de7021567b3761bb85cac",
     "iter0/policy.model": "58a1ec4f57cd608b6292ecc0fa88ad44184150cdb683b1d3a12f84b847351ab1",
-    "iter1/report.tsv": "eced483115321907ff467da02f21243622ca44e787de4fdb8f5f70c5abfd4254",
+    "iter1/report.tsv": "9b0e14f69571a1082b022a44db1121fe107ff59ed13d31e5cec65c7b082caef9",
     "iter1/value.data": "49dfb1c9b18facaa9a8d786f27642fd7da1d29a0b70d90f088648051fa831e77",
     "iter1/policy.data": "125ee4699c80aec753676c59181650346ec0a747cc9f1f0fc2e0cc77dad9b6ad",
     "iter1/value.model": "1bc69aa84033978396bf7c55ae21d715c86afcf67c7c21bd7126fd267f112d45",

@@ -142,7 +142,7 @@ def test_priors_score_each_action_delta_once_as_the_per_action_oracle():
         scored = set()
         for node in tree.nodes:
             s = node.state
-            if s is None or not s.actions:
+            if not s.actions:
                 continue
             del predictions[:]
             priors = guidance.priors(s)
@@ -220,8 +220,7 @@ def test_the_prediction_memo_equals_predicting_every_state_and_action():
                                     temperature=cfg.temperature)
         checked = _Checked(ModelGuidance(value, policy, ex, cfg.temperature), reference)
         tree = search_problem(m, checked, cfg).tree
-        assert len(checked.states) == sum(1 for node in tree.nodes
-                                          if node.state is not None and node.state.result == OPEN)
+        assert len(checked.states) == sum(node.state.result == OPEN for node in tree.nodes)
         # inputs are told apart by item order, which one state key fixes
         keys = [reference.extractor.state_key(s) for s in checked.states]
         vectors = [tuple(reference.extractor.state_features(s).items()) for s in checked.states]

@@ -5,10 +5,11 @@ from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
-from mctab.calculus import PROVED
+from mctab.calculus import OPEN, PROVED, StartAction, StartStep
 from mctab.cli import corpus_dir
 from mctab.config import Config, load_config
 from mctab.features import FeatureExtractor
+from mctab.loop import solve_one
 from mctab.guidance import DefaultGuidance, ModelGuidance, policy_target, value_target
 from mctab import mcts
 from mctab.mcts import (
@@ -93,14 +94,13 @@ def _random_tree(rng: random.Random, expanded: list):
     """A tree for `playout` to descend.  Few distinct means, visits and
     priors make equal UCT scores common; some nodes are dead, and children
     are inserted out of index order, as guided expansion inserts them.  The
-    nodes have no state, so an expansion inserts a start state, which the
-    tree records in `expanded` as (node id, action index)."""
+    nodes have no state and the caller stubs `mcts.apply_action`, so an
+    expansion only records (node id, action index) in `expanded`."""
     def insert(parent, ai, state, guidance):
         expanded.append((parent.id, ai))
         return SimpleNamespace(id=None)
 
-    tree = SimpleNamespace(nodes=[], bigstep_root=0, playouts=0, start_states=range(8),
-                           _insert=insert)
+    tree = SimpleNamespace(nodes=[], bigstep_root=0, playouts=0, matrix=None, _insert=insert)
 
     def grow(parent, prior, depth):
         node = node_with(0.0, 1, prior)
@@ -131,11 +131,12 @@ def _random_tree(rng: random.Random, expanded: list):
     return tree
 
 
-def test_playout_descends_to_the_reference_node_on_random_trees():
+def test_playout_descends_to_the_reference_node_on_random_trees(monkeypatch):
     """Each playout expands the node `reference_descend` finds, by the
     action `reference_next_action` picks: ties go to the lowest action
     index, dead children are skipped, and the pool of unexpanded actions
     wins over a live child when it scores higher."""
+    monkeypatch.setattr(mcts, "apply_action", lambda m, state, ai, cfg: None)
     rng = random.Random(7)
     below_root = pool_won = late_ties = 0
     for _ in range(3000):
@@ -236,10 +237,10 @@ def test_tree_invariants_on_random_problems():
     for _ in range(30):
         m, _ = random_matrix(rng)
         try:
-            starts = initial_states(m, cfg)
+            root = initial_states(m, cfg)
         except Exception:
             continue
-        tree = SearchTree(m, g, starts)
+        tree = SearchTree(m, g, root)
         replay = RewardReplay(tree)
         for _ in range(25):
             if tree.proved_node is not None or tree.nodes[tree.bigstep_root].dead:
@@ -373,7 +374,7 @@ def reference_extract_training_data(tree, cfg, extractor):
     proof_len = len(tree.nodes[tree.proved_node].state.proof) if proved else 0
     for nid in value_ids:
         node = tree.nodes[nid]
-        if node.state is None:
+        if not node.state.proof:  # a root before its start step
             continue
         if proved and nid in on_path:
             target = value_target(proof_len - len(node.state.proof), cfg.discount)
@@ -384,7 +385,7 @@ def reference_extract_training_data(tree, cfg, extractor):
     if proved or not cfg.limited_policy:
         for nid in value_ids:
             node = tree.nodes[nid]
-            if node.state is None or not node.children:
+            if not node.state.proof or not node.children:
                 continue
             n_actions = len(node.state.actions)
             for ai in sorted(node.children):
@@ -438,7 +439,7 @@ def test_one_pass_extraction_equals_the_two_pass_reference(monkeypatch):
                 got = extract_training_data(tree, c, FeatureExtractor(m, 1000))
                 assert [_exact(rows) for rows in got] == [_exact(rows) for rows in expected]
                 anchors = set(tree.bigstep_nodes) | (path if all_proofsteps else set())
-                assert len(builds) <= sum(tree.nodes[a].state is not None for a in anchors)
+                assert len(builds) <= sum(bool(tree.nodes[a].state.proof) for a in anchors)
     assert proved >= 80  # 27 corpus and 66 random searches reach a proof
 
 
@@ -479,11 +480,14 @@ def test_multiple_start_clauses_become_root_children():
     g = DefaultGuidance()
     tree = SearchTree(m, g, initial_states(m, cfg))
     root = tree.nodes[0]
-    assert root.state is None  # virtual root over the start choice
+    # the root state chooses the start clause
+    assert root.state.actions == (StartAction(0), StartAction(1)) and not root.state.goals
     assert len(root.child_priors) == 2
     playout(tree, g, cfg, cp=3.0)
     playout(tree, g, cfg, cp=3.0)
     assert len(root.children) == 2
+    for ai, cid in root.children.items():
+        assert tree.nodes[cid].state.proof[0] == StartStep(ai, ())
 
 
 def test_expansion_order_equals_the_max_scan_on_random_priors():
@@ -494,24 +498,17 @@ def test_expansion_order_equals_the_max_scan_on_random_priors():
         priors = [rng.choice([0.0, 0.05, 0.1, 0.25, 0.5, 1.0 / 3]) for _ in range(n)]
         node = node_with(0.0, rng.randint(1, 5), 1.0)
         node.child_priors = priors
-        # children already in place, the way a proved start state is inserted
-        # under a multi-start root outside the expansion
-        for i in rng.sample(range(n), rng.randint(0, n - 1)):
-            node.children[i] = len(node.children) + 1
         while len(node.children) < n:
             expected = reference_next_action(node)
             assert _next_action(node) == expected
-            if rng.random() < 0.2:  # an outside insert between expansions
-                late = rng.choice([i for i in range(n) if i not in node.children])
-                node.children[late] = len(node.children) + 1
-                continue
             node.children[expected] = len(node.children) + 1
             node.visits += 1
 
 
 def test_expansion_order_on_multi_start_roots(monkeypatch):
-    """The root's first pick is inserted directly, the way `SearchTree`
-    inserts a proved start state; the expansions after it skip it."""
+    """Every expansion, the root's start choices included, takes the action
+    `reference_next_action` picks; a multi-start root expands its start
+    choices in order, breadth-first, before any descent."""
     def checked(node):
         expected = reference_next_action(node)
         assert next_action(node) == expected
@@ -526,22 +523,21 @@ def test_expansion_order_on_multi_start_roots(monkeypatch):
         picks = []
         with open(os.path.join(corpus_dir(), name), "r", encoding="utf-8") as fh:
             m = parse_problem(fh.read())
-        starts = initial_states(m, cfg)
-        tree = SearchTree(m, g, starts)
-        if len(starts) > 1:
-            tree._insert(tree.nodes[0], 0, starts[0], g)
+        tree = SearchTree(m, g, initial_states(m, cfg))
+        chooses = not tree.nodes[0].state.proof  # a root before its start step
+        assert chooses == (name == "multi_start.p")
         for _ in range(20):
             if tree.proved_node is not None or tree.nodes[0].dead:
                 break
             playout(tree, g, cfg, cp=3.0)
         assert picks, name
-        if len(starts) > 1:
-            assert picks[0] == 0 and tree.nodes[0].children == {0: 1, 1: 2}, name
+        if chooses:
+            assert picks[:2] == [0, 0] and tree.nodes[0].children == {0: 1, 1: 2}, name
 
 
 def test_multi_start_trees_keep_the_visit_invariants():
-    """A proved start state inserted under a multi-start root is
-    backpropagated like an expansion."""
+    """A start state, proved or not, is an expansion of the root and is
+    backpropagated like any other."""
     cfg = Config(inference_limit=200, bigstep_freq=5, path_limit=20)
     for name in ("multi_start.p", "hash_start.p", "mixed_start.p"):
         with open(os.path.join(corpus_dir(), name), "r", encoding="utf-8") as fh:
@@ -550,9 +546,8 @@ def test_multi_start_trees_keep_the_visit_invariants():
         assert result.outcome == "proved", name
         check_tree_invariants(result.tree)
         check_dead_rule(result.tree)
-        # every playout inserted exactly one node beside those the tree starts with
-        built = SearchTree(m, DefaultGuidance(), initial_states(m, cfg))
-        assert len(result.tree.nodes) == result.tree.playouts + len(built.nodes), name
+        # every playout inserted exactly one node beside the root
+        assert len(result.tree.nodes) == result.tree.playouts + 1, name
 
 
 MULTI_START_OPEN = ("p(X).\nq(X).\n-p(a) | r(a).\n-p(b) | s(b).\n-q(a) | s(a).\n"
@@ -561,13 +556,13 @@ MULTI_START_OPEN = ("p(X).\nq(X).\n-p(a) | r(a).\n-p(b) | s(b).\n-q(a) | s(a).\n
 
 def test_playouts_under_a_multi_start_root_keep_the_invariants():
     """Both start states are open, so the search expands them from the
-    virtual root and plays out beneath it, one playout at a time."""
+    root and plays out beneath it, one playout at a time."""
     m = parse_problem(MULTI_START_OPEN)
     cfg = Config(inference_limit=200, bigstep_freq=5, path_limit=20)
     g = DefaultGuidance()
     tree = SearchTree(m, g, initial_states(m, cfg))
-    assert [len(s.actions) for s in tree.start_states] == [2, 2]
-    assert len(tree.nodes) == 1 and tree.nodes[0].state is None
+    assert len(tree.nodes) == 1 and tree.nodes[0].state.actions == (StartAction(0),
+                                                                    StartAction(1))
     replay = RewardReplay(tree)
     while tree.proved_node is None and not tree.nodes[tree.bigstep_root].dead:
         nid = playout(tree, g, cfg, cp=cfg.cp_initial)
@@ -580,6 +575,7 @@ def test_playouts_under_a_multi_start_root_keep_the_invariants():
             bigstep(tree)
     assert (tree.playouts, tree.inferences, len(tree.nodes)) == (6, 7, 7)
     assert tree.nodes[0].children == {0: 1, 1: 2}
+    assert [len(tree.nodes[i].state.actions) for i in (1, 2)] == [2, 2]
     stats = search_problem(m, g, cfg).stats
     assert (stats.outcome, stats.playouts, stats.inferences) == ("proved", 6, 7)
 
@@ -587,34 +583,96 @@ def test_playouts_under_a_multi_start_root_keep_the_invariants():
 def test_a_proved_start_state_is_the_multi_start_roots_first_child():
     with open(os.path.join(corpus_dir(), "multi_start.p"), "r", encoding="utf-8") as fh:
         m = parse_problem(fh.read())
-    starts = initial_states(m, Config())
-    assert len(starts) == 2 and all(s.result == PROVED for s in starts)
-    tree = SearchTree(m, DefaultGuidance(), starts)
+    g = DefaultGuidance()
+    tree = SearchTree(m, g, initial_states(m, Config()))
+    assert tree.nodes[0].state.result == OPEN and tree.proved_node is None
+    playout(tree, g, Config(), cp=3.0)
     assert tree.proved_node == 1 and tree.nodes[0].children == {0: 1}
-    assert tree.nodes[0].visits == 2 and tree.nodes[0].reward == 1.5
+    assert tree.nodes[0].visits == 2
+    assert tree.nodes[0].reward == g.value(tree.nodes[0].state) + 1.0
     check_tree_invariants(tree)
 
 
 def test_a_proved_start_state_counts_as_an_expanded_start():
-    """Inserting a proved start while the root is built counts its
-    inferences and backpropagates exactly as the root's expansion would."""
+    """Choosing a start clause is one inference, and its settle counts the
+    forced steps after it; the search stops after the one playout that
+    expands a proved start state."""
     with open(os.path.join(corpus_dir(), "multi_start.p"), "r", encoding="utf-8") as fh:
         m = parse_problem(fh.read())
     cfg = Config()
     g = DefaultGuidance()
-    starts = initial_states(m, cfg)
-    inserted = SearchTree(m, g, starts)
-    expanded = SearchTree(m, g, starts)
-    del expanded.nodes[1:]  # back to the bare root, then expand its first start
-    root = expanded.nodes[0]
-    root.children, root.visits, root.reward = {}, 1, 0.5
-    expanded.inferences, expanded.proved_node = 0, None
-    mcts._expand(expanded, root, g, cfg)
-    assert inserted.inferences == expanded.inferences == starts[0].inference_count + 1 > 0
-    assert [(n.parent, n.visits, n.reward, n.children) for n in inserted.nodes] == [
-        (n.parent, n.visits, n.reward, n.children) for n in expanded.nodes]
-    assert inserted.proved_node == expanded.proved_node == 1
-    assert search_problem(m, g, cfg).stats.inferences == inserted.inferences
+    root = initial_states(m, cfg)
+    assert root.inference_count == 0
+    start = mcts.apply_action(m, root, 0, cfg)
+    assert start.result == PROVED and start.inference_count == 2  # the choice and one step
+    stats = search_problem(m, g, cfg).stats
+    assert (stats.inferences, stats.playouts, stats.proof_len) == (2, 1, len(start.proof))
+
+
+def test_the_one_root_on_random_multi_start_matrices(monkeypatch):
+    """Differential battery for the one root state: the first 300 random
+    matrices, plain and equational in turn, keep the 134 with several start
+    clauses, and `solve_one` searches and checks each, so every emitted proof
+    is accepted (a rejection raises).  The tree keeps its invariants after
+    every playout, each playout adds to the tree's inferences what its
+    expansion's step and settle counted, and the root, which has no start
+    step yet, gives no row.
+    Each start choice builds the state its clause builds as the lone start
+    clause (marked with `#`), at one inference more: one against none when
+    no forced step follows."""
+    playouts = []
+    played = mcts.playout
+
+    def checked(tree, guidance, cfg, cp):
+        before = tree.inferences
+        nid = played(tree, guidance, cfg, cp)
+        # an expansion costs what its step and settle counted
+        node = tree.nodes[nid]
+        assert tree.inferences - before == (node.state.inference_count
+                                            - tree.nodes[node.parent].state.inference_count)
+        check_tree_invariants(tree)
+        playouts.append(nid)
+        return nid
+
+    state_features = FeatureExtractor.state_features
+
+    def stepped(self, s):
+        assert s.proof, "a root before its start step gives no row"
+        return state_features(self, s)
+
+    monkeypatch.setattr(mcts, "playout", checked)
+    monkeypatch.setattr(FeatureExtractor, "state_features", stepped)
+    rng = random.Random(20)
+    cfg = Config(inference_limit=3000, bigstep_freq=20, path_limit=8)
+    unforced = replace(cfg, single_action_optim=False)
+    matrices = proved = rows = 0
+    for i in range(300):
+        m, text = (random_matrix if i % 2 == 0 else random_eq_matrix)(rng)
+        if len(m.start_ids) < 2:
+            continue
+        matrices += 1
+        lines = text.splitlines()
+        for c in (cfg, unforced):
+            root = initial_states(m, c)
+            assert (root.goals, root.proof, root.inference_count) == ((), (), 0)
+            assert root.actions == tuple(map(StartAction, m.start_ids))
+            for ai, action in enumerate(root.actions):
+                chosen = mcts.apply_action(m, root, ai, c)
+                marked = lines[:]
+                marked[action.clause_id] = marked[action.clause_id][:-1] + " | #."
+                alone = parse_problem("\n".join(marked) + "\n")
+                assert alone.start_ids == [action.clause_id]
+                lone = initial_states(alone, c)
+                assert chosen.inference_count == lone.inference_count + 1
+                assert (chosen.goals, chosen.proof, chosen.result) == (
+                    lone.goals, lone.proof, lone.result)
+                if c is unforced:
+                    assert lone.inference_count == 0
+        _, trace, value_rows, policy_rows = solve_one(f"m{i}", text, cfg)
+        proved += trace is not None
+        rows += len(value_rows) + len(policy_rows)
+    assert (matrices, proved, rows) == (134, 41, 719)
+    assert len(playouts) > 10_000
 
 
 def test_rewrite_rules_shorten_the_unguided_eq_chain_16():
