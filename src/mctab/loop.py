@@ -9,13 +9,14 @@ homework).
 `run_loop` reads the problem files once.  Each iteration then searches every
 problem under the models the one before trained (iteration 0 runs
 unguided), appends the extracted rows to the cumulative datasets, retrains
-the value and policy models on everything collected so far, and writes its
-report, datasets, models and proofs under `<out>/iter<k>`.  Both models
-follow one rule: a model is trained, and its `.model` written, only when
-its dataset has rows; the next iteration searches without a model it
-lacks.  First it removes every file of those kinds from each `iter<k>`
-under `<out>`, then the directories left empty, so a rerun equals a fresh
-run; other files stay.
+the value and policy models on everything collected so far (rows with
+identical feature vectors filtered once, keeping the maximum target), and
+writes its report, datasets, models and proofs under `<out>/iter<k>`.
+Both models follow one rule: a model is trained, and its `.model` written,
+only when its dataset has rows; the next iteration searches without a
+model it lacks.  First it removes every file of those kinds from each
+`iter<k>` under `<out>`, then the directories left empty, so a rerun
+equals a fresh run; other files stay.
 
 Problems are processed in sorted filename order so repeated runs are
 bit-for-bit reproducible.  Wall-clock time is reported on stdout but kept
@@ -45,7 +46,7 @@ from .calculus import format_proof
 from .config import Config
 from .features import FeatureExtractor
 from .guidance import DefaultGuidance, ModelGuidance
-from .mcts import extract_training_data, search_problem, _dedup
+from .mcts import extract_training_data, search_problem
 from .problems import parse_problem
 
 
@@ -150,6 +151,17 @@ def _remove_artifacts(out_root: str):
         for path in (os.path.join(out_dir, "proofs"), out_dir):
             if os.path.isdir(path) and not os.listdir(path):
                 os.rmdir(path)
+
+
+def _dedup(rows: list) -> list:
+    """Drop rows with identical feature vectors, keeping the maximum target at
+    the vector's first position: a replaced dict value keeps its key's place."""
+    best: dict = {}
+    for entries, target in rows:
+        key = tuple(sorted(entries.items()))
+        if key not in best or target > best[key][1]:
+            best[key] = (entries, target)
+    return list(best.values())
 
 
 def run_loop(problem_dir: str, iterations: int, out_root: str, cfg: Config) -> list:

@@ -253,17 +253,6 @@ def search_problem(m: Matrix, guidance, cfg: Config, name: str = "") -> SearchRe
 # ---------------------------------------------------------------------------
 # training-data extraction
 
-def _dedup(rows: list) -> list:
-    """Drop rows with identical feature vectors, keeping the maximum target at
-    the vector's first position: a replaced dict value keeps its key's place."""
-    best: dict = {}
-    for entries, target in rows:
-        key = tuple(sorted(entries.items()))
-        if key not in best or target > best[key][1]:
-            best[key] = (entries, target)
-    return list(best.values())
-
-
 def _proof_path(tree: SearchTree) -> list:
     path = []
     cur = tree.proved_node
@@ -283,8 +272,8 @@ def extract_training_data(tree: SearchTree, cfg: Config, extractor):
     Its policy rows follow its value row, one per expanded child, pairing
     the child's visit frequency with the action's features; they are only
     emitted for proved searches unless limited_policy is off.  Building an
-    anchor's rows together builds its state vector once.  Rows with
-    identical feature vectors are filtered keeping the maximum target.
+    anchor's rows together builds its state vector once.  Rows come as
+    built: the loop deduplicates them once, over all problems.
     """
     path = _proof_path(tree)
     on_path = set(path)
@@ -304,4 +293,4 @@ def extract_training_data(tree: SearchTree, cfg: Config, extractor):
                                        len(s.actions))
                 key = extractor.action_key(s, s.actions[ai])
                 policy_rows.append((extractor.action_features(s, key), target))
-    return _dedup(value_rows), _dedup(policy_rows)
+    return value_rows, policy_rows

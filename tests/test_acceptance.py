@@ -29,10 +29,9 @@ from mctab.guidance import (
     value_from_prediction,
     value_target,
 )
-from mctab.loop import run_loop, solve_one
+from mctab.loop import _dedup, run_loop, solve_one
 from mctab.mcts import (
     SearchTree,
-    _dedup,
     bigstep,
     extract_training_data,
     playout,

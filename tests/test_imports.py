@@ -224,17 +224,36 @@ def docstring_surface(tree: ast.Module) -> dict:
     return listed
 
 
+def loaded_modules(modules: str) -> set:
+    """The names in `sys.modules` of a fresh interpreter after `import
+    <modules>`.  `-S` skips the `site` module, whose `.pth` files may import
+    modules of their own."""
+    code = f"import sys, {modules}; print(*sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return set(subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                              text=True, check=True).stdout.split())
+
+
+def loaded_package_modules(module: str) -> set:
+    """The package modules importing `module` loads: what it shares with the
+    rest of the package at run time, not only in its import statements."""
+    return {name for name in loaded_modules(module) if name.startswith("mctab")}
+
+
 def test_checker_shares_exactly_the_names_its_docstring_lists():
     assert package_imports(ast.parse("from . import a\nfrom .b import c, d\nimport mctab.e\n"
                                      "from mctab.f import g\nimport os\n")) == {
         "mctab": {"a"}, "b": {"c", "d"}, "e": set(), "f": {"g"}}
     tree = ast.parse((ROOT / "src" / "mctab" / "checker.py").read_text(encoding="utf-8"))
     assert package_imports(tree) == docstring_surface(tree) == CHECKER_SURFACE
+    assert loaded_package_modules("mctab.checker") == {
+        "mctab", "mctab.checker", *(f"mctab.{name}" for name in CHECKER_SURFACE)}
 
 
 def test_the_learner_imports_only_the_config_from_the_package():
     tree = ast.parse((ROOT / "src" / "mctab" / "gbt.py").read_text(encoding="utf-8"))
     assert set(package_imports(tree)) == {"config"}
+    assert loaded_package_modules("mctab.gbt") == {"mctab", "mctab.config", "mctab.gbt"}
 
 
 def test_importing_the_package_leaves_the_recursion_limit_alone():
@@ -248,12 +267,7 @@ def test_importing_the_package_leaves_the_recursion_limit_alone():
 
 def test_the_package_loads_only_the_standard_library():
     """Importing every module of the package loads no module from outside the
-    standard library: mctab has no runtime dependencies.  `-S` skips the
-    `site` module, whose `.pth` files may import modules of their own."""
+    standard library: mctab has no runtime dependencies."""
     modules = ", ".join(f"mctab.{p.stem}" for p in PACKAGE if p.stem != "__init__")
-    code = (f"import sys, mctab, {modules}; "
-            "print(*sorted({name.partition('.')[0] for name in sys.modules}))")
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout.split()
-    assert set(out) - sys.stdlib_module_names == {"__main__", "mctab"}
+    top = {name.partition(".")[0] for name in loaded_modules(f"mctab, {modules}")}
+    assert top - sys.stdlib_module_names == {"__main__", "mctab"}

@@ -9,12 +9,11 @@ from mctab.calculus import OPEN, PROVED, StartAction, StartStep
 from mctab.cli import corpus_dir
 from mctab.config import Config, load_config
 from mctab.features import FeatureExtractor
-from mctab.loop import solve_one
+from mctab.loop import _dedup, solve_one
 from mctab.guidance import DefaultGuidance, ModelGuidance, policy_target, value_target
 from mctab import mcts
 from mctab.mcts import (
     SearchNode,
-    _dedup,
     _next_action,
     bigstep,
     extract_training_data,
@@ -393,7 +392,7 @@ def reference_extract_training_data(tree, cfg, extractor):
                 target = policy_target(node.visits, child.visits, n_actions)
                 key = extractor.action_key(node.state, node.state.actions[ai])
                 policy_rows.append((extractor.action_features(node.state, key), target))
-    return _dedup(value_rows), _dedup(policy_rows)
+    return value_rows, policy_rows
 
 
 def _exact(rows):
@@ -452,6 +451,17 @@ def test_dedup_keeps_maximum_target():
     assert len(out) == 2
     assert out[0][1] == 2.5
     assert out[1][1] == 1.0
+    # the loop deduplicates all problems' rows once; deduplicating each
+    # problem's rows first changes nothing, down to which vector object stays
+    rng = random.Random(40)
+    problems = [[({k: 1.0, (k + 1) % 4: 2.0} if rng.random() < 0.5
+                  else {(k + 1) % 4: 2.0, k: 1.0}, float(rng.randint(-3, 3)))
+                 for k in (rng.randrange(4) for _ in range(rng.randrange(12)))]
+                for _ in range(6)]
+    once = _dedup([row for rows in problems for row in rows])
+    twice = _dedup([row for rows in problems for row in _dedup(rows)])
+    assert [(list(e.items()), t) for e, t in twice] == [(list(e.items()), t) for e, t in once]
+    assert all(a is b for (a, _), (b, _) in zip(twice, once)) and len(once) == 4
 
 
 def test_rewrite_is_conservative_on_equality_chains():
@@ -671,7 +681,7 @@ def test_the_one_root_on_random_multi_start_matrices(monkeypatch):
         _, trace, value_rows, policy_rows = solve_one(f"m{i}", text, cfg)
         proved += trace is not None
         rows += len(value_rows) + len(policy_rows)
-    assert (matrices, proved, rows) == (134, 41, 719)
+    assert (matrices, proved, rows) == (134, 41, 720)
     assert len(playouts) > 10_000
 
 
