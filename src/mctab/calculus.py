@@ -7,8 +7,10 @@ from one root state (`initial_states`); with several start clauses the
 root's actions choose among them.  Applying an action
 never mutates the parent state: the step works on a shallow copy of it and
 only rebinds fields.  That copy is exact because every field is a tuple or
-an int except `subst`, which is only ever rebound (`{**subst, **delta}`),
-never updated in place.  After every nondeterministic action the
+an int.  `subst` is a chain of the bindings each step made, `(delta,
+parent chain)` down to `()`, so a child shares its parent's bindings and
+keeps only its own; `flat_subst` builds the whole substitution for the few
+readers that need it.  After every nondeterministic action the
 deterministic simplifications run to a fixpoint (pop empty goals, loop
 elimination by identity, lemma steps, reductions, forced single actions,
 path limit).
@@ -136,9 +138,10 @@ class ProverState:
     actions: tuple
     proof: tuple
     result: int
-    # triangular: each binding as made, never rebound; goals, path and lemmas
-    # are kept fully applied, everything else goes through resolve_term
-    subst: Subst
+    # triangular: each binding as made, never rebound, as a chain of each
+    # step's delta (see flat_subst); goals, path and lemmas are kept fully
+    # applied, everything else goes through resolve_term
+    subst: tuple
     next_var: int
     inference_count: int
 
@@ -146,7 +149,7 @@ class ProverState:
         return ProverState(*map(self.__getattribute__, self.__slots__))
 
     def bind(self, delta: Subst, bound: int) -> bool:
-        """Add the triangular `delta` to subst and, when it binds a variable
+        """Link the triangular `delta` to subst and, when it binds a variable
         below `bound`, resolve the active branch through all of `delta`.  The
         branch is fully applied, so `delta` binds only free variables.  A
         step shifts its clause from `bound` on, so no fresh clause variable
@@ -162,7 +165,7 @@ class ProverState:
         are checked as they become the head."""
         if not delta:
             return True
-        self.subst = {**self.subst, **delta}
+        self.subst = delta, self.subst
         if min(delta) >= bound:
             return True
         if not _fits(self.goals[0], delta):
@@ -177,6 +180,21 @@ class ProverState:
 
 
 _UNBOUND: Subst = {}
+
+
+def flat_subst(chain: tuple) -> Subst:
+    """The whole substitution of a binding chain: every delta's bindings,
+    oldest first, each in the order made, as one dict.  No variable is
+    bound twice, so this is the dict that `{**subst, **delta}` at each step
+    would have built."""
+    deltas = []
+    while chain:
+        delta, chain = chain
+        deltas.append(delta)
+    out: Subst = {}
+    for delta in reversed(deltas):
+        out.update(delta)
+    return out
 
 
 def _fits(lit: Literal, s: Subst = _UNBOUND) -> bool:
@@ -229,9 +247,12 @@ def valid_actions(m: Matrix, head: Literal, path: tuple, cfg: Config, next_var: 
     `m.head_actions`.  The exact head is a sound key for any `next_var`:
     unification, matching and the no-op test compare variables only for
     identity, and every shift keeps the head's variables apart from the
-    clause's.  Reductions depend on the path and are computed on every call.
-    A head beyond the term bounds has no actions, so its state fails; it is
-    checked once, on its miss.
+    clause's.  The memo holds them as one tuple, extensions then rewrites,
+    with the number of extensions; with no reduction on the path that tuple
+    itself is returned, shared by every state with this head.  Reductions
+    depend on the path and are computed on every call.  A head beyond the
+    term bounds has no actions, so its state fails; it is checked once, on
+    its miss.
     """
     key = head, cfg.rewrite
     known = m.head_actions.get(key)
@@ -248,17 +269,19 @@ def valid_actions(m: Matrix, head: Literal, path: tuple, cfg: Config, next_var: 
                     for lit, clause_id, j in candidates
                     if unify_literals(shifted, lit) is not None)
         rew = tuple(_rewrite_actions(m, shifted)) if cfg.rewrite and m.rewrite_rules else ()
-        known = m.head_actions[key] = ext, rew
+        known = m.head_actions[key] = ext + rew, len(ext)
     if not known:
         return ()
-    ext, rew = known
     red = []
     for k, plit in enumerate(path):
         if plit.predicate != head.predicate or plit.positive == head.positive:
             continue
         if unify_literals(head, plit) is not None:
             red.append(tuple.__new__(RedAction, (k,)))
-    return ext + tuple(red) + rew
+    actions, n_ext = known
+    if not red:
+        return actions
+    return actions[:n_ext] + tuple(red) + actions[n_ext:]
 
 
 def _rewrite_actions(m: Matrix, head: Literal) -> list:
@@ -360,12 +383,13 @@ def _det_on_work(m: Matrix, s: ProverState, cfg: Config) -> ProverState:
     while True:
         if not s.goals:
             if not s.todos:
-                if all(map(_fits, _recorded(s.proof), repeat(s.subst))):
+                if all(map(_fits, _recorded(s.proof), repeat(flat_subst(s.subst)))):
                     s.result = PROVED
                 return s
             # a frame held no bound variable when saved; resolving it through
             # the bindings made since brings it up to date
-            s.goals, s.path, s.lemmas = (resolve_literals(s.subst, part) for part in s.todos[0])
+            subst = flat_subst(s.subst)
+            s.goals, s.path, s.lemmas = (resolve_literals(subst, part) for part in s.todos[0])
             s.todos = s.todos[1:]
             continue
         head = s.goals[0]
@@ -383,7 +407,7 @@ def _det_on_work(m: Matrix, s: ProverState, cfg: Config) -> ProverState:
         actions = valid_actions(m, head, s.path, cfg, s.next_var)
         if eager:
             # the first unifying path literal, in path order; not an inference
-            red = next((a for a in actions if isinstance(a, RedAction)), None)
+            red = next(filter(RedAction.__instancecheck__, actions), None)
             if red is not None:
                 if not _apply_on_work(m, s, red):
                     return s
@@ -446,7 +470,7 @@ def initial_states(m: Matrix, cfg: Config) -> ProverState:
         raise NoStartClauseError("matrix has no start clause")
     root = ProverState(goals=(), path=(), lemmas=(), todos=(),
                        actions=tuple(map(StartAction, m.start_ids)), proof=(),
-                       result=OPEN, subst={}, next_var=0, inference_count=0)
+                       result=OPEN, subst=(), next_var=0, inference_count=0)
     if len(root.actions) > 1:
         return root
     _apply_on_work(m, root, root.actions[0])

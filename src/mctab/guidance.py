@@ -87,11 +87,20 @@ def priors_from_predictions(scores: Sequence[float], temperature: float) -> list
 class DefaultGuidance:
     """First-iteration guidance: size heuristic value, uniform priors."""
 
+    def __init__(self):
+        # n -> default_policy(n), one list shared by every state with n
+        # actions; the search never mutates a node's priors
+        self._uniform: dict = {}
+
     def value(self, s: ProverState) -> float:
         return default_value(term_stats(s.goals)[0])
 
     def priors(self, s: ProverState) -> list:
-        return default_policy(len(s.actions))
+        n = len(s.actions)
+        uniform = self._uniform.get(n)
+        if uniform is None:
+            uniform = self._uniform[n] = default_policy(n)
+        return uniform
 
 
 class ModelGuidance:
@@ -122,7 +131,7 @@ class ModelGuidance:
 
     def priors(self, s: ProverState) -> list:
         if self.policy_model is None:
-            return default_policy(len(s.actions))
+            return self._default.priors(s)
         # actions with one delta key have one vector: score each key once
         predicted = self._predictions.setdefault(self.extractor.state_key(s), {})
         keys = [self.extractor.action_key(s, a) for a in s.actions]

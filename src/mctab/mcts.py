@@ -14,11 +14,13 @@ points for training-data extraction.
 
 A node's actions are its priors: a PROVED or FAILED node has none, an OPEN
 node one per valid action (`calculus` makes a state OPEN only when it has
-one, so the guidance is never asked for none).  Every node holds a state,
-the root included: with several start clauses the root's actions are the
-start choices, and expanding one costs one inference plus its settle, like
-any other step.  That root has no start step yet, so extraction gives it no
-row.
+one, so the guidance is never asked for none).  Every node holds a state
+except a FAILED one below the root: such a leaf is dead, so no descent,
+bigstep or expansion reaches it, and extraction reads only its visit count.
+The root holds its state even when it fails.  With several start clauses
+the root's actions are the start choices, and expanding one costs one
+inference plus its settle, like any other step.  That root has no start
+step yet, so extraction gives it no row.
 
 A node is dead when it is FAILED, or when all its actions are expanded and
 all its children are dead (`_mark_dead`); the search stops once the bigstep
@@ -33,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .calculus import OPEN, PROVED, ProverState, apply_action, initial_states
+from .calculus import FAILED, PROVED, ProverState, apply_action, flat_subst, initial_states
 from .config import Config
 from .guidance import ModelGuidance, policy_target, value_target
 from .problems import Matrix
@@ -43,7 +45,7 @@ from .problems import Matrix
 class SearchNode:
     id: int
     parent: Optional[int]
-    state: ProverState
+    state: Optional[ProverState]  # None exactly at a FAILED node other than the root
     prior: float
     visits: int
     reward: float
@@ -91,10 +93,12 @@ class SearchTree:
                 guidance) -> SearchNode:
         """Add `state` as the child of `parent` by its action `ai`, or as the
         root when `parent` is None: score it, count its inferences, link it,
-        mark it proved or dead, and backpropagate its value."""
+        mark it proved or dead, and backpropagate its value.  A FAILED child
+        keeps no state: it is dead and never expanded, and extraction reads
+        only anchors, which are live or the root."""
         if state.result == PROVED:
             value, priors = 1.0, []
-        elif state.result != OPEN:
+        elif state.result == FAILED:
             value, priors = 0.0, []
         else:
             value = guidance.value(state)
@@ -107,9 +111,11 @@ class SearchTree:
             node.parent, node.prior = parent.id, parent.child_priors[ai]
             parent.children[ai] = node.id  # before `_mark_dead`, which counts them
             self.inferences -= parent.state.inference_count
+            if state.result == FAILED:
+                node.state = None
         if state.result == PROVED and self.proved_node is None:
             self.proved_node = node.id
-        if state.result not in (OPEN, PROVED):
+        if state.result == FAILED:
             self._mark_dead(node.id)
         self.backpropagate(node.parent, value)
         return node
@@ -244,7 +250,7 @@ def search_problem(m: Matrix, guidance, cfg: Config, name: str = "") -> SearchRe
     outcome, proof, subst = "exhausted", None, None
     if tree.proved_node is not None:
         state = tree.nodes[tree.proved_node].state
-        outcome, proof, subst = "proved", state.proof, state.subst
+        outcome, proof, subst = "proved", state.proof, flat_subst(state.subst)
     stats = SearchStats(name, outcome, tree.inferences, tree.playouts,
                         len(tree.bigstep_nodes) - 1, 0 if proof is None else len(proof))
     return SearchResult(outcome, proof, subst, stats, tree)

@@ -69,8 +69,9 @@ class Matrix:
     # index, direction, source, target) per direction of a negative equation
     # whose source is not a variable, in clause order
     rewrite_rules: list = field(default_factory=list)
-    # (head literal, rewriting on) -> (extension actions, rewrite actions):
-    # the head's path-free actions, filled only by calculus.valid_actions
+    # (head literal, rewriting on) -> (extension actions + rewrite actions,
+    # number of extensions), or () for a head beyond the term bounds: the
+    # head's path-free actions, filled only by calculus.valid_actions
     head_actions: dict = field(default_factory=dict, compare=False, repr=False)
     # (clause id, literal index, offset) -> (the literal shifted by offset,
     # the clause's other literals unshifted, ((source name, fresh id), ...)):

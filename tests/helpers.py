@@ -15,6 +15,7 @@ import sys
 from dataclasses import field, make_dataclass
 
 from mctab.calculus import (
+    FAILED,
     ExtAction,
     ExtStep,
     RedAction,
@@ -23,6 +24,7 @@ from mctab.calculus import (
     RewStep,
     StartAction,
     StartStep,
+    apply_action,
 )
 from mctab.checker import Ext, Lem, Red, Rew, Start, TraceError
 from mctab.features import _literal_walks, _scalars
@@ -371,17 +373,39 @@ def random_eq_matrix(rng: random.Random):
 
 
 def check_tree_invariants(tree):
-    """Parent/child tables inverse; open-node visits sum over children."""
+    """Parent/child tables inverse; open-node visits sum over children; a
+    node without a state is a dead, childless leaf, not the root."""
     for node in tree.nodes:
         for cid in node.children.values():
             assert tree.nodes[cid].parent == node.id
         assert node.parent is None or node.id in tree.nodes[node.parent].children.values()
-        if node.state.result == 0:
+        if node.state is None:
+            assert node.dead and not node.children and node.parent is not None, node.id
+        elif node.state.result == 0:
             expected = 1 + sum(tree.nodes[c].visits for c in node.children.values())
             assert node.visits == expected, (node.id, node.visits, expected)
         else:
             assert not node.children
         assert node.reward <= node.visits + 1e-9
+
+
+def tree_states(tree, cfg, ids=None) -> tuple:
+    """The states of the nodes `ids` (every node by default) in that order,
+    and how many of them were rebuilt.  The search keeps no state at a
+    failed leaf; it is rebuilt from its parent's by the action that made it,
+    `apply_action(m, parent.state, ai, cfg)` under the search's `cfg`, so a
+    test reads every state the search built."""
+    states, rebuilt = [], 0
+    for node in tree.nodes if ids is None else map(tree.nodes.__getitem__, ids):
+        s = node.state
+        if s is None:
+            parent = tree.nodes[node.parent]
+            ai = next(a for a, c in parent.children.items() if c == node.id)
+            s = apply_action(tree.matrix, parent.state, ai, cfg)
+            assert s.result == FAILED, node.id
+            rebuilt += 1
+        states.append(s)
+    return states, rebuilt
 
 
 class RewardReplay:
@@ -402,7 +426,7 @@ class RewardReplay:
             reward = end.reward
             start = end.parent
         else:
-            reward = 1.0 if end.state.result == 1 else 0.0
+            reward = 1.0 if end.state is not None and end.state.result == 1 else 0.0
             start = end_id
         cur = start
         while cur is not None:

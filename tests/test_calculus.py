@@ -20,6 +20,7 @@ from mctab.calculus import (
     StartAction,
     StartStep,
     apply_action,
+    flat_subst,
     format_proof,
     initial_states,
     valid_actions,
@@ -41,6 +42,7 @@ from helpers import (
     random_matrix,
     reference_apply_action,
     reference_valid_actions,
+    tree_states,
 )
 
 APP_A = "-p(X).\np(Y) | -q(a).\nq(a).\n"
@@ -175,7 +177,7 @@ def test_eager_reduction_takes_the_first_unifying_path_literal_uncounted():
             ]
         else:
             assert s.result == PROVED
-            assert format_proof(s.proof, s.subst).splitlines()[-1] == "red -p(b) p(b)"
+            assert format_proof(s.proof, flat_subst(s.subst)).splitlines()[-1] == "red -p(b) p(b)"
 
 
 def test_lemma_step():
@@ -273,7 +275,7 @@ def test_proof_trace_format():
     m = parse_problem(APP_A)
     s = initial_states(m, Config(rewrite=False))
     assert s.result == PROVED
-    text = format_proof(s.proof, s.subst)
+    text = format_proof(s.proof, flat_subst(s.subst))
     lines = text.strip().splitlines()
     assert lines[0] == "start 2 {}"
     assert lines[1].startswith("ext 1 ")
@@ -348,8 +350,21 @@ def search_trees():
     return list(_search_trees())
 
 
-def _settled_states(tree):
-    return [n.state for n in tree.nodes]
+# [states, failed leaves among them] over the trees of `search_trees`, of
+# `_random_eq_searches` and of `warm_searches`: every node's, as when each
+# node kept its state
+SEARCH_TREE_STATES = [1828, 483]
+RANDOM_EQ_STATES = [1090, 245]
+WARM_STATES = [2518, 690]
+
+
+def _settled_states(cfg, tree, counts):
+    """Every node's state, failed leaves rebuilt (see `tree_states`); adds
+    the number of states and of rebuilt ones to `counts`."""
+    states, rebuilt = tree_states(tree, cfg)
+    counts[0] += len(states)
+    counts[1] += rebuilt
+    return states
 
 
 def _applied_once(subst, part):
@@ -364,18 +379,21 @@ def test_parent_state_not_mutated(search_trees):
     """Every action of every open state in the search trees leaves every
     field of its parent as it was, bindings of state variables included."""
     applied = binding = 0
+    counts = [0, 0]
     for m, cfg, tree in search_trees:
-        for s in _settled_states(tree):
+        for s in _settled_states(cfg, tree, counts):
             if s.result != OPEN:
                 continue
             before = [getattr(s, f.name) for f in fields(s)]
-            subst = list(s.subst.items())
+            subst = list(flat_subst(s.subst).items())
             for i in range(len(s.actions)):
                 child = apply_action(m, s, i, cfg)
                 assert [getattr(s, f.name) for f in fields(s)] == before
-                assert list(s.subst.items()) == subst
+                assert list(flat_subst(s.subst).items()) == subst
                 applied += 1
-                binding += any(v < s.next_var for v in child.subst.keys() - s.subst.keys())
+                binding += any(v < s.next_var
+                               for v in flat_subst(child.subst).keys() - dict(subst).keys())
+    assert counts == SEARCH_TREE_STATES
     assert applied > 0
     assert binding > 0
 
@@ -388,9 +406,10 @@ def test_valid_actions_equal_the_renaming_reference(search_trees):
     kinds = set()
     sources = set()  # whether a rewrite's source has arguments
     frames = pathless = unrewritten = 0
+    counts = [0, 0]
     for m, cfg, tree in search_trees:
         flipped = replace(cfg, rewrite=not cfg.rewrite)
-        for s in _settled_states(tree):
+        for s in _settled_states(cfg, tree, counts):
             if not s.goals:  # the calculus enumerates actions only for a head goal
                 continue
             expected = reference_valid_actions(m, s.goals, s.path, cfg, s.next_var)
@@ -405,7 +424,8 @@ def test_valid_actions_equal_the_renaming_reference(search_trees):
             branches = [(s.goals, s.path, expected)]
             # resumed frames are heads the search reaches later
             for goals, path, _ in s.todos:
-                goals, path = resolve_literals(s.subst, goals), resolve_literals(s.subst, path)
+                subst = flat_subst(s.subst)
+                goals, path = resolve_literals(subst, goals), resolve_literals(subst, path)
                 expected = reference_valid_actions(m, goals, path, cfg, s.next_var)
                 assert valid_actions(m, goals[0], path, cfg, s.next_var) == expected
                 branches.append((goals, path, expected))
@@ -417,6 +437,7 @@ def test_valid_actions_equal_the_renaming_reference(search_trees):
                     assert valid_actions(m, goals[0], p, c, n) == again
                     pathless += p is not path and again != expected
                     unrewritten += c is flipped and again != expected
+    assert counts == SEARCH_TREE_STATES
     assert kinds == {ExtAction, RedAction, RewAction}
     assert sources == {True, False}  # sources headed by a function and by a constant
     # the trees' matrices hold equations with a bare-variable side, which no rule has
@@ -453,6 +474,34 @@ def test_a_repeated_head_is_enumerated_once(monkeypatch):
     assert calls == []
 
 
+def test_without_a_reduction_a_head_shares_its_memoised_actions(search_trees):
+    """A head's actions are one memoised tuple, returned itself whenever the
+    path offers no reduction; with one, the reductions stand between the
+    extensions and the rewrites of a new tuple."""
+    m = parse_problem("p(g(a)).\ng(Z)!=h(Z) | -q(Z).\n-p(h(a)).\n-p(g(W)).\nq(a).\n")
+    cfg = Config(rewrite=True)
+    head = Literal(True, "p", (App("g", (App("a"),)),))
+    first = valid_actions(m, head, (), cfg, 2)
+    assert first is valid_actions(m, head, (Literal(True, "q", (App("a"),)),), cfg, 5)
+    assert first == (ExtAction(3, 0), RewAction(1, 0, "LR", (1,)))
+    reduced = valid_actions(m, head, (Literal(False, "p", (Var(0),)),), cfg, 2)
+    assert reduced == (ExtAction(3, 0), RedAction(0), RewAction(1, 0, "LR", (1,)))
+    shared = reduced_states = 0
+    for m, cfg, tree in search_trees:
+        for node in tree.nodes:
+            s = node.state
+            if s is None or s.result != OPEN or not s.goals:  # not a root choosing its start
+                continue
+            memo = m.head_actions[s.goals[0], cfg.rewrite][0]
+            if any(isinstance(a, RedAction) for a in s.actions):
+                assert s.actions is not memo
+                reduced_states += 1
+            else:
+                assert s.actions is memo
+                shared += 1
+    assert shared > reduced_states > 0
+
+
 def test_an_extension_shifts_one_literal_and_negates_nothing(monkeypatch):
     """An extension renames only the chosen clause literal, an instantiation
     under no bindings, and unifies it with the head as it stands; its side
@@ -478,7 +527,7 @@ def test_an_extension_shifts_one_literal_and_negates_nothing(monkeypatch):
     assert child.goals == (Literal(True, "r", (Var(1),)), Literal(True, "s", (Var(1), Var(2))))
     assert child.path == (Literal(True, "p", (a,)),)
     assert child.todos == (((Literal(True, "q", (a,)),), (), (Literal(True, "p", (a,)),)),)
-    assert child.subst == {0: a}
+    assert child.subst == ({0: a}, s.subst) and flat_subst(child.subst) == {0: a}
     assert child.proof[-1] == ExtStep(1, (("Y", 1), ("Z", 2)), Literal(True, "p", (a,)))
 
 
@@ -498,10 +547,12 @@ def test_apply_action_equals_the_renaming_reference(search_trees, monkeypatch):
     was gives (rename the clause, unify with the negated head, resolve the
     head, resolve the side literals), field by field, subst in key order."""
     steps = []
+    counts = [0, 0]
     for m, cfg, tree in search_trees + list(_random_eq_searches()):
-        for s in _settled_states(tree):
+        for s in _settled_states(cfg, tree, counts):
             if s.result == OPEN:
                 steps.extend((m, cfg, s, i) for i in range(len(s.actions)))
+    assert counts == [a + b for a, b in zip(SEARCH_TREE_STATES, RANDOM_EQ_STATES)]
     children = [apply_action(m, s, i, cfg) for m, cfg, s, i in steps]
     monkeypatch.setattr(calculus, "_apply_on_work", reference_apply_action)
     kinds = set()
@@ -510,11 +561,12 @@ def test_apply_action_equals_the_renaming_reference(search_trees, monkeypatch):
         expected = apply_action(m, s, i, cfg)
         for f in fields(child):
             assert getattr(child, f.name) == getattr(expected, f.name), f.name
-        assert list(child.subst.items()) == list(expected.subst.items())
+        assert list(flat_subst(child.subst).items()) == list(flat_subst(expected.subst).items())
         action = s.actions[i]
         kinds.add(type(action))
         if isinstance(action, ExtAction):
-            binding += any(v < s.next_var for v in child.subst.keys() - s.subst.keys())
+            binding += any(v < s.next_var for v in
+                           flat_subst(child.subst).keys() - flat_subst(s.subst).keys())
     assert kinds == {StartAction, ExtAction, RedAction, RewAction}
     assert binding > 0
 
@@ -523,26 +575,32 @@ def test_saved_frames_are_brought_up_to_date_by_one_application(search_trees):
     """Resolving a frame once through the triangular subst equals applying
     the eagerly composed one, and a second pass changes nothing."""
     frames = chained = 0
-    for _, _, tree in search_trees:
-        for s in _settled_states(tree):
-            eager = eager_subst(s.subst)
+    counts = [0, 0]
+    for _, cfg, tree in search_trees:
+        for s in _settled_states(cfg, tree, counts):
+            subst = flat_subst(s.subst)
+            eager = eager_subst(subst)
             for part in (s.goals, s.path, s.lemmas):
                 assert _applied_once(eager, part) == part
             for frame in s.todos:
                 for part in frame:
-                    once = resolve_literals(s.subst, part)
+                    once = resolve_literals(subst, part)
                     assert once == _applied_once(eager, part)
-                    assert resolve_literals(s.subst, once) == once
-                    chained += once != _applied_once(s.subst, part)
+                    assert resolve_literals(subst, once) == once
+                    chained += once != _applied_once(subst, part)
                 frames += 1
+    assert counts == SEARCH_TREE_STATES
     assert frames > 0
     assert chained > 0  # some frame needs more than one plain application
 
 
 def test_format_proof_equals_the_eager_composition(search_trees):
-    for _, _, tree in search_trees:
-        for s in _settled_states(tree):
-            assert format_proof(s.proof, s.subst) == format_proof(s.proof, eager_subst(s.subst))
+    counts = [0, 0]
+    for _, cfg, tree in search_trees:
+        for s in _settled_states(cfg, tree, counts):
+            subst = flat_subst(s.subst)
+            assert format_proof(s.proof, subst) == format_proof(s.proof, eager_subst(subst))
+    assert counts == SEARCH_TREE_STATES
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +671,7 @@ def test_the_renaming_memo_equals_a_fresh_renaming(warm_searches):
     on the same matrix freshly parsed, field by field, subst in key order,
     and as printed."""
     entries = hits = applied = 0
+    counts = [0, 0]
     for text, m, cfg, tree in warm_searches[0]:
         for (clause_id, j, offset), (lit, rest, varmap) in m.renamed.items():
             clause = m.clauses[clause_id]
@@ -622,7 +681,7 @@ def test_the_renaming_memo_equals_a_fresh_renaming(warm_searches):
             assert len(varmap) == len(clause.var_names)
             entries += 1
         parsed = parse_problem(text)
-        for s in _settled_states(tree):
+        for s in _settled_states(cfg, tree, counts):
             if s.result != OPEN:
                 continue
             for i, action in enumerate(s.actions):
@@ -632,11 +691,41 @@ def test_the_renaming_memo_equals_a_fresh_renaming(warm_searches):
                 fresh = apply_action(replace(parsed, head_actions={}, renamed={}), s, i, cfg)
                 for f in fields(warm):
                     assert getattr(warm, f.name) == getattr(fresh, f.name), f.name
-                assert list(warm.subst.items()) == list(fresh.subst.items())
-                assert format_proof(warm.proof, warm.subst) == format_proof(fresh.proof,
-                                                                            fresh.subst)
+                warm_subst, fresh_subst = flat_subst(warm.subst), flat_subst(fresh.subst)
+                assert list(warm_subst.items()) == list(fresh_subst.items())
+                assert format_proof(warm.proof, warm_subst) == format_proof(fresh.proof,
+                                                                            fresh_subst)
                 applied += 1
+    assert counts == WARM_STATES
     assert entries > 1000 and hits > 1000 and applied > hits
+
+
+def test_a_binding_chain_flattens_to_the_dict_each_step_used_to_copy(warm_searches):
+    """Every state's binding chain extends its parent's by the deltas of its
+    own step, and flattened it equals, item for item and in order, the dict
+    that the copying rule `{**subst, **delta}` builds from the root's empty
+    substitution along the state's tree path."""
+    states = steps = 0
+    for _, _, cfg, tree in warm_searches[0]:
+        harvest, _ = tree_states(tree, cfg)
+        copied = []  # node id -> the copying rule's dict
+        for node, s in zip(tree.nodes, harvest):
+            if node.parent is None:
+                below, subst = (), {}
+            else:
+                below, subst = harvest[node.parent].subst, copied[node.parent]
+            chain, deltas = s.subst, []
+            while chain is not below:  # a chain that does not extend below ends in ()
+                delta, chain = chain
+                deltas.append(delta)
+            for delta in reversed(deltas):
+                subst = {**subst, **delta}
+            copied.append(subst)
+            assert list(flat_subst(s.subst).items()) == list(subst.items())
+            states += 1
+            steps += len(deltas) > 1  # a step whose settle bound again
+    assert states == WARM_STATES[0]
+    assert steps > 0
 
 
 # ---------------------------------------------------------------------------

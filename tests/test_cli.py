@@ -125,9 +125,12 @@ def test_bench_prints_table(tmp_path, capsys):
 
 def test_loop_and_train_commands(tmp_path, monkeypatch, capsys):
     paused = []  # every training runs in a collector unit
+    # compared with the count before, which is not 0 on every interpreter
+    # (see test_loop's collector-unit test)
+    frozen = gc.get_freeze_count()
 
     def spy(data, cfg):
-        paused.append(not gc.isenabled() and gc.get_freeze_count() > 0)
+        paused.append(not gc.isenabled() and gc.get_freeze_count() > frozen)
         return train(data, cfg)
 
     train = gbt.train
@@ -144,7 +147,7 @@ def test_loop_and_train_commands(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert model_out.exists()
     assert paused == [True] * (len(list(out.glob("iter0/*.model"))) + 1)
-    assert gc.isenabled() and gc.get_freeze_count() == 0
+    assert gc.isenabled() and gc.get_freeze_count() <= frozen
 
 
 def test_loop_trains_no_model_on_a_dataset_without_rows(tmp_path, capsys):

@@ -11,7 +11,7 @@ from mctab.mcts import search_problem
 from mctab.problems import parse_problem
 from mctab.terms import App, Literal, Var
 
-from helpers import random_eq_matrix, random_matrix, raw_features
+from helpers import random_eq_matrix, random_matrix, raw_features, tree_states
 
 
 def mk_state(goals=(), path=(), todos=()):
@@ -23,7 +23,7 @@ def mk_state(goals=(), path=(), todos=()):
         actions=(),
         proof=(),
         result=0,
-        subst={},
+        subst=(),
         next_var=100,
         inference_count=0,
     )
@@ -133,31 +133,45 @@ def test_states_differing_below_depth_three_get_their_own_vectors():
         assert ex.action_features(s, ex.action_key(s, a)) == oracle(M, s, a)
 
 
-def _assert_tree_matches_oracle(m, tree, dim):
+# the states each tree test reads, every node's as when each node kept its
+# state, with the failed leaves among them (rebuilt) and the actions checked
+CORPUS_TREE_COUNTS = [[51, 17, 165], [11, 0, 86], [2, 0, 2], [15, 7, 14], [3, 2, 2]]
+RED_TREE_COUNTS = [14, 8, 15]
+RANDOM_TREE_COUNTS = [62, 37, 42]
+ONE_KEY_STATES = [2429, 714]
+ONE_MEMO_STATES = [2587, 764]
+
+
+def _assert_tree_matches_oracle(m, cfg, tree, dim):
+    """The extractor equals the oracle on every node's state (failed leaves
+    rebuilt) and every action of it; returns the states, the failed leaves
+    among them and the actions checked."""
     ex = FeatureExtractor(m, dim)
+    states, rebuilt = tree_states(tree, cfg)
     checked = 0
-    for node in tree.nodes:
-        s = node.state
+    for nid, s in enumerate(states):
         # alternate the call order so both the fresh and the reused state
         # vector are compared
-        if node.id % 2:
+        if nid % 2:
             assert ex.state_features(s) == oracle(m, s, dim=dim)
         for a in s.actions:
             assert ex.action_features(s, ex.action_key(s, a)) == oracle(m, s, a, dim=dim)
             checked += 1
         assert ex.state_features(s) == oracle(m, s, dim=dim)
-    return checked
+    return [len(states), rebuilt, checked]
 
 
 def test_extractor_equals_oracle_on_corpus_trees():
     cfg = Config(inference_limit=150, bigstep_freq=20, path_limit=60)
     kinds = set()
+    counts = []
     for name in ("eq_chain_4.p", "eq_fun.p", "ground_red.p", "twopath_03.p", "hard_branch.p"):
         with open(os.path.join(corpus_dir(), name), "r", encoding="utf-8") as fh:
             m = parse_problem(fh.read())
         tree = search_problem(m, DefaultGuidance(), cfg).tree
-        assert _assert_tree_matches_oracle(m, tree, 10000) > 0
-        kinds.update(type(a) for n in tree.nodes for a in n.state.actions)
+        counts.append(_assert_tree_matches_oracle(m, cfg, tree, 10000))
+        kinds.update(type(a) for n in tree.nodes if n.state is not None for a in n.state.actions)
+    assert counts == CORPUS_TREE_COUNTS
     assert kinds == {ExtAction, RewAction}
     # a red action needs a non-ground path literal and guided reduction
     m = parse_problem(
@@ -165,12 +179,14 @@ def test_extractor_equals_oracle_on_corpus_trees():
     )
     cfg = Config(inference_limit=100, bigstep_freq=10, path_limit=20, guided_reduction=True)
     tree = search_problem(m, DefaultGuidance(), cfg).tree
-    _assert_tree_matches_oracle(m, tree, 10000)
-    assert any(isinstance(a, RedAction) for n in tree.nodes for a in n.state.actions)
+    assert _assert_tree_matches_oracle(m, cfg, tree, 10000) == RED_TREE_COUNTS
+    assert any(isinstance(a, RedAction) for n in tree.nodes if n.state is not None
+               for a in n.state.actions)
 
 
 def test_extractor_equals_oracle_on_random_matrices():
     rng = random.Random(7)
+    counts = [0, 0, 0]
     for i in range(20):
         cfg = Config(
             rewrite=True, inference_limit=60, bigstep_freq=7, path_limit=20,
@@ -178,7 +194,9 @@ def test_extractor_equals_oracle_on_random_matrices():
         )
         m, _ = random_matrix(rng)
         tree = search_problem(m, DefaultGuidance(), cfg).tree
-        _assert_tree_matches_oracle(m, tree, 97)  # small dimension: many collisions
+        # small dimension: many collisions
+        counts = [a + b for a, b in zip(counts, _assert_tree_matches_oracle(m, cfg, tree, 97))]
+    assert counts == RANDOM_TREE_COUNTS
 
 
 def test_states_with_one_skeleton_key_have_one_vector():
@@ -190,18 +208,20 @@ def test_states_with_one_skeleton_key_have_one_vector():
             matrices.append(parse_problem(fh.read()))
     rng = random.Random(36)
     matrices += [(random_matrix if i % 2 else random_eq_matrix)(rng)[0] for i in range(40)]
-    states = renamed = 0
+    states = renamed = rebuilt = 0
     for m in matrices:
         ex = FeatureExtractor(m, cfg.feature_dim)
         seen = {}  # state key -> the oracle's vector and the literals first met under it
-        for node in search_problem(m, DefaultGuidance(), cfg).tree.nodes:
-            s = node.state
+        harvest, failed = tree_states(search_problem(m, DefaultGuidance(), cfg).tree, cfg)
+        rebuilt += failed
+        for s in harvest:
             vector = oracle(m, s, dim=cfg.feature_dim)
             first, literals = seen.setdefault(ex.state_key(s), (vector, (s.goals, s.path)))
             assert first == vector
             assert ex.state_features(s) == vector
             states += 1
             renamed += literals != (s.goals, s.path)
+    assert [states, rebuilt] == ONE_KEY_STATES
     # some keys stand for literals that differ in their variable ids
     assert states > renamed > 0
 
@@ -223,13 +243,14 @@ def test_the_one_memo_answers_keys_and_vectors_in_any_order():
             matrices.append(parse_problem(fh.read()))
     rng = random.Random(37)
     matrices += [(random_matrix if i % 2 else random_eq_matrix)(rng)[0] for i in range(30)]
-    asked = changed = 0
+    asked = changed = rebuilt = 0
     for m in matrices:
         key_first, vector_first, interleaved = (
             FeatureExtractor(m, cfg.feature_dim) for _ in range(3))
         other = other_vector = None
-        for node in search_problem(m, DefaultGuidance(), cfg).tree.nodes:
-            s = node.state
+        harvest, failed = tree_states(search_problem(m, DefaultGuidance(), cfg).tree, cfg)
+        rebuilt += failed
+        for s in harvest:
             fresh = FeatureExtractor(m, cfg.feature_dim)
             key = _skeletons_of(fresh, fresh.state_key(s))
             vector = oracle(m, s, dim=cfg.feature_dim)
@@ -245,6 +266,7 @@ def test_the_one_memo_answers_keys_and_vectors_in_any_order():
                 changed += vector != other_vector
             other, other_vector = s, vector
             asked += 1
+    assert [asked, rebuilt] == ONE_MEMO_STATES
     # a stale answer would differ from the right one
     assert asked > changed > asked // 2
 

@@ -24,7 +24,7 @@ from mctab.loop import list_problems
 from mctab.mcts import extract_training_data, search_problem
 from mctab.problems import parse_problem
 
-from helpers import random_eq_matrix, random_matrix, reference_priors
+from helpers import random_eq_matrix, random_matrix, reference_priors, tree_states
 
 
 def sigmoid(x):
@@ -53,6 +53,20 @@ def test_default_policy_uniform():
         assert abs(sum(default_policy(n)) - 1.0) < 1e-12
     with pytest.raises(ValueError):
         default_policy(0)
+
+
+def test_default_priors_are_one_shared_list_per_action_count():
+    with open(os.path.join(corpus_dir(), "eq_chain_4.p"), "r", encoding="utf-8") as fh:
+        m = parse_problem(fh.read())
+    cfg = Config(inference_limit=150, bigstep_freq=20, path_limit=60)
+    for guidance in (DefaultGuidance(), ModelGuidance(None, None, FeatureExtractor(m, 97), 2.0)):
+        by_count = {}
+        for node in search_problem(m, guidance, cfg).tree.nodes:
+            if node.child_priors:
+                n = len(node.child_priors)
+                assert by_count.setdefault(n, node.child_priors) is node.child_priors
+                assert node.child_priors == default_policy(n)
+        assert len(by_count) > 1
 
 
 def test_value_target_examples():
@@ -116,6 +130,9 @@ def test_targets_respect_clips():
         assert policy_target(N, Nj, n) >= -6.0
 
 
+PRIORS_STATES = [752, 113]
+
+
 def test_priors_score_each_action_delta_once_as_the_per_action_oracle():
     cfg = Config(inference_limit=150, bigstep_freq=20, path_limit=60, limited_policy=False)
     matrices = []
@@ -134,14 +151,16 @@ def test_priors_score_each_action_delta_once_as_the_per_action_oracle():
     policy.predict = lambda fv: predictions.append(fv) or predict(fv)
     states = shared = 0
     repeated = 0
+    harvested = [0, 0]
     for m in matrices:
         ex = FeatureExtractor(m, cfg.feature_dim)
         tree = search_problem(m, ModelGuidance(None, policy, ex, 2.0), cfg).tree
         # a fresh guidance asked in the search's order scores what the search did
         guidance = ModelGuidance(None, policy, ex, 2.0)
         scored = set()
-        for node in tree.nodes:
-            s = node.state
+        harvest, rebuilt = tree_states(tree, cfg)
+        harvested = [harvested[0] + len(harvest), harvested[1] + rebuilt]
+        for s in harvest:
             if not s.actions:
                 continue
             del predictions[:]
@@ -156,6 +175,8 @@ def test_priors_score_each_action_delta_once_as_the_per_action_oracle():
             states += 1
             shared += len(keys) < len(s.actions)
             repeated += len(new) < len(keys)
+    # [states, failed leaves among them], every node's
+    assert harvested == PRIORS_STATES
     assert states > 0 and shared > 0 and repeated > 0
 
 
@@ -220,7 +241,7 @@ def test_the_prediction_memo_equals_predicting_every_state_and_action():
                                     temperature=cfg.temperature)
         checked = _Checked(ModelGuidance(value, policy, ex, cfg.temperature), reference)
         tree = search_problem(m, checked, cfg).tree
-        assert len(checked.states) == sum(node.state.result == OPEN for node in tree.nodes)
+        assert len(checked.states) == sum(s.result == OPEN for s in tree_states(tree, cfg)[0])
         # inputs are told apart by item order, which one state key fixes
         keys = [reference.extractor.state_key(s) for s in checked.states]
         vectors = [tuple(reference.extractor.state_features(s).items()) for s in checked.states]

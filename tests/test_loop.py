@@ -148,9 +148,11 @@ def test_solve_one_raises_when_the_checker_rejects(monkeypatch):
     monkeypatch.setattr(
         loop, "check_proof_texts", lambda proof, problem: checker.CheckResult(False, "planted")
     )
+    frozen = gc.get_freeze_count()
     with pytest.raises(ProofRejected, match="^x.p: checker rejected an emitted proof: planted$"):
         solve_one("x.p", PROBLEMS["a_chain.p"], Config(**FAST))
-    assert gc.isenabled() and gc.get_freeze_count() == 0  # the unit ended all the same
+    # the unit ended all the same (see the next test for the count)
+    assert gc.isenabled() and gc.get_freeze_count() <= frozen
 
 
 def collections(call, *args) -> list:
@@ -170,22 +172,30 @@ def collections(call, *args) -> list:
 
 
 def test_a_unit_pauses_the_collector_and_collects_once_when_it_ends():
+    # each freeze count is compared with the one read before the call, as
+    # it is not 0 on every interpreter: 3.12.1 reads 375 at start and again
+    # after any full collection, frozen or not.  A unit's `gc.unfreeze()`
+    # empties the permanent generation, so after a unit it holds no more.
     def solve():
+        frozen = gc.get_freeze_count()
         solve_one("x.p", PROBLEMS["b_fo.p"], Config(**FAST))
-        assert not gc.isenabled() and gc.get_freeze_count() == 0
+        assert not gc.isenabled() and gc.get_freeze_count() == frozen
 
     def unit_solve():
+        frozen = gc.get_freeze_count()
         with collector_unit():
-            assert not gc.isenabled() and gc.get_freeze_count() > 0
+            assert not gc.isenabled() and gc.get_freeze_count() > frozen
             solve_one("x.p", PROBLEMS["b_fo.p"], Config(**FAST))
 
+    frozen = gc.get_freeze_count()
     assert collections(solve_one, "x.p", PROBLEMS["b_fo.p"], Config(**FAST)) == [
         ("start", 2), ("stop", 2)]
-    assert gc.isenabled() and gc.get_freeze_count() == 0
+    assert gc.isenabled() and gc.get_freeze_count() <= frozen
     # a solve_one nested in a unit or called with the collector disabled
     # leaves the collector as it found it
+    frozen = gc.get_freeze_count()
     assert collections(unit_solve) == [("start", 2), ("stop", 2)]
-    assert gc.isenabled() and gc.get_freeze_count() == 0
+    assert gc.isenabled() and gc.get_freeze_count() <= frozen
     gc.disable()
     try:
         assert collections(solve) == []

@@ -33,6 +33,7 @@ from helpers import (
     reference_descend,
     reference_next_action,
     reference_select_child,
+    tree_states,
 )
 
 APP_A = "-p(X).\np(Y) | -q(a).\nq(a).\n"
@@ -619,6 +620,10 @@ def test_a_proved_start_state_counts_as_an_expanded_start():
     assert (stats.inferences, stats.playouts, stats.proof_len) == (2, 1, len(start.proof))
 
 
+# the expansions of the battery below whose state failed, each rebuilt once
+MULTI_START_FAILED_LEAVES = 7037
+
+
 def test_the_one_root_on_random_multi_start_matrices(monkeypatch):
     """Differential battery for the one root state: the first 300 random
     matrices, plain and equational in turn, keep the 134 with several start
@@ -630,7 +635,7 @@ def test_the_one_root_on_random_multi_start_matrices(monkeypatch):
     Each start choice builds the state its clause builds as the lone start
     clause (marked with `#`), at one inference more: one against none when
     no forced step follows."""
-    playouts = []
+    playouts, failed_leaves = [], []
     played = mcts.playout
 
     def checked(tree, guidance, cfg, cp):
@@ -638,7 +643,9 @@ def test_the_one_root_on_random_multi_start_matrices(monkeypatch):
         nid = played(tree, guidance, cfg, cp)
         # an expansion costs what its step and settle counted
         node = tree.nodes[nid]
-        assert tree.inferences - before == (node.state.inference_count
+        (state,), rebuilt = tree_states(tree, cfg, [nid])
+        failed_leaves.append(rebuilt)
+        assert tree.inferences - before == (state.inference_count
                                             - tree.nodes[node.parent].state.inference_count)
         check_tree_invariants(tree)
         playouts.append(nid)
@@ -683,6 +690,7 @@ def test_the_one_root_on_random_multi_start_matrices(monkeypatch):
         rows += len(value_rows) + len(policy_rows)
     assert (matrices, proved, rows) == (134, 41, 720)
     assert len(playouts) > 10_000
+    assert sum(failed_leaves) == MULTI_START_FAILED_LEAVES
 
 
 def test_rewrite_rules_shorten_the_unguided_eq_chain_16():
